@@ -89,7 +89,8 @@ const (
 	// ScheduleFIFO is the paper's policy: a transaction deferred on a
 	// resource conflict returns to the front of todoQ and scheduling
 	// stalls until the next event — simple and fair, but one conflicted
-	// transaction head-of-line-blocks everything behind it.
+	// transaction head-of-line-blocks the single-shard work behind it
+	// (cross-shard children are still tried; see schedule).
 	ScheduleFIFO SchedulingPolicy = iota
 	// ScheduleAggressive is the §3.1.1 future-work strategy: when the
 	// head defers, the scheduler keeps going and tries the transactions
@@ -161,7 +162,7 @@ type ctrlInstruments struct {
 	// Fast-path (coalesced 2PC message flow) instruments.
 	xLocalKids *metrics.Counter         // coordinator-local children coalesced into the parent's accept
 	xPiggy     *metrics.Counter         // decisions delivered without a decide-notice round trip
-	xWounds    *metrics.Counter         // wound-wait aborts written to peer coordinator records
+	xWounds    *metrics.Counter         // prepares voided and restarted by wound-wait
 	xPeerBatch *metrics.BucketHistogram // store ops per per-peer fan-out Multi
 }
 
@@ -202,7 +203,7 @@ func newCtrlInstruments(reg *metrics.Registry, shard string) ctrlInstruments {
 			"2PC decisions applied without a decide-notice round trip: read off the parent record by the vote-ack watch, or delivered in memory to a coordinator-local child (fast path).",
 			"shard").With(shard),
 		xWounds: reg.CounterVec("tropic_xshard_wounds_total",
-			"Wound-wait resolutions: abort decisions this participant wrote into peer coordinator records to break cross-shard lock-order inversions (fast path).",
+			"Wound-wait resolutions: prepared children of younger cross-shard transactions whose votes this participant revoked at their coordinators, voiding and restarting the prepare to break a lock-order inversion.",
 			"shard").With(shard),
 		xPeerBatch: reg.HistogramVec("tropic_xshard_peer_batch_ops",
 			"Store operations carried by one per-peer cross-shard fan-out Multi (fast path).",
@@ -278,8 +279,9 @@ type Controller struct {
 	peerCollect bool
 	peerSends   map[int][]peerSend
 
-	// wmu guards wounding, the set of peer parent records with a
-	// wound-wait abort in flight (dedup across scheduling rounds).
+	// wmu guards wounding, the set of prepared children with a
+	// wound-wait vote revocation in flight (dedup across scheduling
+	// rounds).
 	wmu      sync.Mutex
 	wounding map[string]bool
 }
@@ -499,18 +501,29 @@ func (c *Controller) lead(ctx context.Context) error {
 
 // takeInput blocks for the leader's next work source: drained inputQ
 // items, or locally-delivered (in-memory) cross-shard messages, whichever
-// is ready first. Local messages exist only on the fast path; a pending
-// one wakes the drain out of its store watch via localWake, and the
-// round that follows folds it in ahead of the store items.
+// is ready first. Local messages are the fast path's in-process 2PC
+// messages and wound-wait restarts; a pending one wakes the drain out of
+// its store watch via localWake, and the round that follows folds it in
+// ahead of the store items.
 func (c *Controller) takeInput(ctx context.Context) ([]queue.Item, error) {
 	if c.localsPending() {
 		return nil, nil
 	}
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stop := make(chan struct{})
-	defer close(stop)
+	// The waker must exit before takeInput returns. Left running, it
+	// could take the token of a local message enqueued during the next
+	// take's wait, cancel this call's dead context instead, and leave
+	// that message waiting for an unrelated store item. A token it
+	// takes before exiting was sent after its message was queued, so
+	// the round that follows this take still sees the message.
+	stop, exited := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(stop)
+		<-exited
+	}()
 	go func() {
+		defer close(exited)
 		select {
 		case <-c.localWake:
 			cancel()
@@ -533,8 +546,10 @@ func (c *Controller) takeInput(ctx context.Context) ([]queue.Item, error) {
 // write. Safe from any goroutine. Local messages die with the process —
 // acceptable because every kind has a durable backstop: lost votes and
 // child-dones are recovered by the coordinator's direct ledger sync at
-// the prepare deadline, and lost decisions are re-delivered (as real
-// notices) until the child reports terminal.
+// the prepare deadline, lost decisions are re-delivered (as real
+// notices) until the child reports terminal, and a lost restart is sent
+// again by the next wound of the same prepare (xWound) or by a new
+// leader's in-doubt resolution.
 func (c *Controller) enqueueLocal(msg proto.InputMsg) {
 	c.lmu.Lock()
 	c.localMsgs = append(c.localMsgs, msg)
@@ -583,6 +598,8 @@ func (c *Controller) handleLocal(r *round) error {
 			err = c.stageXChildDone(r, msg, "")
 		case proto.KindXDecide:
 			err = c.stageXDecide(r, msg, "")
+		case proto.KindXRestart:
+			err = c.xRestart(msg)
 		default:
 			c.cfg.Logf("controller %s: dropping local message kind %q", c.cfg.Name, msg.Kind)
 		}
@@ -989,8 +1006,6 @@ func (c *Controller) handle(msg proto.InputMsg, itemPath string) error {
 		return c.xChildDone(msg, itemPath)
 	case proto.KindXTimeout:
 		return c.xTimeout(msg, itemPath)
-	case proto.KindXAdvance:
-		return c.xAdvance(msg, itemPath)
 	case proto.KindSignal:
 		if err := c.signal(msg.TxnPath, txn.Signal(msg.Signal)); err != nil {
 			// A signal for a record that does not exist can never
@@ -1151,11 +1166,13 @@ const (
 	outcomeAborted
 )
 
-// schedule works through todoQ. Under the paper's FIFO policy it stops
-// at the first transaction deferred on a resource conflict (the
-// deferred transaction stays at the front and scheduling resumes on the
-// next event); under the aggressive policy it continues past deferred
-// transactions so independent work behind them proceeds (§3.1.1).
+// schedule works through todoQ. Under the paper's FIFO policy the first
+// transaction deferred on a resource conflict holds back the
+// single-shard work queued behind it (the deferred transaction stays at
+// the front and scheduling resumes on the next event); cross-shard
+// children behind it are still tried. Under the aggressive policy it
+// continues past deferred transactions so independent work behind them
+// proceeds (§3.1.1).
 func (c *Controller) schedule() {
 	c.scheduleWalk(nil)
 	c.flushAdmissions()
@@ -1169,16 +1186,21 @@ func (c *Controller) schedule() {
 // bump a record version under the round's staged accept and fail the
 // whole grouped flush.
 func (c *Controller) scheduleWalk(r *round) {
-	if c.xFastPath() {
+	if c.xEnabled() {
 		// Deterministic global prepare order: every participant acquires
 		// cross-shard child locks in the same order, so two children of
 		// different parents contending on two shards cannot deadlock by
 		// acquiring in reversed orders (see shard.PrepareLess).
 		c.xOrderChildren()
 	}
+	stalled := false
 	i := 0
 	for i < len(c.todo) {
 		t := c.todo[i]
+		if stalled && !t.IsChild() {
+			i++
+			continue
+		}
 		if t.Signal == txn.SignalTerm || t.Signal == txn.SignalKill {
 			c.todo = append(c.todo[:i], c.todo[i+1:]...)
 			c.abortQueued(t, trerr.New(trerr.TxnTerminated, "terminated by operator signal"), r)
@@ -1191,9 +1213,14 @@ func (c *Controller) scheduleWalk(r *round) {
 			c.countStage(&c.stats.Deferrals, "deferred")
 			t.State = txn.StateDeferred // in-memory only; persisted as accepted
 			if c.cfg.Policy == ScheduleFIFO {
-				return
+				// FIFO holds single-shard work behind the deferred head,
+				// but not cross-shard children: another shard waits on
+				// their votes, so queueing them behind local work that
+				// waits on a prepared child would close a wait-for cycle
+				// across shards that wound-wait cannot see.
+				stalled = true
 			}
-			i++ // aggressive: try the transactions queued behind it
+			i++ // try the transactions queued behind it
 		}
 	}
 }
@@ -1233,7 +1260,7 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 		// shards holding each other's locks in reversed orders would both
 		// sit out the prepare deadline.
 		c.rollbackTimed(t.ID, t.Log)
-		if t.IsChild() && c.xFastPath() {
+		if t.IsChild() && c.xEnabled() {
 			c.xMaybeWound(t, reqs)
 		}
 		t.Log = nil

@@ -30,11 +30,19 @@ package controller
 // deadline is aborted with xshard.indoubt_timeout — the standard 2PC
 // presumed-abort escape hatch — so crashed participants can never
 // strand locks on the survivors.
+//
+// Lock waits between children cannot deadlock: every participant
+// prepares children in one global order (shard.PrepareLess), and a child
+// blocked by a prepared child later in that order wounds it — the
+// younger child's vote is revoked at its coordinator and its prepare is
+// voided and retried (xWound), so a wound delays a transaction but
+// never aborts it.
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/lock"
@@ -73,12 +81,12 @@ type XShardConfig struct {
 	// FastPath enables the coalesced 2PC message flow: coordinator-local
 	// children skip the cross-store prepare round, participants read
 	// decisions off the (watched) parent record instead of waiting for
-	// decide notices, per-peer sends batch into one Multi per round, and
-	// children prepare in a deterministic global order with wound-wait
-	// resolving inversions. Off is the slow-path ablation: every message
-	// takes its own store round trip, exactly the pre-fast-path flow.
-	// Correctness is identical either way — the fast path only changes
-	// how (and how often) messages travel, never what is durable.
+	// decide notices, and per-peer sends batch into one Multi per round.
+	// Off is the slow-path ablation: every message takes its own store
+	// round trip. Correctness is identical either way — the fast path
+	// only changes how (and how often) messages travel, never what is
+	// durable; the deterministic prepare order and wound-wait restarts
+	// that keep cross-shard lock waits deadlock-free run on both.
 	FastPath bool
 }
 
@@ -593,8 +601,8 @@ func (c *Controller) xRecordDecision(rec *txn.Txn, timeout bool) error {
 // first fan-out, straight after the durable decision write: on the fast
 // path remote participants are then SKIPPED — each armed a watch on the
 // parent record at vote time and reads the decision off the write
-// itself (the piggyback). Re-deliveries (deadline, recovery, wound
-// advance) pass eager=false and send real notices, covering any
+// itself (the piggyback). Re-deliveries (deadline, recovery) pass
+// eager=false and send real notices, covering any
 // participant whose watch died with a crash.
 func (c *Controller) xFanOutDecides(rec *txn.Txn, eager bool) {
 	for k, ref := range rec.Children {
@@ -801,6 +809,11 @@ func (c *Controller) xApplyVote(rec *txn.Txn, msg proto.InputMsg) (eff xEffects,
 		return eff, false, nil
 	}
 	ref := &rec.Children[k]
+	if vote == txn.StatePrepared && msg.Epoch != ref.Epoch {
+		// A yes from a prepare attempt wound-wait has since voided: the
+		// child is back in todoQ (or about to be) and votes again.
+		return eff, true, nil
+	}
 	if ref.State == "" || (ref.State == txn.StatePrepared && vote.Terminal()) {
 		if ref.State == "" {
 			// First word from this participant: one prepare round trip.
@@ -1103,32 +1116,6 @@ func (c *Controller) xTimeout(msg proto.InputMsg, itemPath string) error {
 	})
 }
 
-// xAdvance processes an advance nudge for a parent — enqueued by a
-// wound-wait aborter after it CAS-wrote an abort decision into the
-// parent record from another shard. The nudge makes the coordinator
-// notice the foreign write now (sync the ledger, deliver the abort to
-// prepared children, finalize) instead of at its next deadline.
-func (c *Controller) xAdvance(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.noticeRemove(itemPath)
-		}
-		return err
-	}
-	if rec.State.Terminal() || !rec.IsParent() {
-		return c.noticeRemove(itemPath)
-	}
-	return c.xAdvanceParent(rec, c.xSyncLedger(rec), false, func(changed bool) error {
-		if !changed {
-			return c.noticeRemove(itemPath)
-		}
-		ops := append(c.noticeRemoveOps(itemPath),
-			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version))
-		return c.cli.Multi(ops...)
-	})
-}
-
 // xAdvanceParent drives a non-terminal parent as far as its ledger
 // allows — decide (when every vote is in, or unconditionally on a
 // deadline), finalize when every child is terminal — persists through
@@ -1210,6 +1197,9 @@ func (c *Controller) xSyncLedger(rec *txn.Txn) (changed bool) {
 		if child.State != txn.StatePrepared && !child.State.Terminal() {
 			continue
 		}
+		if child.State == txn.StatePrepared && child.Epoch != ref.Epoch {
+			continue // a prepare wound-wait voided; its restart is pending
+		}
 		if ref.State != child.State {
 			ref.State, ref.Error, ref.Code = child.State, child.Error, child.Code
 			changed = true
@@ -1273,6 +1263,7 @@ func (c *Controller) xSendVote(t *txn.Txn) {
 		Outcome:    string(t.State),
 		Error:      t.Error,
 		Code:       t.Code,
+		Epoch:      t.Epoch,
 	}
 	if coord == x.Self && c.xFastPath() {
 		c.enqueueLocal(msg)
@@ -1326,6 +1317,7 @@ func (c *Controller) xStageLocalVotes(pending []*txn.Txn, ops *[]store.Op) map[s
 			TxnPath:    parentPath,
 			ChildIndex: k,
 			Outcome:    string(t.State),
+			Epoch:      t.Epoch,
 		}
 		eff, applied, err := c.xApplyVote(rec, msg)
 		if err != nil || !applied {
@@ -1687,6 +1679,15 @@ func (c *Controller) xResolveInDoubt(t *txn.Txn) {
 			c.cfg.Logf("controller %s: abort in-doubt %s: %v", c.cfg.Name, t.ID, err)
 		}
 	default:
+		if _, k, ok := shard.ParseChildID(t.ID); ok && k < len(parent.Children) &&
+			parent.Children[k].Epoch > t.Epoch {
+			// Wound-wait voided this prepare and the old leader died
+			// before restarting it: restart it now.
+			if err := c.xRestartPrepared(t, parent.Children[k].Epoch); err != nil {
+				c.cfg.Logf("controller %s: restart in-doubt %s: %v", c.cfg.Name, t.ID, err)
+			}
+			return
+		}
 		// Undecided: hold the prepare (locks and all) and re-vote — the
 		// old leader's vote may never have left this shard. On the fast
 		// path, re-arm the decision watch too (the old leader's died with
@@ -1785,53 +1786,61 @@ func (c *Controller) xOrderChildren() {
 // YOUNGER cross-shard transaction (later in the global prepare order),
 // this is a lock-order inversion that local ordering could not prevent
 // — the younger transaction won its locks on this shard before the
-// older one arrived. Waiting resolves nothing (the younger one's own
-// prepare is blocked on another shard by the older one), so wound it:
-// abort the younger transaction at its coordinator, freeing its locks
-// everywhere within one message round instead of an indoubt-timeout
-// window. Holders that are merely in-flight (already executing) finish
-// on their own; only prepared holders — parked awaiting a decision —
-// can deadlock.
+// older one arrived. Waiting may resolve nothing (the younger one's own
+// prepare can be blocked on another shard by the older one), so wound
+// it: void its prepare here and requeue it behind the older one.
+// Holders that are merely in-flight (already executing) finish on their
+// own; only prepared holders — parked awaiting a decision — can
+// deadlock.
 func (c *Controller) xMaybeWound(t *txn.Txn, reqs []lock.Request) {
 	for _, conflict := range c.locks.Conflicts(t.ID, reqs) {
 		victim, ok := c.prepared[conflict.Holder]
 		if !ok || !shard.PrepareLess(t.ID, conflict.Holder) {
 			continue
 		}
-		c.xWound(t.ID, victim)
+		c.xWound(victim)
 	}
 }
 
-// xWound aborts the (younger) victim's cross-shard transaction by
-// CAS-writing an abort decision into its parent record on the
-// coordinator shard, then nudging that coordinator's inputQ to act on
-// it now. The write targets the PARENT, never the prepared child: a
-// prepared child may only abort on a durable parent decision, and the
-// CAS (give up if a decision exists or the parent left accepted)
-// guarantees we never overwrite a commit. The coordinator's own staged
-// writes lose the version race and fall back through a re-read that
-// sees the abort. Asynchronous and best-effort — a lost wound costs the
-// indoubt-timeout window, never correctness.
-func (c *Controller) xWound(aggressor string, victim *txn.Txn) {
+// xWound restarts the (younger) victim's prepare — textbook wound-wait,
+// where the wounded transaction retries under its original timestamp
+// (here its parent id, its place in shard.PrepareLess order) instead of
+// aborting. A prepared child's yes-vote may already count at the
+// coordinator, so the vote is revoked there first: a CAS write to the
+// parent record bumps the child's ledger epoch and clears its vote,
+// given up if the parent has a decision (which frees the victim's locks
+// anyway) or the attempt is already voided. Only once that write is
+// durable does this shard's leader void the prepare (xRestartPrepared),
+// so the coordinator can never decide commit on a vote whose locks were
+// released. A victim whose attempt the ledger has already voided gets
+// its restart sent again, so a restart lost to a failed write is
+// repaired by the next conflict on its locks. Asynchronous and
+// best-effort — a lost wound costs the prepare-deadline window, never
+// correctness.
+func (c *Controller) xWound(victim *txn.Txn) {
 	x := c.cfg.XShard
 	coord, parentLocal, ok := shard.ParseID(victim.Parent, x.Router.Shards())
 	if !ok {
 		return
 	}
-	parentPath := proto.TxnsPath + "/" + parentLocal
+	_, k, ok := shard.ParseChildID(victim.ID)
+	if !ok {
+		return
+	}
+	id, epoch := victim.ID, victim.Epoch
 	c.wmu.Lock()
 	if c.wounding == nil {
 		c.wounding = make(map[string]bool)
 	}
-	if c.wounding[parentPath] {
+	if c.wounding[id] {
 		c.wmu.Unlock()
-		return // a wound for this parent is already in flight
+		return // a wound for this child is already in flight
 	}
-	c.wounding[parentPath] = true
+	c.wounding[id] = true
 	c.wmu.Unlock()
 	unmark := func() {
 		c.wmu.Lock()
-		delete(c.wounding, parentPath)
+		delete(c.wounding, id)
 		c.wmu.Unlock()
 	}
 	cli, err := c.xPeer(coord)
@@ -1839,6 +1848,7 @@ func (c *Controller) xWound(aggressor string, victim *txn.Txn) {
 		unmark()
 		return
 	}
+	parentPath := proto.TxnsPath + "/" + parentLocal
 	go func() {
 		defer unmark()
 		for try := 0; try < 8; try++ {
@@ -1853,23 +1863,27 @@ func (c *Controller) xWound(aggressor string, victim *txn.Txn) {
 			if err != nil {
 				return
 			}
-			if parent.Decision != "" || parent.State != txn.StateAccepted {
-				return // already decided (or deciding); nothing to wound
+			if parent.Decision != "" || parent.State != txn.StateAccepted || k >= len(parent.Children) {
+				return // decided: the decision releases the victim
 			}
-			parent.ID = parentLocal
-			parent.Decision = txn.DecisionAbort
-			parent.Error = fmt.Sprintf("wounded by older cross-shard transaction %s", aggressor)
-			parent.Code = string(trerr.XShardWounded)
-			if err := parent.Transition(txn.StateDeciding); err != nil {
+			ref := &parent.Children[k]
+			if ref.State.Terminal() || ref.Epoch < epoch {
+				return // the child is done (or the ledger lags the child)
+			}
+			if ref.Epoch > epoch {
+				// An earlier wound voided this attempt, but its restart
+				// never took effect here (lost with a failed write): send
+				// it again. xRestart ignores an epoch the child has
+				// already reached.
+				c.enqueueLocal(proto.InputMsg{Kind: proto.KindXRestart, TxnPath: c.txnPath(id), Epoch: ref.Epoch})
 				return
 			}
-			nudge := proto.InputMsg{Kind: proto.KindXAdvance, TxnPath: parentPath}
-			err = cli.Multi(
-				store.SetOp(parentPath, parent.Encode(), stat.Version),
-				store.CreateOp(proto.InputQPath+"/"+queue.ItemPrefix, nudge.Encode(), store.FlagSequence),
-			)
+			parent.ID = parentLocal
+			ref.Epoch, ref.State, ref.Error, ref.Code = epoch+1, "", "", ""
+			err = cli.Set(parentPath, parent.Encode(), stat.Version)
 			if err == nil {
 				c.met.xWounds.Inc()
+				c.enqueueLocal(proto.InputMsg{Kind: proto.KindXRestart, TxnPath: c.txnPath(id), Epoch: epoch + 1})
 				return
 			}
 			if !errors.Is(err, store.ErrBadVersion) {
@@ -1879,6 +1893,40 @@ func (c *Controller) xWound(aggressor string, victim *txn.Txn) {
 			// re-read and re-check.
 		}
 	}()
+}
+
+// xRestart applies a wound's durable vote revocation to the child it
+// voided, unless the child has left prepared meanwhile (a decision
+// reached it first) or already runs at that epoch.
+func (c *Controller) xRestart(msg proto.InputMsg) error {
+	t, ok := c.prepared[strings.TrimPrefix(msg.TxnPath, proto.TxnsPath+"/")]
+	if !ok || msg.Epoch <= t.Epoch {
+		return nil
+	}
+	return c.xRestartPrepared(t, msg.Epoch)
+}
+
+// xRestartPrepared voids a prepared child's prepare once its
+// coordinator's ledger counts a later epoch: the accepted record is
+// persisted first, then the simulation is rolled back, the locks are
+// released, and the child rejoins todoQ for a fresh prepare whose vote
+// carries the new epoch — the persist-before-rollback discipline of
+// xAbortPrepared.
+func (c *Controller) xRestartPrepared(t *txn.Txn, epoch int) error {
+	log, history, prev := t.Log, t.History, t.Epoch
+	if err := t.Restart(epoch); err != nil {
+		return err
+	}
+	if err := c.cli.Set(c.txnPath(t.ID), t.Encode(), -1); err != nil {
+		t.State, t.Log, t.History, t.Epoch = txn.StatePrepared, log, history, prev
+		return err
+	}
+	c.rollbackTimed(t.ID, log)
+	c.locks.ReleaseAll(t.ID)
+	delete(c.prepared, t.ID)
+	c.todo = append(c.todo, t)
+	c.resched = true
+	return nil
 }
 
 // gcReapable guards the terminal-record sweep against breaking 2PC

@@ -1,0 +1,203 @@
+package controller
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/lock"
+	"repro/internal/proto"
+	"repro/internal/shard"
+	"repro/internal/store"
+	"repro/internal/txn"
+)
+
+// newXController builds an unstarted two-shard controller whose
+// in-memory state (model, locks, prepared set) is initialized the way
+// leader recovery leaves it, so 2PC handlers can be driven directly.
+func newXController(t *testing.T) *Controller {
+	t.Helper()
+	ens := store.NewEnsemble(store.Config{Replicas: 1, SessionTimeout: 200 * time.Millisecond})
+	c, err := New(Config{
+		Name:     "x0",
+		Ensemble: ens,
+		Schema:   ctxSchema(),
+		XShard:   &XShardConfig{Self: 0, Router: shard.NewRouter(shard.NewMap(2))},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		ens.Close()
+	})
+	c.ltree = ctxTree()
+	c.locks = lock.NewManager()
+	c.prepared = make(map[string]*txn.Txn)
+	return c
+}
+
+// TestXVoteCountsOnlyCurrentEpoch: a yes-vote from a prepare attempt
+// wound-wait voided (an older epoch than the ledger's) is ignored, the
+// current attempt's yes counts, and a no-vote counts whatever its epoch
+// — an aborted child is final.
+func TestXVoteCountsOnlyCurrentEpoch(t *testing.T) {
+	c := newXController(t)
+	rec := &txn.Txn{ID: "t-1", State: txn.StateAccepted, Children: []txn.ChildRef{
+		{ID: "s0-t-1.c0", Shard: 0, Epoch: 1},
+		{ID: "s0-t-1.c1", Shard: 1, Epoch: 3},
+	}}
+	vote := func(k, epoch int, outcome txn.State) xEffects {
+		t.Helper()
+		eff, ok, err := c.xApplyVote(rec, proto.InputMsg{
+			Kind: proto.KindXVote, ChildIndex: k, Outcome: string(outcome), Epoch: epoch,
+		})
+		if err != nil || !ok {
+			t.Fatalf("vote %d@%d %s: ok=%v err=%v", k, epoch, outcome, ok, err)
+		}
+		return eff
+	}
+	if eff := vote(0, 0, txn.StatePrepared); eff.changed || rec.Children[0].State != "" {
+		t.Fatalf("voided attempt's yes counted: %+v, ledger %+v", eff, rec.Children[0])
+	}
+	if eff := vote(0, 1, txn.StatePrepared); !eff.changed || rec.Children[0].State != txn.StatePrepared {
+		t.Fatalf("current attempt's yes not counted: %+v, ledger %+v", eff, rec.Children[0])
+	}
+	eff := vote(1, 0, txn.StateAborted)
+	if !eff.decided || rec.Decision != txn.DecisionAbort || rec.Children[1].State != txn.StateAborted {
+		t.Fatalf("no-vote not final: %+v, decision %q, ledger %+v", eff, rec.Decision, rec.Children[1])
+	}
+}
+
+// TestXRestartVoidsPrepare: a restart at a later epoch persists the
+// child as accepted at that epoch, rolls its simulation back, releases
+// its locks, and requeues it; a restart at an epoch the child already
+// has, or for a child no longer prepared, does nothing.
+func TestXRestartVoidsPrepare(t *testing.T) {
+	c := newXController(t)
+	child, path := prepareChild(t, c)
+	if _, err := c.cli.Create(path, child.Encode(), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	restart := func(epoch int) {
+		t.Helper()
+		if err := c.xRestart(proto.InputMsg{Kind: proto.KindXRestart, TxnPath: path, Epoch: epoch}); err != nil {
+			t.Fatalf("restart at epoch %d: %v", epoch, err)
+		}
+	}
+	restart(0)
+	if child.State != txn.StatePrepared || c.locks.LockCount() == 0 {
+		t.Fatalf("restart at the current epoch acted: %s, %d locks", child.State, c.locks.LockCount())
+	}
+	restart(1)
+	checkRestarted(t, c, child, path, 1)
+	restart(2) // no longer prepared: nothing to void
+	if child.Epoch != 1 || len(c.todo) != 1 {
+		t.Fatalf("restart of an accepted child acted: epoch %d, todo %d", child.Epoch, len(c.todo))
+	}
+}
+
+// TestXWoundResendsLostRestart: when the child's own write fails, a
+// restart leaves it prepared at its old epoch although the parent ledger
+// has already voided that attempt. The next wound of the same prepare
+// finds the ledger ahead of the child and sends the restart again,
+// instead of taking the attempt for voided and leaving its locks held
+// until the prepare deadline.
+func TestXWoundResendsLostRestart(t *testing.T) {
+	c := newXController(t)
+	child, path := prepareChild(t, c)
+	// The child's record is not in the store yet, so the restart's Set
+	// fails (ErrNoNode) and the message is lost, as after a transient
+	// store error.
+	err := c.xRestart(proto.InputMsg{Kind: proto.KindXRestart, TxnPath: path, Epoch: 1})
+	if err == nil {
+		t.Fatal("restart with a failing write reported success")
+	}
+	if child.State != txn.StatePrepared || child.Epoch != 0 || c.locks.LockCount() == 0 {
+		t.Fatalf("failed restart acted: %s epoch %d, %d locks", child.State, child.Epoch, c.locks.LockCount())
+	}
+	if _, err := c.cli.Create(path, child.Encode(), 0); err != nil {
+		t.Fatal(err)
+	}
+	// The first wound's CAS already moved the ledger entry to epoch 1.
+	parent := &txn.Txn{ID: "t-1", State: txn.StateAccepted, Children: []txn.ChildRef{
+		{ID: "s0-t-1.c0", Shard: 0},
+		{ID: child.ID, Shard: 1, Epoch: 1},
+	}}
+	if _, err := c.cli.Create(proto.TxnsPath+"/t-1", parent.Encode(), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	c.xWound(child)
+	deadline := time.Now().Add(5 * time.Second)
+	for !c.localsPending() {
+		if time.Now().After(deadline) {
+			t.Fatal("wound of a voided attempt sent no restart")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, msg := range c.takeLocal() {
+		if msg.Kind != proto.KindXRestart || msg.Epoch != 1 {
+			t.Fatalf("wound sent %s at epoch %d, want a restart at epoch 1", msg.Kind, msg.Epoch)
+		}
+		if err := c.xRestart(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkRestarted(t, c, child, path, 1)
+	if data, _, err := c.cli.Get(proto.TxnsPath + "/t-1"); err != nil {
+		t.Fatal(err)
+	} else if p, err := txn.Decode(data); err != nil || p.Children[1].Epoch != 1 {
+		t.Fatalf("resend moved the ledger: %+v, %v", p, err)
+	}
+}
+
+// prepareChild leaves child s0-t-1.c1 prepared in c's memory: its
+// simulation applied to /b1, its locks held, and tracked as prepared. It
+// returns the child and its record path; the record is not stored.
+func prepareChild(t *testing.T, c *Controller) (*txn.Txn, string) {
+	t.Helper()
+	child := &txn.Txn{ID: "s0-t-1.c1", Parent: "s0-t-1", Proc: "p", State: txn.StateAccepted}
+	cctx := newCtx(c.ltree, c.cfg.Schema, child)
+	if err := cctx.Do("/b1", "put", "apple"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.locks.Acquire(child.ID, cctx.lockRequests()); err != nil {
+		t.Fatal(err)
+	}
+	if err := child.Transition(txn.StatePrepared); err != nil {
+		t.Fatal(err)
+	}
+	c.prepared[child.ID] = child
+	return child, c.txnPath(child.ID)
+}
+
+// checkRestarted asserts that a restart voided child's prepare: the
+// stored record is accepted at epoch, the simulation is rolled back, the
+// locks are free, and the child is queued again.
+func checkRestarted(t *testing.T, c *Controller, child *txn.Txn, path string, epoch int) {
+	t.Helper()
+	data, _, err := c.cli.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := txn.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored.State != txn.StateAccepted || stored.Epoch != epoch || stored.Log != nil {
+		t.Fatalf("stored record: state %s epoch %d log %v", stored.State, stored.Epoch, stored.Log)
+	}
+	if n, _ := c.ltree.Get("/b1"); n.GetString("item") != "pear" {
+		t.Fatalf("simulation not rolled back: /b1 holds %q", n.GetString("item"))
+	}
+	if n := c.locks.LockCount(); n != 0 {
+		t.Fatalf("%d locks still held", n)
+	}
+	if _, ok := c.prepared[child.ID]; ok {
+		t.Fatal("child still tracked as prepared")
+	}
+	if len(c.todo) != 1 || c.todo[0] != child {
+		t.Fatalf("todo = %v, want the restarted child", c.todo)
+	}
+}

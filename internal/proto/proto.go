@@ -113,11 +113,12 @@ const (
 	// prepare deadline is aborted; a decided one re-delivers its
 	// decision to children still outstanding.
 	KindXTimeout MsgKind = "xtimeout"
-	// KindXAdvance: a peer shard mutated a parent record out of band (a
-	// wound-wait abort decision written by a participant) and asks the
-	// coordinator to advance it now — exactly the deadline check's state
-	// machine, minus the presumed-abort escalation.
-	KindXAdvance MsgKind = "xadvance"
+	// KindXRestart: wound-wait revoked a prepared child's vote at its
+	// coordinator (TxnPath = child record, Epoch = the attempt the
+	// coordinator now counts); the participant voids the prepare and
+	// requeues the child. Delivered in memory to the participant's own
+	// leader loop, never through a store queue.
+	KindXRestart MsgKind = "xrestart"
 )
 
 // InputMsg is one inputQ item.
@@ -151,6 +152,9 @@ type InputMsg struct {
 	// Decision carries the coordinator's 2PC decision for KindXDecide
 	// (txn.DecisionCommit or txn.DecisionAbort).
 	Decision string `json:"decision,omitempty"`
+	// Epoch is the child's prepare attempt a KindXVote speaks for, and
+	// the attempt a KindXRestart moves the child to.
+	Epoch int `json:"epoch,omitempty"`
 	// Via records how a KindXDecide reached the participant when it
 	// skipped the decide-notice round trip: "local" for a coordinator-
 	// local child whose decision rode the coordinator's own event round,

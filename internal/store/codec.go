@@ -127,9 +127,10 @@ func maxSessionOf(op Op) int64 {
 // would resurrect state ZooKeeper semantics say must die (the paper's
 // failover behavior depends on exactly this — election and queue-consumer
 // ephemerals vanishing on crash). Ephemerals never have children, so
-// skipping one never orphans a subtree.
-func encodeTreeSnapshot(t *tree, nextSess int64) []byte {
-	b := make([]byte, 0, 4096)
+// skipping one never orphans a subtree. sizeHint is the expected payload
+// length; the buffer starts at no less than 4 KiB.
+func encodeTreeSnapshot(t *tree, nextSess int64, sizeHint int) []byte {
+	b := make([]byte, 0, max(sizeHint, 4096))
 	b = append(b, codecVersion)
 	b = binary.AppendVarint(b, nextSess)
 	return appendNode(b, t.root, "/")

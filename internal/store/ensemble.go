@@ -162,6 +162,7 @@ type Ensemble struct {
 	// Durability (nil without Config.DataDir).
 	pstore    *persist.Store
 	sinceSnap int // WAL appends since the last snapshot
+	snapLen   int // payload bytes of the last snapshot, to size the next
 
 	// stats
 	commits int64

@@ -122,7 +122,7 @@ func (e *Ensemble) recoverFromDisk() error {
 	// never reach the records this incarnation is about to write. The
 	// snapshot supersedes the damaged tail and rotation deletes it.
 	if e.zxid > 0 {
-		if err := e.pstore.Snapshot(e.zxid, encodeTreeSnapshot(t, e.nextSess)); err != nil {
+		if err := e.pstore.Snapshot(e.zxid, e.snapshotPayload(t)); err != nil {
 			return err
 		}
 	}
@@ -156,6 +156,15 @@ func collectOwners(n *znode, seen map[int64]bool, out *[]int64) {
 	}
 }
 
+// snapshotPayload encodes t for a snapshot. The buffer starts at the
+// last snapshot's size plus an eighth, so a tree that grew modestly
+// since then is encoded without regrowing a multi-megabyte buffer.
+func (e *Ensemble) snapshotPayload(t *tree) []byte {
+	b := encodeTreeSnapshot(t, e.nextSess, e.snapLen+e.snapLen/8)
+	e.snapLen = len(b)
+	return b
+}
+
 // maybeSnapshotLocked writes a snapshot and rotates the WAL once enough
 // appends accumulated since the last one. Called with e.mu held, right
 // after a commit applied; the leader tree is therefore exactly the
@@ -179,5 +188,5 @@ func (e *Ensemble) maybeSnapshotLocked() {
 	if err != nil {
 		return
 	}
-	_ = e.pstore.Snapshot(e.zxid, encodeTreeSnapshot(lt, e.nextSess))
+	_ = e.pstore.Snapshot(e.zxid, e.snapshotPayload(lt))
 }

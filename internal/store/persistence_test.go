@@ -379,7 +379,7 @@ func TestTreeSnapshotCodecSkipsEphemerals(t *testing.T) {
 	apply(Op{kind: opCreate, Path: "/p/eph", session: 9})
 	apply(Op{kind: opCreate, Path: "/p/seq-", Flags: FlagSequence})
 
-	got, nextSess, err := decodeTreeSnapshot(encodeTreeSnapshot(tr, 123))
+	got, nextSess, err := decodeTreeSnapshot(encodeTreeSnapshot(tr, 123, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 // Package txn defines TROPIC's transaction representation: the state
-// machine of Figure 2, the execution log of Table 1, and the JSON codec
-// used to persist transaction records in the replicated coordination
-// store so that a new lead controller can restore in-flight work after a
-// failover (paper §2.3).
+// machine of Figure 2, the execution log of Table 1, and the binary codec
+// (codec.go) used to persist transaction records in the replicated
+// coordination store so that a new lead controller can restore in-flight
+// work after a failover (paper §2.3). The struct's JSON tags serve the
+// gateway's API bodies, not storage.
 package txn
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -149,6 +149,11 @@ type Txn struct {
 	// redelivery). Observability for the fast-path ablation; never a
 	// correctness input.
 	DecisionVia string `json:"decisionVia,omitempty"`
+	// Epoch, on a child record, numbers its prepare attempts: 0 for the
+	// first, one more each time wound-wait voids a prepare and sends the
+	// child back to todoQ (Restart). Its votes carry the epoch, and the
+	// coordinator counts only votes matching its ledger entry's.
+	Epoch int `json:"epoch,omitempty"`
 }
 
 // Two-phase-commit decisions recorded on a cross-shard parent.
@@ -172,6 +177,11 @@ type ChildRef struct {
 	// parent's own Error/Code when the parent finalizes.
 	Error string `json:"error,omitempty"`
 	Code  string `json:"code,omitempty"`
+	// Epoch is the child's prepare attempt the coordinator counts. A
+	// wound bumps it (clearing the vote) while the parent is undecided,
+	// so a yes-vote from the voided attempt that is still in flight is
+	// ignored when it lands.
+	Epoch int `json:"epoch,omitempty"`
 }
 
 // IsParent reports whether t is a cross-shard parent (coordinator)
@@ -200,39 +210,6 @@ const (
 	// resulting cross-layer inconsistency is left to repair.
 	SignalKill Signal = "KILL"
 )
-
-// Encode serializes the record for storage.
-func (t *Txn) Encode() []byte {
-	b, err := json.Marshal(t)
-	if err != nil {
-		// All field types are JSON-encodable; failure is programmer error.
-		panic(fmt.Sprintf("txn: encode %s: %v", t.ID, err))
-	}
-	return b
-}
-
-// Decode parses a stored record.
-func Decode(data []byte) (*Txn, error) {
-	var t Txn
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("txn: decode: %w", err)
-	}
-	return &t, nil
-}
-
-// DecodeSignal extracts only the operator-signal field of a stored
-// record. Workers poll the signal between physical actions, so decoding
-// the full record there — execution log, history, args — is pure waste;
-// this probe skips those allocations on the pipeline's hottest read.
-func DecodeSignal(data []byte) (Signal, error) {
-	var probe struct {
-		Signal Signal `json:"signal"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return SignalNone, fmt.Errorf("txn: decode signal: %w", err)
-	}
-	return probe.Signal, nil
-}
 
 // validTransitions enumerates the Figure 2 edges plus the cross-shard
 // extensions: children may leave accepted/deferred into prepared (vote
@@ -264,6 +241,23 @@ func (t *Txn) Transition(next State) error {
 	}
 	return trerr.Newf(trerr.TxnIllegalTransition,
 		"txn %s: illegal transition %s -> %s", t.ID, t.State, next)
+}
+
+// Restart voids a prepared cross-shard child's prepare after wound-wait
+// revoked its vote at the coordinator: the record returns to accepted,
+// without its simulation log, as prepare attempt epoch. It is not a
+// Figure 2 edge — no decision moves prepared back to accepted — but
+// the undoing of one, so Transition does not offer it.
+func (t *Txn) Restart(epoch int) error {
+	if t.State != StatePrepared || epoch <= t.Epoch {
+		return trerr.Newf(trerr.TxnIllegalTransition,
+			"txn %s: cannot restart %s child at epoch %d as epoch %d", t.ID, t.State, t.Epoch, epoch)
+	}
+	t.State = StateAccepted
+	t.Log = nil
+	t.Epoch = epoch
+	t.History = append(t.History, StateStamp{State: StateAccepted, At: time.Now()})
+	return nil
 }
 
 // Latency returns the submission-to-completion duration, the paper's

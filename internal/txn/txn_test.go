@@ -206,6 +206,30 @@ func TestCrossShardIllegalTransitions(t *testing.T) {
 	}
 }
 
+// TestRestartVoidsPrepare: Restart takes a prepared child back to
+// accepted at a later epoch, dropping its log and stamping History; it
+// refuses any other state and an epoch that does not advance.
+func TestRestartVoidsPrepare(t *testing.T) {
+	tx := sampleTxn()
+	tx.Parent = "s0-t-1"
+	tx.State = StatePrepared
+	if err := tx.Restart(0); err == nil {
+		t.Fatal("restart at the current epoch allowed")
+	}
+	if err := tx.Restart(2); err != nil {
+		t.Fatal(err)
+	}
+	if tx.State != StateAccepted || tx.Epoch != 2 || tx.Log != nil {
+		t.Fatalf("after restart: state %s epoch %d log %v", tx.State, tx.Epoch, tx.Log)
+	}
+	if n := len(tx.History); n == 0 || tx.History[n-1].State != StateAccepted {
+		t.Fatalf("history = %v", tx.History)
+	}
+	if err := tx.Restart(3); err == nil {
+		t.Fatal("restart of an accepted record allowed")
+	}
+}
+
 // TestParentChildPredicates: record-shape helpers used across layers.
 func TestParentChildPredicates(t *testing.T) {
 	tx := sampleTxn()

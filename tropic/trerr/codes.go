@@ -121,10 +121,11 @@ var (
 	// transaction by recording an ABORT decision.
 	XShardInDoubtTimeout = register("xshard.indoubt_timeout", http.StatusGatewayTimeout,
 		"cross-shard prepare deadline elapsed before every participant voted; transaction aborted")
-	// XShardWounded: wound-wait resolved a cross-shard lock-order
-	// inversion by aborting this (younger) transaction so an older one
-	// could take its locks immediately, instead of both waiting out the
-	// prepare deadline. Safe to resubmit.
+	// XShardWounded: wound-wait once resolved a cross-shard lock-order
+	// inversion by aborting the younger transaction with this code. A
+	// wounded transaction now restarts its prepare instead and the
+	// platform no longer returns the code; it stays registered so the
+	// set of codes on the wire is unchanged.
 	XShardWounded = register("xshard.wounded", http.StatusConflict,
 		"aborted by wound-wait: an older cross-shard transaction claimed conflicting locks")
 
