@@ -61,9 +61,8 @@ type Config struct {
 	// round; the round's grouped Multi carries those items' staged
 	// effects plus the scheduling pass's admissions, typically a few ops
 	// per item (Stats.MaxFlushOps reports the realized sizes). Values
-	// ≤ 1 disable batching: the leader processes one item per round with
-	// one store round trip per effect, exactly the pre-batching pipeline
-	// (kept runnable for the ablation benchmarks).
+	// ≤ 1 drain one item per round through the same round code (the
+	// unbatched arm of the ablation benchmarks).
 	BatchMaxOps int
 	// XShard wires the controller into the cross-shard transaction
 	// layer: as coordinator for parents whose plan names this shard
@@ -123,7 +122,7 @@ type Stats struct {
 	// Rollbacks counts logical rollbacks performed.
 	Rollbacks int64
 
-	// Batch-pipeline counters (zero when BatchMaxOps ≤ 1).
+	// Event-round counters.
 	//
 	// InBatches counts inputQ drain rounds and InBatchItems the items
 	// they carried; their ratio is the achieved event-batch size.
@@ -239,9 +238,6 @@ type Controller struct {
 	// locks awaiting the coordinator's 2PC decision. Like inFlight, it
 	// is leader-only state rebuilt by recover().
 	prepared map[string]*txn.Txn
-	// admitPending holds runnable transactions staged by the current
-	// scheduling round, group-committed by flushAdmissions.
-	admitPending []*txn.Txn
 
 	stats     Stats
 	met       ctrlInstruments
@@ -270,11 +266,12 @@ type Controller struct {
 	localMsgs []proto.InputMsg
 	localWake chan struct{}
 
-	// Leader-goroutine-only fast-path round state: resched asks
-	// processRound for a post-flush scheduling pass (a coordinator-local
-	// child joined todoQ mid-round); peerCollect/peerSends stage
-	// cross-shard sends so every message bound for one peer in a round
-	// rides a single Multi through that peer's batcher.
+	// Leader-goroutine-only round state: resched owes todoQ a
+	// scheduling pass without waiting for input (a coordinator-local
+	// child or a restarted prepare joined todoQ mid-round, or a failed
+	// flush unwound admissions); peerCollect/peerSends stage cross-shard
+	// sends so every message bound for one peer in a round rides a
+	// single Multi through that peer's batcher.
 	resched     bool
 	peerCollect bool
 	peerSends   map[int][]peerSend
@@ -448,15 +445,17 @@ func (c *Controller) Stats() Stats {
 // atomically with the persistent effects of processing it, so a leader
 // crash at any point neither loses nor double-applies a message.
 //
-// With batching enabled (BatchMaxOps > 1) the loop drains up to
-// BatchMaxOps items per event round, stages their persistent effects,
-// and commits the round in one grouped Multi; the scheduling pass that
-// follows group-commits every admitted transaction the same way. Under a
-// backlog this amortizes the store round trip that otherwise dominates
-// per-transaction cost (§6.1) across the whole batch — the queues fill
-// while a flush is in flight, so the pipeline is self-clocking.
+// Each event round drains up to BatchMaxOps items, stages their
+// persistent effects, and commits the round in one grouped Multi
+// together with the admissions of the scheduling pass that follows.
+// Under a backlog this amortizes the store round trip that otherwise
+// dominates per-transaction cost (§6.1) across the whole batch — the
+// queues fill while a flush is in flight, so the pipeline is
+// self-clocking. A round whose flush fails is unwound and re-run after
+// the backoff below against fresh state: its items were never removed
+// from inputQ, and its local messages are queued again.
 func (c *Controller) lead(ctx context.Context) error {
-	// Retry backoff for a persistently failing item: exponential from
+	// Retry backoff for a persistently failing round: exponential from
 	// retryBackoffMin to retryBackoffMax, reset on any clean round.
 	// Store latency makes each failed attempt cheap for the leader but
 	// expensive for the ensemble, so the pause grows with consecutive
@@ -474,7 +473,7 @@ func (c *Controller) lead(ctx context.Context) error {
 		c.noteInBatch(len(items))
 		roundErr := c.processRound(items)
 		if roundErr != nil {
-			if errors.Is(roundErr, store.ErrSessionExpired) || errors.Is(roundErr, store.ErrNoQuorum) {
+			if errFatal(roundErr) {
 				return roundErr
 			}
 			if backoff == 0 {
@@ -504,13 +503,17 @@ func (c *Controller) lead(ctx context.Context) error {
 // is ready first. Local messages are the fast path's in-process 2PC
 // messages and wound-wait restarts; a pending one wakes the drain out of
 // its store watch via localWake, and the round that follows folds it in
-// ahead of the store items.
+// ahead of the store items. With a scheduling pass owed (resched) the
+// take does not block: it returns what inputQ holds, possibly nothing.
 func (c *Controller) takeInput(ctx context.Context) ([]queue.Item, error) {
 	if c.localsPending() {
 		return nil, nil
 	}
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	if c.resched {
+		cancel()
+	}
 	// The waker must exit before takeInput returns. Left running, it
 	// could take the token of a local message enqueued during the next
 	// take's wait, cancel this call's dead context instead, and leave
@@ -532,10 +535,11 @@ func (c *Controller) takeInput(ctx context.Context) ([]queue.Item, error) {
 	}()
 	items, err := c.inputQ.TakeHeadBatch(tctx, c.batchMax())
 	if err != nil && errors.Is(err, context.Canceled) && ctx.Err() == nil {
-		// Woken for local messages, not cancelled for real. A wake token
-		// consumed without pending messages (the race where both a store
-		// item and a local message arrived) is harmless: localsPending is
-		// re-checked at the top of every take.
+		// Woken for local messages or an owed scheduling pass, not
+		// cancelled for real. A wake token consumed without pending
+		// messages (the race where both a store item and a local message
+		// arrived) is harmless: localsPending is re-checked at the top of
+		// every take.
 		return nil, nil
 	}
 	return items, err
@@ -580,9 +584,11 @@ func (c *Controller) localsPending() bool {
 // handleLocal folds locally-delivered cross-shard messages into the
 // round ahead of the drained store items: votes, child-dones, and
 // piggybacked decisions all stage into the grouped Multi exactly like
-// their store-delivered twins. A message colliding with a record
-// already staged this round requeues for the next one; one lost to a
-// transient store error is left to its durable backstop.
+// their store-delivered twins, and a message that staged a write is
+// kept in r.locals so a failed flush can queue it again. A message
+// colliding with a record already staged this round requeues for the
+// next one; one lost to a transient store error is left to its durable
+// backstop.
 func (c *Controller) handleLocal(r *round) error {
 	var firstErr error
 	for _, msg := range c.takeLocal() {
@@ -590,6 +596,7 @@ func (c *Controller) handleLocal(r *round) error {
 			c.enqueueLocal(msg)
 			continue
 		}
+		staged := len(r.ops)
 		var err error
 		switch msg.Kind {
 		case proto.KindXVote:
@@ -602,6 +609,9 @@ func (c *Controller) handleLocal(r *round) error {
 			err = c.xRestart(msg)
 		default:
 			c.cfg.Logf("controller %s: dropping local message kind %q", c.cfg.Name, msg.Kind)
+		}
+		if len(r.ops) > staged {
+			r.locals = append(r.locals, msg)
 		}
 		if err != nil {
 			if errFatal(err) {
@@ -616,17 +626,8 @@ func (c *Controller) handleLocal(r *round) error {
 	return firstErr
 }
 
-// noticeRemove consumes an inputQ notice, tolerating the empty item path
-// of a locally-delivered message (which has no store item to consume).
-func (c *Controller) noticeRemove(itemPath string) error {
-	if itemPath == "" {
-		return nil
-	}
-	return c.inputQ.Remove(itemPath)
-}
-
 // noticeRemoveOps returns the notice-consumption op, or nothing for a
-// locally-delivered message.
+// locally-delivered message (which has no store item to consume).
 func (c *Controller) noticeRemoveOps(itemPath string) []store.Op {
 	if itemPath == "" {
 		return nil
@@ -634,16 +635,16 @@ func (c *Controller) noticeRemoveOps(itemPath string) []store.Op {
 	return []store.Op{c.inputQ.RemoveOp(itemPath)}
 }
 
-// processRound handles one drained batch end to end. Unbatched, it is
-// the legacy pipeline: per-item commits, then a scheduling pass with
-// per-admission commits. Batched, the items' staged effects AND the
-// scheduling pass's admissions all ride one grouped Multi — a freshly
-// submitted transaction can go accepted→started→phyQ in a single store
-// commit shared with the rest of its round. Cross-shard sends triggered
-// anywhere in the round are collected per peer shard and flushed as one
-// Multi per peer on the way out.
+// processRound handles one drained batch end to end: the items' staged
+// effects AND the scheduling pass's admissions all ride one grouped
+// Multi — a freshly submitted transaction can go accepted→started→phyQ
+// in a single store commit shared with the rest of its round. A failed
+// flush ends the round with its error; the lead loop re-runs it. Cross-
+// shard sends triggered anywhere in the round are collected per peer
+// shard and flushed as one Multi per peer on the way out.
 func (c *Controller) processRound(items []queue.Item) error {
-	r := &round{staged: make(map[string]bool)}
+	r := newRound()
+	c.resched = false
 	c.peerCollect = true
 	defer func() {
 		c.peerCollect = false
@@ -661,45 +662,28 @@ func (c *Controller) processRound(items []queue.Item) error {
 			err = herr
 		}
 	}
-	if c.batching() {
-		c.scheduleInto(r)
-		cleanups := r.cleanups
-		if ferr := c.flushRound(r); ferr != nil {
-			if errFatal(ferr) {
-				return ferr
-			}
-			if err == nil {
-				err = ferr
-			}
-		}
-		// The flush's cleanups released locks AFTER the round's
-		// scheduling pass ran, and a coordinator-local child may have
-		// joined todoQ post-flush (resched). If queued work remains,
-		// schedule again now — a deferred transaction must not wait for
-		// an input event that may never come to claim locks that are
-		// already free.
-		resched := c.resched
-		c.resched = false
-		if (cleanups > 0 || resched) && len(c.todo) > 0 {
-			c.schedule()
-		}
-		c.todoDepth.Set(int64(len(c.todo)))
-		return err
-	}
+	c.scheduleInto(r)
+	cleanups := r.cleanups
 	if ferr := c.flushRound(r); ferr != nil {
-		if errFatal(ferr) {
-			return ferr
-		}
-		if err == nil {
-			err = ferr
+		return ferr
+	}
+	// The flush's cleanups released locks AFTER the round's scheduling
+	// pass ran, and a coordinator-local child may have joined todoQ
+	// post-flush (resched). If queued work remains, schedule again now —
+	// a deferred transaction must not wait for an input event that may
+	// never come to claim locks that are already free.
+	resched := c.resched
+	c.resched = false
+	if (cleanups > 0 || resched) && len(c.todo) > 0 {
+		if serr := c.schedule(); serr != nil {
+			return serr
 		}
 	}
-	c.resched = false
-	c.schedule()
+	c.todoDepth.Set(int64(len(c.todo)))
 	return err
 }
 
-// batchMax returns the per-round drain bound (1 = unbatched).
+// batchMax returns the per-round drain bound.
 func (c *Controller) batchMax() int {
 	if c.cfg.BatchMaxOps > 1 {
 		return c.cfg.BatchMaxOps
@@ -707,15 +691,9 @@ func (c *Controller) batchMax() int {
 	return 1
 }
 
-// batching reports whether the grouped-commit pipeline is enabled.
-func (c *Controller) batching() bool { return c.cfg.BatchMaxOps > 1 }
-
 func (c *Controller) noteInBatch(n int) {
 	c.met.rounds.Inc()
 	c.met.roundItems.Observe(float64(n))
-	if !c.batching() {
-		return
-	}
 	c.mu.Lock()
 	c.stats.InBatches++
 	c.stats.InBatchItems += int64(n)
@@ -726,13 +704,8 @@ func (c *Controller) noteInBatch(n int) {
 }
 
 // noteFlush records one grouped Multi commit in the batch stats and the
-// exported flush histograms. Unbatched mode commits the same legacy
-// per-item ops through the same helpers; those are not grouped commits
-// and stay out of both.
+// exported flush histograms.
 func (c *Controller) noteFlush(ops int, d time.Duration) {
-	if !c.batching() {
-		return
-	}
 	c.met.flushOps.Observe(float64(ops))
 	c.met.flushLat.ObserveDuration(d)
 	c.mu.Lock()
@@ -745,22 +718,27 @@ func (c *Controller) noteFlush(ops int, d time.Duration) {
 	c.mu.Unlock()
 }
 
-// round accumulates the staged persistent effects of one inputQ drain:
+// round accumulates the staged persistent effects of one event round:
 // store operations to group-commit, the in-memory effects to apply once
-// the commit lands, and per-item fallbacks replaying the legacy one-
-// item-at-a-time path if the grouped commit fails validation (e.g. a
-// record's version moved between staging and flush).
+// the commit lands, and the in-memory reverts to run if it fails
+// validation (e.g. a record's version moved between staging and flush).
 type round struct {
-	ops      []store.Op
-	after    []func()
-	fallback []func() error
+	ops   []store.Op
+	after []func()
+	// undo reverts in-memory changes made while staging; a failed flush
+	// runs them in reverse, after unwinding the round's admissions.
+	undo []func()
 	// staged tracks transaction paths with staged effects, so a second
 	// message touching the same record defers to the next round instead
 	// of poisoning the grouped Multi with a stale version.
 	staged map[string]bool
+	// locals are the local messages whose writes are staged in ops;
+	// queued again if the flush fails (store items need no such care:
+	// their removal was in the failed Multi, so they are still queued).
+	locals []proto.InputMsg
 	// accepted are transactions optimistically appended to todoQ this
-	// round (so the same round's scheduling pass can admit them); undone
-	// before fallbacks if the flush fails.
+	// round (so the same round's scheduling pass can admit them); removed
+	// again if the flush fails.
 	accepted []*txn.Txn
 	// admitted are transactions whose admission (started-state write +
 	// phyQ enqueue) is staged in ops; fully unwound — simulation, locks,
@@ -777,73 +755,50 @@ type round struct {
 	cleanups int
 }
 
-func (r *round) stage(ops []store.Op, after func(), fallback func() error) {
+func newRound() *round { return &round{staged: make(map[string]bool)} }
+
+func (r *round) stage(ops []store.Op, after, undo func()) {
 	r.ops = append(r.ops, ops...)
 	if after != nil {
 		r.after = append(r.after, after)
 	}
-	if fallback != nil {
-		r.fallback = append(r.fallback, fallback)
+	if undo != nil {
+		r.undo = append(r.undo, undo)
 	}
 }
 
 // handleRound processes one drained batch of input messages into the
-// round. Submit and result notices are staged for the grouped commit;
-// signal and reconciliation requests (rare, and with their own write
-// patterns) are handled directly after flushing whatever is staged,
-// preserving queue order. The returned error, if any, is the first
-// retryable failure — session and quorum losses short-circuit
-// immediately.
+// round. Submit, result, vote, child-done, and decide notices are staged
+// for the grouped commit; signal, reconciliation, and deadline messages
+// (rare, and with their own write patterns) are handled directly after
+// flushing whatever is staged, preserving queue order. The returned
+// error, if any, is the first retryable failure — session and quorum
+// losses, and a failed flush, end the batch at once.
 func (c *Controller) handleRound(r *round, items []queue.Item) error {
 	var firstErr error
-	note := func(kind proto.MsgKind, err error) {
-		if err != nil {
-			c.cfg.Logf("controller %s: handle %s: %v", c.cfg.Name, kind, err)
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
 	for _, it := range items {
 		msg, err := proto.DecodeInputMsg(it.Data)
 		if err != nil {
 			c.cfg.Logf("controller %s: dropping bad input item: %v", c.cfg.Name, err)
-			itemPath := it.Path
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage([]store.Op{c.inputQ.RemoveOp(it.Path)}, nil, nil)
 			continue
 		}
 		switch msg.Kind {
 		case proto.KindSubmit:
 			err = c.stageAccept(r, msg, it.Path)
-			if errors.Is(err, errHandleDirect) {
-				// Flush what is staged (preserving queue order), then drive
-				// the message directly.
-				if ferr := c.flushRound(r); ferr != nil {
-					if errFatal(ferr) {
-						return ferr
-					}
-					note(msg.Kind, ferr)
-				}
-				err = c.handle(msg, it.Path)
-			}
+		case proto.KindResult:
+			err = c.stageCleanup(r, msg, it.Path)
 		case proto.KindXVote:
-			// Coordinator ledger updates ride the grouped Multi like
-			// accepts and cleanups; only decide/timeout messages (rare,
-			// with cross-store side effects) are handled directly below.
 			err = c.stageXVote(r, msg, it.Path)
 		case proto.KindXChildDone:
 			err = c.stageXChildDone(r, msg, it.Path)
-		case proto.KindResult:
-			err = c.stageCleanup(r, msg, it.Path)
+		case proto.KindXDecide:
+			err = c.stageXDecide(r, msg, it.Path)
 		default:
 			// Flush staged work first so this item observes (and its own
 			// writes serialize after) everything ahead of it in the queue.
 			if ferr := c.flushRound(r); ferr != nil {
-				if errFatal(ferr) {
-					return ferr
-				}
-				note(msg.Kind, ferr)
+				return ferr
 			}
 			err = c.handle(msg, it.Path)
 		}
@@ -851,7 +806,10 @@ func (c *Controller) handleRound(r *round, items []queue.Item) error {
 			if errFatal(err) {
 				return err
 			}
-			note(msg.Kind, err)
+			c.cfg.Logf("controller %s: handle %s: %v", c.cfg.Name, msg.Kind, err)
+			if firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
 	return firstErr
@@ -867,20 +825,19 @@ func errFatal(err error) bool {
 // per-item processing would have done). On a validation failure (e.g. a
 // record's version moved under a staged write) the round is unwound —
 // staged admissions roll their simulations, locks, and transitions back,
-// optimistic todoQ appends are removed — and every item is replayed
-// through its per-item fallback, which re-reads current state and
-// applies the legacy path; a final legacy scheduling pass then re-admits
-// whatever can run, so a failed flush never strands runnable work
-// waiting for an event that already happened.
+// staged aborts and optimistic todoQ appends are taken back, the undo
+// list reverts the rest — its local messages are queued again, and the
+// error is returned: the round is re-run against fresh state, its store
+// items still at the head of inputQ. The owed scheduling pass (resched)
+// makes sure the unwound admissions are retried even when no input
+// arrives.
 func (c *Controller) flushRound(r *round) error {
 	if len(r.ops) == 0 {
 		return nil
 	}
-	ops, after, fallback := r.ops, r.after, r.fallback
+	ops, after, undo, locals := r.ops, r.after, r.undo, r.locals
 	accepted, admitted, aborted := r.accepted, r.admitted, r.aborted
-	r.ops, r.after, r.fallback = nil, nil, nil
-	r.accepted, r.admitted, r.aborted = nil, nil, nil
-	r.staged = make(map[string]bool)
+	*r = round{staged: make(map[string]bool), cleanups: r.cleanups}
 
 	start := time.Now()
 	err := c.cli.Multi(ops...)
@@ -894,13 +851,13 @@ func (c *Controller) flushRound(r *round) error {
 	if errFatal(err) {
 		return err
 	}
-	c.cfg.Logf("controller %s: grouped flush of %d ops failed, replaying per item: %v",
+	c.cfg.Logf("controller %s: grouped flush of %d ops failed, re-running the round: %v",
 		c.cfg.Name, len(ops), err)
 
 	// Unwind staged admissions in reverse admission order. Transactions
-	// whose accept rode this same round are dropped entirely — their
-	// accept fallback below re-reads the record and requeues a fresh
-	// copy; re-admitting the stale copy too would double-execute them.
+	// whose accept rode this same round are dropped entirely — the re-run
+	// re-reads the record and requeues a fresh copy; re-admitting the
+	// stale copy too would double-execute them.
 	acceptedSet := make(map[*txn.Txn]bool, len(accepted))
 	for _, t := range accepted {
 		acceptedSet[t] = true
@@ -925,9 +882,9 @@ func (c *Controller) flushRound(r *round) error {
 		}
 	}
 	// Staged aborts revert to accepted and requeue for re-evaluation by
-	// the final scheduling pass: their verdicts may have been derived
-	// from sibling effects that were just unwound. State-independent
-	// verdicts (signals, unknown procedures) simply re-abort there.
+	// the next scheduling pass: their verdicts may have been derived from
+	// sibling effects that were just unwound. State-independent verdicts
+	// (signals, unknown procedures) simply re-abort there.
 	for i := len(aborted) - 1; i >= 0; i-- {
 		t := aborted[i]
 		if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateAborted {
@@ -939,8 +896,8 @@ func (c *Controller) flushRound(r *round) error {
 			requeue = append([]*txn.Txn{t}, requeue...)
 		}
 	}
-	// Remove this round's optimistic todoQ appends; their fallbacks
-	// re-accept from the store.
+	// Remove this round's optimistic todoQ appends; the re-run accepts
+	// them again from the store.
 	if len(accepted) > 0 {
 		kept := c.todo[:0]
 		for _, t := range c.todo {
@@ -951,37 +908,55 @@ func (c *Controller) flushRound(r *round) error {
 		c.todo = kept
 	}
 	c.todo = append(requeue, c.todo...)
-
-	var firstErr error
-	for _, f := range fallback {
-		if ferr := f(); ferr != nil {
-			if errFatal(ferr) {
-				return ferr
-			}
-			if firstErr == nil {
-				firstErr = ferr
-			}
-		}
+	for i := len(undo) - 1; i >= 0; i-- {
+		undo[i]()
 	}
-	// Re-schedule through the legacy per-admission path: the unwound and
-	// re-accepted transactions must not wait for the next input event.
-	c.schedule()
-	return firstErr
+	for _, msg := range locals {
+		c.enqueueLocal(msg)
+	}
+	c.resched = true
+	return err
+}
+
+// schedule runs a scheduling pass in a round of its own and commits its
+// admissions (and the aborts it decides) in one grouped Multi.
+func (c *Controller) schedule() error {
+	r := newRound()
+	c.scheduleInto(r)
+	err := c.flushRound(r)
+	c.todoDepth.Set(int64(len(c.todo)))
+	return err
 }
 
 // scheduleInto runs a scheduling pass whose admissions are staged into
-// the round instead of committed on their own — the group commit of
-// transaction admission.
+// the round — the group commit of transaction admission. A
+// coordinator-local child's yes-vote rides the same Multi as its
+// prepare (xStageLocalVotes); its post-flush effects run after every
+// admission in the batch is tracked.
 func (c *Controller) scheduleInto(r *round) {
 	c.scheduleWalk(r)
-	pending := c.admitPending
-	c.admitPending = nil
-	for _, t := range pending {
-		t := t
-		r.ops = append(r.ops, c.admissionOps(t)...)
-		r.admitted = append(r.admitted, t)
-		r.after = append(r.after, func() { c.admitApply(t) })
+	pending := r.admitted
+	if len(pending) == 0 {
+		return
 	}
+	for _, t := range pending {
+		r.ops = append(r.ops, c.admissionOps(t)...)
+	}
+	votes := c.xStageLocalVotes(r, pending)
+	r.after = append(r.after, func() {
+		for _, t := range pending {
+			if votes[t.ID] != nil {
+				c.prepared[t.ID] = t
+				continue
+			}
+			c.admitApply(t)
+		}
+		for _, t := range pending {
+			if v := votes[t.ID]; v != nil {
+				c.xPostVote(v.rec, v.eff)
+			}
+		}
+	})
 }
 
 // Retry backoff bounds for the leader loop: the floor matches the old
@@ -992,18 +967,11 @@ const (
 	retryBackoffMax = 100 * time.Millisecond
 )
 
+// handle processes the input messages that are not staged into a
+// round: operator signals, reconciliation requests, and 2PC deadline
+// checks.
 func (c *Controller) handle(msg proto.InputMsg, itemPath string) error {
 	switch msg.Kind {
-	case proto.KindSubmit:
-		return c.accept(msg, itemPath)
-	case proto.KindResult:
-		return c.cleanup(msg, itemPath)
-	case proto.KindXVote:
-		return c.xVote(msg, itemPath)
-	case proto.KindXDecide:
-		return c.xDecide(msg, itemPath)
-	case proto.KindXChildDone:
-		return c.xChildDone(msg, itemPath)
 	case proto.KindXTimeout:
 		return c.xTimeout(msg, itemPath)
 	case proto.KindSignal:
@@ -1066,44 +1034,10 @@ func (c *Controller) reply(msg proto.InputMsg, err error) {
 	}
 }
 
-// accept moves a submitted transaction into todoQ (Figure 2, ②),
-// atomically with consuming its submit notice.
-func (c *Controller) accept(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.inputQ.Remove(itemPath)
-		}
-		return err
-	}
-	if rec.State != txn.StateInitialized {
-		// Duplicate submit notice (e.g. the record was already accepted
-		// by recovery); drop it.
-		return c.inputQ.Remove(itemPath)
-	}
-	if rec.IsParent() {
-		// A cross-shard parent: accepted here, then coordinated via the
-		// 2PC protocol instead of todoQ.
-		return c.xAcceptParent(rec, stat, itemPath)
-	}
-	if err := rec.Transition(txn.StateAccepted); err != nil {
-		return err
-	}
-	err = c.cli.Multi(
-		c.inputQ.RemoveOp(itemPath),
-		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
-	)
-	if err != nil {
-		return err
-	}
-	c.countStage(&c.stats.Accepted, "accepted")
-	c.todo = append(c.todo, rec)
-	return nil
-}
-
-// stageAccept is the batched form of accept: it validates the submitted
-// record now but defers both the persistent transition (staged into the
-// round's grouped Multi) and the in-memory todoQ append (run only after
+// stageAccept moves a submitted transaction into todoQ (Figure 2, ②):
+// it validates the submitted record now but defers both the persistent
+// transition (staged into the round's grouped Multi, atomically with
+// consuming the submit notice) and the accepted count (run only after
 // the group commits).
 func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) error {
 	if r.staged[msg.TxnPath] {
@@ -1115,8 +1049,7 @@ func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) 
 	rec, stat, err := c.loadTxn(msg.TxnPath)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil, nil)
 			return nil
 		}
 		return err
@@ -1124,8 +1057,7 @@ func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) 
 	if rec.State != txn.StateInitialized {
 		// Duplicate submit notice (e.g. the record was already accepted
 		// by recovery); drop it.
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil, nil)
 		return nil
 	}
 	if rec.IsParent() {
@@ -1140,8 +1072,8 @@ func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) 
 	r.staged[msg.TxnPath] = true
 	// The todoQ append is optimistic — this round's own scheduling pass
 	// may admit the transaction, putting accept and admission in the
-	// same grouped commit. flushRound undoes the append before running
-	// the per-item fallback if the group fails.
+	// same grouped commit. flushRound takes the append back if the group
+	// fails.
 	c.todo = append(c.todo, rec)
 	r.accepted = append(r.accepted, rec)
 	r.stage(
@@ -1149,10 +1081,8 @@ func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) 
 			c.inputQ.RemoveOp(itemPath),
 			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
 		},
-		func() {
-			c.countStage(&c.stats.Accepted, "accepted")
-		},
-		func() error { return c.accept(msg, itemPath) },
+		func() { c.countStage(&c.stats.Accepted, "accepted") },
+		nil,
 	)
 	return nil
 }
@@ -1166,25 +1096,14 @@ const (
 	outcomeAborted
 )
 
-// schedule works through todoQ. Under the paper's FIFO policy the first
-// transaction deferred on a resource conflict holds back the
-// single-shard work queued behind it (the deferred transaction stays at
-// the front and scheduling resumes on the next event); cross-shard
-// children behind it are still tried. Under the aggressive policy it
-// continues past deferred transactions so independent work behind them
-// proceeds (§3.1.1).
-func (c *Controller) schedule() {
-	c.scheduleWalk(nil)
-	c.flushAdmissions()
-	c.todoDepth.Set(int64(len(c.todo)))
-}
-
-// scheduleWalk works through todoQ, leaving any staged admissions in
-// admitPending for the caller to commit (grouped or per-item). With a
-// non-nil round, terminal writes for aborted transactions are staged
-// into it instead of committed on their own — an unstaged write would
-// bump a record version under the round's staged accept and fail the
-// whole grouped flush.
+// scheduleWalk works through todoQ, staging admissions (r.admitted) and
+// the terminal writes of aborted transactions into the round. Under the
+// paper's FIFO policy the first transaction deferred on a resource
+// conflict holds back the single-shard work queued behind it (the
+// deferred transaction stays at the front and scheduling resumes on the
+// next event); cross-shard children behind it are still tried. Under
+// the aggressive policy it continues past deferred transactions so
+// independent work behind them proceeds (§3.1.1).
 func (c *Controller) scheduleWalk(r *round) {
 	if c.xEnabled() {
 		// Deterministic global prepare order: every participant acquires
@@ -1268,10 +1187,9 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 	}
 	// Runnable (③C): persist state+log and enqueue to phyQ atomically,
 	// so a leader crash cannot strand a started transaction outside
-	// phyQ or double-enqueue it. With batching the admission is staged
-	// and the whole scheduling round's admissions ride one grouped Multi
-	// (group commit of transaction admission); the atomicity guarantee
-	// is unchanged — the group either commits in full or not at all.
+	// phyQ or double-enqueue it. The admission is staged, and the whole
+	// scheduling round's admissions ride one grouped Multi (group commit
+	// of transaction admission) that commits in full or not at all.
 	//
 	// A cross-shard CHILD stops at prepared instead: simulation and
 	// locks are its yes-vote, and it enters phyQ only when the
@@ -1286,18 +1204,14 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 		c.abortQueued(t, err, r)
 		return outcomeAborted
 	}
-	if c.batching() {
-		c.admitPending = append(c.admitPending, t)
-		return outcomeRunnable
-	}
-	return c.admitNow(t)
+	r.admitted = append(r.admitted, t)
+	return outcomeRunnable
 }
 
 // admissionOps builds the persistent half of one transaction's
-// admission: the started-state record write and the phyQ enqueue. Every
-// admission path — per-item, grouped, and fallback — commits exactly
-// these ops, so the paths cannot diverge. A prepared cross-shard child
-// persists only its record: it enters phyQ at decision time, not now.
+// admission: the started-state record write and the phyQ enqueue. A
+// prepared cross-shard child persists only its record: it enters phyQ
+// at decision time, not now.
 func (c *Controller) admissionOps(t *txn.Txn) []store.Op {
 	txnPath := c.txnPath(t.ID)
 	ops := []store.Op{store.SetOp(txnPath, t.Encode(), -1)}
@@ -1327,87 +1241,10 @@ func (c *Controller) admitApply(t *txn.Txn) {
 	c.inFlight[t.ID] = t
 }
 
-// admitNow persists one runnable transaction's admission (state+log and
-// phyQ enqueue, atomically) and tracks it in flight — the unbatched
-// admission path, also serving as the per-transaction fallback when a
-// grouped admission flush fails.
-func (c *Controller) admitNow(t *txn.Txn) scheduleOutcome {
-	err := c.cli.Multi(c.admissionOps(t)...)
-	if err != nil {
-		c.cfg.Logf("controller %s: start %s: %v", c.cfg.Name, t.ID, err)
-		c.locks.ReleaseAll(t.ID)
-		// The started/prepared transition was never persisted; drop its
-		// history stamp so a retry doesn't record it twice.
-		if n := len(t.History); n > 0 && admissionState(t.History[n-1].State) {
-			t.History = t.History[:n-1]
-		}
-		// Roll the simulation back; the transaction stays accepted and
-		// will be retried on the next event.
-		if rbErr := rollbackLog(c.ltree, c.cfg.Schema, t.Log); rbErr == nil {
-			t.State = txn.StateAccepted
-			t.Log = nil
-			return outcomeConflict
-		}
-		c.abortQueued(t, err, nil)
-		return outcomeAborted
-	}
-	c.admitApply(t)
-	return outcomeRunnable
-}
-
 // admissionState reports states written by the admission paths
 // (unwound together on a failed flush).
 func admissionState(s txn.State) bool {
 	return s == txn.StateStarted || s == txn.StatePrepared
-}
-
-// flushAdmissions group-commits every admission the scheduling round
-// staged: all runnable transactions' state+log writes and phyQ enqueues
-// in a single Multi. On failure each transaction is replayed through the
-// per-item admission path; any that defer (store hiccup with a clean
-// simulation rollback) return to the front of todoQ in order, as if they
-// had never been popped.
-func (c *Controller) flushAdmissions() {
-	pending := c.admitPending
-	c.admitPending = nil
-	if len(pending) == 0 {
-		return
-	}
-	ops := make([]store.Op, 0, 2*len(pending))
-	for _, t := range pending {
-		ops = append(ops, c.admissionOps(t)...)
-	}
-	// Coordinator-local children's yes-votes ride the same Multi as
-	// their prepare writes (fast path); their post-flush effects run
-	// after every admission in the batch is tracked.
-	votes := c.xStageLocalVotes(pending, &ops)
-	start := time.Now()
-	err := c.cli.Multi(ops...)
-	c.noteFlush(len(ops), time.Since(start))
-	if err == nil {
-		for _, t := range pending {
-			if _, voted := votes[t.ID]; voted {
-				c.prepared[t.ID] = t
-				continue
-			}
-			c.admitApply(t)
-		}
-		for _, v := range votes {
-			c.xPostVote(v.rec, v.eff)
-		}
-		return
-	}
-	c.cfg.Logf("controller %s: grouped admission of %d txns failed, replaying per txn: %v",
-		c.cfg.Name, len(pending), err)
-	var back []*txn.Txn
-	for _, t := range pending {
-		if c.admitNow(t) == outcomeConflict {
-			back = append(back, t)
-		}
-	}
-	if len(back) > 0 {
-		c.todo = append(back, c.todo...)
-	}
 }
 
 // rollbackTimed rolls the logical layer back via the execution log,
@@ -1423,10 +1260,10 @@ func (c *Controller) rollbackTimed(id string, records []txn.LogRecord) {
 
 // abortQueued marks a not-yet-started transaction aborted and persists
 // the terminal state (③A), recording the failure's taxonomy code
-// alongside its message. With a non-nil round the terminal write is
-// STAGED — appended after any same-round accept write on the record, so
-// the grouped flush's version checks stay intact — instead of committed
-// on its own.
+// alongside its message. The terminal write is STAGED into the round —
+// appended after any same-round accept write on the record, so the
+// grouped flush's version checks stay intact. A nil round (a failed
+// flush whose admission could not be unwound) commits it on its own.
 func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 	t.Error = reason.Error()
 	t.Code = string(trerr.CodeOf(reason))
@@ -1437,7 +1274,6 @@ func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 		return
 	}
 	path := c.txnPath(t.ID)
-	persist := func() error { return c.cli.Set(path, t.Encode(), -1) }
 	count := func() {
 		c.countStage(&c.stats.Aborted, "aborted")
 		// A cross-shard child aborted before it could prepare is a NO
@@ -1447,77 +1283,26 @@ func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 		}
 	}
 	if r != nil {
-		// No per-item fallback: a failed flush reverts the transaction
-		// to accepted and requeues it (see flushRound) because the abort
-		// verdict may describe unwound state.
+		// A failed flush reverts the transaction to accepted and requeues
+		// it (see flushRound) because the abort verdict may describe
+		// unwound state.
 		r.stage([]store.Op{store.SetOp(path, t.Encode(), -1)}, count, nil)
 		r.aborted = append(r.aborted, t)
 		return
 	}
-	if err := persist(); err != nil {
+	if err := c.cli.Set(path, t.Encode(), -1); err != nil {
 		c.cfg.Logf("controller %s: persist abort %s: %v", c.cfg.Name, t.ID, err)
 	}
 	count()
 }
 
-// cleanup finishes a transaction whose physical execution completed
-// (Figure 2, ⑤A/⑤B).
-func (c *Controller) cleanup(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.inputQ.Remove(itemPath)
-		}
-		return err
-	}
-	t, tracked := c.inFlight[rec.ID]
-	if !tracked || rec.State.Terminal() {
-		// A transaction this leader does not own (already finalized —
-		// e.g. KILLed — or cleaned up before a failover): drop the
-		// notice.
-		return c.inputQ.Remove(itemPath)
-	}
-	outcome := txn.State(msg.Outcome)
-	switch outcome {
-	case txn.StateCommitted, txn.StateAborted, txn.StateFailed:
-	default:
-		if err := c.inputQ.Remove(itemPath); err != nil {
-			return err
-		}
-		return fmt.Errorf("result notice for %s with outcome %q", rec.ID, msg.Outcome)
-	}
-
-	// Persist the terminal state atomically with consuming the notice —
-	// and, for commits, with the commit-log entry recovery replays. The
-	// in-memory effects follow only after persistence succeeds, so a
-	// retried cleanup never rolls the logical layer back twice.
-	rec.Error = msg.Error
-	rec.Code = msg.Code
-	rec.UndoneThrough = msg.UndoneThrough
-	if err := rec.Transition(outcome); err != nil {
-		return err
-	}
-	ops := []store.Op{
-		c.inputQ.RemoveOp(itemPath),
-		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
-	}
-	if outcome == txn.StateCommitted {
-		ops = append(ops, store.CreateOp(proto.CommitLogPrefix,
-			proto.CommitLogEntry{TxnPath: msg.TxnPath}.Encode(), store.FlagSequence))
-	}
-	if err := c.cli.Multi(ops...); err != nil {
-		return err
-	}
-	c.finishCleanup(t, rec, outcome)
-	return nil
-}
-
-// stageCleanup is the batched form of cleanup: the terminal-state write,
-// notice consumption, and (for commits) commit-log entry are staged into
-// the round's grouped Multi, and the in-memory effects — lock release,
-// logical rollback, inconsistency marks, counters — run only after the
-// group commits, so a failed flush never rolls the logical layer back
-// for a transaction whose record still says started.
+// stageCleanup finishes a transaction whose physical execution
+// completed (Figure 2, ⑤A/⑤B). The terminal-state write, notice
+// consumption, and (for commits) commit-log entry — or (for failures)
+// the inconsistency marks — are staged into the round's grouped Multi,
+// and the in-memory effects — lock release, logical rollback, counters
+// — run only after the group commits, so a failed flush never rolls the
+// logical layer back for a transaction whose record still says started.
 func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string) error {
 	if r.staged[msg.TxnPath] {
 		return nil // defer to the next round; see stageAccept
@@ -1525,8 +1310,7 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 	rec, stat, err := c.loadTxn(msg.TxnPath)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil, nil)
 			return nil
 		}
 		return err
@@ -1536,16 +1320,14 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 		// A transaction this leader does not own (already finalized —
 		// e.g. KILLed — or cleaned up before a failover): drop the
 		// notice.
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil, nil)
 		return nil
 	}
 	outcome := txn.State(msg.Outcome)
 	switch outcome {
 	case txn.StateCommitted, txn.StateAborted, txn.StateFailed:
 	default:
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil, nil)
 		return fmt.Errorf("result notice for %s with outcome %q", rec.ID, msg.Outcome)
 	}
 
@@ -1571,9 +1353,9 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 		// Releasing before this round's scheduling pass lets a waiting
 		// transaction's admission ride the SAME grouped commit as this
 		// terminal write — the lock handoff costs zero extra store
-		// rounds. If the flush fails, the per-item fallback re-persists
-		// and re-releases (idempotent); admissions that used the freed
-		// locks were in the same failed Multi and are unwound with it.
+		// rounds. If the flush fails, the admissions that used the freed
+		// locks are unwound with it and the undo takes the locks back, so
+		// no transaction is admitted on them before this commit is durable.
 		c.locks.ReleaseAll(rec.ID)
 		doneInline := false
 		r.stage(ops,
@@ -1585,15 +1367,18 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 				}
 				c.maybeCheckpoint()
 			},
-			func() error { return c.cleanup(msg, itemPath) },
+			func() {
+				reqs := lockRequestsFromLog(c.ltree, c.cfg.Schema, t.Log)
+				if err := c.locks.Acquire(rec.ID, reqs); err != nil {
+					c.cfg.Logf("controller %s: re-lock %s: %v", c.cfg.Name, rec.ID, err)
+				}
+			},
 		)
 		if rec.IsChild() {
 			// A coordinator-local child's done-report can ride this same
 			// round: the ledger write (and the parent's finalize, when
 			// this report completes the set) joins the grouped Multi that
-			// persists the child's terminal state. Staged after the
-			// cleanup stage so a failed flush re-finalizes the child
-			// before the fallback re-applies the ledger.
+			// persists the child's terminal state.
 			doneInline = c.stageXChildDoneLocal(r, rec)
 		}
 		return nil
@@ -1603,46 +1388,59 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 	// releases therefore land post-flush, and the round schedules once
 	// more afterwards (r.cleanups) so freed locks are claimable without
 	// waiting for another input event.
+	var marks []string
+	if outcome == txn.StateFailed {
+		// The failed state and the marks that deny further transactions
+		// on the diverged paths (§4) commit together: a leader crash can
+		// never leave one durable without the other.
+		marks = c.loggedPaths(t.Log)
+		for _, p := range marks {
+			zpath := inconsistentNode(p)
+			if r.staged[zpath] {
+				continue
+			}
+			marked, _, err := c.cli.Exists(zpath)
+			if err != nil {
+				return err
+			}
+			if !marked {
+				// A Create of an existing mark would fail the whole round.
+				r.staged[zpath] = true
+				ops = append(ops, store.CreateOp(zpath, nil, 0))
+			}
+		}
+	}
 	r.cleanups++
-	r.stage(ops,
-		func() { c.finishCleanup(t, rec, outcome) },
-		func() error { return c.cleanup(msg, itemPath) },
-	)
+	r.stage(ops, func() { c.finishCleanup(t, rec, outcome, marks) }, nil)
 	return nil
 }
 
 // finishCleanup applies the in-memory half of a persisted terminal
-// transition (Figure 2, ⑤A/⑤B), shared by the per-item and batched
-// cleanup paths.
-func (c *Controller) finishCleanup(t, rec *txn.Txn, outcome txn.State) {
+// transition (Figure 2, ⑤A/⑤B) for an aborted or failed transaction;
+// marks are the paths a failure marked inconsistent in the same commit.
+func (c *Controller) finishCleanup(t, rec *txn.Txn, outcome txn.State, marks []string) {
 	delete(c.inFlight, rec.ID)
 	// A cross-shard child's terminal outcome feeds the coordinator's
 	// ledger (the parent finalizes when every child has reported).
 	if rec.IsChild() {
 		defer c.xSendChildDone(rec)
 	}
-	switch outcome {
-	case txn.StateCommitted:
-		// ⑤A: logical effects are already in the tree from simulation.
-		c.countStage(&c.stats.Committed, "committed")
-		c.locks.ReleaseAll(rec.ID)
-		c.maybeCheckpoint()
-	case txn.StateAborted:
-		// ⑤B: physical execution failed and was fully undone; roll the
-		// logical layer back too.
-		c.rollbackTimed(t.ID, t.Log)
-		c.countStage(&c.stats.Aborted, "aborted")
-		c.locks.ReleaseAll(rec.ID)
-	case txn.StateFailed:
-		// Undo failed partway: the logical layer rolls back, but the
-		// physical layer is only partially rolled back — a cross-layer
-		// inconsistency. Mark every path the transaction wrote so
-		// further transactions are denied until reconciliation (§4).
-		c.rollbackTimed(t.ID, t.Log)
-		c.markInconsistentFromLog(t.Log)
+	// The physical execution failed; roll the logical layer back too.
+	c.rollbackTimed(t.ID, t.Log)
+	if outcome == txn.StateFailed {
+		// Undo failed partway: the physical layer is only partially rolled
+		// back — a cross-layer inconsistency. Further transactions on the
+		// written paths are denied until reconciliation (§4).
+		for _, p := range marks {
+			if n, err := c.ltree.Get(p); err == nil {
+				n.Inconsistent = true
+			}
+		}
 		c.countStage(&c.stats.Failed, "failed")
-		c.locks.ReleaseAll(rec.ID)
+	} else {
+		c.countStage(&c.stats.Aborted, "aborted")
 	}
+	c.locks.ReleaseAll(rec.ID)
 }
 
 // signal applies a TERM/KILL operator signal (§4).
@@ -1723,17 +1521,30 @@ func (c *Controller) signal(txnPath string, sig txn.Signal) error {
 // markInconsistentFromLog flags every path written by an execution log
 // as inconsistent, in memory and persistently.
 func (c *Controller) markInconsistentFromLog(records []txn.LogRecord) {
+	for _, p := range c.loggedPaths(records) {
+		c.MarkInconsistent(p)
+	}
+}
+
+// loggedPaths lists, once each, the model paths an execution log wrote.
+func (c *Controller) loggedPaths(records []txn.LogRecord) []string {
+	var paths []string
 	seen := make(map[string]bool)
 	for _, r := range records {
 		def, _ := resolveDef(c.ltree, c.cfg.Schema, r)
 		for _, p := range touchedPathsRecord(def, r) {
-			if seen[p] {
-				continue
+			if !seen[p] {
+				seen[p] = true
+				paths = append(paths, p)
 			}
-			seen[p] = true
-			c.MarkInconsistent(p)
 		}
 	}
+	return paths
+}
+
+// inconsistentNode is the store node persisting an inconsistency mark.
+func inconsistentNode(path string) string {
+	return proto.InconsistentPath + "/" + proto.EncodePath(path)
 }
 
 // Reconciler handles the two §4 reconciliation mechanisms on behalf of
@@ -1783,8 +1594,7 @@ func (c *Controller) MarkInconsistent(path string) {
 	if n, err := c.ltree.Get(path); err == nil {
 		n.Inconsistent = true
 	}
-	zpath := proto.InconsistentPath + "/" + proto.EncodePath(path)
-	if _, err := c.cli.Create(zpath, nil, 0); err != nil && !errors.Is(err, store.ErrNodeExists) {
+	if _, err := c.cli.Create(inconsistentNode(path), nil, 0); err != nil && !errors.Is(err, store.ErrNodeExists) {
 		c.cfg.Logf("controller %s: persist inconsistent %s: %v", c.cfg.Name, path, err)
 	}
 }
@@ -1794,8 +1604,7 @@ func (c *Controller) ClearInconsistent(path string) {
 	if n, err := c.ltree.Get(path); err == nil {
 		n.Inconsistent = false
 	}
-	zpath := proto.InconsistentPath + "/" + proto.EncodePath(path)
-	if err := c.cli.Delete(zpath, -1); err != nil && !errors.Is(err, store.ErrNoNode) {
+	if err := c.cli.Delete(inconsistentNode(path), -1); err != nil && !errors.Is(err, store.ErrNoNode) {
 		c.cfg.Logf("controller %s: clear inconsistent %s: %v", c.cfg.Name, path, err)
 	}
 }
@@ -2072,7 +1881,13 @@ func (c *Controller) recover() error {
 	for _, rec := range xParents {
 		c.xRecoverParent(rec)
 	}
-	c.schedule()
+	if err := c.schedule(); err != nil {
+		// Not fatal: the owed scheduling pass (resched) retries it.
+		if errFatal(err) {
+			return err
+		}
+		c.cfg.Logf("controller %s: recovery scheduling pass: %v", c.cfg.Name, err)
+	}
 	c.cfg.Logf("controller %s: recovered %d in-flight, %d prepared, %d queued, model %d nodes",
 		c.cfg.Name, len(c.inFlight), len(c.prepared), len(c.todo), c.ltree.Size())
 	return nil

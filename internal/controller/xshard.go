@@ -99,10 +99,6 @@ const (
 	XEventDecided     = "decided"
 )
 
-// errHandleDirect tells handleRound a message needs direct (unstaged)
-// handling: flush the round, then route it through handle().
-var errHandleDirect = errors.New("controller: handle message directly")
-
 // xEnabled reports whether this controller participates in cross-shard
 // transactions.
 func (c *Controller) xEnabled() bool { return c.cfg.XShard != nil }
@@ -279,54 +275,30 @@ func (c *Controller) xFlushPeerSends() {
 
 // --- Coordinator ------------------------------------------------------
 
-// xAcceptParent accepts a cross-shard parent submission and starts the
-// prepare phase: the accepted state is persisted atomically with
-// consuming the submit notice, then child records and prepare notices
-// fan out to every participant shard and the vote-collection deadline
-// is armed.
-func (c *Controller) xAcceptParent(rec *txn.Txn, stat store.Stat, itemPath string) error {
+// stageXAcceptParent accepts a cross-shard parent submission and starts
+// the prepare phase: the accepted transition and notice consumption ride
+// the round's grouped Multi, and the prepare fan-out (cross-store writes
+// that cannot join this shard's Multi) and the vote-collection deadline
+// follow once the flush lands.
+func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat, msg proto.InputMsg, itemPath string) error {
+	if err := rec.Transition(txn.StateAccepted); err != nil {
+		return err
+	}
+	r.staged[msg.TxnPath] = true
 	if !c.xEnabled() {
 		// A parent record on a platform without the cross-shard layer can
 		// never execute; abort it instead of wedging the queue head.
 		c.cfg.Logf("controller %s: parent %s without cross-shard config, aborting", c.cfg.Name, rec.ID)
 		rec.Error = "platform is not configured for cross-shard transactions"
 		rec.Code = string(trerr.XShardPrepareFailed)
-		if err := rec.Transition(txn.StateAccepted); err != nil {
-			return err
-		}
 		if err := rec.Transition(txn.StateAborted); err != nil {
 			return err
 		}
-		return c.cli.Multi(
+		r.stage([]store.Op{
 			c.inputQ.RemoveOp(itemPath),
-			store.SetOp(c.txnPath(rec.ID), rec.Encode(), stat.Version),
-		)
-	}
-	if err := rec.Transition(txn.StateAccepted); err != nil {
-		return err
-	}
-	if err := c.cli.Multi(
-		c.inputQ.RemoveOp(itemPath),
-		store.SetOp(c.txnPath(rec.ID), rec.Encode(), stat.Version),
-	); err != nil {
-		return err
-	}
-	c.countStage(&c.stats.Accepted, "accepted")
-	c.xStartPrepares(rec, false)
-	return nil
-}
-
-// stageXAcceptParent is the batched form of xAcceptParent: the accepted
-// transition and notice consumption ride the round's grouped Multi, and
-// the prepare fan-out (cross-store writes that cannot join this shard's
-// Multi) runs after the flush lands. A failed flush discards the
-// in-memory transition and replays through the direct path.
-func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat, msg proto.InputMsg, itemPath string) error {
-	if !c.xEnabled() {
-		return errHandleDirect // rare mis-config; the direct path aborts it
-	}
-	if err := rec.Transition(txn.StateAccepted); err != nil {
-		return err
+			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
+		}, nil, nil)
+		return nil
 	}
 	ops := []store.Op{
 		c.inputQ.RemoveOp(itemPath),
@@ -350,7 +322,6 @@ func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat,
 			break
 		}
 	}
-	r.staged[msg.TxnPath] = true
 	r.stage(ops,
 		func() {
 			c.countStage(&c.stats.Accepted, "accepted")
@@ -367,7 +338,7 @@ func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat,
 			}
 			c.xStartPrepares(rec, localKid != nil)
 		},
-		func() error { return c.accept(msg, itemPath) },
+		nil,
 	)
 	return nil
 }
@@ -376,8 +347,8 @@ func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat,
 // arms the vote-collection deadline. Called with the parent's accepted
 // state already durable. skipLocal marks the coordinator-local child as
 // already created (coalesced into the parent's accept); the slow path
-// and every recovery/fallback path pass false and prepare it like any
-// remote participant.
+// and the recovery path pass false and prepare it like any remote
+// participant.
 func (c *Controller) xStartPrepares(rec *txn.Txn, skipLocal bool) {
 	c.xClockStart(rec.ID)
 	for k := range rec.Children {
@@ -745,9 +716,9 @@ func (c *Controller) xFinalizeParent(rec *txn.Txn) error {
 		}
 	}
 	// Stats are NOT counted here: finalization may be staged into a
-	// grouped Multi whose flush can fail and replay through the per-item
-	// fallback — the caller counts via xCountParent only after the
-	// terminal write is durable.
+	// grouped Multi whose flush can fail and re-run the round — the
+	// caller counts via xCountParent only after the terminal write is
+	// durable.
 	return rec.Transition(outcome)
 }
 
@@ -860,44 +831,13 @@ func (c *Controller) xPostVote(rec *txn.Txn, eff xEffects) {
 	}
 }
 
-// xVote processes one participant vote on the coordinator directly:
-// record it in the parent's ledger atomically with consuming the
-// notice, decide once the last vote lands, and free latecomers prepared
-// after an abort decision. (The hot path is stageXVote, which commits
-// the same write inside the round's grouped Multi; this is its per-item
-// fallback and the unstaged path.)
-func (c *Controller) xVote(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.noticeRemove(itemPath)
-		}
-		return err
-	}
-	eff, ok, err := c.xApplyVote(rec, msg)
-	if err != nil {
-		return err
-	}
-	if !ok || !eff.changed {
-		if err := c.noticeRemove(itemPath); err != nil {
-			return err
-		}
-		c.xPostVote(rec, eff)
-		return nil
-	}
-	ops := append(c.noticeRemoveOps(itemPath),
-		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version))
-	if err := c.cli.Multi(ops...); err != nil {
-		return err
-	}
-	c.xPostVote(rec, eff)
-	return nil
-}
-
-// stageXVote is the batched vote path: the ledger write and notice
-// consumption join the round's grouped Multi; fan-outs run post-flush.
-// A second message touching the same parent this round stays queued for
-// the next drain (the staged-path discipline shared with stageAccept).
+// stageXVote processes one participant vote on the coordinator: the
+// ledger write (with the decision, once the last vote lands) and notice
+// consumption join the round's grouped Multi; fan-outs — the decision,
+// or an abort to a latecomer prepared after an abort decision — run
+// post-flush. A second message touching the same parent this round
+// stays queued for the next drain (the discipline shared with
+// stageAccept).
 func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) error {
 	if r.staged[msg.TxnPath] {
 		if itemPath == "" {
@@ -911,11 +851,7 @@ func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) e
 	rec, stat, err := c.loadTxn(msg.TxnPath)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
-			if itemPath == "" {
-				return nil
-			}
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage(c.noticeRemoveOps(itemPath), nil, nil)
 			return nil
 		}
 		return err
@@ -932,8 +868,7 @@ func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) e
 			return nil
 		}
 		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)},
-			func() { c.xPostVote(rec, eff) },
-			func() error { return c.inputQ.Remove(itemPath) })
+			func() { c.xPostVote(rec, eff) }, nil)
 		return nil
 	}
 	if eff.decided {
@@ -950,7 +885,7 @@ func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) e
 		append(c.noticeRemoveOps(itemPath),
 			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version)),
 		func() { c.xPostVote(rec, eff) },
-		func() error { return c.xVote(msg, itemPath) },
+		nil,
 	)
 	return nil
 }
@@ -959,8 +894,8 @@ func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) e
 // prepared child into the round that is about to write the parent's
 // durable decision (stageXVote's decided branch). Delivery is
 // Via="inline": if the shared Multi fails, the child stage only unwinds
-// its in-memory transition — the vote stage's own fallback (xVote →
-// xPostVote → eager fan-out) redelivers the decision once it IS durable.
+// its in-memory transition — the round's re-run applies the vote again
+// and delivers the decision once it IS durable.
 func (c *Controller) stageXDecideLocal(r *round, rec *txn.Txn) error {
 	if !c.xFastPath() {
 		return nil
@@ -1012,37 +947,9 @@ func (c *Controller) xApplyChildDone(rec *txn.Txn, msg proto.InputMsg) (changed,
 	return changed, finalized, nil
 }
 
-// xChildDone records a child's terminal outcome on the coordinator
-// directly (stageXChildDone's per-item fallback and the unstaged path).
-func (c *Controller) xChildDone(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.noticeRemove(itemPath)
-		}
-		return err
-	}
-	changed, finalized, err := c.xApplyChildDone(rec, msg)
-	if err != nil {
-		return err
-	}
-	if !changed {
-		return c.noticeRemove(itemPath)
-	}
-	ops := append(c.noticeRemoveOps(itemPath),
-		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version))
-	if err := c.cli.Multi(ops...); err != nil {
-		return err
-	}
-	if finalized {
-		c.xCountParent(rec)
-	}
-	return nil
-}
-
-// stageXChildDone is the batched child-done path: ledger write (and,
-// when it completes the set, the parent's terminal transition) inside
-// the round's grouped Multi.
+// stageXChildDone records a child's terminal outcome on the coordinator:
+// the ledger write (and, when it completes the set, the parent's
+// terminal transition) rides the round's grouped Multi.
 func (c *Controller) stageXChildDone(r *round, msg proto.InputMsg, itemPath string) error {
 	if r.staged[msg.TxnPath] {
 		if itemPath == "" {
@@ -1053,11 +960,7 @@ func (c *Controller) stageXChildDone(r *round, msg proto.InputMsg, itemPath stri
 	rec, stat, err := c.loadTxn(msg.TxnPath)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
-			if itemPath == "" {
-				return nil
-			}
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage(c.noticeRemoveOps(itemPath), nil, nil)
 			return nil
 		}
 		return err
@@ -1067,11 +970,7 @@ func (c *Controller) stageXChildDone(r *round, msg proto.InputMsg, itemPath stri
 		return err
 	}
 	if !changed {
-		if itemPath == "" {
-			return nil
-		}
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage(c.noticeRemoveOps(itemPath), nil, nil)
 		return nil
 	}
 	r.staged[msg.TxnPath] = true
@@ -1083,7 +982,7 @@ func (c *Controller) stageXChildDone(r *round, msg proto.InputMsg, itemPath stri
 		append(c.noticeRemoveOps(itemPath),
 			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version)),
 		after,
-		func() error { return c.xChildDone(msg, itemPath) },
+		nil,
 	)
 	return nil
 }
@@ -1281,15 +1180,17 @@ type stagedVote struct {
 }
 
 // xStageLocalVotes folds the yes-vote of every coordinator-local
-// prepared child in the admission batch into the batch's own Multi:
-// the parent-ledger vote write commits atomically with the child's
-// durable prepare, so the local vote costs no separate store commit
-// and no extra leader round. Returns the applied votes keyed by child
-// ID (the caller tracks those children directly and skips the message
-// vote, then runs each vote's post-flush effects). On a failed flush
-// the mutated parent copies are simply discarded — the per-item replay
-// path re-reads the records and votes by message as before.
-func (c *Controller) xStageLocalVotes(pending []*txn.Txn, ops *[]store.Op) map[string]*stagedVote {
+// prepared child in the admission batch into the round's Multi: the
+// parent-ledger vote write commits atomically with the child's durable
+// prepare, so the local vote costs no separate store commit and no
+// extra leader round. A parent whose record already has a write staged
+// this round is skipped; its child votes by message. Returns the
+// applied votes keyed by child ID (the caller tracks those children
+// directly and skips the message vote, then runs each vote's post-flush
+// effects). On a failed flush the mutated parent copies are simply
+// discarded — the children are unwound and vote again when the re-run
+// admits them.
+func (c *Controller) xStageLocalVotes(r *round, pending []*txn.Txn) map[string]*stagedVote {
 	if !c.xFastPath() {
 		return nil
 	}
@@ -1308,9 +1209,12 @@ func (c *Controller) xStageLocalVotes(pending []*txn.Txn, ops *[]store.Op) map[s
 			continue
 		}
 		parentPath := proto.TxnsPath + "/" + parentLocal
+		if r.staged[parentPath] {
+			continue // vote by message instead
+		}
 		rec, stat, err := c.loadTxn(parentPath)
 		if err != nil {
-			continue // vote by message instead
+			continue
 		}
 		msg := proto.InputMsg{
 			Kind:       proto.KindXVote,
@@ -1324,7 +1228,8 @@ func (c *Controller) xStageLocalVotes(pending []*txn.Txn, ops *[]store.Op) map[s
 			continue
 		}
 		if eff.changed {
-			*ops = append(*ops, store.SetOp(parentPath, rec.Encode(), stat.Version))
+			r.staged[parentPath] = true
+			r.ops = append(r.ops, store.SetOp(parentPath, rec.Encode(), stat.Version))
 		}
 		if votes == nil {
 			votes = make(map[string]*stagedVote)
@@ -1398,61 +1303,14 @@ func (c *Controller) stageXChildDoneLocal(r *round, t *txn.Txn) bool {
 	return true
 }
 
-// xDecide applies a coordinator decision to a prepared child: commit
-// promotes it to started and enqueues it to phyQ atomically with
-// consuming the notice (the only path by which a cross-shard child
-// enters phyQ, so physical execution stays exactly-once); abort rolls
-// its simulation back and releases its locks.
-func (c *Controller) xDecide(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.noticeRemove(itemPath)
-		}
-		return err
-	}
-	if rec.State != txn.StatePrepared {
-		// Late or duplicate delivery: the child already moved on.
-		return c.noticeRemove(itemPath)
-	}
-	t, ok := c.prepared[rec.ID]
-	if !ok {
-		// Prepared on disk but untracked in memory can only mean a bug in
-		// recovery; refusing to act blind keeps the store consistent.
-		c.cfg.Logf("controller %s: decide for untracked prepared child %s", c.cfg.Name, rec.ID)
-		return c.noticeRemove(itemPath)
-	}
-	if msg.Via != "" {
-		// The decision skipped the decide-notice round trip: it rode the
-		// coordinator's own event round ("local") or the vote-ack watch on
-		// the parent record ("ack").
-		c.met.xPiggy.Inc()
-		t.DecisionVia = msg.Via
-	}
-	switch msg.Decision {
-	case txn.DecisionCommit:
-		return c.xPromotePrepared(t, stat.Version, c.noticeRemoveOps(itemPath)...)
-	case txn.DecisionAbort:
-		errStr, code := msg.Error, msg.Code
-		if errStr == "" {
-			errStr = "cross-shard transaction aborted"
-		}
-		if code == "" {
-			code = string(trerr.XShardPrepareFailed)
-		}
-		return c.xAbortPrepared(t, errStr, code, c.noticeRemoveOps(itemPath)...)
-	default:
-		c.cfg.Logf("controller %s: decide for %s with decision %q", c.cfg.Name, rec.ID, msg.Decision)
-		return c.noticeRemove(itemPath)
-	}
-}
-
-// stageXDecide is the batched form of xDecide for locally-delivered
-// (piggybacked) decisions: the prepared child's promotion — the
-// started-state write and phyQ enqueue — or its abort rides the round's
-// grouped Multi, so decisions for many transactions share one store
-// commit instead of paying one each. A failed flush unwinds the
-// in-memory transition and replays through the direct path.
+// stageXDecide applies a coordinator decision to a prepared child: the
+// commit promotion — the started-state write and phyQ enqueue, the only
+// path by which a cross-shard child enters phyQ, so physical execution
+// stays exactly-once — or the abort rides the round's grouped Multi
+// with consuming the notice, so decisions for many transactions share
+// one store commit instead of paying one each. An abort's logical
+// rollback and lock release follow the flush. A failed flush unwinds
+// the in-memory transition.
 func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string) error {
 	if r.staged[msg.TxnPath] {
 		if itemPath == "" {
@@ -1463,11 +1321,7 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 	rec, stat, err := c.loadTxn(msg.TxnPath)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
-			if itemPath == "" {
-				return nil
-			}
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-				func() error { return c.inputQ.Remove(itemPath) })
+			r.stage(c.noticeRemoveOps(itemPath), nil, nil)
 			return nil
 		}
 		return err
@@ -1475,19 +1329,22 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 	t, tracked := c.prepared[rec.ID]
 	if rec.State != txn.StatePrepared || !tracked ||
 		(msg.Decision != txn.DecisionCommit && msg.Decision != txn.DecisionAbort) {
-		// Late, duplicate, malformed, or untracked: consume without acting
-		// (the direct path's logging cases).
-		if rec.State == txn.StatePrepared && !tracked {
+		// Late, duplicate, malformed, or untracked: consume without acting.
+		// Prepared on disk but untracked in memory can only mean a bug in
+		// recovery; refusing to act blind keeps the store consistent.
+		switch {
+		case rec.State == txn.StatePrepared && !tracked:
 			c.cfg.Logf("controller %s: decide for untracked prepared child %s", c.cfg.Name, rec.ID)
+		case rec.State == txn.StatePrepared:
+			c.cfg.Logf("controller %s: decide for %s with decision %q", c.cfg.Name, rec.ID, msg.Decision)
 		}
-		if itemPath == "" {
-			return nil
-		}
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil,
-			func() error { return c.inputQ.Remove(itemPath) })
+		r.stage(c.noticeRemoveOps(itemPath), nil, nil)
 		return nil
 	}
 	if msg.Via != "" {
+		// The decision skipped the decide-notice round trip: it rode the
+		// coordinator's own event round ("local", "inline") or the
+		// vote-ack watch on the parent record ("ack").
 		c.met.xPiggy.Inc()
 		t.DecisionVia = msg.Via
 	}
@@ -1505,17 +1362,11 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 				delete(c.prepared, t.ID)
 				c.inFlight[t.ID] = t
 			},
-			func() error {
+			func() {
 				if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateStarted {
 					t.History = t.History[:n-1]
 				}
 				t.State = txn.StatePrepared
-				if msg.Via == "inline" {
-					// The decision write shared this round and may not be
-					// durable: the vote stage's own fallback redelivers.
-					return nil
-				}
-				return c.xDecide(msg, itemPath)
 			},
 		)
 		return nil
@@ -1546,35 +1397,29 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 			c.resched = true
 			c.xSendChildDone(t)
 		},
-		func() error {
+		func() {
 			if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateAborted {
 				t.History = t.History[:n-1]
 			}
 			t.State = txn.StatePrepared
 			t.Error, t.Code = "", ""
-			if msg.Via == "inline" {
-				return nil // vote-stage fallback redelivers (see commit branch)
-			}
-			return c.xDecide(msg, itemPath)
 		},
 	)
 	return nil
 }
 
-// xPromotePrepared moves a prepared child into physical execution:
-// started-state write and phyQ enqueue in one Multi (plus any extra
-// ops, e.g. the decide-notice removal). On failure the transition is
-// unwound in memory and the caller retries.
-func (c *Controller) xPromotePrepared(t *txn.Txn, version int32, extra ...store.Op) error {
+// xPromotePrepared moves a recovered prepared child into physical
+// execution: started-state write and phyQ enqueue in one Multi. On
+// failure the transition is unwound in memory.
+func (c *Controller) xPromotePrepared(t *txn.Txn) error {
 	if err := t.Transition(txn.StateStarted); err != nil {
 		return err
 	}
 	txnPath := c.txnPath(t.ID)
-	ops := append(extra,
-		store.SetOp(txnPath, t.Encode(), version),
+	if err := c.cli.Multi(
+		store.SetOp(txnPath, t.Encode(), -1),
 		c.phyQ.PutOp(proto.PhyMsg{TxnPath: txnPath}.Encode()),
-	)
-	if err := c.cli.Multi(ops...); err != nil {
+	); err != nil {
 		if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateStarted {
 			t.History = t.History[:n-1]
 		}
@@ -1586,17 +1431,16 @@ func (c *Controller) xPromotePrepared(t *txn.Txn, version int32, extra ...store.
 	return nil
 }
 
-// xAbortPrepared aborts a prepared child: the terminal state is
-// persisted first (with any extra ops), and only then are the logical
-// rollback and lock release applied — the same persist-before-rollback
-// discipline as cleanup. The coordinator is notified afterwards.
-func (c *Controller) xAbortPrepared(t *txn.Txn, errStr, code string, extra ...store.Op) error {
+// xAbortPrepared aborts a recovered prepared child: the terminal state
+// is persisted first, and only then are the logical rollback and lock
+// release applied — the same persist-before-rollback discipline as
+// cleanup. The coordinator is notified afterwards.
+func (c *Controller) xAbortPrepared(t *txn.Txn, errStr, code string) error {
 	t.Error, t.Code = errStr, code
 	if err := t.Transition(txn.StateAborted); err != nil {
 		return err
 	}
-	ops := append(extra, store.SetOp(c.txnPath(t.ID), t.Encode(), -1))
-	if err := c.cli.Multi(ops...); err != nil {
+	if err := c.cli.Set(c.txnPath(t.ID), t.Encode(), -1); err != nil {
 		if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateAborted {
 			t.History = t.History[:n-1]
 		}
@@ -1664,7 +1508,7 @@ func (c *Controller) xResolveInDoubt(t *txn.Txn) {
 	}
 	switch parent.Decision {
 	case txn.DecisionCommit:
-		if err := c.xPromotePrepared(t, -1); err != nil {
+		if err := c.xPromotePrepared(t); err != nil {
 			c.cfg.Logf("controller %s: promote in-doubt %s: %v", c.cfg.Name, t.ID, err)
 		}
 	case txn.DecisionAbort:

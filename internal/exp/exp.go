@@ -47,9 +47,10 @@ type PlatformParams struct {
 	// CheckpointEvery enables snapshot compaction.
 	CheckpointEvery int
 	// BatchMaxOps sizes the pipeline's group commits (tropic.Config
-	// semantics). The experiment default is 1 — UNBATCHED — because the
-	// paper's figures measure the per-item pipeline; the pipeline
-	// experiments opt in explicitly to measure the batching win.
+	// semantics). The experiment default is 1 — one item per controller
+	// round, no submit or report coalescing — because the paper's
+	// figures measure an unbatched pipeline; the pipeline experiments
+	// opt in explicitly to measure the batching win.
 	BatchMaxOps int
 	// BatchMaxDelay bounds asynchronous batch flushes.
 	BatchMaxDelay time.Duration

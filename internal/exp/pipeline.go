@@ -26,8 +26,8 @@ type PipelineParams struct {
 	// CommitLatency simulates one store quorum round (default 200µs),
 	// reproducing the store-I/O-bound regime of the paper's §6.1.
 	CommitLatency time.Duration
-	// BatchMaxOps is the pipeline batch size under test: 1 is the
-	// unbatched per-item pipeline, >1 enables group commit.
+	// BatchMaxOps is the pipeline batch size under test: 1 drains one
+	// item per controller round, >1 groups many into one commit.
 	BatchMaxOps int
 	// BatchMaxDelay bounds asynchronous flush latency (default 2ms).
 	BatchMaxDelay time.Duration

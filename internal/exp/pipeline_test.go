@@ -26,8 +26,8 @@ func TestPipelineSmoke(t *testing.T) {
 		if res.PerSecond <= 0 || res.StoreCommits <= 0 {
 			t.Fatalf("batch=%d: degenerate result %+v", batch, res)
 		}
-		if batch == 1 && res.InBatches != 0 {
-			t.Fatalf("unbatched run recorded %d drain batches", res.InBatches)
+		if batch == 1 && res.MaxInBatch != 1 {
+			t.Fatalf("unbatched run drained up to %d items per round, want 1", res.MaxInBatch)
 		}
 		if batch > 1 {
 			if res.Flushes == 0 || res.InBatches == 0 {

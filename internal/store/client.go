@@ -494,7 +494,7 @@ func (c *Client) ChildrenAt(path string, minZxid int64) (names []string, zxid in
 // WatchNode registers a one-shot watch for create/delete/set on path.
 // The returned channel delivers exactly one event and is then closed.
 func (c *Client) WatchNode(path string) (<-chan Event, error) {
-	if _, err := splitPath(path); err != nil {
+	if err := validPath(path); err != nil {
 		return nil, err
 	}
 	w := &watcher{ch: make(chan Event, 1), session: c.sessionID}
@@ -514,7 +514,7 @@ func (c *Client) Unwatch(path string, ch <-chan Event) {
 // WatchChildren registers a one-shot watch for membership changes of
 // path's children.
 func (c *Client) WatchChildren(path string) (<-chan Event, error) {
-	if _, err := splitPath(path); err != nil {
+	if err := validPath(path); err != nil {
 		return nil, err
 	}
 	w := &watcher{ch: make(chan Event, 1), session: c.sessionID}
@@ -528,7 +528,7 @@ func (c *Client) WatchChildren(path string) (<-chan Event, error) {
 // path multiplexes SSE subscribers onto — one NodeWatch per watched
 // record regardless of how many sessions stream it.
 func (c *Client) NodeWatch(path string) (*NodeWatch, error) {
-	if _, err := splitPath(path); err != nil {
+	if err := validPath(path); err != nil {
 		return nil, err
 	}
 	w := &watcher{ch: make(chan Event, 1), session: c.sessionID, persistent: true}
@@ -542,7 +542,7 @@ func (c *Client) NodeWatch(path string) (*NodeWatch, error) {
 // primitive — a blocking take arms one ChildWatch for its whole wait
 // instead of burning a fresh one-shot watch per poll round.
 func (c *Client) ChildWatch(path string) (*ChildWatch, error) {
-	if _, err := splitPath(path); err != nil {
+	if err := validPath(path); err != nil {
 		return nil, err
 	}
 	w := &watcher{ch: make(chan Event, 1), session: c.sessionID, persistent: true}
@@ -595,14 +595,14 @@ func (c *Client) ExistsW(path string) (bool, <-chan Event, error) {
 // EnsurePath creates path and any missing ancestors as persistent nodes.
 // It is idempotent.
 func (c *Client) EnsurePath(path string) error {
-	parts, err := splitPath(path)
-	if err != nil {
+	if err := validPath(path); err != nil {
 		return err
 	}
-	cur := ""
-	for _, p := range parts {
-		cur += "/" + p
-		if _, err := c.Create(cur, nil, 0); err != nil && !isNodeExists(err) {
+	for i := 2; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
+		if _, err := c.Create(path[:i], nil, 0); err != nil && !isNodeExists(err) {
 			return err
 		}
 	}

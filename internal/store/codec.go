@@ -208,15 +208,14 @@ func readNodeInto(t *tree, b []byte) ([]byte, error) {
 	if path == "/" {
 		n = t.root
 	} else {
+		if err := validPath(path); err != nil {
+			return nil, err
+		}
 		parent, err := t.lookup(parentPath(path))
 		if err != nil {
 			return nil, fmt.Errorf("entry %s before its parent: %w", path, err)
 		}
-		parts, err := splitPath(path)
-		if err != nil {
-			return nil, err
-		}
-		n = newZnode(parts[len(parts)-1])
+		n = newZnode(baseName(path))
 		parent.children[n.name] = n
 	}
 	if len(data) > 0 {

@@ -580,11 +580,10 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []GroupResult {
 func validateOp(t *tree, op Op) (Op, error) {
 	switch op.kind {
 	case opCreate:
-		parts, err := splitPath(op.Path)
-		if err != nil {
+		if err := validPath(op.Path); err != nil {
 			return op, err
 		}
-		if len(parts) == 0 {
+		if op.Path == "/" {
 			return op, fmt.Errorf("%w: cannot create root", ErrBadPath)
 		}
 		parent, err := t.lookup(parentPath(op.Path))
@@ -594,7 +593,7 @@ func validateOp(t *tree, op Op) (Op, error) {
 		if parent.ephemeralOwner != 0 {
 			return op, fmt.Errorf("%w: parent of %s", ErrEphemeralChildren, op.Path)
 		}
-		name := parts[len(parts)-1]
+		name := baseName(op.Path)
 		if op.Flags&FlagSequence != 0 {
 			name = fmt.Sprintf("%s%010d", name, parent.seqCounter)
 		}
@@ -686,9 +685,7 @@ func applyOp(t *tree, op Op, zxid int64, fired *firedWatches) {
 		if err != nil {
 			return
 		}
-		parts, _ := splitPath(op.Path)
-		name := parts[len(parts)-1]
-		delete(parent.children, name)
+		delete(parent.children, baseName(op.Path))
 		if fired != nil {
 			fired.add(op.Path, EventDeleted)
 			fired.addChild(parentPath(op.Path))

@@ -83,11 +83,10 @@ func (mv *multiValidator) childCount(path string) int {
 func (mv *multiValidator) validate(op Op) (Op, error) {
 	switch op.kind {
 	case opCreate:
-		parts, err := splitPath(op.Path)
-		if err != nil {
+		if err := validPath(op.Path); err != nil {
 			return op, err
 		}
-		if len(parts) == 0 {
+		if op.Path == "/" {
 			return op, fmt.Errorf("%w: cannot create root", ErrBadPath)
 		}
 		parent := parentPath(op.Path)
@@ -100,7 +99,7 @@ func (mv *multiValidator) validate(op Op) (Op, error) {
 				return op, fmt.Errorf("%w: parent of %s", ErrEphemeralChildren, op.Path)
 			}
 		}
-		name := parts[len(parts)-1]
+		name := baseName(op.Path)
 		if op.Flags&FlagSequence != 0 {
 			base := uint64(0)
 			if pn, err := mv.t.lookup(parent); err == nil {

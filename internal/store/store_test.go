@@ -67,9 +67,41 @@ func TestBadPaths(t *testing.T) {
 	c := e.Connect()
 	defer c.Close()
 
-	for _, p := range []string{"", "a", "/a/", "//", "/a//b", "/a/./b", "/a/../b"} {
+	for _, p := range []string{"", "a", "a/b", "/a/", "//", "/a//b", "/a/./b", "/a/../b",
+		"/.", "/..", "/a/.", "/a/..", "/./a"} {
 		if _, err := c.Create(p, nil, 0); !errors.Is(err, ErrBadPath) {
 			t.Errorf("create(%q) err = %v, want ErrBadPath", p, err)
+		}
+		if _, _, err := c.Get(p); !errors.Is(err, ErrBadPath) {
+			t.Errorf("get(%q) err = %v, want ErrBadPath", p, err)
+		}
+		if _, err := c.WatchNode(p); !errors.Is(err, ErrBadPath) {
+			t.Errorf("watch(%q) err = %v, want ErrBadPath", p, err)
+		}
+	}
+	if _, err := c.Create("/", nil, 0); !errors.Is(err, ErrBadPath) {
+		t.Errorf("create(/) err = %v, want ErrBadPath", err)
+	}
+	// Names that merely contain dots are ordinary components.
+	for _, p := range []string{"/.a", "/..b", "/a.", "/.a/b..c"} {
+		if err := c.EnsurePath(p); err != nil {
+			t.Errorf("ensure(%q): %v", p, err)
+		}
+	}
+}
+
+// TestLookupAllocatesNothing: a hit walks the path in place.
+func TestLookupAllocatesNothing(t *testing.T) {
+	tr := newTree()
+	a := newZnode("a")
+	tr.root.children["a"] = a
+	a.children["bb"] = newZnode("bb")
+	for _, p := range []string{"/", "/a", "/a/bb"} {
+		if _, err := tr.lookup(p); err != nil {
+			t.Fatalf("lookup(%q): %v", p, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = tr.lookup(p) }); n != 0 {
+			t.Errorf("lookup(%q) allocates %.0f times", p, n)
 		}
 	}
 }

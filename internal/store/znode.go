@@ -79,25 +79,36 @@ func (z *znode) deepCopy() *znode {
 	return c
 }
 
-// splitPath validates a znode path and returns its components. The root
-// path "/" yields an empty slice.
-func splitPath(path string) ([]string, error) {
+// validPath checks that path is a well-formed znode path: it starts
+// with '/' and, unless it is the root "/", has no trailing '/' and no
+// empty, "." or ".." component. It walks the path in place, so the
+// lookups on every store read allocate nothing.
+func validPath(path string) error {
 	if path == "" || path[0] != '/' {
-		return nil, fmt.Errorf("%w: %q must start with '/'", ErrBadPath, path)
+		return fmt.Errorf("%w: %q must start with '/'", ErrBadPath, path)
 	}
 	if path == "/" {
-		return nil, nil
+		return nil
 	}
-	if strings.HasSuffix(path, "/") {
-		return nil, fmt.Errorf("%w: %q must not end with '/'", ErrBadPath, path)
+	if path[len(path)-1] == '/' {
+		return fmt.Errorf("%w: %q must not end with '/'", ErrBadPath, path)
 	}
-	parts := strings.Split(path[1:], "/")
-	for _, p := range parts {
-		if p == "" || p == "." || p == ".." {
-			return nil, fmt.Errorf("%w: %q contains empty or relative component", ErrBadPath, path)
+	for rest := path[1:]; ; {
+		name, next, more := strings.Cut(rest, "/")
+		if name == "" || name == "." || name == ".." {
+			return fmt.Errorf("%w: %q contains empty or relative component", ErrBadPath, path)
 		}
+		if !more {
+			return nil
+		}
+		rest = next
 	}
-	return parts, nil
+}
+
+// baseName returns the last component of a validated path other than
+// the root.
+func baseName(path string) string {
+	return path[strings.LastIndexByte(path, '/')+1:]
 }
 
 // parentPath returns the path of the parent of a validated path.
@@ -121,13 +132,14 @@ func newTree() *tree {
 
 // lookup walks to the znode at path, or returns ErrNoNode.
 func (t *tree) lookup(path string) (*znode, error) {
-	parts, err := splitPath(path)
-	if err != nil {
+	if err := validPath(path); err != nil {
 		return nil, err
 	}
 	n := t.root
-	for _, p := range parts {
-		child, ok := n.children[p]
+	for rest := path[1:]; rest != ""; {
+		var name string
+		name, rest, _ = strings.Cut(rest, "/")
+		child, ok := n.children[name]
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNoNode, path)
 		}

@@ -112,8 +112,8 @@ func TestBatchedSubmitLifecycle(t *testing.T) {
 	}
 }
 
-// TestUnbatchedSubmitStillWorks pins the legacy per-item path that the
-// ablation benchmarks depend on.
+// TestUnbatchedSubmitStillWorks pins the unbatched arm the ablation
+// benchmarks depend on: BatchMaxOps=1 drains one item per event round.
 func TestUnbatchedSubmitStillWorks(t *testing.T) {
 	p := minimalPlatform(t, 1)
 	cli := p.Client()
@@ -128,7 +128,7 @@ func TestUnbatchedSubmitStillWorks(t *testing.T) {
 	if rec.State != tropic.StateCommitted {
 		t.Fatalf("state = %s (%s)", rec.State, rec.Error)
 	}
-	if st := p.ControllerStats(); st.InBatches != 0 {
-		t.Fatalf("unbatched platform recorded %d drain batches", st.InBatches)
+	if st := p.ControllerStats(); st.MaxInBatch != 1 {
+		t.Fatalf("unbatched platform drained up to %d items per round, want 1", st.MaxInBatch)
 	}
 }

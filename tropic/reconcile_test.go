@@ -299,7 +299,7 @@ func TestTermSignalStartedTransaction(t *testing.T) {
 	if len(cloud.StorageHost(tcloud.StorageHostName(0)).Images) != 1 {
 		t.Fatal("storage leftovers after TERM")
 	}
-	if p.Leader().LogicalTree().Exists(tcloud.ComputeHostPath(0) + "/vm1") {
+	if settledTree(t, p).Exists(tcloud.ComputeHostPath(0) + "/vm1") {
 		t.Fatal("logical leftovers after TERM")
 	}
 }

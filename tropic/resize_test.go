@@ -101,7 +101,7 @@ func TestResizeVMPhysicalFailureRestoresOriginal(t *testing.T) {
 		t.Fatalf("state = %s after rollback, want running (undo of stopVM)", vm.State)
 	}
 	// Logical layer agrees.
-	lvm, _ := p.Leader().LogicalTree().Get(hp + "/vm1")
+	lvm, _ := settledTree(t, p).Get(hp + "/vm1")
 	if lvm.GetInt("memMB") != 1024 || lvm.GetString("state") != "running" {
 		t.Fatalf("logical vm = %+v", lvm.Attrs)
 	}

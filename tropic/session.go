@@ -122,7 +122,7 @@ func (c *Client) ListAt(opts ListOptions, minZxid int64) (*TxnPage, int64, error
 	if limit > listMaxLimit {
 		limit = listMaxLimit
 	}
-	ids, maxZ, err := c.listChildren(proto.TxnsPath, minZxid)
+	ids, maxZ, _, err := c.rp.Children(proto.TxnsPath, minZxid)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
 			return &TxnPage{}, maxZ, nil // platform not bootstrapped yet: nothing to list
@@ -167,17 +167,6 @@ func (c *Client) ListAt(opts ListOptions, minZxid int64) (*TxnPage, int64, error
 		page.Txns = append(page.Txns, rec)
 	}
 	return page, maxZ, nil
-}
-
-// listChildren lists a node's children through the shard's read path
-// when the platform has one, falling back to a plain leader read.
-func (c *Client) listChildren(path string, minZxid int64) ([]string, int64, error) {
-	if c.rp != nil {
-		names, z, _, err := c.rp.Children(path, minZxid)
-		return names, z, err
-	}
-	names, err := c.cli.Children(path)
-	return names, 0, err
 }
 
 // listSharded merges cursor pagination across shards: it serves each
@@ -254,11 +243,11 @@ func (c *Client) WatchTxn(ctx context.Context, id string) (<-chan *Txn, error) {
 
 // WatchTxnAt is WatchTxn with an explicit zxid watermark for the
 // initial read (see GetAt; minZxid < 0 substitutes the serving shard's
-// own client watermark). On a platform with a read path the stream
-// rides the shard's fan-out multiplexer: all concurrent watchers of a
-// record share ONE store watch, and the subscription is released the
-// moment the stream ends — terminal record, context cancellation (an
-// SSE client disconnecting), or session expiry.
+// own client watermark). The stream rides the shard's fan-out
+// multiplexer: all concurrent watchers of a record share ONE store
+// watch, and the subscription is released the moment the stream ends —
+// terminal record, context cancellation (an SSE client disconnecting),
+// or session expiry.
 func (c *Client) WatchTxnAt(ctx context.Context, id string, minZxid int64) (<-chan *Txn, error) {
 	if c.sharded() {
 		sub, local, qualify, err := c.locate(id)
@@ -282,9 +271,6 @@ func (c *Client) WatchTxnAt(ctx context.Context, id string, minZxid int64) (<-ch
 			}
 		}()
 		return out, nil
-	}
-	if c.rp == nil {
-		return c.watchTxnLegacy(ctx, id)
 	}
 	path := proto.TxnsPath + "/" + id
 	mux, err := c.rp.Subscribe(path)
@@ -325,58 +311,6 @@ func (c *Client) WatchTxnAt(ctx context.Context, id string, minZxid int64) (<-ch
 			// cached entry at exactly z would satisfy the watermark and
 			// stall the stream on the state the wakeup superseded.
 			if rec, z, err = c.GetAt(id, z+1); err != nil {
-				return
-			}
-		}
-	}()
-	return ch, nil
-}
-
-// watchTxnLegacy is the read-path-less stream: one armed store watch
-// per observed transition on this client's own session.
-func (c *Client) watchTxnLegacy(ctx context.Context, id string) (<-chan *Txn, error) {
-	path := proto.TxnsPath + "/" + id
-	watch, err := c.cli.WatchNode(path)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := c.Get(id)
-	if err != nil {
-		c.cli.Unwatch(path, watch)
-		return nil, err
-	}
-	ch := make(chan *Txn, 8)
-	go func() {
-		defer close(ch)
-		var last State
-		for {
-			if rec.State != last {
-				last = rec.State
-				select {
-				case ch <- rec:
-				case <-ctx.Done():
-					c.cli.Unwatch(path, watch)
-					return
-				}
-			}
-			if rec.State.Terminal() {
-				c.cli.Unwatch(path, watch)
-				return
-			}
-			select {
-			case <-ctx.Done():
-				c.cli.Unwatch(path, watch)
-				return
-			case ev := <-watch:
-				if ev.Type == store.EventSessionExpired {
-					return
-				}
-			}
-			if watch, err = c.cli.WatchNode(path); err != nil {
-				return
-			}
-			if rec, err = c.Get(id); err != nil {
-				c.cli.Unwatch(path, watch)
 				return
 			}
 		}

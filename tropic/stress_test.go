@@ -60,13 +60,10 @@ func TestChaosWorkloadInvariants(t *testing.T) {
 	}
 
 	// Isolation bookkeeping: nothing holds locks once quiescent.
-	if n := p.Leader().LockManager().LockCount(); n != 0 {
-		t.Fatalf("%d locks leaked", n)
-	}
+	lt := settledTree(t, p)
 
 	// Consistency: the final logical state satisfies every constraint.
 	inj.Clear()
-	lt := p.Leader().LogicalTree()
 	schema := p.Leader().Schema()
 	err := lt.Walk(func(path string, n *tropic.Node) error {
 		return schema.CheckConstraints(lt, path)

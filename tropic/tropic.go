@@ -240,8 +240,9 @@ type Config struct {
 	// flushes their effects — and each scheduling round's admissions —
 	// in single grouped store commits, and workers coalesce up to this
 	// many report operations per commit. 0 selects the default (32);
-	// 1 disables batching entirely, restoring the per-item round-trip
-	// pipeline (kept runnable for the ablation benchmarks).
+	// 1 drains one item per controller round (through the same round
+	// code) and sends submissions and worker reports one commit each —
+	// the unbatched arm of the ablation benchmarks.
 	BatchMaxOps int
 	// BatchMaxDelay bounds how long an asynchronously batched store
 	// operation (worker outcome reports) waits for company before its
@@ -1065,13 +1066,13 @@ type Client struct {
 	planner    *shard.Planner
 	crossShard bool
 
-	// rp, when non-nil, is the shard's read path: Get/Wait/List and the
-	// watch surface serve through it (cache hit, follower replica, or
-	// leader fall-through) instead of issuing leader reads on cli, and
+	// rp is the shard's read path: Get/Wait/List and the watch surface
+	// serve through it (cache hit, follower replica, or leader
+	// fall-through) instead of issuing leader reads on cli, and
 	// WatchTxn/Wait subscribe to its fan-out multiplexer instead of
 	// arming per-call store watches. Owned by the platform's shard unit
-	// and shared by every client on the shard; nil on clients built
-	// outside Platform.Client.
+	// and shared by every client on the shard; nil on sharded clients,
+	// which delegate to their per-shard clients.
 	rp *readpath.Shard
 
 	// admit, when non-nil, is the platform's admission-control check for
@@ -1352,8 +1353,7 @@ func (c *Client) Get(id string) (*Txn, error) {
 // GetAt is Get with an explicit zxid watermark: the read is served from
 // any source (cache, follower replica, leader) whose state has applied
 // at least minZxid. It returns the zxid the read was actually served at
-// (0 when the shard has no read path), which callers chain into
-// follow-up reads for monotonicity. Passing minZxid < 0 substitutes the
+// which callers chain into follow-up reads for monotonicity. Passing minZxid < 0 substitutes the
 // serving shard's own client watermark.
 func (c *Client) GetAt(id string, minZxid int64) (*Txn, int64, error) {
 	if id == "" {
@@ -1377,7 +1377,7 @@ func (c *Client) GetAt(id string, minZxid int64) (*Txn, int64, error) {
 	if minZxid < 0 {
 		minZxid = c.cli.LastWriteZxid()
 	}
-	data, z, err := c.readRecord(proto.TxnsPath+"/"+id, minZxid)
+	data, _, z, _, err := c.rp.GetRecord(proto.TxnsPath+"/"+id, minZxid)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
 			return nil, z, trerr.Wrap(trerr.TxnNotFound, err,
@@ -1393,17 +1393,6 @@ func (c *Client) GetAt(id string, minZxid int64) (*Txn, int64, error) {
 	return rec, z, nil
 }
 
-// readRecord reads one record node through the shard's read path when
-// the platform has one, falling back to a plain leader read.
-func (c *Client) readRecord(path string, minZxid int64) ([]byte, int64, error) {
-	if c.rp != nil {
-		data, _, z, _, err := c.rp.GetRecord(path, minZxid)
-		return data, z, err
-	}
-	data, _, err := c.cli.Get(path)
-	return data, 0, err
-}
-
 // Wait blocks until the transaction reaches a terminal state and
 // returns its final record. An unknown id is reported as
 // trerr.TxnNotFound; an elapsed deadline as trerr.TxnWaitTimeout (with
@@ -1414,10 +1403,10 @@ func (c *Client) Wait(ctx context.Context, id string) (*Txn, error) {
 }
 
 // WaitAt is Wait with an explicit zxid watermark (see GetAt; minZxid <
-// 0 substitutes the serving shard's own client watermark). On a
-// platform with a read path the wait subscribes to the shard's fan-out
-// multiplexer — one shared store watch per record, however many
-// concurrent waiters — and each wakeup re-reads through the cache.
+// 0 substitutes the serving shard's own client watermark). The wait
+// subscribes to the shard's fan-out multiplexer — one shared store watch
+// per record, however many concurrent waiters — and each wakeup re-reads
+// through the cache.
 func (c *Client) WaitAt(ctx context.Context, id string, minZxid int64) (*Txn, int64, error) {
 	if c.sharded() {
 		sub, local, qualify, err := c.locate(id)
@@ -1433,10 +1422,6 @@ func (c *Client) WaitAt(ctx context.Context, id string, minZxid int64) (*Txn, in
 			c.refreshChildren(rec)
 		}
 		return rec, z, nil
-	}
-	if c.rp == nil {
-		rec, err := c.waitLegacy(ctx, id)
-		return rec, 0, err
 	}
 	path := proto.TxnsPath + "/" + id
 	sub, err := c.rp.Subscribe(path)
@@ -1472,45 +1457,6 @@ func (c *Client) WaitAt(ctx context.Context, id string, minZxid int64) (*Txn, in
 		// exactly z would otherwise satisfy the watermark and stall the
 		// loop on the state the event superseded.
 		rec, z, err = c.GetAt(id, z+1)
-	}
-}
-
-// waitLegacy is the read-path-less wait: one armed store watch per
-// check round against the leader tree.
-func (c *Client) waitLegacy(ctx context.Context, id string) (*Txn, error) {
-	path := proto.TxnsPath + "/" + id
-	for {
-		watch, err := c.cli.WatchNode(path)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := c.Get(id)
-		if err != nil {
-			c.cli.Unwatch(path, watch)
-			return nil, err
-		}
-		if rec.State.Terminal() {
-			// Terminal records never change again: release the armed
-			// watch instead of leaking it for the session's lifetime.
-			c.cli.Unwatch(path, watch)
-			if c.lat != nil {
-				c.lat.ObserveDuration(rec.Latency())
-			}
-			return rec, nil
-		}
-		select {
-		case <-ctx.Done():
-			c.cli.Unwatch(path, watch)
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return nil, trerr.Wrap(trerr.TxnWaitTimeout, ctx.Err(),
-					fmt.Sprintf("tropic: wait %s: deadline elapsed before a terminal state", id)).With("id", id)
-			}
-			return nil, ctx.Err()
-		case ev := <-watch:
-			if ev.Type == store.EventSessionExpired {
-				return nil, store.ErrSessionExpired
-			}
-		}
 	}
 }
 

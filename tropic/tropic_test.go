@@ -40,6 +40,27 @@ func newTCloud(t *testing.T, tp tcloud.Topology) (*tropic.Platform, *device.Clou
 	return p, cloud
 }
 
+// settledTree waits until shard 0's leader holds no locks and returns
+// its logical tree. An aborted or failed transaction is terminal in the
+// store before the leader rolls its logical effects back; the leader
+// releases the transaction's locks only after that rollback, under the
+// lock manager's mutex, so reading a zero lock count orders the
+// caller's tree reads after the rollback's writes.
+func settledTree(t *testing.T, p *tropic.Platform) *tropic.Tree {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		lead := p.Leader()
+		if lead != nil && lead.LockManager().LockCount() == 0 {
+			return lead.LogicalTree()
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("leader never released its locks")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSpawnVMCommits(t *testing.T) {
 	p, cloud := newTCloud(t, tcloud.Topology{ComputeHosts: 4})
 	c := p.Client()
@@ -221,13 +242,9 @@ func TestPhysicalFailureRollsBackAtomically(t *testing.T) {
 	if len(s.Images) != 1 {
 		t.Fatalf("orphan images: %v", s.Images)
 	}
-	// Logical layer rolled back too.
-	if p.Leader().LogicalTree().Exists(tcloud.ComputeHostPath(0) + "/vm1") {
+	// Logical layer rolled back too, and the locks released.
+	if settledTree(t, p).Exists(tcloud.ComputeHostPath(0) + "/vm1") {
 		t.Fatal("logical layer still has vm1")
-	}
-	// Locks released.
-	if n := p.Leader().LockManager().LockCount(); n != 0 {
-		t.Fatalf("%d locks leaked", n)
 	}
 	// The platform keeps working after the abort.
 	inj.Clear()
