@@ -392,6 +392,7 @@ func BenchmarkCrossShardThroughput(b *testing.B) {
 // BENCH_reads.json scale); the bench uses a reduced mix with a shorter
 // simulated quorum round so one iteration stays fast.
 func BenchmarkReadMix(b *testing.B) {
+	b.ReportAllocs()
 	ctx := context.Background()
 	var base, enabled, speedup float64
 	for i := 0; i < b.N; i++ {
@@ -427,6 +428,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 	for _, mode := range []string{"direct", "batched"} {
 		mode := mode
 		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
 			e, err := store.OpenEnsemble(store.Config{
 				DataDir:       b.TempDir(),
 				SyncPolicy:    store.SyncAlways,
@@ -489,6 +491,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 func BenchmarkWALAppend(b *testing.B) {
 	for _, policy := range []store.SyncPolicy{store.SyncNone, store.SyncAlways} {
 		b.Run("sync="+policy.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			e, err := store.OpenEnsemble(store.Config{
 				DataDir:       b.TempDir(),
 				SyncPolicy:    policy,
@@ -531,6 +534,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 		{"snapshot-every-1000", 1000},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var recovery time.Duration
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

@@ -249,9 +249,11 @@ type Controller struct {
 
 	// xtMu guards xTimes, the coordinator-side phase clock for parents
 	// in flight: when prepares fanned out and when the decision landed,
-	// so the prepare→decide→finalize phase durations can be exported.
-	xtMu   sync.Mutex
-	xTimes map[string]*xPhaseClock
+	// so the prepare→decide→finalize phase durations can be exported;
+	// and xDeadlines, each such parent's armed prepare-deadline timer.
+	xtMu       sync.Mutex
+	xTimes     map[string]*xPhaseClock
+	xDeadlines map[string]*time.Timer
 
 	// xmu guards the lazily-connected peer-shard sessions used by the
 	// cross-shard layer.
@@ -370,6 +372,8 @@ func (c *Controller) Run(ctx context.Context) error {
 		return err
 	}
 	c.cfg.Logf("controller %s: elected leader", c.cfg.Name)
+	// Prepare deadlines (recovery arms some) live only while leading.
+	defer c.xStopDeadlines()
 	if err := c.recover(); err != nil {
 		return fmt.Errorf("controller %s: recover: %w", c.cfg.Name, err)
 	}
@@ -404,6 +408,7 @@ func (c *Controller) Kill() {
 
 // Close releases the controller's session gracefully.
 func (c *Controller) Close() {
+	c.xStopDeadlines()
 	_ = c.cand.Resign()
 	c.xClosePeers()
 	c.cli.Close()

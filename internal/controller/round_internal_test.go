@@ -224,6 +224,47 @@ func TestFailedFlushReRunsRound(t *testing.T) {
 	}
 }
 
+// TestFailedDecideFlushCountsPiggybackOnce: a piggybacked commit
+// decision whose round fails to flush leaves the child prepared with its
+// previous DecisionVia and counts nothing; the re-run round counts the
+// decision once.
+func TestFailedDecideFlushCountsPiggybackOnce(t *testing.T) {
+	c := newRoundController(t)
+	child, path := prepareChild(t, c)
+	prepared := child.Encode()
+	if _, err := c.cli.Create(path, prepared, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := c.met.xPiggy.Load()
+	c.enqueueLocal(proto.InputMsg{Kind: proto.KindXDecide, TxnPath: path,
+		Decision: txn.DecisionCommit, Via: "local"})
+	r := newRound()
+	if err := c.handleLocal(r); err != nil {
+		t.Fatal(err)
+	}
+	// Move the record's version under the staged promotion.
+	if err := c.cli.Set(path, prepared, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.flushRound(r); !errors.Is(err, store.ErrBadVersion) {
+		t.Fatalf("flush err = %v, want ErrBadVersion", err)
+	}
+	if got := c.met.xPiggy.Load() - before; got != 0 {
+		t.Fatalf("failed flush counted %d piggybacked decisions", got)
+	}
+	if child.State != txn.StatePrepared || child.DecisionVia != "" {
+		t.Fatalf("unwound child: %s via %q, want prepared via \"\"", child.State, child.DecisionVia)
+	}
+
+	runRounds(t, c)
+	if got := c.met.xPiggy.Load() - before; got != 1 {
+		t.Fatalf("re-run decide counted %d piggybacked decisions, want 1", got)
+	}
+	if rec, _ := loadRecord(t, c, path); rec.State != txn.StateStarted || rec.DecisionVia != "local" {
+		t.Fatalf("stored child: %s via %q, want started via local", rec.State, rec.DecisionVia)
+	}
+}
+
 // TestFailedCleanupMarksCommitWithRecord: the inconsistency marks of a
 // failed transaction are created in the same commit as its failed
 // state, so no crash can leave one durable without the other; a path

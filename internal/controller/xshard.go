@@ -411,14 +411,27 @@ func (c *Controller) xSendPrepare(parent *txn.Txn, k int) {
 }
 
 // xArmTimeout schedules a deadline check for a parent into this shard's
-// own inputQ. The check is processed by whichever controller leads when
-// it fires (the enqueue is just a store write), so a deadline armed by
-// a leader that later crashed still protects the transaction.
+// own inputQ, replacing the parent's earlier deadline. The check is
+// processed by whichever controller leads when it fires (the enqueue is
+// just a store write). The timer lives only while this controller
+// leads: it is stopped when the parent finalizes and, with every other,
+// when the controller stops leading or exits, so it never pins a
+// stopped platform in memory or fires into a closed store. A parent
+// whose coordinator crashed is re-armed by the next leader's recovery.
 func (c *Controller) xArmTimeout(parentID string) {
 	path := c.txnPath(parentID)
-	time.AfterFunc(c.xTimeoutDur(), func() {
-		if c.killed.Load() {
-			return
+	c.xtMu.Lock()
+	defer c.xtMu.Unlock()
+	var tm *time.Timer
+	tm = time.AfterFunc(c.xTimeoutDur(), func() {
+		c.xtMu.Lock()
+		current := c.xDeadlines[parentID] == tm
+		if current {
+			delete(c.xDeadlines, parentID)
+		}
+		c.xtMu.Unlock()
+		if !current || c.killed.Load() {
+			return // replaced, stopped after it fired, or crashed
 		}
 		// Free local read before the store write: a parent that
 		// finalized long ago (the overwhelmingly common case) costs no
@@ -438,6 +451,32 @@ func (c *Controller) xArmTimeout(parentID string) {
 			c.cfg.Logf("controller %s: arm xshard timeout for %s: %v", c.cfg.Name, parentID, err)
 		}
 	})
+	if old := c.xDeadlines[parentID]; old != nil {
+		old.Stop()
+	}
+	if c.xDeadlines == nil {
+		c.xDeadlines = make(map[string]*time.Timer)
+	}
+	c.xDeadlines[parentID] = tm
+}
+
+// xStopDeadlines stops every armed deadline timer.
+func (c *Controller) xStopDeadlines() {
+	c.xtMu.Lock()
+	for id, tm := range c.xDeadlines {
+		tm.Stop()
+		delete(c.xDeadlines, id)
+	}
+	c.xtMu.Unlock()
+}
+
+// XDeadlinesArmed reports how many cross-shard prepare-deadline timers
+// this controller holds: one per parent it coordinates that has not
+// finalized, and none once it stops leading.
+func (c *Controller) XDeadlinesArmed() int {
+	c.xtMu.Lock()
+	defer c.xtMu.Unlock()
+	return len(c.xDeadlines)
 }
 
 // xPhaseClock is the coordinator's in-memory phase timer for one parent
@@ -489,11 +528,15 @@ func (c *Controller) xClockDecided(id string) {
 }
 
 // xClockFinalized closes the decide phase (decision to finalized
-// parent) and drops the clock entry.
+// parent), drops the clock entry and stops the parent's deadline timer.
 func (c *Controller) xClockFinalized(id string) {
 	c.xtMu.Lock()
 	clk := c.xTimes[id]
 	delete(c.xTimes, id)
+	if tm := c.xDeadlines[id]; tm != nil {
+		tm.Stop()
+		delete(c.xDeadlines, id)
+	}
 	c.xtMu.Unlock()
 	if clk != nil && !clk.decidedAt.IsZero() {
 		c.met.xPhase.With(c.met.shard, "decide").ObserveDuration(time.Since(clk.decidedAt))
@@ -1341,15 +1384,22 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 		r.stage(c.noticeRemoveOps(itemPath), nil, nil)
 		return nil
 	}
+	// A decision with Via set skipped the decide-notice round trip: it
+	// rode the coordinator's own event round ("local", "inline") or the
+	// vote-ack watch on the parent record ("ack"). It is counted once
+	// the round commits; a failed flush restores the previous Via.
+	prevVia := t.DecisionVia
 	if msg.Via != "" {
-		// The decision skipped the decide-notice round trip: it rode the
-		// coordinator's own event round ("local", "inline") or the
-		// vote-ack watch on the parent record ("ack").
-		c.met.xPiggy.Inc()
 		t.DecisionVia = msg.Via
+	}
+	countVia := func() {
+		if msg.Via != "" {
+			c.met.xPiggy.Inc()
+		}
 	}
 	if msg.Decision == txn.DecisionCommit {
 		if err := t.Transition(txn.StateStarted); err != nil {
+			t.DecisionVia = prevVia
 			return err
 		}
 		txnPath := c.txnPath(t.ID)
@@ -1359,6 +1409,7 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 				store.SetOp(txnPath, t.Encode(), stat.Version),
 				c.phyQ.PutOp(proto.PhyMsg{TxnPath: txnPath}.Encode())),
 			func() {
+				countVia()
 				delete(c.prepared, t.ID)
 				c.inFlight[t.ID] = t
 			},
@@ -1367,6 +1418,7 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 					t.History = t.History[:n-1]
 				}
 				t.State = txn.StatePrepared
+				t.DecisionVia = prevVia
 			},
 		)
 		return nil
@@ -1380,7 +1432,7 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 	}
 	t.Error, t.Code = errStr, code
 	if err := t.Transition(txn.StateAborted); err != nil {
-		t.Error, t.Code = "", ""
+		t.Error, t.Code, t.DecisionVia = "", "", prevVia
 		return err
 	}
 	r.staged[msg.TxnPath] = true
@@ -1388,6 +1440,7 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 		append(c.noticeRemoveOps(itemPath),
 			store.SetOp(c.txnPath(t.ID), t.Encode(), -1)),
 		func() {
+			countVia()
 			c.rollbackTimed(t.ID, t.Log)
 			c.locks.ReleaseAll(t.ID)
 			delete(c.prepared, t.ID)
@@ -1402,7 +1455,7 @@ func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string)
 				t.History = t.History[:n-1]
 			}
 			t.State = txn.StatePrepared
-			t.Error, t.Code = "", ""
+			t.Error, t.Code, t.DecisionVia = "", "", prevVia
 		},
 	)
 	return nil

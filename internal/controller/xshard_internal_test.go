@@ -152,6 +152,56 @@ func TestXWoundResendsLostRestart(t *testing.T) {
 	}
 }
 
+// TestXDeadlineTimerStops: a parent's prepare-deadline timer is stopped
+// when the parent finalizes and when the controller stops leading, so
+// neither fires; one left armed fires its deadline check into inputQ.
+func TestXDeadlineTimerStops(t *testing.T) {
+	c := newXController(t)
+	c.cfg.XShard.PrepareTimeout = 20 * time.Millisecond
+	parent := &txn.Txn{ID: "t-1", State: txn.StateAccepted}
+	if _, err := c.cli.Create(c.txnPath(parent.ID), parent.Encode(), 0); err != nil {
+		t.Fatal(err)
+	}
+	queued := func() int {
+		t.Helper()
+		n, err := c.inputQ.Len()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for name, stop := range map[string]func(){
+		"finalized":       func() { c.xClockFinalized(parent.ID) },
+		"stopped leading": c.xStopDeadlines,
+	} {
+		c.xArmTimeout(parent.ID)
+		c.xArmTimeout(parent.ID) // a re-arm replaces the deadline
+		if n := c.XDeadlinesArmed(); n != 1 {
+			t.Fatalf("%s: %d deadlines armed, want 1", name, n)
+		}
+		stop()
+		if n := c.XDeadlinesArmed(); n != 0 {
+			t.Fatalf("%s: %d deadlines still armed", name, n)
+		}
+		time.Sleep(5 * c.xTimeoutDur())
+		if n := queued(); n != 0 {
+			t.Fatalf("%s: a stopped deadline fired (%d inputQ items)", name, n)
+		}
+	}
+
+	c.xArmTimeout(parent.ID)
+	deadline := time.Now().Add(5 * time.Second)
+	for queued() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("an armed deadline never fired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := c.XDeadlinesArmed(); n != 0 {
+		t.Fatalf("%d deadlines armed after the last fired", n)
+	}
+}
+
 // prepareChild leaves child s0-t-1.c1 prepared in c's memory: its
 // simulation applied to /b1, its locks held, and tracked as prepared. It
 // returns the child and its record path; the record is not stored.

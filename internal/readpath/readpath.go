@@ -304,7 +304,9 @@ func (s *Shard) Close() {
 // read through (follower or leader per config), with the result stored
 // back unless a concurrent commit invalidated the generation it was
 // read under. The returned zxid is the position the data is current as
-// of — thread it into the next read for session consistency.
+// of — thread it into the next read for session consistency. The data
+// is shared with the cache and the store (store.Client.Get): the caller
+// must not modify it.
 func (s *Shard) GetRecord(path string, minZxid int64) ([]byte, store.Stat, int64, Source, error) {
 	var h *hub
 	var gen uint64
@@ -324,8 +326,7 @@ func (s *Shard) GetRecord(path string, minZxid int64) ([]byte, store.Stat, int64
 					s.srcCache.Inc()
 					return nil, store.Stat{}, z, SourceCache, store.ErrNoNode
 				}
-				data := append([]byte(nil), hh.data...)
-				st, z := hh.stat, hh.zxid
+				data, st, z := hh.data, hh.stat, hh.zxid
 				s.lru.MoveToFront(hh.elem)
 				s.mu.Unlock()
 				s.hits.Inc()

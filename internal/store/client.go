@@ -221,12 +221,12 @@ func (c *Client) Create(path string, data []byte, flags int) (string, error) {
 	if flags&FlagEphemeral != 0 {
 		op.session = c.sessionID
 	}
-	if err := e.commitLocked(op); err != nil {
+	resolved, err := e.commitLocked(op)
+	if err != nil {
 		return "", err
 	}
 	c.noteWriteLocked()
-	final := childFullPath(path, e.log[len(e.log)-1].op.resolvedName)
-	return final, nil
+	return childFullPath(path, resolved.resolvedName), nil
 }
 
 // Set updates a znode's data. version -1 skips the compare-and-set check.
@@ -237,7 +237,7 @@ func (c *Client) Set(path string, data []byte, version int32) error {
 	if err := c.checkSessionLocked(); err != nil {
 		return err
 	}
-	if err := e.commitLocked(Op{kind: opSet, Path: path, Data: data, Version: version}); err != nil {
+	if _, err := e.commitLocked(Op{kind: opSet, Path: path, Data: data, Version: version}); err != nil {
 		return err
 	}
 	c.noteWriteLocked()
@@ -252,7 +252,7 @@ func (c *Client) Delete(path string, version int32) error {
 	if err := c.checkSessionLocked(); err != nil {
 		return err
 	}
-	if err := e.commitLocked(Op{kind: opDelete, Path: path, Version: version}); err != nil {
+	if _, err := e.commitLocked(Op{kind: opDelete, Path: path, Version: version}); err != nil {
 		return err
 	}
 	c.noteWriteLocked()
@@ -273,7 +273,7 @@ func (c *Client) Multi(ops ...Op) error {
 			ops[i].session = c.sessionID
 		}
 	}
-	if err := e.commitLocked(Op{kind: opMulti, ops: ops}); err != nil {
+	if _, err := e.commitLocked(Op{kind: opMulti, ops: ops}); err != nil {
 		return err
 	}
 	c.noteWriteLocked()
@@ -344,7 +344,10 @@ func (c *Client) CreateAsync(path string, data []byte, flags int) <-chan CreateR
 	return c.defaultBatcher().CreateAsync(path, data, flags)
 }
 
-// Get returns a znode's data and stat.
+// Get returns a znode's data and stat. The data is shared with the
+// store, not copied: the caller must not modify it. It keeps its bytes
+// after later writes (a set installs new data rather than overwriting),
+// and the same holds for GetZ, GetAt and the read path's cache.
 func (c *Client) Get(path string) ([]byte, Stat, error) {
 	e := c.ens
 	e.mu.Lock()
@@ -360,12 +363,12 @@ func (c *Client) Get(path string) ([]byte, Stat, error) {
 	if err != nil {
 		return nil, Stat{}, err
 	}
-	return append([]byte(nil), n.data...), n.stat(), nil
+	return n.data, n.stat(), nil
 }
 
 // GetZ is Get plus the position of the read: the zxid the returned
-// state is current as of. It reads the leader tree under the commit
-// lock, so the zxid is the ensemble's latest.
+// state is current as of. It reads under the commit lock, so the zxid
+// is the ensemble's latest.
 func (c *Client) GetZ(path string) ([]byte, Stat, int64, error) {
 	e := c.ens
 	e.mu.Lock()
@@ -381,17 +384,17 @@ func (c *Client) GetZ(path string) ([]byte, Stat, int64, error) {
 	if err != nil {
 		return nil, Stat{}, e.zxid, err
 	}
-	return append([]byte(nil), n.data...), n.stat(), e.zxid, nil
+	return n.data, n.stat(), e.zxid, nil
 }
 
-// GetAt is the follower read: it serves path from ANY live replica that
-// has applied at least minZxid — without touching the ensemble commit
-// lock, so reads do not queue behind writes — and falls through to a
-// leader read when no replica satisfies the watermark. The returned
-// zxid is the position the read is current as of (≥ minZxid); a caller
-// that threads it into its next read gets session consistency across
-// the whole replica set. fromFollower reports which path served, for
-// metrics and the ablation experiments.
+// GetAt is the follower read: it serves path as applied by any live
+// replica, when that is at least minZxid — without touching the
+// ensemble commit lock, so reads do not queue behind writes — and
+// falls through to a leader read when the watermark is ahead of every
+// commit. The returned zxid is the position the read is current as of
+// (≥ minZxid); a caller that threads it into its next read gets
+// session consistency across the whole replica set. fromFollower
+// reports which path served, for metrics and the ablation experiments.
 func (c *Client) GetAt(path string, minZxid int64) (data []byte, st Stat, zxid int64, fromFollower bool, err error) {
 	if err := c.checkSessionFast(); err != nil {
 		return nil, Stat{}, 0, false, err
@@ -401,8 +404,7 @@ func (c *Client) GetAt(path string, minZxid int64) (data []byte, st Stat, zxid i
 		if lerr != nil {
 			return lerr
 		}
-		data = append([]byte(nil), n.data...)
-		st = n.stat()
+		data, st = n.data, n.stat()
 		return nil
 	})
 	if served {
@@ -469,8 +471,8 @@ func (c *Client) ChildrenZ(path string) ([]string, int64, error) {
 	return n.sortedChildren(), e.zxid, nil
 }
 
-// ChildrenAt is the follower read for listings: sorted child names from
-// any live replica at ≥ minZxid, falling through to the leader when
+// ChildrenAt is the follower read for listings: sorted child names as
+// of ≥ minZxid from a live replica, falling through to the leader when
 // none qualifies. Same watermark contract as GetAt.
 func (c *Client) ChildrenAt(path string, minZxid int64) (names []string, zxid int64, fromFollower bool, err error) {
 	if err := c.checkSessionFast(); err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the store's half of the persistence contract: it encodes
-// validated operations for WAL records and the leader tree for snapshot
+// validated operations for WAL records and the tree for snapshot
 // payloads. The persist package frames, checksums, and files these bytes
 // without interpreting them.
 //
@@ -18,21 +18,19 @@ const codecVersion = 1
 
 // --- Operation encoding ------------------------------------------------
 
-// encodeOp serializes a resolved op for a WAL record.
-func encodeOp(op Op) []byte {
-	b := make([]byte, 0, 32+len(op.Path)+len(op.Data))
-	b = append(b, codecVersion)
-	return appendOp(b, op)
+// encodeOp appends the WAL record of a resolved op to b.
+func encodeOp(b []byte, op Op) []byte {
+	return appendOp(append(b, codecVersion), op)
 }
 
 func appendOp(b []byte, op Op) []byte {
 	b = append(b, byte(op.kind))
-	b = appendBlob(b, []byte(op.Path))
+	b = appendBlob(b, op.Path)
 	b = appendBlob(b, op.Data)
 	b = binary.AppendUvarint(b, uint64(op.Flags))
 	b = binary.AppendVarint(b, int64(op.Version))
 	b = binary.AppendVarint(b, op.session)
-	b = appendBlob(b, []byte(op.resolvedName))
+	b = appendBlob(b, op.resolvedName)
 	b = binary.AppendUvarint(b, uint64(len(op.ops)))
 	for _, sub := range op.ops {
 		b = appendOp(b, sub)
@@ -121,16 +119,14 @@ func maxSessionOf(op Op) int64 {
 
 // --- Tree snapshot encoding --------------------------------------------
 
-// encodeTreeSnapshot serializes the persistent portion of a tree plus
-// the session counter. Ephemeral nodes are deliberately skipped: their
+// encodeTreeSnapshot appends the persistent portion of a tree plus the
+// session counter to b. Ephemeral nodes are deliberately skipped: their
 // owning sessions cannot survive a process restart, so persisting them
 // would resurrect state ZooKeeper semantics say must die (the paper's
 // failover behavior depends on exactly this — election and queue-consumer
 // ephemerals vanishing on crash). Ephemerals never have children, so
-// skipping one never orphans a subtree. sizeHint is the expected payload
-// length; the buffer starts at no less than 4 KiB.
-func encodeTreeSnapshot(t *tree, nextSess int64, sizeHint int) []byte {
-	b := make([]byte, 0, max(sizeHint, 4096))
+// skipping one never orphans a subtree.
+func encodeTreeSnapshot(b []byte, t *tree, nextSess int64) []byte {
 	b = append(b, codecVersion)
 	b = binary.AppendVarint(b, nextSess)
 	return appendNode(b, t.root, "/")
@@ -139,7 +135,7 @@ func encodeTreeSnapshot(t *tree, nextSess int64, sizeHint int) []byte {
 // appendNode emits one node entry followed by its persistent children
 // in sorted order (pre-order, parents before children).
 func appendNode(b []byte, n *znode, path string) []byte {
-	b = appendBlob(b, []byte(path))
+	b = appendBlob(b, path)
 	b = appendBlob(b, n.data)
 	b = binary.AppendVarint(b, int64(n.version))
 	b = binary.AppendVarint(b, n.czxid)
@@ -232,7 +228,9 @@ func readNodeInto(t *tree, b []byte) ([]byte, error) {
 
 var errTruncated = fmt.Errorf("truncated encoding")
 
-func appendBlob(b, blob []byte) []byte {
+// appendBlob appends blob with its length. It takes strings as they
+// are, so encoding a path copies its bytes once, into b.
+func appendBlob[T string | []byte](b []byte, blob T) []byte {
 	b = binary.AppendUvarint(b, uint64(len(blob)))
 	return append(b, blob...)
 }

@@ -83,7 +83,7 @@ type Op struct {
 	ops     []Op
 	session int64
 	// resolvedName is filled in during validation for sequence nodes so
-	// that every replica applies the identical, fully determined op.
+	// that the applied op, and its WAL record, is fully determined.
 	resolvedName string
 }
 
@@ -103,31 +103,6 @@ func DeleteOp(path string, version int32) Op {
 	return Op{kind: opDelete, Path: path, Version: version}
 }
 
-// logEntry is one committed operation with its position in the total
-// order.
-type logEntry struct {
-	op   Op
-	zxid int64
-}
-
-// replica is one member of the ensemble. All live replicas apply the same
-// committed sequence; a stopped replica stops applying and catches up from
-// a live peer on restart.
-//
-// Writers (commit, catch-up, recovery) mutate the tree holding e.mu AND
-// r.mu; follower reads take only r.mu.RLock, so they never contend with
-// the ensemble commit lock — the whole point of the follower read path.
-// The lock order is always e.mu → r.mu.
-type replica struct {
-	id    int
-	alive atomic.Bool
-	// mu guards tree and appliedZxid against lock-free follower reads.
-	mu          sync.RWMutex
-	tree        *tree
-	appliedZxid int64 // zxid of the last op applied to tree
-	applyIdx    int64 // index into ensemble.log of the next op to apply
-}
-
 // session tracks one client connection.
 type session struct {
 	id        int64
@@ -139,30 +114,42 @@ type session struct {
 }
 
 // Ensemble is the replicated coordination service.
+//
+// Every live replica applies each committed op synchronously under the
+// commit lock, so their trees are always identical; the ensemble keeps
+// that state once. A replica is a liveness member: it counts towards
+// the write quorum and may serve follower reads while alive. A stopped
+// replica misses nothing it must later replay — on restart it is
+// current at once, as a ZooKeeper follower is after a SNAP sync from
+// its leader.
 type Ensemble struct {
 	cfg Config
 
-	mu       sync.Mutex
-	replicas []*replica
-	log      []logEntry // committed totally ordered operation log
+	mu       sync.Mutex // the commit lock
+	alive    []atomic.Bool
 	zxid     int64
 	sessions map[int64]*session
 	nextSess int64
 	watches  *watchTable
 	closed   bool
+	walBuf   []byte       // WAL record encoding, reused under mu
+	fired    firedWatches // watch events of the commit in hand, reused under mu
 
-	// readSeq rotates follower reads round-robin across replicas; it is
-	// deliberately outside e.mu — follower reads must not touch the
-	// commit lock.
-	readSeq atomic.Int64
+	// treeMu guards tree and applied. Writers (commit, recovery) hold mu
+	// AND treeMu; follower reads take only treeMu.RLock, so they never
+	// contend with the commit lock — the whole point of the follower
+	// read path. The lock order is always mu → treeMu.
+	treeMu  sync.RWMutex
+	tree    *tree
+	applied int64 // zxid of the last op applied to tree
 
 	stopTick chan struct{}
 	tickDone chan struct{}
 
 	// Durability (nil without Config.DataDir).
 	pstore    *persist.Store
-	sinceSnap int // WAL appends since the last snapshot
-	snapLen   int // payload bytes of the last snapshot, to size the next
+	sinceSnap int    // WAL appends since the last snapshot
+	snapBuf   []byte // snapshot payload, reused under mu
 
 	// stats
 	commits int64
@@ -189,15 +176,15 @@ func OpenEnsemble(cfg Config) (*Ensemble, error) {
 	cfg = cfg.withDefaults()
 	e := &Ensemble{
 		cfg:      cfg,
+		alive:    make([]atomic.Bool, cfg.Replicas),
 		sessions: make(map[int64]*session),
 		watches:  newWatchTable(),
+		tree:     newTree(),
 		stopTick: make(chan struct{}),
 		tickDone: make(chan struct{}),
 	}
-	for i := 0; i < cfg.Replicas; i++ {
-		r := &replica{id: i, tree: newTree()}
-		r.alive.Store(true)
-		e.replicas = append(e.replicas, r)
+	for i := range e.alive {
+		e.alive[i].Store(true)
 	}
 	if cfg.DataDir != "" {
 		ps, err := persist.Open(cfg.DataDir, cfg.SyncPolicy)
@@ -284,7 +271,7 @@ func (e *Ensemble) ExpireSession(id int64) {
 	}
 	s.expired = true
 	op := Op{kind: opExpireSession, session: id}
-	if err := e.commitLocked(op); err != nil {
+	if _, err := e.commitLocked(op); err != nil {
 		// Without quorum we cannot reap ephemerals; the session stays
 		// marked expired and its client errors out, matching ZooKeeper
 		// behavior during ensemble unavailability.
@@ -298,57 +285,41 @@ func (e *Ensemble) ExpireSession(id int64) {
 // aliveCount returns how many replicas are alive.
 func (e *Ensemble) aliveCount() int {
 	n := 0
-	for _, r := range e.replicas {
-		if r.alive.Load() {
+	for i := range e.alive {
+		if e.alive[i].Load() {
 			n++
 		}
 	}
 	return n
 }
 
-// leaderTree returns the tree of the lowest-index live replica, which is
-// always fully caught up because commits apply synchronously to all live
-// replicas.
+// leaderTree returns the tree for a read under the commit lock, or
+// ErrNoQuorum when no replica is alive to serve it.
 func (e *Ensemble) leaderTree() (*tree, error) {
-	for _, r := range e.replicas {
-		if r.alive.Load() {
-			return r.tree, nil
-		}
+	if e.aliveCount() == 0 {
+		return nil, ErrNoQuorum
 	}
-	return nil, ErrNoQuorum
+	return e.tree, nil
 }
 
-// StopReplica simulates a replica crash. Pending state is retained; the
-// replica no longer applies committed operations.
+// StopReplica simulates a replica crash: it stops counting towards the
+// write quorum and stops serving reads.
 func (e *Ensemble) StopReplica(i int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if i >= 0 && i < len(e.replicas) {
-		e.replicas[i].alive.Store(false)
+	if i >= 0 && i < len(e.alive) {
+		e.alive[i].Store(false)
 	}
 }
 
-// StartReplica restarts a stopped replica and catches it up by replaying
-// the committed log suffix it missed.
+// StartReplica restarts a stopped replica. It is current at once: the
+// state it rejoins already holds every committed op.
 func (e *Ensemble) StartReplica(i int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if i < 0 || i >= len(e.replicas) {
-		return
+	if i >= 0 && i < len(e.alive) {
+		e.alive[i].Store(true)
 	}
-	r := e.replicas[i]
-	if r.alive.Load() {
-		return
-	}
-	r.mu.Lock()
-	for r.applyIdx < int64(len(e.log)) {
-		entry := e.log[r.applyIdx]
-		applyOp(r.tree, entry.op, entry.zxid, nil)
-		r.appliedZxid = entry.zxid
-		r.applyIdx++
-	}
-	r.mu.Unlock()
-	r.alive.Store(true)
 }
 
 // Zxid reports the id of the most recently sequenced write. A client
@@ -360,53 +331,55 @@ func (e *Ensemble) Zxid() int64 {
 	return e.zxid
 }
 
-// followerRead serves fn against any live replica that has applied at
-// least minZxid, WITHOUT taking the ensemble commit lock. Candidates
-// rotate round-robin so concurrent readers spread across the ensemble.
-// The replica's read lock is held for the duration of fn, so fn sees a
-// tree frozen exactly at the returned zxid. served=false means no
-// replica satisfies the watermark (all behind it, or none alive) and
+// followerRead serves fn against the replicated state as applied by
+// any live replica, WITHOUT taking the ensemble commit lock. The tree's
+// read lock is held for the duration of fn, so fn sees it frozen
+// exactly at the returned zxid. served=false means no live replica has
+// applied minZxid (it is ahead of every commit, or none is alive) and
 // the caller must fall through to a leader read; fn's own error (e.g.
-// ErrNoNode) is a real result, not a reason to try another replica —
-// replicas at ≥ minZxid answer a session-consistent read identically
-// for the session's own writes.
+// ErrNoNode) is a real result, not a reason to fall through.
 func (e *Ensemble) followerRead(minZxid int64, fn func(*tree) error) (zxid int64, served bool, err error) {
-	n := len(e.replicas)
-	start := int(e.readSeq.Add(1) % int64(n))
-	for k := 0; k < n; k++ {
-		r := e.replicas[(start+k)%n]
-		if !r.alive.Load() {
-			continue
-		}
-		r.mu.RLock()
-		if r.appliedZxid < minZxid {
-			r.mu.RUnlock()
-			continue
-		}
-		err = fn(r.tree)
-		zxid = r.appliedZxid
-		r.mu.RUnlock()
-		return zxid, true, err
+	if e.aliveCount() == 0 {
+		return 0, false, nil
 	}
-	return 0, false, nil
+	e.treeMu.RLock()
+	defer e.treeMu.RUnlock()
+	if e.applied < minZxid {
+		return 0, false, nil
+	}
+	return e.applied, true, fn(e.tree)
 }
 
-// commitLocked validates op against the current (leader) tree, sequences
-// it, and applies it to every live replica. Caller holds e.mu.
-func (e *Ensemble) commitLocked(op Op) error {
+// applyLocked applies a validated op to the tree at the current zxid,
+// recording the watch events it triggers in e.fired. Caller holds e.mu.
+func (e *Ensemble) applyLocked(op Op) {
+	e.treeMu.Lock()
+	applyOp(e.tree, op, e.zxid, &e.fired)
+	e.applied = e.zxid
+	e.treeMu.Unlock()
+}
+
+// encodeLocked encodes a resolved op for a WAL record into a buffer
+// reused across commits; the bytes are valid until the next call.
+// Caller holds e.mu.
+func (e *Ensemble) encodeLocked(op Op) []byte {
+	e.walBuf = encodeOp(e.walBuf[:0], op)
+	return e.walBuf
+}
+
+// commitLocked validates op against the tree, sequences it, and
+// applies it, returning the resolved op (sequence names filled in).
+// Caller holds e.mu.
+func (e *Ensemble) commitLocked(op Op) (Op, error) {
 	if e.closed {
-		return ErrClosed
+		return Op{}, ErrClosed
 	}
-	if e.aliveCount()*2 <= len(e.replicas) {
-		return ErrNoQuorum
+	if e.aliveCount()*2 <= len(e.alive) {
+		return Op{}, ErrNoQuorum
 	}
-	lt, err := e.leaderTree()
+	resolved, err := validateOp(e.tree, op)
 	if err != nil {
-		return err
-	}
-	resolved, err := validateOp(lt, op)
-	if err != nil {
-		return err
+		return Op{}, err
 	}
 	if e.cfg.CommitLatency > 0 {
 		// One quorum round: proposal broadcast + majority ack. Simulated
@@ -419,41 +392,23 @@ func (e *Ensemble) commitLocked(op Op) error {
 	if e.pstore != nil {
 		// Log-before-apply: the record must be on the log (and, under
 		// SyncAlways, on stable storage) before any replica observes the
-		// mutation. On failure the write is rejected — no replica applied
+		// mutation. On failure the write is rejected — nothing applied
 		// it — and the persist layer goes fail-stop, so every later write
 		// fails too. The zxid is NOT reused: the failed record's frame
 		// may be fully on disk (e.g. write ok, fsync failed) and will
 		// then reappear on recovery, so its id must stay unique.
-		if err := e.pstore.Append(e.zxid, encodeOp(resolved)); err != nil {
-			return err
+		if err := e.pstore.Append(e.zxid, e.encodeLocked(resolved)); err != nil {
+			return Op{}, err
 		}
 	}
-	e.log = append(e.log, logEntry{op: resolved, zxid: e.zxid})
-	fired := &firedWatches{}
-	first := true
-	for _, r := range e.replicas {
-		if !r.alive.Load() {
-			continue
-		}
-		r.mu.Lock()
-		if first {
-			// Collect watch events only once; live replica trees are
-			// identical so the events would be identical too.
-			applyOp(r.tree, resolved, e.zxid, fired)
-			first = false
-		} else {
-			applyOp(r.tree, resolved, e.zxid, nil)
-		}
-		r.appliedZxid = e.zxid
-		r.applyIdx = int64(len(e.log))
-		r.mu.Unlock()
-	}
+	e.fired.reset()
+	e.applyLocked(resolved)
 	e.commits++
 	if e.pstore != nil {
 		e.maybeSnapshotLocked()
 	}
-	e.watches.fire(fired)
-	return nil
+	e.watches.fire(&e.fired)
+	return resolved, nil
 }
 
 // commitAllLocked commits several independent op groups in ONE proposal
@@ -476,7 +431,7 @@ func (e *Ensemble) commitLocked(op Op) error {
 // e.mu released. If the sync itself fails, the whole round is reported
 // failed, its watches are NOT fired, no snapshot is taken, and the
 // persist layer goes fail-stop: the round's effects linger in the
-// replicas' memory (they cannot be unapplied), but no later write can
+// ensemble's memory (they cannot be unapplied), but no later write can
 // commit behind the indeterminate tail, so the divergence is terminal —
 // including for callers that retry, whose retries fail too. This is one
 // step weaker than the single-op path (which rejects before applying);
@@ -493,7 +448,7 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []GroupResult {
 	if e.closed {
 		return fill(ErrClosed)
 	}
-	if e.aliveCount()*2 <= len(e.replicas) {
+	if e.aliveCount()*2 <= len(e.alive) {
 		return fill(ErrNoQuorum)
 	}
 	if e.cfg.CommitLatency > 0 {
@@ -501,7 +456,7 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []GroupResult {
 		// majority ack, with every group riding the same proposal.
 		time.Sleep(e.cfg.CommitLatency)
 	}
-	fired := &firedWatches{}
+	e.fired.reset()
 	var applied []int
 	var walFailed error
 	for gi, ops := range groups {
@@ -510,41 +465,20 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []GroupResult {
 			results[gi].Err = walFailed
 			continue
 		}
-		lt, err := e.leaderTree()
-		if err != nil {
-			results[gi].Err = err
-			continue
-		}
-		resolved, err := validateOp(lt, Op{kind: opMulti, ops: ops})
+		resolved, err := validateOp(e.tree, Op{kind: opMulti, ops: ops})
 		if err != nil {
 			results[gi].Err = err
 			continue
 		}
 		e.zxid++
 		if e.pstore != nil {
-			if err := e.pstore.AppendNoSync(e.zxid, encodeOp(resolved)); err != nil {
+			if err := e.pstore.AppendNoSync(e.zxid, e.encodeLocked(resolved)); err != nil {
 				results[gi].Err = err
 				walFailed = err
 				continue
 			}
 		}
-		e.log = append(e.log, logEntry{op: resolved, zxid: e.zxid})
-		first := true
-		for _, r := range e.replicas {
-			if !r.alive.Load() {
-				continue
-			}
-			r.mu.Lock()
-			if first {
-				applyOp(r.tree, resolved, e.zxid, fired)
-				first = false
-			} else {
-				applyOp(r.tree, resolved, e.zxid, nil)
-			}
-			r.appliedZxid = e.zxid
-			r.applyIdx = int64(len(e.log))
-			r.mu.Unlock()
-		}
+		e.applyLocked(resolved)
 		e.commits++
 		paths := make([]string, len(resolved.ops))
 		for i, sub := range resolved.ops {
@@ -570,13 +504,12 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []GroupResult {
 			e.maybeSnapshotLocked()
 		}
 	}
-	e.watches.fire(fired)
+	e.watches.fire(&e.fired)
 	return results
 }
 
-// validateOp checks an op against the authoritative tree and resolves
-// sequence-node names so the op applies deterministically on every
-// replica.
+// validateOp checks an op against the tree and resolves sequence-node
+// names so the op applies deterministically, on replay too.
 func validateOp(t *tree, op Op) (Op, error) {
 	switch op.kind {
 	case opCreate:
@@ -649,6 +582,9 @@ func validateOp(t *tree, op Op) (Op, error) {
 
 // applyOp applies a validated, resolved op to a tree. When fired is
 // non-nil, watch events triggered by the mutation are recorded in it.
+// Applied data is never modified in place: a create or set installs its
+// own copy of op.Data, which is what lets reads return it without a
+// copy.
 func applyOp(t *tree, op Op, zxid int64, fired *firedWatches) {
 	switch op.kind {
 	case opCreate:
@@ -707,6 +643,9 @@ func applyOp(t *tree, op Op, zxid int64, fired *firedWatches) {
 // childFullPath joins the parent-derived path of a create op with the
 // resolved (possibly sequence-suffixed) final name.
 func childFullPath(requested, resolvedName string) string {
+	if baseName(requested) == resolvedName {
+		return requested // not a sequence node
+	}
 	pp := parentPath(requested)
 	if pp == "/" {
 		return "/" + resolvedName
@@ -718,7 +657,7 @@ func childFullPath(requested, resolvedName string) string {
 type Health struct {
 	// Replicas is the configured ensemble size.
 	Replicas int `json:"replicas"`
-	// Alive is how many replicas are currently applying commits.
+	// Alive is how many replicas are currently alive.
 	Alive int `json:"alive"`
 	// Quorum reports whether a strict majority is alive (writes can
 	// commit).
@@ -733,9 +672,9 @@ func (e *Ensemble) Health() Health {
 	defer e.mu.Unlock()
 	alive := e.aliveCount()
 	return Health{
-		Replicas: len(e.replicas),
+		Replicas: len(e.alive),
 		Alive:    alive,
-		Quorum:   alive*2 > len(e.replicas),
+		Quorum:   alive*2 > len(e.alive),
 		Sessions: len(e.sessions),
 	}
 }
@@ -781,6 +720,6 @@ func (e *Ensemble) String() string {
 	defer e.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "ensemble{replicas=%d alive=%d zxid=%d sessions=%d}",
-		len(e.replicas), e.aliveCount(), e.zxid, len(e.sessions))
+		len(e.alive), e.aliveCount(), e.zxid, len(e.sessions))
 	return b.String()
 }

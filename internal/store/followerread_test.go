@@ -3,6 +3,8 @@ package store
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -205,4 +207,138 @@ func TestFollowerReadsBypassCommitLock(t *testing.T) {
 		t.Errorf("follower read took %v during a 50ms commit; it queued behind the lock", d)
 	}
 	<-done
+}
+
+// TestReadsAllocateNothing: a read of an existing node hands out the
+// stored data, so neither the leader nor the follower path allocates.
+func TestReadsAllocateNothing(t *testing.T) {
+	e := newTestEnsemble(t)
+	c := e.Connect()
+	defer c.Close()
+	mustCreate(t, c, "/a", "some record bytes")
+	wm := c.LastWriteZxid()
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = c.Get("/a") }); n != 0 {
+		t.Errorf("Get allocates %.0f times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _, _, _, _ = c.GetAt("/a", wm) }); n != 0 {
+		t.Errorf("GetAt allocates %.0f times", n)
+	}
+}
+
+// TestReadDataSurvivesLaterSet: the slice a read returns is shared with
+// the store but never overwritten — a later Set installs new data.
+func TestReadDataSurvivesLaterSet(t *testing.T) {
+	e := newTestEnsemble(t)
+	c := e.Connect()
+	defer c.Close()
+	mustCreate(t, c, "/a", "v0")
+	got, _, err := c.Get("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	atGot, _, _, _, err := c.GetAt("/a", c.LastWriteZxid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set("/a", []byte("v1"), -1); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "v0" || string(atGot) != "v0" {
+		t.Fatalf("earlier reads now hold %q and %q, want v0", got, atGot)
+	}
+	if now, _, _ := c.Get("/a"); string(now) != "v1" {
+		t.Fatalf("Get after Set = %q, want v1", now)
+	}
+}
+
+// TestFollowerReadsUnderConcurrentCommits: while writers commit, a
+// follower read never returns state older than its watermark, and a
+// replica stopped for N commits serves the newest value as soon as it is
+// started again (run it with -race: reads share the tree with commits).
+func TestFollowerReadsUnderConcurrentCommits(t *testing.T) {
+	e := newTestEnsemble(t)
+	e.StopReplica(2) // misses every commit below
+	const writers, commits = 2, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		path := fmt.Sprintf("/w%d", w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := e.Connect()
+			defer c.Close()
+			if _, err := c.Create(path, []byte("0"), 0); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 1; i <= commits; i++ {
+				if err := c.Set(path, []byte(strconv.Itoa(i)), -1); err != nil {
+					t.Error(err)
+					return
+				}
+				// A session reads its own write back at its watermark.
+				data, _, z, _, err := c.GetAt(path, c.LastWriteZxid())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, _ := strconv.Atoi(string(data)); got < i || z < c.LastWriteZxid() {
+					t.Errorf("%s: read %q at zxid %d after writing %d at zxid %d",
+						path, data, z, i, c.LastWriteZxid())
+					return
+				}
+			}
+		}()
+	}
+	// Concurrent readers threading the zxid each read returns: what they
+	// see never goes backwards.
+	r := e.Connect()
+	defer r.Close()
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		path := fmt.Sprintf("/w%d", w)
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			var wm int64
+			last := -1
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				data, _, z, _, err := r.GetAt(path, wm)
+				if errors.Is(err, ErrNoNode) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, _ := strconv.Atoi(string(data))
+				if z < wm || got < last {
+					t.Errorf("%s: read %d at zxid %d after %d at zxid %d", path, got, z, last, wm)
+					return
+				}
+				wm, last = z, got
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+
+	e.StartReplica(2)
+	e.StopReplica(0)
+	e.StopReplica(1)
+	for w := 0; w < writers; w++ {
+		path := fmt.Sprintf("/w%d", w)
+		data, _, z, follower, err := r.GetAt(path, e.Zxid())
+		if err != nil || !follower || string(data) != strconv.Itoa(commits) {
+			t.Fatalf("restarted replica: %s = %q at zxid %d (follower=%v, err=%v), want %d",
+				path, data, z, follower, err, commits)
+		}
+	}
 }

@@ -101,6 +101,7 @@ type Store struct {
 
 	mu     sync.Mutex
 	active *os.File // current append segment; nil until StartAppending
+	frame  []byte   // the record being appended, reused under mu
 	closed bool
 	// failErr makes the store fail-stop: once a WAL append or rotation
 	// errors, the on-disk log structure is in doubt (a torn frame may

@@ -393,3 +393,35 @@ func TestSyncAlwaysCountsFsyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendAllocatesNothing: once the frame buffer has grown to the
+// record size, appending allocates nothing, synced or not.
+func TestAppendAllocatesNothing(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	defer s.Close()
+	if err := s.StartAppending(1); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 512)
+	z := int64(0)
+	for name, appendFn := range map[string]func(int64, []byte) error{
+		"Append": s.Append, "AppendNoSync": s.AppendNoSync,
+	} {
+		z++
+		if err := appendFn(z, payload); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(100, func() {
+			z++
+			if err := appendFn(z, payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("%s allocates %.0f times per record", name, n)
+		}
+	}
+	if zxids, _ := replayAll(t, s, 0); int64(len(zxids)) != z {
+		t.Fatalf("replayed %d records, want %d", len(zxids), z)
+	}
+}

@@ -97,7 +97,7 @@ func (s *Store) openSegmentLocked(firstZxid int64) error {
 // fsyncing per policy. It returns only after the record is handed to
 // the OS (SyncNone) or on stable storage (SyncAlways) — the caller
 // applies the operation to its in-memory state strictly afterwards
-// (log-before-apply).
+// (log-before-apply). Neither Append nor AppendNoSync retains payload.
 //
 // A failed append is fail-stop: the frame may be partially on disk, so
 // appending anything after it would put valid records behind a torn one
@@ -109,18 +109,9 @@ func (s *Store) openSegmentLocked(firstZxid int64) error {
 func (s *Store) Append(zxid int64, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failErr != nil {
-		return s.failErr
+	if err := s.writeFrameLocked(zxid, payload); err != nil {
+		return err
 	}
-	if s.active == nil {
-		return ErrNotAppending
-	}
-	frame := appendFrame(make([]byte, 0, 16+len(payload)), zxid, payload)
-	if _, err := s.active.Write(frame); err != nil {
-		return s.fail(fmt.Errorf("persist: wal append: %w", err))
-	}
-	s.appends.Inc()
-	s.bytes.Add(int64(len(frame)))
 	if s.policy == SyncAlways {
 		s.fsyncs.Inc()
 		if err := s.active.Sync(); err != nil {
@@ -139,18 +130,24 @@ func (s *Store) Append(zxid int64, payload []byte) error {
 func (s *Store) AppendNoSync(zxid int64, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.writeFrameLocked(zxid, payload)
+}
+
+// writeFrameLocked frames payload under zxid into a buffer reused across
+// appends and writes it to the active segment. Caller holds s.mu.
+func (s *Store) writeFrameLocked(zxid int64, payload []byte) error {
 	if s.failErr != nil {
 		return s.failErr
 	}
 	if s.active == nil {
 		return ErrNotAppending
 	}
-	frame := appendFrame(make([]byte, 0, 16+len(payload)), zxid, payload)
-	if _, err := s.active.Write(frame); err != nil {
+	s.frame = appendFrame(s.frame[:0], zxid, payload)
+	if _, err := s.active.Write(s.frame); err != nil {
 		return s.fail(fmt.Errorf("persist: wal append: %w", err))
 	}
 	s.appends.Inc()
-	s.bytes.Add(int64(len(frame)))
+	s.bytes.Add(int64(len(s.frame)))
 	return nil
 }
 
@@ -175,13 +172,17 @@ func (s *Store) SyncGroup() error {
 	return nil
 }
 
+// appendFrame appends one record frame to b, checksumming the body
+// where it lands instead of assembling it separately.
 func appendFrame(b []byte, zxid int64, payload []byte) []byte {
-	body := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint64(body, uint64(zxid))
-	copy(body[8:], payload)
-	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(body))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(body)))
-	return append(b, body...)
+	start := len(b)
+	b = append(b, make([]byte, 8)...) // crc and length, filled in below
+	b = binary.BigEndian.AppendUint64(b, uint64(zxid))
+	b = append(b, payload...)
+	body := b[start+8:]
+	binary.BigEndian.PutUint32(b[start:], crc32.ChecksumIEEE(body))
+	binary.BigEndian.PutUint32(b[start+4:], uint32(len(body)))
+	return b
 }
 
 // Replay streams every decodable record with zxid > afterZxid, in log

@@ -109,7 +109,7 @@ func (e *Ensemble) recoverFromDisk() error {
 	for _, sess := range owners {
 		op := Op{kind: opExpireSession, session: sess}
 		e.zxid++
-		if err := e.pstore.Append(e.zxid, encodeOp(op)); err != nil {
+		if err := e.pstore.Append(e.zxid, e.encodeLocked(op)); err != nil {
 			return err
 		}
 		applyOp(t, op, e.zxid, nil)
@@ -127,15 +127,8 @@ func (e *Ensemble) recoverFromDisk() error {
 		}
 	}
 
-	// 6. Install the recovered tree on every replica.
-	for i, r := range e.replicas {
-		if i == 0 {
-			r.tree = t
-		} else {
-			r.tree = &tree{root: t.root.deepCopy()}
-		}
-		r.appliedZxid = e.zxid
-	}
+	// 6. Serve the recovered tree.
+	e.tree, e.applied = t, e.zxid
 	// A fresh data dir is initialization, not a recovery; only count the
 	// pass when there was state to recover.
 	if e.zxid > 0 {
@@ -156,19 +149,20 @@ func collectOwners(n *znode, seen map[int64]bool, out *[]int64) {
 	}
 }
 
-// snapshotPayload encodes t for a snapshot. The buffer starts at the
-// last snapshot's size plus an eighth, so a tree that grew modestly
-// since then is encoded without regrowing a multi-megabyte buffer.
+// snapshotPayload encodes t for a snapshot into a buffer reused across
+// snapshots, so the multi-megabyte payload is not allocated afresh each
+// time; it grows only when the tree outgrows every earlier snapshot.
+// Called with e.mu held (or before the ensemble serves); the bytes are
+// valid until the next call.
 func (e *Ensemble) snapshotPayload(t *tree) []byte {
-	b := encodeTreeSnapshot(t, e.nextSess, e.snapLen+e.snapLen/8)
-	e.snapLen = len(b)
-	return b
+	e.snapBuf = encodeTreeSnapshot(e.snapBuf[:0], t, e.nextSess)
+	return e.snapBuf
 }
 
 // maybeSnapshotLocked writes a snapshot and rotates the WAL once enough
 // appends accumulated since the last one. Called with e.mu held, right
-// after a commit applied; the leader tree is therefore exactly the
-// state at e.zxid. A failure to write the snapshot file is absorbed
+// after a commit applied; the tree is therefore exactly the state at
+// e.zxid. A failure to write the snapshot file is absorbed
 // (the WAL still holds every committed record, so durability is
 // unaffected — only recovery time stops improving); a failure during
 // the rotation that follows trips the persist layer's fail-stop and
@@ -184,9 +178,5 @@ func (e *Ensemble) maybeSnapshotLocked() {
 		return
 	}
 	e.sinceSnap = 0
-	lt, err := e.leaderTree()
-	if err != nil {
-		return
-	}
-	_ = e.pstore.Snapshot(e.zxid, e.snapshotPayload(lt))
+	_ = e.pstore.Snapshot(e.zxid, e.snapshotPayload(e.tree))
 }

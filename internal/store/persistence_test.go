@@ -346,7 +346,7 @@ func TestOpCodecRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, op := range ops {
-		got, err := decodeOp(encodeOp(op))
+		got, err := decodeOp(encodeOp(nil, op))
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
@@ -360,7 +360,7 @@ func TestOpCodecRoundTrip(t *testing.T) {
 	if _, err := decodeOp([]byte{codecVersion, 0}); err == nil {
 		t.Fatal("decodeOp(truncated) succeeded")
 	}
-	if _, err := decodeOp(append(encodeOp(ops[0]), 0xEE)); err == nil {
+	if _, err := decodeOp(append(encodeOp(nil, ops[0]), 0xEE)); err == nil {
 		t.Fatal("decodeOp with trailing bytes succeeded")
 	}
 }
@@ -379,7 +379,7 @@ func TestTreeSnapshotCodecSkipsEphemerals(t *testing.T) {
 	apply(Op{kind: opCreate, Path: "/p/eph", session: 9})
 	apply(Op{kind: opCreate, Path: "/p/seq-", Flags: FlagSequence})
 
-	got, nextSess, err := decodeTreeSnapshot(encodeTreeSnapshot(tr, 123, 0))
+	got, nextSess, err := decodeTreeSnapshot(encodeTreeSnapshot(nil, tr, 123))
 	if err != nil {
 		t.Fatal(err)
 	}

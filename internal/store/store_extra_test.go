@@ -129,6 +129,49 @@ func TestWatchFiresOnceAcrossMultipleChanges(t *testing.T) {
 	}
 }
 
+// TestWatchMixedPersistentAndOneShot: one change to a path watched both
+// ways delivers to every watcher, detaches only the one-shot ones, and
+// leaves the persistent ones armed for the next change.
+func TestWatchMixedPersistentAndOneShot(t *testing.T) {
+	e := newTestEnsemble(t)
+	c := e.Connect()
+	defer c.Close()
+	mustCreate(t, c, "/q", "")
+	_, base := e.WatchCounts()
+	_, once1, err := c.ChildrenW("/q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw, err := c.ChildWatch("/q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cw.Close()
+	_, once2, err := c.ChildrenW("/q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCreate(t, c, "/q/a", "")
+	for _, ch := range []<-chan Event{once1, once2} {
+		if ev := recvEvent(t, ch); ev.Type != EventChildrenChanged {
+			t.Fatalf("one-shot event = %+v", ev)
+		}
+		if _, open := <-ch; open {
+			t.Fatal("one-shot watch not closed after delivery")
+		}
+	}
+	if ev := recvEvent(t, cw.C()); ev.Type != EventChildrenChanged {
+		t.Fatalf("persistent event = %+v", ev)
+	}
+	if _, child := e.WatchCounts(); child != base+1 {
+		t.Fatalf("child watches = %d, want the persistent one only (%d)", child, base+1)
+	}
+	mustCreate(t, c, "/q/b", "")
+	if ev := recvEvent(t, cw.C()); ev.Type != EventChildrenChanged {
+		t.Fatalf("persistent event after re-fire = %+v", ev)
+	}
+}
+
 func TestSessionWatchExpiry(t *testing.T) {
 	e := newTestEnsemble(t)
 	c := e.Connect()

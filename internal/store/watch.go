@@ -121,6 +121,8 @@ type firedWatches struct {
 	child []string
 }
 
+func (f *firedWatches) reset() { f.node, f.child = f.node[:0], f.child[:0] }
+
 func (f *firedWatches) add(path string, t EventType) {
 	if f != nil {
 		f.node = append(f.node, Event{Type: t, Path: path})
@@ -153,7 +155,7 @@ func (wt *watchTable) fire(f *firedWatches) {
 		if len(ws) == 0 {
 			return
 		}
-		var keep []*watcher
+		keep := ws[:0] // filtered in place: persistent watchers stay
 		for _, w := range ws {
 			if w.persistent {
 				select {
@@ -168,6 +170,7 @@ func (wt *watchTable) fire(f *firedWatches) {
 				ev Event
 			}{w, ev})
 		}
+		clear(ws[len(keep):]) // drop the detached watchers' pointers
 		if len(keep) == 0 {
 			delete(m, path)
 		} else {

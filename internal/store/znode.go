@@ -31,9 +31,9 @@ const (
 	FlagSequence
 )
 
-// znode is one node in a replica's tree. Replicas never share znodes;
-// each replica owns an independent tree mutated only by applying the
-// ensemble's committed operation sequence.
+// znode is one node in the ensemble's tree, mutated only by applying
+// the committed operation sequence. Its data slice is immutable once
+// applied (a set installs a new one), so reads hand it out uncopied.
 type znode struct {
 	name           string
 	data           []byte
@@ -57,26 +57,6 @@ func (z *znode) stat() Stat {
 		EphemeralOwner: z.ephemeralOwner,
 		NumChildren:    len(z.children),
 	}
-}
-
-// deepCopy clones the subtree rooted at z. Kept for snapshot-style
-// catch-up strategies and white-box tests; the hot paths (Multi
-// validation) deliberately avoid it — see multiValidator.
-func (z *znode) deepCopy() *znode {
-	c := &znode{
-		name:           z.name,
-		data:           append([]byte(nil), z.data...),
-		version:        z.version,
-		czxid:          z.czxid,
-		mzxid:          z.mzxid,
-		ephemeralOwner: z.ephemeralOwner,
-		seqCounter:     z.seqCounter,
-		children:       make(map[string]*znode, len(z.children)),
-	}
-	for name, child := range z.children {
-		c.children[name] = child.deepCopy()
-	}
-	return c
 }
 
 // validPath checks that path is a well-formed znode path: it starts
@@ -120,7 +100,7 @@ func parentPath(path string) string {
 	return path[:i]
 }
 
-// tree is a replica's znode hierarchy plus the bookkeeping needed to apply
+// tree is the znode hierarchy plus the bookkeeping needed to apply
 // committed operations deterministically.
 type tree struct {
 	root *znode
@@ -160,13 +140,15 @@ func (z *znode) sortedChildren() []string {
 }
 
 // collectEphemerals appends the paths of all ephemeral nodes owned by the
-// session under (and including) the subtree rooted at path prefix.
+// session under the subtree rooted at path prefix. Ephemeral nodes have
+// no children, so only the paths of matches and of inner nodes are
+// built, not one per leaf.
 func collectEphemerals(n *znode, prefix string, session int64, out *[]string) {
 	for name, child := range n.children {
-		childPath := prefix + "/" + name
 		if child.ephemeralOwner == session {
-			*out = append(*out, childPath)
+			*out = append(*out, prefix+"/"+name)
+		} else if len(child.children) > 0 {
+			collectEphemerals(child, prefix+"/"+name, session, out)
 		}
-		collectEphemerals(child, childPath, session, out)
 	}
 }

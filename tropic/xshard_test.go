@@ -828,3 +828,78 @@ func TestConfigShardsValidation(t *testing.T) {
 	}
 	_ = p.Stop()
 }
+
+// TestCrossShardDeadlineTimersStop: a coordinator holds no prepare-
+// deadline timer for a parent that finalized, and Platform.Stop stops
+// the ones still armed, so none fires into the closed store afterwards
+// (a firing timer would log its failed deadline enqueue).
+func TestCrossShardDeadlineTimersStop(t *testing.T) {
+	const shards, hosts = 2, 8
+	timeout := 300 * time.Millisecond
+	var logMu sync.Mutex
+	var stopped bool
+	var lateFires []string
+	p, _ := xshardPlatform(t, shards, hosts, 1, func(cfg *tropic.Config) {
+		cfg.XShardPrepareTimeout = timeout
+		cfg.Logf = func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			if line := fmt.Sprintf(format, args...); stopped && strings.Contains(line, "xshard timeout") {
+				lateFires = append(lateFires, line)
+			}
+		}
+	})
+	cli := p.Client()
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	pairs, _ := crossShardPairs(t, p, hosts)
+	if len(pairs) < 6 {
+		t.Fatalf("%d cross-shard pairs, want 6", len(pairs))
+	}
+	armed := func() int {
+		n := 0
+		for _, c := range p.Controllers() {
+			n += c.XDeadlinesArmed()
+		}
+		return n
+	}
+
+	for i := 0; i < 4; i++ {
+		id, err := cli.Submit(tcloud.ProcSpawnVM, pairs[i][0], pairs[i][1], fmt.Sprintf("tvm%d", i), "1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.Wait(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The finalize write is durable before the timer is stopped.
+	for deadline := time.Now().Add(5 * time.Second); armed() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d deadline timers armed after every parent finalized", armed())
+		}
+	}
+
+	// Stop with parents in flight: their timers stop with the platform.
+	for i := 4; i < 6; i++ {
+		if _, err := cli.Submit(tcloud.ProcSpawnVM, pairs[i][0], pairs[i][1], fmt.Sprintf("tvm%d", i), "1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	logMu.Lock()
+	stopped = true
+	logMu.Unlock()
+	if n := armed(); n != 0 {
+		t.Fatalf("%d deadline timers armed after Stop", n)
+	}
+	time.Sleep(2 * timeout)
+	logMu.Lock()
+	defer logMu.Unlock()
+	if len(lateFires) > 0 {
+		t.Fatalf("deadline timers fired after Stop: %q", lateFires)
+	}
+}
