@@ -17,7 +17,9 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/proto"
 	"repro/internal/store"
+	"repro/internal/txn"
 	"repro/internal/workload"
 	"repro/tcloud"
 	"repro/tropic"
@@ -413,6 +415,85 @@ func BenchmarkReadMix(b *testing.B) {
 	b.ReportMetric(base/n, "baseline-reads/s")
 	b.ReportMetric(enabled/n, "enabled-reads/s")
 	b.ReportMetric(speedup/n, "speedup-x")
+}
+
+// BenchmarkChildrenPage measures one 20-name page of a directory of
+// 1k, 10k and 100k children from the middle of the directory: the store
+// read behind every transaction list page. A page seeks the ordered
+// child index, so its time and allocations stay flat as the directory
+// grows.
+func BenchmarkChildrenPage(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("children=%d", n), func(b *testing.B) {
+			e := store.NewEnsemble(store.Config{})
+			defer e.Close()
+			cli := e.Connect()
+			defer cli.Close()
+			fillDir(b, cli, "/txns", n, nil)
+			after := fmt.Sprintf("t%07d", n/2)
+			b.ReportAllocs()
+			for b.Loop() {
+				names, _, _, err := cli.ChildrenPage("/txns", after, 20, 0)
+				if err != nil || len(names) != 20 {
+					b.Fatalf("page = %d names, %v", len(names), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkListPage measures Client.ListAt — a 20-record page from the
+// middle of /txns — on a platform whose store holds 10,000 committed
+// spawnVM records: the list read of the API's GET /v1/txns.
+func BenchmarkListPage(b *testing.B) {
+	ctx := context.Background()
+	env, err := exp.Start(ctx, exp.PlatformParams{
+		Topology:    tcloud.Topology{ComputeHosts: 16, StorageCapGB: 1 << 30},
+		LogicalOnly: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer env.Stop()
+	sc := env.Platform.Ensemble().Connect()
+	defer sc.Close()
+	const records = 10_000
+	rec := (&txn.Txn{
+		Proc:        tcloud.ProcSpawnVM,
+		Args:        []string{tcloud.StorageHostPath(0), tcloud.ComputeHostPath(0), "vm0", "1024"},
+		State:       txn.StateCommitted,
+		SubmittedAt: time.Unix(1, 0),
+		CompletedAt: time.Unix(2, 0),
+	}).Encode()
+	fillDir(b, sc, proto.TxnsPath, records, rec)
+	cli := env.Platform.Client()
+	defer cli.Close()
+	cursor := fmt.Sprintf("t%07d", records/2)
+	b.ReportAllocs()
+	for b.Loop() {
+		page, _, err := cli.ListAt(tropic.ListOptions{Cursor: cursor, Limit: 20}, -1)
+		if err != nil || len(page.Txns) != 20 || page.NextCursor == "" {
+			b.Fatalf("page = %+v, %v", page, err)
+		}
+	}
+}
+
+// fillDir creates dir with n children t0000000… holding data, 500
+// creates per store round.
+func fillDir(b *testing.B, cli *store.Client, dir string, n int, data []byte) {
+	b.Helper()
+	if err := cli.EnsurePath(dir); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n; i += 500 {
+		ops := make([]store.Op, 0, 500)
+		for j := i; j < n && j < i+500; j++ {
+			ops = append(ops, store.CreateOp(fmt.Sprintf("%s/t%07d", dir, j), data, 0))
+		}
+		if err := cli.Multi(ops...); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkGroupCommit isolates the store-layer win: concurrent Multi

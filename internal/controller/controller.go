@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1640,7 +1639,7 @@ func (c *Controller) checkpoint(entries []string) error {
 	if err != nil {
 		return err
 	}
-	sort.Strings(entries)
+	// Children lists names in ascending order: the last is the newest.
 	env := proto.Snapshot{Tree: data, LastCommitSeq: entries[len(entries)-1]}
 	if err := c.cli.Set(proto.SnapshotPath, env.Encode(), -1); err != nil {
 		return err
@@ -1666,11 +1665,10 @@ func (c *Controller) checkpoint(entries []string) error {
 // them (non-terminal records are never touched). Cross-shard records
 // additionally respect the 2PC ledger across shards — see gcReapable.
 func (c *Controller) gcTxnRecords() error {
-	ids, err := c.cli.Children(proto.TxnsPath)
+	ids, err := c.cli.Children(proto.TxnsPath) // ascending: oldest first
 	if err != nil {
 		return err
 	}
-	sort.Strings(ids)
 	var terminal []string
 	for _, id := range ids {
 		rec, _, err := c.loadTxn(proto.TxnsPath + "/" + id)
@@ -1763,11 +1761,10 @@ func (c *Controller) recover() error {
 
 	// 2. Replay committed transactions newer than the snapshot, in
 	// commit order.
-	entries, err := c.cli.Children(proto.CommitLogPath)
+	entries, err := c.cli.Children(proto.CommitLogPath) // ascending
 	if err != nil {
 		return err
 	}
-	sort.Strings(entries)
 	for _, name := range entries {
 		if env.LastCommitSeq != "" && name <= env.LastCommitSeq {
 			continue
@@ -1813,11 +1810,10 @@ func (c *Controller) recover() error {
 	}
 
 	// 4. Scan transaction records.
-	ids, err := c.cli.Children(proto.TxnsPath)
+	ids, err := c.cli.Children(proto.TxnsPath) // ascending
 	if err != nil {
 		return err
 	}
-	sort.Strings(ids)
 	var xParents, xInDoubt []*txn.Txn
 	for _, id := range ids {
 		path := proto.TxnsPath + "/" + id

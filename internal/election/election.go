@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/store"
@@ -130,7 +129,7 @@ func (c *Candidate) Resign() error {
 }
 
 func (c *Candidate) sortedCandidates() ([]string, error) {
-	names, err := c.cli.Children(c.path)
+	names, err := c.cli.Children(c.path) // ascending
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +139,6 @@ func (c *Candidate) sortedCandidates() ([]string, error) {
 			out = append(out, n)
 		}
 	}
-	sort.Strings(out)
 	return out, nil
 }
 

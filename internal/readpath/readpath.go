@@ -5,18 +5,19 @@
 //
 //  1. Follower reads. The store keeps full replicas per shard; reads
 //     carrying a zxid watermark are served from ANY live replica that
-//     has applied at least that zxid (store.Client.GetAt/ChildrenAt),
+//     has applied at least that zxid (store.Client.GetAt/ChildrenPage),
 //     bypassing the ensemble commit lock entirely. A client that
 //     threads the returned zxid into its next read gets session
 //     consistency — never reading behind its own writes — as an API
 //     property rather than an accident of replica choice.
 //
-//  2. Watch-invalidated caching. Records and child listings are cached
-//     per shard, bounded in bytes, and invalidated by the store's own
-//     persistent watch machinery (NodeWatch/ChildWatch) rather than
-//     TTLs: the watch is armed BEFORE the read fills the cache, and a
-//     generation counter drops any fill that raced a commit, so a
-//     cached entry is never staler than its recorded zxid claims.
+//  2. Watch-invalidated caching. Records are cached per shard, bounded
+//     in bytes, and invalidated by the store's own persistent watch
+//     machinery (NodeWatch) rather than TTLs: the watch is armed BEFORE
+//     the read fills the cache, and a generation counter drops any fill
+//     that raced a commit, so a cached entry is never staler than its
+//     recorded zxid claims. Child listings are not cached: the store
+//     serves a page from its ordered child index in O(log n + k).
 //
 //  3. Fan-out multiplexing. All subscribers of one record share that
 //     record's single store watch (a "hub"): 100k concurrent WatchTxn
@@ -31,6 +32,7 @@ package readpath
 import (
 	"container/list"
 	"errors"
+	"math"
 	"sync"
 
 	"repro/internal/metrics"
@@ -75,7 +77,7 @@ type Config struct {
 	// FollowerReads serves watermarked reads from any caught-up replica
 	// instead of the leader. False is the leader-only ablation baseline.
 	FollowerReads bool
-	// CacheBytes bounds the resident bytes of the record/listing cache;
+	// CacheBytes bounds the resident bytes of the record cache;
 	// 0 disables caching (reads always go to the store, the fan-out
 	// multiplexer still works).
 	CacheBytes int64
@@ -109,19 +111,6 @@ type hub struct {
 	negative bool
 	cost     int64
 	elem     *list.Element // position in the LRU when hasData
-}
-
-// kidsEntry caches one path's sorted child names under its own
-// persistent child watch. Listings are invalidated by membership
-// changes only; the records behind the names live in their own hubs.
-type kidsEntry struct {
-	path  string
-	w     *store.ChildWatch
-	gen   uint64
-	names []string
-	zxid  int64
-	valid bool
-	cost  int64
 }
 
 // Sub is one fan-out subscription to a path's hub. Its channel carries
@@ -196,13 +185,11 @@ type Shard struct {
 	follower bool
 	maxBytes int64
 
-	mu        sync.Mutex
-	closed    bool
-	hubs      map[string]*hub
-	kids      map[string]*kidsEntry
-	lru       *list.List // of *hub with hasData, most recent at front
-	bytes     int64      // resident record bytes (LRU-bounded)
-	kidsBytes int64      // resident listing bytes
+	mu     sync.Mutex
+	closed bool
+	hubs   map[string]*hub
+	lru    *list.List // of *hub with hasData, most recent at front
+	bytes  int64      // resident record bytes (LRU-bounded)
 
 	hits, misses, invals, evicts *metrics.Counter
 	srcCache, srcFollower        *metrics.Counter
@@ -218,7 +205,6 @@ func New(cfg Config) *Shard {
 		follower: cfg.FollowerReads,
 		maxBytes: cfg.CacheBytes,
 		hubs:     make(map[string]*hub),
-		kids:     make(map[string]*kidsEntry),
 		lru:      list.New(),
 	}
 	if cfg.Registry == nil {
@@ -238,7 +224,7 @@ func New(cfg Config) *Shard {
 	}
 	r := cfg.Registry
 	s.hits = r.CounterVec("tropic_read_cache_hits_total",
-		"Read-path cache hits (records and listings).", "shard").With(shard)
+		"Read-path cache hits.", "shard").With(shard)
 	s.misses = r.CounterVec("tropic_read_cache_misses_total",
 		"Read-path cache misses (read went to the store).", "shard").With(shard)
 	s.invals = r.CounterVec("tropic_read_cache_invalidations_total",
@@ -264,8 +250,8 @@ func New(cfg Config) *Shard {
 	return s
 }
 
-// Close tears down every hub and listing watch. Reads still pass
-// through to the store afterwards (uncached); subscriptions fail.
+// Close tears down every hub. Reads still pass through to the store
+// afterwards (uncached); subscriptions fail.
 func (s *Shard) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -274,7 +260,6 @@ func (s *Shard) Close() {
 	}
 	s.closed = true
 	var nws []*store.NodeWatch
-	var cws []*store.ChildWatch
 	for path, h := range s.hubs {
 		delete(s.hubs, path)
 		if h.hasData {
@@ -285,16 +270,8 @@ func (s *Shard) Close() {
 		}
 		nws = append(nws, h.w)
 	}
-	for path, k := range s.kids {
-		delete(s.kids, path)
-		cws = append(cws, k.w)
-	}
-	s.kidsBytes = 0
 	s.mu.Unlock()
 	for _, w := range nws {
-		w.Close()
-	}
-	for _, w := range cws {
 		w.Close()
 	}
 }
@@ -391,63 +368,27 @@ func (s *Shard) GetRecord(path string, minZxid int64) ([]byte, store.Stat, int64
 	return data, st, z, src, nil
 }
 
-// Children lists path's sorted child names under the same watermark and
-// caching contract as GetRecord, with invalidation driven by the
-// store's persistent child-watch machinery.
-func (s *Shard) Children(path string, minZxid int64) ([]string, int64, Source, error) {
-	var k *kidsEntry
-	var gen uint64
-	if s.maxBytes > 0 {
-		s.mu.Lock()
-		if !s.closed {
-			if kk := s.kids[path]; kk != nil && kk.valid && kk.zxid >= minZxid {
-				names := append([]string(nil), kk.names...)
-				z := kk.zxid
-				s.mu.Unlock()
-				s.hits.Inc()
-				s.srcCache.Inc()
-				return names, z, SourceCache, nil
-			}
-			if kk, err := s.ensureKidsLocked(path); err == nil {
-				k, gen = kk, kk.gen
-			}
-		}
-		s.mu.Unlock()
-		s.misses.Inc()
+// ChildrenPage lists at most limit child names of path greater than
+// after, in ascending order, under the same watermark contract as
+// GetRecord (see store.Client.ChildrenPage). Listings are not cached:
+// the store seeks its ordered child index, so a page costs O(log n +
+// limit) under the tree's read lock.
+func (s *Shard) ChildrenPage(path, after string, limit int, minZxid int64) ([]string, int64, Source, error) {
+	if !s.follower {
+		// Leader-only ablation: a watermark past every commit sends the
+		// read to the leader.
+		minZxid = math.MaxInt64
 	}
-	var names []string
-	var z int64
-	var follower bool
-	var err error
-	if s.follower {
-		names, z, follower, err = s.cli.ChildrenAt(path, minZxid)
-	} else {
-		names, z, err = s.cli.ChildrenZ(path)
-	}
-	if k != nil && err == nil {
-		s.mu.Lock()
-		if s.kids[path] == k && k.gen == gen && !s.closed && (!k.valid || k.zxid <= z) {
-			if k.valid {
-				s.kidsBytes -= k.cost
-			}
-			k.names = append([]string(nil), names...)
-			k.zxid, k.valid = z, true
-			k.cost = kidsCost(k)
-			s.kidsBytes += k.cost
-		}
-		s.mu.Unlock()
-	}
+	names, z, follower, err := s.cli.ChildrenPage(path, after, limit, minZxid)
 	if err != nil {
-		return nil, 0, SourceLeader, err
+		return nil, z, SourceLeader, err
 	}
-	src := SourceLeader
 	if follower {
-		src = SourceFollower
 		s.srcFollower.Inc()
-	} else {
-		s.srcLeader.Inc()
+		return names, z, SourceFollower, nil
 	}
-	return names, z, src, nil
+	s.srcLeader.Inc()
+	return names, z, SourceLeader, nil
 }
 
 // Subscribe joins path's hub, creating it (and its single store watch)
@@ -494,22 +435,6 @@ func (s *Shard) ensureHubLocked(path string) (*hub, error) {
 	s.hubs[path] = h
 	go s.pump(h)
 	return h, nil
-}
-
-// ensureKidsLocked is ensureHubLocked for child listings. Caller holds
-// s.mu.
-func (s *Shard) ensureKidsLocked(path string) (*kidsEntry, error) {
-	if k := s.kids[path]; k != nil {
-		return k, nil
-	}
-	w, err := s.cli.ChildWatch(path)
-	if err != nil {
-		return nil, err
-	}
-	k := &kidsEntry{path: path, w: w}
-	s.kids[path] = k
-	go s.kidsPump(k)
-	return k, nil
 }
 
 // pump is a hub's single event loop: every store watch event
@@ -572,32 +497,6 @@ func (s *Shard) hubDead(h *hub) {
 	s.mu.Unlock()
 }
 
-// kidsPump mirrors pump for a listing entry.
-func (s *Shard) kidsPump(k *kidsEntry) {
-	for range k.w.C() {
-		s.mu.Lock()
-		if s.kids[k.path] == k {
-			k.gen++
-			if k.valid {
-				k.valid = false
-				s.kidsBytes -= k.cost
-				k.cost = 0
-				s.invals.Inc()
-			}
-		}
-		s.mu.Unlock()
-	}
-	s.mu.Lock()
-	if s.kids[k.path] == k {
-		delete(s.kids, k.path)
-		if k.valid {
-			k.valid = false
-			s.kidsBytes -= k.cost
-		}
-	}
-	s.mu.Unlock()
-}
-
 // storeLocked installs a fill into h and the LRU — negative marks an
 // absence fill (ErrNoNode observed at z). A fill older than the
 // resident entry is skipped (two same-generation readers may resolve at
@@ -646,20 +545,12 @@ func (s *Shard) evictLocked() []*store.NodeWatch {
 	return victims
 }
 
-func kidsCost(k *kidsEntry) int64 {
-	c := int64(len(k.path)) + entryOverhead
-	for _, n := range k.names {
-		c += int64(len(n)) + 16
-	}
-	return c
-}
-
-// BytesResident reports the cache's resident payload bytes (records
-// plus listings) — the quantity the byte-budget gauge exports.
+// BytesResident reports the cache's resident record bytes — the
+// quantity the byte-budget gauge exports.
 func (s *Shard) BytesResident() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bytes + s.kidsBytes
+	return s.bytes
 }
 
 // Hubs reports how many store node watches the read path holds.
@@ -711,7 +602,7 @@ func (s *Shard) Stats() Stats {
 	st := Stats{
 		FollowerReads: s.follower,
 		CacheBytesMax: s.maxBytes,
-		CacheBytes:    s.bytes + s.kidsBytes,
+		CacheBytes:    s.bytes,
 		CachedRecords: s.lru.Len(),
 		WatchHubs:     len(s.hubs),
 	}

@@ -280,37 +280,32 @@ func TestLeaderOnlyAblation(t *testing.T) {
 	}
 }
 
-func TestChildrenCachingAndInvalidation(t *testing.T) {
+func TestChildrenPageServesEachTier(t *testing.T) {
 	e, s := newShard(t, 1<<20)
 	w := e.Connect()
 	defer w.Close()
 	if _, err := w.Create("/dir", nil, 0); err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if _, err := w.Create("/dir/a", nil, 0); err != nil {
-		t.Fatalf("create child: %v", err)
+	for _, name := range []string{"c", "a", "b"} {
+		if _, err := w.Create("/dir/"+name, nil, 0); err != nil {
+			t.Fatalf("create child: %v", err)
+		}
+	}
+	names, z, src, err := s.ChildrenPage("/dir", "a", 10, w.LastWriteZxid())
+	if err != nil || src != SourceFollower || strings.Join(names, ",") != "b,c" || z < w.LastWriteZxid() {
+		t.Fatalf("follower page = %v z=%d src=%v err=%v, want [b c] from follower", names, z, src, err)
 	}
 
-	names, z, src, err := s.Children("/dir", 0)
-	if err != nil {
-		t.Fatalf("children: %v", err)
+	leaderOnly := New(Config{Client: w, FollowerReads: false})
+	defer leaderOnly.Close()
+	names, _, src, err = leaderOnly.ChildrenPage("/dir", "", 2, 0)
+	if err != nil || src != SourceLeader || strings.Join(names, ",") != "a,b" {
+		t.Fatalf("leader-only page = %v src=%v err=%v, want [a b] from leader", names, src, err)
 	}
-	if src == SourceCache || len(names) != 1 {
-		t.Fatalf("first listing src=%v names=%v", src, names)
+	if _, _, _, err := s.ChildrenPage("/nope", "", 10, 0); !errors.Is(err, store.ErrNoNode) {
+		t.Fatalf("missing dir err = %v, want ErrNoNode", err)
 	}
-	names, _, src, err = s.Children("/dir", z)
-	if err != nil || src != SourceCache || len(names) != 1 {
-		t.Fatalf("second listing src=%v names=%v err=%v, want cached [a]", src, names, err)
-	}
-
-	// Membership change invalidates the listing.
-	if _, err := w.Create("/dir/b", nil, 0); err != nil {
-		t.Fatalf("create child: %v", err)
-	}
-	waitFor(t, "listing invalidation", func() bool {
-		names, _, _, err := s.Children("/dir", 0)
-		return err == nil && len(names) == 2
-	})
 }
 
 func TestMetricsPrecreatedAtZero(t *testing.T) {

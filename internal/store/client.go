@@ -433,7 +433,10 @@ func (c *Client) Exists(path string) (bool, Stat, error) {
 	return true, n.stat(), nil
 }
 
-// Children returns the sorted child names of a znode.
+// Children returns every child name of a znode in ascending
+// lexicographic order, which for sequence nodes is also creation order.
+// The names are copied from the node's ordered child index; nothing is
+// sorted on the read.
 func (c *Client) Children(path string) ([]string, error) {
 	e := c.ens
 	e.mu.Lock()
@@ -449,48 +452,46 @@ func (c *Client) Children(path string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.sortedChildren(), nil
+	return n.childNames(), nil
 }
 
-// ChildrenZ is Children plus the zxid the listing is current as of.
-func (c *Client) ChildrenZ(path string) ([]string, int64, error) {
-	e := c.ens
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := c.checkSessionLocked(); err != nil {
-		return nil, 0, err
-	}
-	t, err := e.leaderTree()
-	if err != nil {
-		return nil, 0, err
-	}
-	n, err := t.lookup(path)
-	if err != nil {
-		return nil, e.zxid, err
-	}
-	return n.sortedChildren(), e.zxid, nil
-}
-
-// ChildrenAt is the follower read for listings: sorted child names as
-// of ≥ minZxid from a live replica, falling through to the leader when
-// none qualifies. Same watermark contract as GetAt.
-func (c *Client) ChildrenAt(path string, minZxid int64) (names []string, zxid int64, fromFollower bool, err error) {
+// ChildrenPage is the paged listing read: at most limit child names of
+// path greater than after ("" starts at the first), in ascending order,
+// as of a position ≥ minZxid. It seeks the node's ordered child index,
+// so a page costs O(log n + limit) however many children path has. It
+// keeps GetAt's watermark contract: served by any live replica that has
+// applied minZxid, without the commit lock, and otherwise by the leader
+// (so a minZxid beyond every commit forces a leader read). The returned
+// zxid is the position the page is current as of; ErrNoNode carries
+// the zxid the absence was observed at.
+func (c *Client) ChildrenPage(path, after string, limit int, minZxid int64) (names []string, zxid int64, fromFollower bool, err error) {
 	if err := c.checkSessionFast(); err != nil {
 		return nil, 0, false, err
 	}
-	z, served, rerr := c.ens.followerRead(minZxid, func(t *tree) error {
+	page := func(t *tree) error {
 		n, lerr := t.lookup(path)
 		if lerr != nil {
 			return lerr
 		}
-		names = n.sortedChildren()
+		names = n.index.appendAfter(make([]string, 0, max(0, min(limit, len(n.children)))), after, limit)
 		return nil
-	})
+	}
+	z, served, rerr := c.ens.followerRead(minZxid, page)
 	if served {
 		return names, z, true, rerr
 	}
-	names, z, err = c.ChildrenZ(path)
-	return names, z, false, err
+	e := c.ens
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := c.checkSessionLocked(); err != nil {
+		return nil, 0, false, err
+	}
+	t, err := e.leaderTree()
+	if err != nil {
+		return nil, 0, false, err
+	}
+	err = page(t)
+	return names, e.zxid, false, err
 }
 
 // WatchNode registers a one-shot watch for create/delete/set on path.
@@ -572,7 +573,7 @@ func (c *Client) ChildrenW(path string) ([]string, <-chan Event, error) {
 	}
 	w := &watcher{ch: make(chan Event, 1), session: c.sessionID}
 	e.watches.addChild(path, w)
-	return n.sortedChildren(), w.ch, nil
+	return n.childNames(), w.ch, nil
 }
 
 // ExistsW reports whether path exists and arms a one-shot node watch

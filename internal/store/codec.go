@@ -141,7 +141,7 @@ func appendNode(b []byte, n *znode, path string) []byte {
 	b = binary.AppendVarint(b, n.czxid)
 	b = binary.AppendVarint(b, n.mzxid)
 	b = binary.AppendUvarint(b, n.seqCounter)
-	for _, name := range n.sortedChildren() {
+	for name := range n.index.all() {
 		child := n.children[name]
 		if child.ephemeralOwner != 0 {
 			continue
@@ -212,7 +212,7 @@ func readNodeInto(t *tree, b []byte) ([]byte, error) {
 			return nil, fmt.Errorf("entry %s before its parent: %w", path, err)
 		}
 		n = newZnode(baseName(path))
-		parent.children[n.name] = n
+		parent.addChild(n)
 	}
 	if len(data) > 0 {
 		n.data = data

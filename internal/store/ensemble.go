@@ -599,7 +599,7 @@ func applyOp(t *tree, op Op, zxid int64, fired *firedWatches) {
 		n.data = append([]byte(nil), op.Data...)
 		n.czxid, n.mzxid = zxid, zxid
 		n.ephemeralOwner = op.session
-		parent.children[op.resolvedName] = n
+		parent.addChild(n)
 		if fired != nil {
 			full := childFullPath(op.Path, op.resolvedName)
 			fired.add(full, EventCreated)
@@ -621,7 +621,7 @@ func applyOp(t *tree, op Op, zxid int64, fired *firedWatches) {
 		if err != nil {
 			return
 		}
-		delete(parent.children, baseName(op.Path))
+		parent.removeChild(baseName(op.Path))
 		if fired != nil {
 			fired.add(op.Path, EventDeleted)
 			fired.addChild(parentPath(op.Path))
@@ -704,7 +704,7 @@ func (e *Ensemble) DumpPaths() []string {
 	var out []string
 	var walk func(n *znode, prefix string)
 	walk = func(n *znode, prefix string) {
-		for _, name := range n.sortedChildren() {
+		for name := range n.index.all() {
 			p := prefix + "/" + name
 			out = append(out, p)
 			walk(n.children[name], p)

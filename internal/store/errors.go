@@ -10,6 +10,14 @@
 // client stops heartbeating, at which point the ensemble deletes the
 // session's ephemeral nodes — the failure-detection primitive TROPIC's
 // controller failover builds on.
+//
+// Each znode keeps its child names in an ordered index beside its
+// child map: a sorted list of sorted chunks of at most 128 names. A
+// listing page (Client.ChildrenPage) seeks it in O(log n + k) under the
+// tree's read lock, Children copies names out without sorting, and
+// snapshots walk it in order. Transaction records all live under one
+// directory, so a page of them costs the same at 100 records as at
+// 100,000.
 package store
 
 import "repro/tropic/trerr"

@@ -147,7 +147,7 @@ func TestLastWriteZxidAdvancesOnWritesOnly(t *testing.T) {
 	}
 }
 
-func TestChildrenAtFollowerRead(t *testing.T) {
+func TestChildrenPageFollowerRead(t *testing.T) {
 	e := newTestEnsemble(t)
 	c := e.Connect()
 	defer c.Close()
@@ -160,9 +160,9 @@ func TestChildrenAtFollowerRead(t *testing.T) {
 			t.Fatalf("create child: %v", err)
 		}
 	}
-	names, z, follower, err := c.ChildrenAt("/dir", c.LastWriteZxid())
+	names, z, follower, err := c.ChildrenPage("/dir", "", 10, c.LastWriteZxid())
 	if err != nil {
-		t.Fatalf("ChildrenAt: %v", err)
+		t.Fatalf("ChildrenPage: %v", err)
 	}
 	if !follower {
 		t.Errorf("listing served from leader, want follower")

@@ -185,9 +185,16 @@ func (s *Store) syncLocked() error {
 	if s.active == nil {
 		return nil
 	}
+	return s.fsync(s.active)
+}
+
+// fsync flushes f to stable storage, counting the call in Fsyncs and
+// its wall time in FsyncNanos. Every fsync the store makes goes
+// through it, so the two counters describe the same calls.
+func (s *Store) fsync(f *os.File) error {
 	s.fsyncs.Inc()
 	start := time.Now()
-	err := s.active.Sync()
+	err := f.Sync()
 	s.fsyncNs.Add(time.Since(start).Nanoseconds())
 	return err
 }
@@ -218,11 +225,7 @@ func (s *Store) syncDir() error {
 		return err
 	}
 	defer d.Close()
-	s.fsyncs.Inc()
-	start := time.Now()
-	err = d.Sync()
-	s.fsyncNs.Add(time.Since(start).Nanoseconds())
-	return err
+	return s.fsync(d)
 }
 
 // sortedMatches lists files in dir matching prefix/suffix, sorted by

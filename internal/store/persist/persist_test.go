@@ -394,6 +394,39 @@ func TestSyncAlwaysCountsFsyncs(t *testing.T) {
 	}
 }
 
+// TestHotPathFsyncsAreTimed: the fsyncs on the commit path — every
+// SyncAlways append and every group sync — add their wall time to
+// FsyncNanos, not just to the Fsyncs count.
+func TestHotPathFsyncsAreTimed(t *testing.T) {
+	s, err := Open(t.TempDir(), SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.StartAppending(1); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	appendN(t, s, 1, 200)
+	after := s.Stats()
+	if got := after.Fsyncs - before.Fsyncs; got != 200 {
+		t.Errorf("200 SyncAlways appends made %d fsyncs, want 200", got)
+	}
+	if after.FsyncNanos <= before.FsyncNanos {
+		t.Errorf("FsyncNanos %d -> %d across 200 synced appends, want it to grow", before.FsyncNanos, after.FsyncNanos)
+	}
+	if err := s.AppendNoSync(201, []byte("op")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SyncGroup(); err != nil {
+		t.Fatal(err)
+	}
+	if grp := s.Stats(); grp.Fsyncs != after.Fsyncs+1 || grp.FsyncNanos <= after.FsyncNanos {
+		t.Errorf("SyncGroup: Fsyncs %d -> %d, FsyncNanos %d -> %d, want one more timed fsync",
+			after.Fsyncs, grp.Fsyncs, after.FsyncNanos, grp.FsyncNanos)
+	}
+}
+
 // TestAppendAllocatesNothing: once the frame buffer has grown to the
 // record size, appending allocates nothing, synced or not.
 func TestAppendAllocatesNothing(t *testing.T) {

@@ -98,8 +98,7 @@ func (s *Store) writeSnapshotLocked(zxid int64, payload []byte) error {
 		tmp.Close()
 		return err
 	}
-	s.fsyncs.Inc()
-	if err := tmp.Sync(); err != nil {
+	if err := s.fsync(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -43,6 +42,9 @@ type znode struct {
 	ephemeralOwner int64
 	seqCounter     uint64
 	children       map[string]*znode
+	// index orders the keys of children, so listings and snapshots
+	// read names in order without sorting them.
+	index childIndex
 }
 
 func newZnode(name string) *znode {
@@ -128,15 +130,27 @@ func (t *tree) lookup(path string) (*znode, error) {
 	return n, nil
 }
 
-// sortedChildren returns the child names of a znode in lexicographic
-// order, which for sequence nodes is also creation order.
-func (z *znode) sortedChildren() []string {
-	names := make([]string, 0, len(z.children))
-	for name := range z.children {
-		names = append(names, name)
+// addChild links child under z by its name, replacing any child of
+// that name.
+func (z *znode) addChild(child *znode) {
+	if _, ok := z.children[child.name]; !ok {
+		z.index.insert(child.name)
 	}
-	sort.Strings(names)
-	return names
+	z.children[child.name] = child
+}
+
+// removeChild unlinks the child called name, if there is one.
+func (z *znode) removeChild(name string) {
+	if _, ok := z.children[name]; ok {
+		delete(z.children, name)
+		z.index.remove(name)
+	}
+}
+
+// childNames returns every child name in lexicographic order, which
+// for sequence nodes is also creation order.
+func (z *znode) childNames() []string {
+	return z.index.appendAfter(make([]string, 0, len(z.children)), "", len(z.children))
 }
 
 // collectEphemerals appends the paths of all ephemeral nodes owned by the

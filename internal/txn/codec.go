@@ -263,6 +263,38 @@ func DecodeSignal(data []byte) (Signal, error) {
 	return Signal(raw), nil
 }
 
+// DecodeState extracts only the state of a stored record. Wait and
+// WatchTxn wake-ups need the state alone to decide whether to deliver
+// or return, so this skips Signal, ID, Proc and Args in place and stops
+// after State; for the states of Figure 2 it allocates nothing.
+func DecodeState(data []byte) (State, error) {
+	if err := checkFormat(data); err != nil {
+		return "", fmt.Errorf("txn: decode state: %w", err)
+	}
+	d := decoder{b: data, off: 1}
+	// Skip Signal, ID and Proc, then each of Args.
+	d.span()
+	d.span()
+	d.span()
+	for n := d.count(minString); n > 0; n-- {
+		d.span()
+	}
+	var st State
+	switch i := d.uvarint(); {
+	case d.err != nil:
+	case i < uint64(len(stateCodes)):
+		st = stateCodes[i]
+	case i == uint64(len(stateCodes)):
+		st = State(d.bytes())
+	default:
+		d.err = fmt.Errorf("unknown state code %d", i)
+	}
+	if d.err != nil {
+		return "", fmt.Errorf("txn: decode state: %w", d.err)
+	}
+	return st, nil
+}
+
 // decoder reads b from off. The first error sticks: later reads return
 // zero values, so Decode checks once at the end.
 type decoder struct {

@@ -199,10 +199,36 @@ func TestCodecRoundTrip(t *testing.T) {
 			if err != nil || sig != got.Signal {
 				t.Errorf("DecodeSignal = %q, %v; Decode().Signal = %q", sig, err, got.Signal)
 			}
+			st, err := DecodeState(b)
+			if err != nil || st != got.State {
+				t.Errorf("DecodeState = %q, %v; Decode().State = %q", st, err, got.State)
+			}
 			if again := got.Encode(); !bytes.Equal(again, b) {
 				t.Errorf("re-encoding differs:\n%x\n%x", again, b)
 			}
 		})
+	}
+}
+
+// TestDecodeStateAllocatesNothing: reading the state of a record with
+// arguments, a log and a history allocates nothing.
+func TestDecodeStateAllocatesNothing(t *testing.T) {
+	b := spawnRecord().Encode()
+	var st State
+	n := testing.AllocsPerRun(100, func() {
+		var err error
+		if st, err = DecodeState(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("DecodeState allocates %.0f times per record", n)
+	}
+	if st != spawnRecord().State {
+		t.Errorf("DecodeState = %q, want %q", st, spawnRecord().State)
+	}
+	if _, err := DecodeState(b[:3]); err == nil {
+		t.Error("DecodeState of a 3-byte prefix succeeded")
 	}
 }
 
@@ -296,6 +322,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if serr != nil || sig != rec.Signal {
 			t.Fatalf("DecodeSignal = %q, %v; Decode().Signal = %q", sig, serr, rec.Signal)
+		}
+		if st, err := DecodeState(data); err != nil || st != rec.State {
+			t.Fatalf("DecodeState = %q, %v; Decode().State = %q", st, err, rec.State)
 		}
 		again, err := Decode(rec.Encode())
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/shard"
 	"repro/internal/store"
+	"repro/internal/txn"
 	"repro/tropic/trerr"
 )
 
@@ -107,7 +108,10 @@ func (c *Client) List(opts ListOptions) (*TxnPage, error) {
 // ListAt is List with an explicit zxid watermark (see GetAt; minZxid <
 // 0 substitutes the serving shard's own client watermark). The child
 // listing and every record read go through the shard's read path; the
-// returned zxid is the highest position any of them was served at.
+// listing reads the ids after the cursor in batches, each an
+// O(log n + batch) seek, so a page costs the same however many records
+// the store holds. The returned zxid is the highest position any read
+// was served at.
 func (c *Client) ListAt(opts ListOptions, minZxid int64) (*TxnPage, int64, error) {
 	if c.sharded() {
 		return c.listSharded(opts, minZxid)
@@ -122,51 +126,60 @@ func (c *Client) ListAt(opts ListOptions, minZxid int64) (*TxnPage, int64, error
 	if limit > listMaxLimit {
 		limit = listMaxLimit
 	}
-	ids, maxZ, _, err := c.rp.Children(proto.TxnsPath, minZxid)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return &TxnPage{}, maxZ, nil // platform not bootstrapped yet: nothing to list
-		}
-		return nil, 0, err
-	}
 	page := &TxnPage{}
+	var maxZ int64
 	scanned := 0
 	lastExamined := opts.Cursor
-	for _, id := range ids { // Children returns sorted names = ascending ids
-		if opts.Cursor != "" && id <= opts.Cursor {
-			continue
-		}
-		if scanned == listScanCap {
-			// Scan budget exhausted: resume from the last examined id.
-			page.NextCursor = lastExamined
-			return page, maxZ, nil
-		}
-		rec, z, err := c.GetAt(id, minZxid)
+	// Read the ids after the cursor one batch at a time, each batch a
+	// seek of the store's ordered child index. A batch of limit+1 fills
+	// an unfiltered page and shows whether a further match exists.
+	for after := opts.Cursor; ; {
+		ids, z, _, err := c.rp.ChildrenPage(proto.TxnsPath, after, limit+1, minZxid)
 		if err != nil {
-			if errors.Is(err, trerr.TxnNotFound) {
-				continue // record GC'd between Children and Get
+			if errors.Is(err, store.ErrNoNode) {
+				return &TxnPage{}, maxZ, nil // platform not bootstrapped yet: nothing to list
 			}
 			return nil, 0, err
 		}
 		if z > maxZ {
 			maxZ = z
 		}
-		scanned++
-		lastExamined = id
-		if opts.State != "" && rec.State != opts.State {
-			continue
-		}
-		if opts.Proc != "" && rec.Proc != opts.Proc {
-			continue
-		}
-		if len(page.Txns) == limit {
-			// A further match exists beyond the page: hand out a cursor.
-			page.NextCursor = page.Txns[limit-1].ID
+		if len(ids) == 0 {
 			return page, maxZ, nil
 		}
-		page.Txns = append(page.Txns, rec)
+		after = ids[len(ids)-1]
+		for _, id := range ids { // ascending ids
+			if scanned == listScanCap {
+				// Scan budget exhausted: resume from the last examined id.
+				page.NextCursor = lastExamined
+				return page, maxZ, nil
+			}
+			rec, z, err := c.GetAt(id, minZxid)
+			if err != nil {
+				if errors.Is(err, trerr.TxnNotFound) {
+					continue // record GC'd between the listing and Get
+				}
+				return nil, 0, err
+			}
+			if z > maxZ {
+				maxZ = z
+			}
+			scanned++
+			lastExamined = id
+			if opts.State != "" && rec.State != opts.State {
+				continue
+			}
+			if opts.Proc != "" && rec.Proc != opts.Proc {
+				continue
+			}
+			if len(page.Txns) == limit {
+				// A further match exists beyond the page: hand out a cursor.
+				page.NextCursor = page.Txns[limit-1].ID
+				return page, maxZ, nil
+			}
+			page.Txns = append(page.Txns, rec)
+		}
 	}
-	return page, maxZ, nil
 }
 
 // listSharded merges cursor pagination across shards: it serves each
@@ -310,7 +323,21 @@ func (c *Client) WatchTxnAt(ctx context.Context, id string, minZxid int64) (<-ch
 			// Re-read past the position just served (see WaitAt): a
 			// cached entry at exactly z would satisfy the watermark and
 			// stall the stream on the state the wakeup superseded.
-			if rec, z, err = c.GetAt(id, z+1); err != nil {
+			data, zz, err := c.readRecord(id, z+1)
+			if err != nil {
+				return
+			}
+			z = zz
+			// A wake-up that leaves the state as last delivered (a log
+			// append, a signal) is skipped without decoding the record.
+			st, err := txn.DecodeState(data)
+			if err != nil {
+				return
+			}
+			if st == last {
+				continue
+			}
+			if rec, err = decodeRecord(id, data); err != nil {
 				return
 			}
 		}

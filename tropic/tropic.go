@@ -1377,6 +1377,22 @@ func (c *Client) GetAt(id string, minZxid int64) (*Txn, int64, error) {
 	if minZxid < 0 {
 		minZxid = c.cli.LastWriteZxid()
 	}
+	data, z, err := c.readRecord(id, minZxid)
+	if err != nil {
+		return nil, z, err
+	}
+	rec, err := decodeRecord(id, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return rec, z, nil
+}
+
+// readRecord reads the stored bytes of this shard's record id through
+// the read path under minZxid, reporting a missing record as
+// trerr.TxnNotFound. The bytes are shared with the store: decode them,
+// never modify them.
+func (c *Client) readRecord(id string, minZxid int64) ([]byte, int64, error) {
 	data, _, z, _, err := c.rp.GetRecord(proto.TxnsPath+"/"+id, minZxid)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
@@ -1385,12 +1401,17 @@ func (c *Client) GetAt(id string, minZxid int64) (*Txn, int64, error) {
 		}
 		return nil, 0, err
 	}
+	return data, z, nil
+}
+
+// decodeRecord decodes the stored record of id.
+func decodeRecord(id string, data []byte) (*Txn, error) {
 	rec, err := txn.Decode(data)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	rec.ID = id
-	return rec, z, nil
+	return rec, nil
 }
 
 // Wait blocks until the transaction reaches a terminal state and
@@ -1406,7 +1427,8 @@ func (c *Client) Wait(ctx context.Context, id string) (*Txn, error) {
 // 0 substitutes the serving shard's own client watermark). The wait
 // subscribes to the shard's fan-out multiplexer — one shared store watch
 // per record, however many concurrent waiters — and each wakeup re-reads
-// through the cache.
+// through the cache. A wake-up decodes only the record's state; the
+// whole record is decoded once, when that state is terminal.
 func (c *Client) WaitAt(ctx context.Context, id string, minZxid int64) (*Txn, int64, error) {
 	if c.sharded() {
 		sub, local, qualify, err := c.locate(id)
@@ -1429,12 +1451,23 @@ func (c *Client) WaitAt(ctx context.Context, id string, minZxid int64) (*Txn, in
 		return nil, 0, err
 	}
 	defer sub.Close()
-	rec, z, err := c.GetAt(id, minZxid)
+	if minZxid < 0 {
+		minZxid = c.cli.LastWriteZxid()
+	}
+	data, z, err := c.readRecord(id, minZxid)
 	for {
+		var st State
+		if err == nil {
+			st, err = txn.DecodeState(data)
+		}
 		if err != nil {
 			return nil, 0, err
 		}
-		if rec.State.Terminal() {
+		if st.Terminal() {
+			rec, err := decodeRecord(id, data)
+			if err != nil {
+				return nil, 0, err
+			}
 			if c.lat != nil {
 				c.lat.ObserveDuration(rec.Latency())
 			}
@@ -1456,7 +1489,7 @@ func (c *Client) WaitAt(ctx context.Context, id string, minZxid int64) (*Txn, in
 		// record changed after zxid z, and a still-cached entry at
 		// exactly z would otherwise satisfy the watermark and stall the
 		// loop on the state the event superseded.
-		rec, z, err = c.GetAt(id, z+1)
+		data, z, err = c.readRecord(id, z+1)
 	}
 }
 
