@@ -543,7 +543,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 							ops := []store.Op{store.SetOp("/bench", payload, -1)}
 							var err error
 							if batcher != nil {
-								err = batcher.Multi(ops...)
+								err = <-batcher.MultiAsync(ops...)
 							} else {
 								err = cli.Multi(ops...)
 							}

@@ -9,10 +9,10 @@
 //
 //	tropicctl -addr http://localhost:7077 submit spawnVM \
 //	    /storageRoot/storageHost0000 /vmRoot/vmHost00000 vm1 1024
-//	tropicctl get t-0000000001
-//	tropicctl watch t-0000000001
-//	tropicctl wait t-0000000001
-//	tropicctl signal t-0000000002 TERM
+//	tropicctl get t-s5c00000001
+//	tropicctl watch t-s5c00000001
+//	tropicctl wait t-s5c00000001
+//	tropicctl signal t-s5c00000002 TERM
 //	tropicctl repair /vmRoot/vmHost00000
 //	tropicctl stats
 package main

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -675,15 +674,4 @@ func (g *Gateway) writeJSON(w http.ResponseWriter, v any) {
 		// visible to operators.
 		g.cfg.Logf("api: encode response: %v", err)
 	}
-}
-
-// Routes returns the registered endpoint paths in sorted order (for
-// docs and tests).
-func (g *Gateway) Routes() []string {
-	out := make([]string, 0, len(g.lat))
-	for p := range g.lat {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -254,10 +254,10 @@ type Controller struct {
 	xTimes     map[string]*xPhaseClock
 	xDeadlines map[string]*time.Timer
 
-	// xmu guards the lazily-connected peer-shard sessions used by the
-	// cross-shard layer.
+	// xmu guards the lazily-connected peer-shard sessions and batchers
+	// used by the cross-shard layer, this shard's own included.
 	xmu    sync.Mutex
-	xpeers map[int]*store.Client
+	xpeers map[int]*peer
 
 	// lmu guards localMsgs, the in-memory cross-shard messages the fast
 	// path delivers to this controller's own leader loop (a coordinator-

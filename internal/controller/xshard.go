@@ -121,55 +121,69 @@ func (c *Controller) xHook(event, parentID string) {
 	}
 }
 
-// xPeer returns a (cached) store session on shard i's ensemble — the
+// peer is one shard's store session as the cross-shard layer reaches
+// it, with the batcher every asynchronous send to that shard commits
+// through.
+type peer struct {
+	cli *store.Client
+	b   *store.Batcher
+}
+
+// xPeer returns the (cached) peer for shard i's ensemble — over the
 // controller's own session for its own shard, so a Kill()ed controller
 // loses its cross-shard reach exactly like its local one.
-func (c *Controller) xPeer(i int) (*store.Client, error) {
+func (c *Controller) xPeer(i int) (*peer, error) {
 	x := c.cfg.XShard
 	if x == nil {
 		return nil, errors.New("controller: cross-shard transactions not configured")
-	}
-	if i == x.Self {
-		return c.cli, nil
 	}
 	c.xmu.Lock()
 	defer c.xmu.Unlock()
 	if c.killed.Load() {
 		return nil, errors.New("controller: killed")
 	}
-	if cli, ok := c.xpeers[i]; ok {
-		return cli, nil
+	if p, ok := c.xpeers[i]; ok {
+		return p, nil
 	}
-	if x.Connect == nil {
-		return nil, fmt.Errorf("controller: no connector for peer shard %d", i)
-	}
-	cli := x.Connect(i)
-	if cli == nil {
-		return nil, fmt.Errorf("controller: cannot connect to peer shard %d", i)
+	cli := c.cli
+	if i != x.Self {
+		if x.Connect == nil {
+			return nil, fmt.Errorf("controller: no connector for peer shard %d", i)
+		}
+		if cli = x.Connect(i); cli == nil {
+			return nil, fmt.Errorf("controller: cannot connect to peer shard %d", i)
+		}
 	}
 	if c.xpeers == nil {
-		c.xpeers = make(map[int]*store.Client)
+		c.xpeers = make(map[int]*peer)
 	}
-	c.xpeers[i] = cli
-	return cli, nil
+	p := &peer{cli: cli, b: cli.NewBatcher(store.BatcherConfig{})}
+	c.xpeers[i] = p
+	return p, nil
 }
 
 // xKillPeers simulates the crash of this controller's cross-shard
-// sessions alongside its own.
+// sessions alongside its own: each session dies first, so whatever its
+// batcher still holds fails instead of committing.
 func (c *Controller) xKillPeers() {
 	c.xmu.Lock()
 	defer c.xmu.Unlock()
-	for _, cli := range c.xpeers {
-		cli.Kill()
+	for _, p := range c.xpeers {
+		p.cli.Kill()
+		p.b.Close()
 	}
 }
 
-// xClosePeers releases cached peer sessions.
+// xClosePeers flushes and releases the peers; the controller's own
+// session is closed by its owner.
 func (c *Controller) xClosePeers() {
 	c.xmu.Lock()
 	defer c.xmu.Unlock()
-	for i, cli := range c.xpeers {
-		cli.Close()
+	for i, p := range c.xpeers {
+		p.b.Close()
+		if p.cli != c.cli {
+			p.cli.Close()
+		}
 		delete(c.xpeers, i)
 	}
 }
@@ -207,7 +221,7 @@ func (c *Controller) xPeerSend(i int, what string, onErr func(cli *store.Client,
 			c.cfg.Logf("controller %s: %s: %v", c.cfg.Name, what, err)
 		}
 	}
-	cli, err := c.xPeer(i)
+	p, err := c.xPeer(i)
 	if err != nil {
 		onErr(nil, err)
 		return
@@ -219,10 +233,10 @@ func (c *Controller) xPeerSend(i int, what string, onErr func(cli *store.Client,
 		c.peerSends[i] = append(c.peerSends[i], peerSend{ops: ops, onErr: onErr})
 		return
 	}
-	ch := cli.MultiAsync(ops...)
+	ch := p.b.MultiAsync(ops...)
 	go func() {
 		if err := <-ch; err != nil {
-			onErr(cli, err)
+			onErr(p.cli, err)
 		}
 	}()
 }
@@ -242,7 +256,7 @@ func (c *Controller) xFlushPeerSends() {
 	sends := c.peerSends
 	c.peerSends = nil
 	for i, group := range sends {
-		cli, err := c.xPeer(i)
+		p, err := c.xPeer(i)
 		if err != nil {
 			for _, s := range group {
 				s.onErr(nil, err)
@@ -255,17 +269,17 @@ func (c *Controller) xFlushPeerSends() {
 		}
 		c.met.xPeerBatch.Observe(float64(len(ops)))
 		group := group
-		ch := cli.MultiAsync(ops...)
+		ch := p.b.MultiAsync(ops...)
 		go func() {
 			if err := <-ch; err == nil {
 				return
 			}
 			for _, s := range group {
 				s := s
-				sch := cli.MultiAsync(s.ops...)
+				sch := p.b.MultiAsync(s.ops...)
 				go func() {
 					if err := <-sch; err != nil {
-						s.onErr(cli, err)
+						s.onErr(p.cli, err)
 					}
 				}()
 			}
@@ -672,10 +686,11 @@ func (c *Controller) xWatchDecision(t *txn.Txn) {
 	if !ok || coord == x.Self {
 		return // local children get their decision delivered in memory
 	}
-	cli, err := c.xPeer(coord)
+	pr, err := c.xPeer(coord)
 	if err != nil {
 		return
 	}
+	cli := pr.cli
 	parentPath := proto.TxnsPath + "/" + parentLocal
 	childPath := c.txnPath(t.ID)
 	deadline := time.Now().Add(2 * c.xTimeoutDur())
@@ -1111,10 +1126,11 @@ func (c *Controller) xSyncLedger(rec *txn.Txn) (changed bool) {
 		if ref.State.Terminal() {
 			continue
 		}
-		cli, err := c.xPeer(ref.Shard)
+		pr, err := c.xPeer(ref.Shard)
 		if err != nil {
 			continue
 		}
+		cli := pr.cli
 		data, _, err := cli.Get(proto.TxnsPath + "/" + ref.ID)
 		if err != nil {
 			if errors.Is(err, store.ErrNoNode) && ref.State == "" &&
@@ -1530,11 +1546,12 @@ func (c *Controller) xResolveInDoubt(t *txn.Txn) {
 		c.cfg.Logf("controller %s: child %s has malformed parent id %q", c.cfg.Name, t.ID, t.Parent)
 		return
 	}
-	cli, err := c.xPeer(coord)
+	pr, err := c.xPeer(coord)
 	if err != nil {
 		c.cfg.Logf("controller %s: resolve in-doubt %s: %v", c.cfg.Name, t.ID, err)
 		return
 	}
+	cli := pr.cli
 	data, _, err := cli.Get(proto.TxnsPath + "/" + parentLocal)
 	if errors.Is(err, store.ErrNoNode) {
 		// A prepared child always has a coordinator record (the parent is
@@ -1740,11 +1757,12 @@ func (c *Controller) xWound(victim *txn.Txn) {
 		delete(c.wounding, id)
 		c.wmu.Unlock()
 	}
-	cli, err := c.xPeer(coord)
+	pr, err := c.xPeer(coord)
 	if err != nil {
 		unmark()
 		return
 	}
+	cli := pr.cli
 	parentPath := proto.TxnsPath + "/" + parentLocal
 	go func() {
 		defer unmark()
@@ -1851,10 +1869,11 @@ func (c *Controller) gcReapable(rec *txn.Txn) bool {
 	if !ok {
 		return true
 	}
-	cli, err := c.xPeer(coord)
+	pr, err := c.xPeer(coord)
 	if err != nil {
 		return false
 	}
+	cli := pr.cli
 	data, _, err := cli.Get(proto.TxnsPath + "/" + parentLocal)
 	if errors.Is(err, store.ErrNoNode) {
 		return true // parent already reaped: its ledger completed

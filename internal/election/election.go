@@ -74,23 +74,35 @@ func (c *Candidate) AwaitLeadership(ctx context.Context) error {
 		if idx == 0 {
 			return nil // we are the leader
 		}
-		pred := c.path + "/" + names[idx-1]
-		exists, watch, err := c.cli.ExistsW(pred)
-		if err != nil {
+		if err := c.awaitChange(ctx, c.path+"/"+names[idx-1]); err != nil {
 			return err
 		}
-		if !exists {
-			continue // predecessor vanished between list and watch
+		// Predecessor changed (or vanished); re-evaluate standing.
+	}
+}
+
+// awaitChange blocks until the predecessor node pred changes, returning
+// at once if it is already gone. The watch is armed before the
+// existence check, so a deletion between the two cannot be missed, and
+// it is released on every exit.
+func (c *Candidate) awaitChange(ctx context.Context, pred string) error {
+	w, err := c.cli.NodeWatch(pred)
+	if err != nil {
+		return err
+	}
+	defer w.Close()
+	exists, _, err := c.cli.Exists(pred)
+	if err != nil || !exists {
+		return err // !exists: predecessor vanished between list and watch
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case ev, ok := <-w.C():
+		if !ok || ev.Type == store.EventSessionExpired {
+			return store.ErrSessionExpired
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case ev := <-watch:
-			if ev.Type == store.EventSessionExpired {
-				return store.ErrSessionExpired
-			}
-			// Predecessor changed; re-evaluate standing.
-		}
+		return nil
 	}
 }
 

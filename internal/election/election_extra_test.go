@@ -114,3 +114,62 @@ func TestAwaitLeadershipSessionExpiry(t *testing.T) {
 		t.Fatal("await hung after session expiry")
 	}
 }
+
+// TestAwaitLeadershipReleasesWatches: every exit of AwaitLeadership
+// leaves the ensemble's watch table at its baseline — the cancelled
+// wait behind a live predecessor, the predecessor that vanished between
+// the listing and the watch, and the ordinary wake-up on a resignation.
+func TestAwaitLeadershipReleasesWatches(t *testing.T) {
+	e := newEnsemble(t)
+	c0, c1 := e.Connect(), e.Connect()
+	defer c0.Close()
+	defer c1.Close()
+	leader, _ := New(c0, "/election", "ctrl-0")
+	follower, _ := New(c1, "/election", "ctrl-1")
+	baseNode, baseChild := e.WatchCounts()
+	checkBaseline := func(when string) {
+		t.Helper()
+		if node, child := e.WatchCounts(); node != baseNode || child != baseChild {
+			t.Fatalf("%s: watch counts = (%d, %d), want baseline (%d, %d)",
+				when, node, child, baseNode, baseChild)
+		}
+	}
+	if err := leader.Enroll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.Enroll(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Cancelled while the predecessor is alive.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	err := follower.AwaitLeadership(ctx)
+	cancel()
+	if err != context.DeadlineExceeded {
+		t.Fatalf("await = %v, want DeadlineExceeded", err)
+	}
+	checkBaseline("after a cancelled wait")
+
+	// The predecessor vanished between the listing and the watch: the
+	// wait returns at once for a re-evaluation.
+	if err := follower.awaitChange(context.Background(), "/election/n-9999999999"); err != nil {
+		t.Fatalf("await vanished predecessor: %v", err)
+	}
+	checkBaseline("after a vanished predecessor")
+
+	// The ordinary exit: the predecessor resigns and the follower leads.
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		done <- follower.AwaitLeadership(ctx)
+	}()
+	time.Sleep(10 * time.Millisecond)
+	if err := leader.Resign(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("await after resign: %v", err)
+	}
+	checkBaseline("after failover")
+}

@@ -290,14 +290,6 @@ func (m *Manager) ReleaseAll(owner string) {
 	delete(m.owned, owner)
 }
 
-// Holds reports whether owner holds mode on path.
-func (m *Manager) Holds(owner, path string, mode Mode) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.nodes[path][owner]
-	return ok && h.modes[mode] > 0
-}
-
 // OwnerCount reports how many distinct transactions hold locks.
 func (m *Manager) OwnerCount() int {
 	m.mu.Lock()

@@ -21,22 +21,21 @@ func TestPutAllTakeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var items [][]byte
+	var items []string
 	for i := 0; i < 10; i++ {
-		items = append(items, []byte(fmt.Sprintf("m%02d", i)))
+		items = append(items, fmt.Sprintf("m%02d", i))
 	}
-	if err := q.PutAll(items); err != nil {
-		t.Fatal(err)
-	}
+	put(t, q, items...)
 	ctx := context.Background()
-	got, err := q.TakeBatch(ctx, 4)
+	b := newBatcher(t, cli)
+	got, err := q.TakeBatch(ctx, 4, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 || string(got[0]) != "m00" || string(got[3]) != "m03" {
 		t.Fatalf("first batch = %q", got)
 	}
-	got, err = q.TakeBatch(ctx, 100)
+	got, err = q.TakeBatch(ctx, 100, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +63,17 @@ func TestTakeBatchBlocksUntilPut(t *testing.T) {
 		err   error
 	}
 	ch := make(chan res, 1)
+	b := newBatcher(t, cli)
 	go func() {
-		b, err := q.TakeBatch(context.Background(), 8)
-		ch <- res{b, err}
+		batch, err := q.TakeBatch(context.Background(), 8, b)
+		ch <- res{batch, err}
 	}()
 	select {
 	case r := <-ch:
 		t.Fatalf("take returned early: %v %v", r.batch, r.err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if _, err := q.Put([]byte("wake")); err != nil {
-		t.Fatal(err)
-	}
+	put(t, q, "wake")
 	select {
 	case r := <-ch:
 		if r.err != nil || len(r.batch) != 1 || string(r.batch[0]) != "wake" {
@@ -100,9 +98,7 @@ func TestTakeBatchContention(t *testing.T) {
 	}
 	const total = 60
 	for i := 0; i < total; i++ {
-		if _, err := pq.Put([]byte(fmt.Sprintf("i%03d", i))); err != nil {
-			t.Fatal(err)
-		}
+		put(t, pq, fmt.Sprintf("i%03d", i))
 	}
 	const consumers = 4
 	var mu sync.Mutex
@@ -119,6 +115,8 @@ func TestTakeBatchContention(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			b := cli.NewBatcher(store.BatcherConfig{MaxOps: 8})
+			defer b.Close()
 			for {
 				mu.Lock()
 				done := len(seen) >= total
@@ -127,7 +125,7 @@ func TestTakeBatchContention(t *testing.T) {
 					return
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
-				batch, err := q.TakeBatch(ctx, 5)
+				batch, err := q.TakeBatch(ctx, 5, b)
 				cancel()
 				if err != nil {
 					return // timeout: queue drained
@@ -163,9 +161,7 @@ func TestTakeHeadBatchOrderAndNonRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := q.Put([]byte(fmt.Sprintf("h%d", i))); err != nil {
-			t.Fatal(err)
-		}
+		put(t, q, fmt.Sprintf("h%d", i))
 	}
 	items, err := q.TakeHeadBatch(context.Background(), 3)
 	if err != nil {
@@ -202,27 +198,20 @@ func TestBlockingTakeLeaksNoWatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := newBatcher(t, cli)
 	baseNode, baseChild := e.WatchCounts()
 	for i := 0; i < 10; i++ {
-		if _, err := q.Put([]byte("x")); err != nil {
+		put(t, q, "x")
+		takeOne(t, q, b)
+		put(t, q, "y")
+		if _, err := q.TakeHeadBatch(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := q.Take(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := q.Put([]byte("y")); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := q.TakeHead(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, _ := q.TryTake(); !ok {
-			t.Fatal("TryTake found nothing")
-		}
+		takeOne(t, q, b)
 	}
 	// Cancelled waits release their watch too.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	_, err = q.Take(ctx)
+	_, err = q.TakeBatch(ctx, 1, b)
 	cancel()
 	if err == nil {
 		t.Fatal("expected context error")

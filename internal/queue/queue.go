@@ -5,10 +5,11 @@
 // delete is what claims the item, so every item is consumed exactly once
 // even with many competing consumers.
 //
-// The batched entry points (PutAll, TakeBatch, TakeHeadBatch) move many
-// items per store round trip, and every blocking take waits on one
-// reusable child watch instead of polling — the two halves of the
-// pipeline's event-driven redesign.
+// Producers append with PutOp inside their own atomic Multi batches.
+// The takes (TakeBatch, TakeHeadBatch) move many items per store round
+// trip, and every blocking take waits on one reusable child watch
+// instead of polling — the two halves of the pipeline's event-driven
+// redesign.
 package queue
 
 import (
@@ -48,34 +49,6 @@ func New(cli *store.Client, path string) (*Queue, error) {
 	return &Queue{cli: cli, path: path}, nil
 }
 
-// Path returns the queue's znode path.
-func (q *Queue) Path() string { return q.path }
-
-// Put appends an item and returns its absolute znode path.
-func (q *Queue) Put(data []byte) (string, error) {
-	p, err := q.cli.Create(q.path+"/"+itemPrefix, data, store.FlagSequence)
-	if err != nil {
-		return "", fmt.Errorf("queue: put on %s: %w", q.path, err)
-	}
-	return p, nil
-}
-
-// PutAll appends several items atomically, in order, in one store round
-// trip. Either every item enqueues or none does.
-func (q *Queue) PutAll(items [][]byte) error {
-	if len(items) == 0 {
-		return nil
-	}
-	ops := make([]store.Op, len(items))
-	for i, data := range items {
-		ops[i] = q.PutOp(data)
-	}
-	if err := q.cli.Multi(ops...); err != nil {
-		return fmt.Errorf("queue: put %d items on %s: %w", len(items), q.path, err)
-	}
-	return nil
-}
-
 // PutOp returns the store operation that appends an item, for inclusion
 // in an atomic Multi batch (e.g. enqueue to phyQ and update transaction
 // state in one commit).
@@ -83,56 +56,16 @@ func (q *Queue) PutOp(data []byte) store.Op {
 	return store.CreateOp(q.path+"/"+itemPrefix, data, store.FlagSequence)
 }
 
-// TryTake removes and returns the head item, or ok=false when the queue
-// is empty.
-func (q *Queue) TryTake() (data []byte, ok bool, err error) {
-	for {
-		names, err := q.cli.Children(q.path)
-		if err != nil {
-			return nil, false, fmt.Errorf("queue: list %s: %w", q.path, err)
-		}
-		claimed, data, err := q.claimFirst(names)
-		if err != nil {
-			return nil, false, err
-		}
-		if claimed {
-			return data, true, nil
-		}
-		if len(names) == 0 {
-			return nil, false, nil
-		}
-		// Every listed item was claimed by a competitor; re-list.
-	}
-}
-
-// Take blocks until an item is available or ctx is done.
-func (q *Queue) Take(ctx context.Context) ([]byte, error) {
-	batch, err := q.TakeBatch(ctx, 1)
-	if err != nil {
-		return nil, err
-	}
-	return batch[0], nil
-}
-
 // TakeBatch blocks until at least one item is available and claims up to
 // max of them (it never waits for a full batch — it drains what is there
-// and returns). The wait is watch-driven: one reusable child watch is
-// armed for the whole call and released on return, so there is neither a
-// poll loop nor a leaked one-shot watch per wakeup, even when competing
-// consumers win every claim (their deletions re-fire the same watch).
-func (q *Queue) TakeBatch(ctx context.Context, max int) ([][]byte, error) {
-	return q.takeBatch(ctx, max, q.cli.Multi)
-}
-
-// TakeBatchVia is TakeBatch with the claim commit routed through the
-// caller's batcher, so the claim can share a group commit with whatever
-// the batcher's other users have pending (e.g. a worker thread's claim
-// riding alongside its siblings' outcome reports).
-func (q *Queue) TakeBatchVia(ctx context.Context, max int, b *store.Batcher) ([][]byte, error) {
-	return q.takeBatch(ctx, max, b.Multi)
-}
-
-func (q *Queue) takeBatch(ctx context.Context, max int, commit func(...store.Op) error) ([][]byte, error) {
+// and returns). The claim commit rides the caller's batcher, so it can
+// share a group commit with whatever the batcher's other users have
+// pending (e.g. a worker thread's claim alongside its siblings' outcome
+// reports). The wait is watch-driven: one reusable child watch is armed
+// for the whole call and released on return, so there is no poll loop,
+// even when competing consumers win every claim (their deletions re-fire
+// the same watch).
+func (q *Queue) TakeBatch(ctx context.Context, max int, b *store.Batcher) ([][]byte, error) {
 	if max <= 0 {
 		max = 1
 	}
@@ -146,7 +79,7 @@ func (q *Queue) takeBatch(ctx context.Context, max int, commit func(...store.Op)
 		if err != nil {
 			return nil, fmt.Errorf("queue: list %s: %w", q.path, err)
 		}
-		claimed, err := q.claimBatch(names, max, commit)
+		claimed, err := q.claimBatch(names, max, b)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +98,7 @@ func (q *Queue) takeBatch(ctx context.Context, max int, commit func(...store.Op)
 
 // wait blocks on the armed child watch until a membership change, ctx
 // cancellation, or session expiry.
-func (q *Queue) wait(ctx context.Context, w *store.ChildWatch) error {
+func (q *Queue) wait(ctx context.Context, w *store.Watch) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
@@ -179,10 +112,10 @@ func (q *Queue) wait(ctx context.Context, w *store.ChildWatch) error {
 
 // claimBatch claims up to max prefix-matching items from the listed
 // names. It reads the candidates, then tries to claim them all in one
-// atomic delete batch (one store round trip, or one shared group-commit
-// slot when routed through a batcher); if a competitor stole any
-// candidate first, it falls back to claiming item by item.
-func (q *Queue) claimBatch(names []string, max int, commit func(...store.Op) error) ([][]byte, error) {
+// atomic delete batch (one slot in the batcher's next group commit); if
+// a competitor stole any candidate first, it falls back to claiming item
+// by item.
+func (q *Queue) claimBatch(names []string, max int, b *store.Batcher) ([][]byte, error) {
 	type candidate struct {
 		path string
 		data []byte
@@ -212,7 +145,7 @@ func (q *Queue) claimBatch(names []string, max int, commit func(...store.Op) err
 	for i, c := range cands {
 		ops[i] = store.DeleteOp(c.path, -1)
 	}
-	if err := commit(ops...); err == nil {
+	if err := <-b.MultiAsync(ops...); err == nil {
 		out := make([][]byte, len(cands))
 		for i, c := range cands {
 			out[i] = c.data
@@ -235,46 +168,6 @@ func (q *Queue) claimBatch(names []string, max int, commit func(...store.Op) err
 		out = append(out, c.data)
 	}
 	return out, nil
-}
-
-// claimFirst walks the sorted item names and attempts to claim each in
-// turn; delete-wins arbitration makes this safe under contention.
-func (q *Queue) claimFirst(names []string) (bool, []byte, error) {
-	for _, name := range names {
-		if !strings.HasPrefix(name, itemPrefix) {
-			continue
-		}
-		itemPath := q.path + "/" + name
-		data, _, err := q.cli.Get(itemPath)
-		if errors.Is(err, store.ErrNoNode) {
-			continue // another consumer won
-		}
-		if err != nil {
-			return false, nil, fmt.Errorf("queue: get %s: %w", itemPath, err)
-		}
-		err = q.cli.Delete(itemPath, -1)
-		if errors.Is(err, store.ErrNoNode) {
-			continue // lost the race after reading
-		}
-		if err != nil {
-			return false, nil, fmt.Errorf("queue: claim %s: %w", itemPath, err)
-		}
-		return true, data, nil
-	}
-	return false, nil, nil
-}
-
-// TakeHead blocks until an item is available and returns it WITHOUT
-// removing it, along with its znode path. For single-consumer queues
-// (TROPIC's inputQ is consumed only by the lead controller): the
-// consumer deletes the item atomically with the effects of processing
-// it, so a crash between read and processing loses nothing.
-func (q *Queue) TakeHead(ctx context.Context) (data []byte, itemPath string, err error) {
-	items, err := q.TakeHeadBatch(ctx, 1)
-	if err != nil {
-		return nil, "", err
-	}
-	return items[0].Data, items[0].Path, nil
 }
 
 // TakeHeadBatch blocks until at least one item is available and returns
@@ -325,7 +218,7 @@ func (q *Queue) TakeHeadBatch(ctx context.Context, max int) ([]Item, error) {
 	}
 }
 
-// Remove deletes a specific item (by the path TakeHead returned).
+// Remove deletes a specific item (by the path TakeHeadBatch returned).
 func (q *Queue) Remove(itemPath string) error {
 	err := q.cli.Delete(itemPath, -1)
 	if errors.Is(err, store.ErrNoNode) {
@@ -338,29 +231,6 @@ func (q *Queue) Remove(itemPath string) error {
 // consume-and-apply batches.
 func (q *Queue) RemoveOp(itemPath string) store.Op {
 	return store.DeleteOp(itemPath, -1)
-}
-
-// Peek returns the head item without removing it, or ok=false when
-// empty.
-func (q *Queue) Peek() (data []byte, ok bool, err error) {
-	names, err := q.cli.Children(q.path)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, name := range names {
-		if !strings.HasPrefix(name, itemPrefix) {
-			continue
-		}
-		data, _, err := q.cli.Get(q.path + "/" + name)
-		if errors.Is(err, store.ErrNoNode) {
-			continue
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		return data, true, nil
-	}
-	return nil, false, nil
 }
 
 // Len reports the number of queued items.

@@ -17,6 +17,39 @@ func newEnsemble(t *testing.T) *store.Ensemble {
 	return e
 }
 
+// put appends items to q in one atomic Multi, as producers do with
+// PutOp.
+func put(t *testing.T, q *Queue, items ...string) {
+	t.Helper()
+	ops := make([]store.Op, len(items))
+	for i, it := range items {
+		ops[i] = q.PutOp([]byte(it))
+	}
+	if err := q.cli.Multi(ops...); err != nil {
+		t.Fatalf("put %q: %v", items, err)
+	}
+}
+
+// newBatcher gives a consumer session the batcher its claims commit
+// through (a batch of one), closed when the test ends.
+func newBatcher(t *testing.T, cli *store.Client) *store.Batcher {
+	b := cli.NewBatcher(store.BatcherConfig{MaxOps: 1})
+	t.Cleanup(b.Close)
+	return b
+}
+
+// takeOne claims the head item, failing the test after a second.
+func takeOne(t *testing.T, q *Queue, b *store.Batcher) string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	got, err := q.TakeBatch(ctx, 1, b)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("take = %q, %v", got, err)
+	}
+	return string(got[0])
+}
+
 func TestFIFOOrder(t *testing.T) {
 	e := newEnsemble(t)
 	c := e.Connect()
@@ -26,43 +59,21 @@ func TestFIFOOrder(t *testing.T) {
 		t.Fatalf("new: %v", err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := q.Put([]byte(fmt.Sprint(i))); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
+		put(t, q, fmt.Sprint(i))
 	}
 	if n, _ := q.Len(); n != 10 {
 		t.Fatalf("len = %d, want 10", n)
 	}
+	b := newBatcher(t, c)
 	for i := 0; i < 10; i++ {
-		data, ok, err := q.TryTake()
-		if err != nil || !ok {
-			t.Fatalf("take %d: ok=%v err=%v", i, ok, err)
-		}
-		if string(data) != fmt.Sprint(i) {
-			t.Fatalf("take %d = %q, want %d (FIFO violated)", i, data, i)
+		if got := takeOne(t, q, b); got != fmt.Sprint(i) {
+			t.Fatalf("take %d = %q, want %d (FIFO violated)", i, got, i)
 		}
 	}
-	if _, ok, _ := q.TryTake(); ok {
-		t.Fatal("take from empty queue returned an item")
-	}
-}
-
-func TestPeek(t *testing.T) {
-	e := newEnsemble(t)
-	c := e.Connect()
-	defer c.Close()
-	q, _ := New(c, "/q")
-	if _, ok, _ := q.Peek(); ok {
-		t.Fatal("peek on empty returned item")
-	}
-	q.Put([]byte("head"))
-	q.Put([]byte("tail"))
-	data, ok, err := q.Peek()
-	if err != nil || !ok || string(data) != "head" {
-		t.Fatalf("peek = %q ok=%v err=%v, want head", data, ok, err)
-	}
-	if n, _ := q.Len(); n != 2 {
-		t.Fatalf("peek consumed: len = %d", n)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if got, err := q.TakeBatch(ctx, 1, b); err == nil {
+		t.Fatalf("take from empty queue returned %q", got)
 	}
 }
 
@@ -71,21 +82,20 @@ func TestBlockingTake(t *testing.T) {
 	c := e.Connect()
 	defer c.Close()
 	q, _ := New(c, "/q")
+	b := newBatcher(t, c)
 
 	got := make(chan string, 1)
 	go func() {
-		data, err := q.Take(context.Background())
+		data, err := q.TakeBatch(context.Background(), 1, b)
 		if err != nil {
 			t.Errorf("take: %v", err)
 			got <- ""
 			return
 		}
-		got <- string(data)
+		got <- string(data[0])
 	}()
 	time.Sleep(20 * time.Millisecond) // let the taker block
-	if _, err := q.Put([]byte("wake")); err != nil {
-		t.Fatalf("put: %v", err)
-	}
+	put(t, q, "wake")
 	select {
 	case v := <-got:
 		if v != "wake" {
@@ -103,7 +113,7 @@ func TestTakeContextCancel(t *testing.T) {
 	q, _ := New(c, "/q")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, err := q.Take(ctx); err != context.DeadlineExceeded {
+	if _, err := q.TakeBatch(ctx, 1, newBatcher(t, c)); err != context.DeadlineExceeded {
 		t.Fatalf("take err = %v, want DeadlineExceeded", err)
 	}
 }
@@ -116,9 +126,7 @@ func TestCompetingConsumersExactlyOnce(t *testing.T) {
 
 	const items = 60
 	for i := 0; i < items; i++ {
-		if _, err := pq.Put([]byte(fmt.Sprint(i))); err != nil {
-			t.Fatalf("put: %v", err)
-		}
+		put(t, pq, fmt.Sprint(i))
 	}
 
 	const consumers = 6
@@ -136,17 +144,17 @@ func TestCompetingConsumersExactlyOnce(t *testing.T) {
 				t.Errorf("new: %v", err)
 				return
 			}
+			b := c.NewBatcher(store.BatcherConfig{MaxOps: 1})
+			defer b.Close()
 			for {
-				data, ok, err := q.TryTake()
+				ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+				data, err := q.TakeBatch(ctx, 1, b)
+				cancel()
 				if err != nil {
-					t.Errorf("take: %v", err)
-					return
-				}
-				if !ok {
-					return
+					return // timeout: queue drained
 				}
 				mu.Lock()
-				seen[string(data)]++
+				seen[string(data[0])]++
 				mu.Unlock()
 			}
 		}()
@@ -179,9 +187,8 @@ func TestPutOpInMulti(t *testing.T) {
 	if err != nil {
 		t.Fatalf("multi: %v", err)
 	}
-	data, ok, _ := q.TryTake()
-	if !ok || string(data) != "job" {
-		t.Fatalf("take = %q ok=%v, want job", data, ok)
+	if got := takeOne(t, q, newBatcher(t, c)); got != "job" {
+		t.Fatalf("take = %q, want job", got)
 	}
 	if ok, _, _ := c.Exists("/state/t1"); !ok {
 		t.Fatal("state marker missing")

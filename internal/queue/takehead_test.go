@@ -13,17 +13,16 @@ func TestTakeHeadDoesNotRemove(t *testing.T) {
 	c := e.Connect()
 	defer c.Close()
 	q, _ := New(c, "/q")
-	q.Put([]byte("first"))
-	q.Put([]byte("second"))
+	put(t, q, "first", "second")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	data, path, err := q.TakeHead(ctx)
+	data, path, err := takeHead(ctx, q)
 	if err != nil || string(data) != "first" {
 		t.Fatalf("head = %q err=%v", data, err)
 	}
-	// Still there: a second TakeHead returns the same item.
-	data2, path2, err := q.TakeHead(ctx)
+	// Still there: a second head read returns the same item.
+	data2, path2, err := takeHead(ctx, q)
 	if err != nil || string(data2) != "first" || path2 != path {
 		t.Fatalf("second head = %q @%s", data2, path2)
 	}
@@ -34,7 +33,7 @@ func TestTakeHeadDoesNotRemove(t *testing.T) {
 	if err := q.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	data3, _, err := q.TakeHead(ctx)
+	data3, _, err := takeHead(ctx, q)
 	if err != nil || string(data3) != "second" {
 		t.Fatalf("head after remove = %q", data3)
 	}
@@ -54,7 +53,7 @@ func TestTakeHeadBlocksUntilPut(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		data, _, err := q.TakeHead(ctx)
+		data, _, err := takeHead(ctx, q)
 		if err != nil {
 			got <- "err:" + err.Error()
 			return
@@ -62,14 +61,14 @@ func TestTakeHeadBlocksUntilPut(t *testing.T) {
 		got <- string(data)
 	}()
 	time.Sleep(20 * time.Millisecond)
-	q.Put([]byte("wake"))
+	put(t, q, "wake")
 	select {
 	case v := <-got:
 		if v != "wake" {
 			t.Fatalf("got %q", v)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("TakeHead never woke")
+		t.Fatal("head read never woke")
 	}
 }
 
@@ -80,7 +79,7 @@ func TestTakeHeadContextCancel(t *testing.T) {
 	q, _ := New(c, "/q")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, _, err := q.TakeHead(ctx); err != context.DeadlineExceeded {
+	if _, _, err := takeHead(ctx, q); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -91,12 +90,12 @@ func TestRemoveOpInMulti(t *testing.T) {
 	c := e.Connect()
 	defer c.Close()
 	q, _ := New(c, "/q")
-	q.Put([]byte("msg"))
+	put(t, q, "msg")
 	c.EnsurePath("/fx")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, path, err := q.TakeHead(ctx)
+	_, path, err := takeHead(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,4 +124,13 @@ func TestRemoveOpInMulti(t *testing.T) {
 	if ok, _, _ := c.Exists("/fx/done"); !ok {
 		t.Fatal("effect missing")
 	}
+}
+
+// takeHead reads the head item without removing it.
+func takeHead(ctx context.Context, q *Queue) ([]byte, string, error) {
+	items, err := q.TakeHeadBatch(ctx, 1)
+	if err != nil {
+		return nil, "", err
+	}
+	return items[0].Data, items[0].Path, nil
 }

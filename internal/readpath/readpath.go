@@ -93,7 +93,7 @@ type Config struct {
 // watch serving both the cache entry and every fan-out subscriber.
 type hub struct {
 	path string
-	w    *store.NodeWatch
+	w    *store.Watch
 	subs map[*Sub]struct{}
 
 	// gen increments on every invalidation; a cache fill that armed at
@@ -155,7 +155,7 @@ func (sub *Sub) deadLocked() {
 // subscribers disconnect". Idempotent.
 func (sub *Sub) Close() {
 	s := sub.s
-	var toClose *store.NodeWatch
+	var toClose *store.Watch
 	s.mu.Lock()
 	if sub.closed {
 		s.mu.Unlock()
@@ -259,7 +259,7 @@ func (s *Shard) Close() {
 		return
 	}
 	s.closed = true
-	var nws []*store.NodeWatch
+	var nws []*store.Watch
 	for path, h := range s.hubs {
 		delete(s.hubs, path)
 		if h.hasData {
@@ -322,8 +322,8 @@ func (s *Shard) GetRecord(path string, minZxid int64) ([]byte, store.Stat, int64
 	}
 	data, st, z, follower, err := s.readRecord(path, minZxid)
 	if h != nil {
-		var toClose *store.NodeWatch
-		var victims []*store.NodeWatch
+		var toClose *store.Watch
+		var victims []*store.Watch
 		s.mu.Lock()
 		if s.hubs[path] == h && h.gen == gen && !s.closed {
 			switch {
@@ -452,7 +452,7 @@ func (s *Shard) pump(h *hub) {
 // the fill generation, wake subscribers — and when nothing earns the
 // hub its watch anymore, tear it down.
 func (s *Shard) invalidate(h *hub) {
-	var toClose *store.NodeWatch
+	var toClose *store.Watch
 	s.mu.Lock()
 	if s.hubs[h.path] != h {
 		s.mu.Unlock()
@@ -527,8 +527,8 @@ func (s *Shard) dropDataLocked(h *hub) {
 // evictLocked enforces the byte budget, least-recently-used first,
 // returning the store watches of hubs that no longer earn theirs (to be
 // closed after s.mu is released). Caller holds s.mu.
-func (s *Shard) evictLocked() []*store.NodeWatch {
-	var victims []*store.NodeWatch
+func (s *Shard) evictLocked() []*store.Watch {
+	var victims []*store.Watch
 	for s.bytes > s.maxBytes {
 		back := s.lru.Back()
 		if back == nil {

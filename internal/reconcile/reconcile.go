@@ -73,25 +73,12 @@ type Reconciler struct {
 	phys  Snapshotter
 	exec  Executor
 	rules Rules
-	logf  func(string, ...any)
-}
-
-// Option configures a Reconciler.
-type Option func(*Reconciler)
-
-// WithLogf sets a diagnostic logger.
-func WithLogf(f func(string, ...any)) Option {
-	return func(r *Reconciler) { r.logf = f }
 }
 
 // New builds a reconciler. phys supplies physical snapshots, exec
 // performs repair actions, rules derive per-entity repairs.
-func New(phys Snapshotter, exec Executor, rules Rules, opts ...Option) *Reconciler {
-	r := &Reconciler{phys: phys, exec: exec, rules: rules, logf: func(string, ...any) {}}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
+func New(phys Snapshotter, exec Executor, rules Rules) *Reconciler {
+	return &Reconciler{phys: phys, exec: exec, rules: rules}
 }
 
 var _ controller.Reconciler = (*Reconciler)(nil)
@@ -159,7 +146,6 @@ func (r *Reconciler) Reload(c *controller.Controller, target string) error {
 		return fmt.Errorf("reconcile: reload %s aborted: %w", target, err)
 	}
 	clearMarks(c, target, replacement)
-	r.logf("reconcile: reloaded %s (%d nodes)", target, replacement.CountNodes())
 	return nil
 }
 
@@ -247,7 +233,6 @@ func (r *Reconciler) Repair(c *controller.Controller, target string) error {
 			target, len(actions))
 	}
 	clearMarks(c, target, lnode)
-	r.logf("reconcile: repaired %s with %d actions", target, len(actions))
 	return nil
 }
 

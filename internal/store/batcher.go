@@ -2,12 +2,11 @@ package store
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Default batching bounds, used by Client.MultiAsync/CreateAsync and by
-// callers that leave BatcherConfig fields zero. 32 ops matches the batch
+// Default batching bounds, used by callers that leave BatcherConfig
+// fields zero. 32 ops matches the batch
 // size the pipeline benchmarks ablate; 2ms is the flush-latency ceiling.
 const (
 	DefaultBatchMaxOps   = 32
@@ -44,53 +43,23 @@ func (cfg BatcherConfig) withDefaults() BatcherConfig {
 	return cfg
 }
 
-// BatcherStats counts a batcher's activity, for the /v1/stats pipeline
-// section and the group-commit benchmarks.
-type BatcherStats struct {
-	// Flushes is the number of group commits issued.
-	Flushes int64 `json:"flushes"`
-	// Groups is the number of atomic batches flushed (≥ Flushes).
-	Groups int64 `json:"groups"`
-	// Ops is the total operations flushed.
-	Ops int64 `json:"ops"`
-	// MaxGroupOps is the largest single flush, in operations.
-	MaxGroupOps int64 `json:"maxGroupOps"`
-	// FlushNanos is cumulative wall time spent committing groups.
-	FlushNanos int64 `json:"flushNanos"`
-}
-
-// GroupResult reports one atomic batch's outcome from a group commit:
-// its demultiplexed error and, on success, the final path of every
-// create in the batch ("" for non-create ops) — sequence-node names are
-// resolved at commit, so this is how an async submitter learns the path
-// it created.
-type GroupResult struct {
-	Err   error
-	Paths []string
-	// Zxid is the committed batch's position in the ensemble's total
-	// order — the watermark an async submitter carries so follower reads
-	// never serve state older than this write.
-	Zxid int64
-}
-
-// pendingGroup is one not-yet-flushed submission. deliver forwards the
-// group's result into the caller's typed channel; it must not block
-// (every caller hands in a send to a capacity-1 buffered channel it is
-// the sole writer of).
+// pendingGroup is one not-yet-flushed submission and the capacity-1
+// channel its outcome is delivered on (the batcher is its sole writer,
+// so delivery never blocks).
 type pendingGroup struct {
-	ops     []Op
-	deliver func(GroupResult)
+	ops []Op
+	ch  chan error
 }
 
-// Batcher coalesces concurrent Multi/Create submissions into group
-// commits: a flush hands every pending batch to Client.MultiAll, so the
-// whole run pays one ensemble proposal round (one quorum-latency charge,
-// one WAL fsync) with per-batch error demultiplexing. It is the
-// client-side front end of the store's group-commit pipeline: workers
-// report physical outcomes through it, and the platform client threads
-// submissions through it, so independent callers sharing a session
-// amortize the store round trip that otherwise dominates per-transaction
-// cost.
+// Batcher coalesces concurrent Multi submissions into group commits: a
+// flush hands every pending batch to Client.MultiAll, so the whole run
+// pays one ensemble proposal round (one quorum-latency charge, one WAL
+// fsync) with per-batch error demultiplexing. It is the one
+// asynchronous write path of the store client: the worker, each
+// platform client and each controller peer session own one, so
+// independent callers sharing a session amortize the store round trip
+// that otherwise dominates per-transaction cost. MaxOps: 1 makes it a
+// batch of one — every submission commits alone, in submission order.
 type Batcher struct {
 	cli *Client
 	cfg BatcherConfig
@@ -103,19 +72,12 @@ type Batcher struct {
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
-
-	// flushMu serializes flushes so batches commit in submission order.
-	flushMu sync.Mutex
-
-	flushes  atomic.Int64
-	groups   atomic.Int64
-	ops      atomic.Int64
-	maxGroup atomic.Int64
-	flushNs  atomic.Int64
 }
 
 // NewBatcher creates a batcher over the client's session and starts its
-// flush loop. Close it before closing the client.
+// flush loop. Its owner closes it: before closing the client (Close
+// flushes what is pending), or after killing it (pending groups then
+// fail with ErrSessionExpired).
 func (c *Client) NewBatcher(cfg BatcherConfig) *Batcher {
 	b := &Batcher{
 		cli:  c,
@@ -128,87 +90,30 @@ func (c *Client) NewBatcher(cfg BatcherConfig) *Batcher {
 	return b
 }
 
-// enqueue registers one atomic batch with its result-delivery hook,
-// reporting false when the batcher is closed (deliver is then never
-// called).
-func (b *Batcher) enqueue(ops []Op, deliver func(GroupResult)) bool {
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		return false
-	}
-	b.pending = append(b.pending, pendingGroup{ops: ops, deliver: deliver})
-	b.nops += len(ops)
-	b.mu.Unlock()
-	select {
-	case b.kick <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// GroupAsync enqueues one atomic batch and returns a buffered channel
-// that delivers its outcome — error plus resolved create paths — after
-// the group commit it rode in.
-func (b *Batcher) GroupAsync(ops ...Op) <-chan GroupResult {
-	ch := make(chan GroupResult, 1)
-	if len(ops) == 0 {
-		ch <- GroupResult{}
-		return ch
-	}
-	if !b.enqueue(ops, func(r GroupResult) { ch <- r }) {
-		ch <- GroupResult{Err: ErrClosed}
-	}
-	return ch
-}
-
-// MultiAsync is GroupAsync reduced to its error: an atomic Multi batch
-// whose buffered channel delivers the demultiplexed commit outcome.
+// MultiAsync enqueues one atomic Multi batch and returns a buffered
+// channel that delivers its demultiplexed outcome after the group
+// commit it rode in.
 func (b *Batcher) MultiAsync(ops ...Op) <-chan error {
 	ch := make(chan error, 1)
 	if len(ops) == 0 {
 		ch <- nil
 		return ch
 	}
-	if !b.enqueue(ops, func(r GroupResult) { ch <- r.Err }) {
+	b.mu.Lock()
+	if b.stopped {
+		b.mu.Unlock()
 		ch <- ErrClosed
+		return ch
+	}
+	b.pending = append(b.pending, pendingGroup{ops: ops, ch: ch})
+	b.nops += len(ops)
+	b.mu.Unlock()
+	select {
+	case b.kick <- struct{}{}:
+	default:
 	}
 	return ch
 }
-
-// Multi is the synchronous form of MultiAsync: it blocks until the batch
-// is group-committed and returns its demultiplexed error.
-func (b *Batcher) Multi(ops ...Op) error { return <-b.MultiAsync(ops...) }
-
-// CreateResult is a CreateAsync outcome: the final (sequence-resolved)
-// path and commit zxid, or the error.
-type CreateResult struct {
-	Path string
-	Zxid int64
-	Err  error
-}
-
-// CreateAsync enqueues a single create and returns a buffered channel
-// delivering its resolved path — the batched form of Client.Create,
-// used by submitters so concurrent sequence-node creations share one
-// commit round.
-func (b *Batcher) CreateAsync(path string, data []byte, flags int) <-chan CreateResult {
-	ch := make(chan CreateResult, 1)
-	ok := b.enqueue([]Op{CreateOp(path, data, flags)}, func(r GroupResult) {
-		if r.Err != nil {
-			ch <- CreateResult{Err: r.Err}
-			return
-		}
-		ch <- CreateResult{Path: r.Paths[0], Zxid: r.Zxid}
-	})
-	if !ok {
-		ch <- CreateResult{Err: ErrClosed}
-	}
-	return ch
-}
-
-// Flush forces everything pending out in one group commit now.
-func (b *Batcher) Flush() { b.flushNow() }
 
 // Close flushes whatever is pending and stops the loop. Subsequent
 // submissions fail with ErrClosed.
@@ -223,17 +128,6 @@ func (b *Batcher) Close() {
 	b.mu.Unlock()
 	close(b.stop)
 	<-b.done
-}
-
-// Stats returns a snapshot of the batcher's counters.
-func (b *Batcher) Stats() BatcherStats {
-	return BatcherStats{
-		Flushes:     b.flushes.Load(),
-		Groups:      b.groups.Load(),
-		Ops:         b.ops.Load(),
-		MaxGroupOps: b.maxGroup.Load(),
-		FlushNanos:  b.flushNs.Load(),
-	}
 }
 
 // loop drains pending work as soon as it appears (self-clocking: the
@@ -284,10 +178,9 @@ func (b *Batcher) drain() {
 
 // flushNow group-commits up to MaxOps pending operations (always at
 // least one whole batch) and demultiplexes the per-batch results to
-// their waiters.
+// their waiters. Only the loop goroutine flushes, so batches commit in
+// submission order.
 func (b *Batcher) flushNow() {
-	b.flushMu.Lock()
-	defer b.flushMu.Unlock()
 	b.mu.Lock()
 	take := len(b.pending)
 	nops := 0
@@ -310,22 +203,11 @@ func (b *Batcher) flushNow() {
 		groups[i] = g.ops
 	}
 	start := time.Now()
-	results := b.cli.MultiAllResolved(groups...)
-	elapsed := time.Since(start)
+	errs := b.cli.MultiAll(groups...)
 	if b.cfg.OnFlush != nil {
-		b.cfg.OnFlush(nops, elapsed)
-	}
-	b.flushNs.Add(elapsed.Nanoseconds())
-	b.flushes.Add(1)
-	b.groups.Add(int64(len(batch)))
-	b.ops.Add(int64(nops))
-	for {
-		cur := b.maxGroup.Load()
-		if int64(nops) <= cur || b.maxGroup.CompareAndSwap(cur, int64(nops)) {
-			break
-		}
+		b.cfg.OnFlush(nops, time.Since(start))
 	}
 	for i, g := range batch {
-		g.deliver(results[i])
+		g.ch <- errs[i]
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// TestMultiAllResolvedDemux: independent groups commit in one round with
+// TestMultiAllDemux: independent groups commit in one round with
 // per-group error demultiplexing — a failing group affects neither its
 // siblings nor the ordering of later groups' effects.
-func TestMultiAllResolvedDemux(t *testing.T) {
+func TestMultiAllDemux(t *testing.T) {
 	e := NewEnsemble(Config{})
 	defer e.Close()
 	cli := e.Connect()
@@ -19,27 +19,27 @@ func TestMultiAllResolvedDemux(t *testing.T) {
 	if _, err := cli.Create("/q", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	results := cli.MultiAllResolved(
+	before := e.Commits()
+	errs := cli.MultiAll(
 		[]Op{CreateOp("/q/a-", []byte("1"), FlagSequence)},
 		[]Op{CreateOp("/missing/child", nil, 0)}, // parent does not exist
 		[]Op{CreateOp("/q/a-", []byte("2"), FlagSequence)},
 	)
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("sibling groups failed: %v / %v", results[0].Err, results[2].Err)
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("sibling groups failed: %v / %v", errs[0], errs[2])
 	}
-	if !errors.Is(results[1].Err, ErrNoNode) {
-		t.Fatalf("bad group error = %v, want ErrNoNode", results[1].Err)
+	if !errors.Is(errs[1], ErrNoNode) {
+		t.Fatalf("bad group error = %v, want ErrNoNode", errs[1])
 	}
-	if results[0].Paths[0] == results[2].Paths[0] {
-		t.Fatalf("sequence collision: %q", results[0].Paths[0])
+	if d := e.Commits() - before; d != 2 {
+		t.Fatalf("commits = %d, want 2 (one per applied group)", d)
 	}
-	// Later group saw the earlier group's sequence bump.
-	if results[0].Paths[0] != "/q/a-0000000000" || results[2].Paths[0] != "/q/a-0000000001" {
-		t.Fatalf("resolved paths = %q, %q", results[0].Paths[0], results[2].Paths[0])
-	}
-	names, err := cli.Children("/q")
-	if err != nil || len(names) != 2 {
-		t.Fatalf("children = %v (%v)", names, err)
+	// The later group saw the earlier group's sequence bump.
+	for name, want := range map[string]string{"/q/a-0000000000": "1", "/q/a-0000000001": "2"} {
+		data, _, err := cli.Get(name)
+		if err != nil || string(data) != want {
+			t.Fatalf("%s = %q (%v), want %q", name, data, err, want)
+		}
 	}
 }
 
@@ -110,6 +110,46 @@ func TestGroupCommitSurvivesRestart(t *testing.T) {
 	}
 }
 
+// flushCounter observes a batcher's group commits through OnFlush.
+type flushCounter struct {
+	mu             sync.Mutex
+	flushes, ops   int
+	maxOps, minOps int
+}
+
+func (f *flushCounter) observe(ops int, _ time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.flushes++
+	f.ops += ops
+	f.maxOps = max(f.maxOps, ops)
+	if f.minOps == 0 || ops < f.minOps {
+		f.minOps = ops
+	}
+}
+
+// submitConcurrently has n goroutines each submit one sequence create
+// under /q through b, failing the test on any error.
+func submitConcurrently(t *testing.T, b *Batcher, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = <-b.MultiAsync(CreateOp("/q/item-", []byte{byte(i)}, FlagSequence))
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+}
+
 // TestBatcherCoalesces: concurrent submissions through one batcher land
 // in fewer commits than callers, and every one applies.
 func TestBatcherCoalesces(t *testing.T) {
@@ -120,64 +160,56 @@ func TestBatcherCoalesces(t *testing.T) {
 	if _, err := cli.Create("/q", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	b := cli.NewBatcher(BatcherConfig{MaxOps: 64})
+	var fc flushCounter
+	b := cli.NewBatcher(BatcherConfig{MaxOps: 64, OnFlush: fc.observe})
 	defer b.Close()
 	const callers = 48
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = b.Multi(CreateOp("/q/item-", []byte{byte(i)}, FlagSequence))
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-	}
+	submitConcurrently(t, b, callers)
 	names, err := cli.Children("/q")
 	if err != nil || len(names) != callers {
 		t.Fatalf("children = %d (%v), want %d", len(names), err, callers)
 	}
-	st := b.Stats()
-	if st.Groups != callers || st.Ops != callers {
-		t.Fatalf("stats = %+v, want %d groups", st, callers)
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	if fc.ops != callers {
+		t.Fatalf("flushed %d ops, want %d", fc.ops, callers)
 	}
-	if st.Flushes >= callers {
-		t.Fatalf("no coalescing: %d flushes for %d callers", st.Flushes, callers)
+	if fc.flushes >= callers {
+		t.Fatalf("no coalescing: %d flushes for %d callers", fc.flushes, callers)
 	}
-	if st.MaxGroupOps < 2 {
-		t.Fatalf("max flush carried %d ops, want ≥ 2", st.MaxGroupOps)
+	if fc.maxOps < 2 {
+		t.Fatalf("max flush carried %d ops, want ≥ 2", fc.maxOps)
 	}
 }
 
-// TestBatcherCreateAsyncResolvesPath: the async create learns its
-// sequence-resolved path, and concurrent creates get distinct ones.
-func TestBatcherCreateAsyncResolvesPath(t *testing.T) {
-	e := NewEnsemble(Config{})
+// TestBatcherBatchOfOne: MaxOps 1 commits every submission alone — one
+// flush and one ensemble commit per group, even under concurrency — and
+// distinct sequence creates still resolve to distinct names.
+func TestBatcherBatchOfOne(t *testing.T) {
+	e := NewEnsemble(Config{CommitLatency: 200 * time.Microsecond})
 	defer e.Close()
 	cli := e.Connect()
 	defer cli.Close()
 	if _, err := cli.Create("/q", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	a := cli.CreateAsync("/q/n-", []byte("a"), FlagSequence)
-	b := cli.CreateAsync("/q/n-", []byte("b"), FlagSequence)
-	ra, rb := <-a, <-b
-	if ra.Err != nil || rb.Err != nil {
-		t.Fatalf("errs: %v / %v", ra.Err, rb.Err)
+	var fc flushCounter
+	b := cli.NewBatcher(BatcherConfig{MaxOps: 1, OnFlush: fc.observe})
+	defer b.Close()
+	before := e.Commits()
+	const callers = 16
+	submitConcurrently(t, b, callers)
+	if d := e.Commits() - before; d != callers {
+		t.Fatalf("commits = %d, want %d", d, callers)
 	}
-	if ra.Path == rb.Path {
-		t.Fatalf("duplicate resolved path %q", ra.Path)
+	names, err := cli.Children("/q")
+	if err != nil || len(names) != callers {
+		t.Fatalf("children = %d (%v), want %d distinct", len(names), err, callers)
 	}
-	for _, r := range []CreateResult{ra, rb} {
-		if ok, _, _ := cli.Exists(r.Path); !ok {
-			t.Fatalf("resolved path %q does not exist", r.Path)
-		}
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	if fc.flushes != callers || fc.maxOps != 1 || fc.minOps != 1 {
+		t.Fatalf("flushes = %d carrying %d..%d ops, want %d of 1", fc.flushes, fc.minOps, fc.maxOps, callers)
 	}
 }
 

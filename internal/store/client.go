@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -22,13 +21,6 @@ type Client struct {
 	// lastWrite is the zxid of this session's most recent committed
 	// write — the session-consistency watermark follower reads carry.
 	lastWrite atomic.Int64
-
-	// batcher backs MultiAsync/CreateAsync; created lazily (with
-	// batcherCfg when set, package defaults otherwise) and torn down
-	// with the session.
-	batcherMu  sync.Mutex
-	batcher    *Batcher
-	batcherCfg BatcherConfig
 }
 
 // Connect opens a new session against the ensemble with the ensemble's
@@ -84,14 +76,6 @@ func (c *Client) heartbeatLoop(s *session) {
 // SessionID returns the client's session id.
 func (c *Client) SessionID() int64 { return c.sessionID }
 
-// Expired reports whether the session has been expired by the ensemble.
-func (c *Client) Expired() bool {
-	c.ens.mu.Lock()
-	defer c.ens.mu.Unlock()
-	s, ok := c.ens.sessions[c.sessionID]
-	return !ok || s.expired
-}
-
 // ExpiredCh is closed when the ensemble expires this session.
 func (c *Client) ExpiredCh() <-chan struct{} {
 	c.ens.mu.Lock()
@@ -105,43 +89,9 @@ func (c *Client) ExpiredCh() <-chan struct{} {
 	return s.expiredCh
 }
 
-// ConfigureBatcher sets the bounds the default batcher (behind
-// MultiAsync/CreateAsync) is created with. It must be called before the
-// first async submission; afterwards it is a no-op — the running
-// batcher keeps its bounds.
-func (c *Client) ConfigureBatcher(cfg BatcherConfig) {
-	c.batcherMu.Lock()
-	defer c.batcherMu.Unlock()
-	if c.batcher == nil {
-		c.batcherCfg = cfg
-	}
-}
-
-// defaultBatcher lazily creates the batcher behind MultiAsync.
-func (c *Client) defaultBatcher() *Batcher {
-	c.batcherMu.Lock()
-	defer c.batcherMu.Unlock()
-	if c.batcher == nil {
-		c.batcher = c.NewBatcher(c.batcherCfg)
-	}
-	return c.batcher
-}
-
-// closeBatcher flushes and stops the default batcher, if one was made.
-func (c *Client) closeBatcher() {
-	c.batcherMu.Lock()
-	b := c.batcher
-	c.batcher = nil
-	c.batcherMu.Unlock()
-	if b != nil {
-		b.Close()
-	}
-}
-
 // Close ends the session gracefully: ephemeral nodes are reaped
 // immediately and the heartbeat loop stops.
 func (c *Client) Close() {
-	c.closeBatcher()
 	c.ens.ExpireSession(c.sessionID)
 	select {
 	case <-c.stopBeat:
@@ -158,7 +108,6 @@ func (c *Client) Close() {
 // that dominates TROPIC's controller recovery time (§6.4).
 func (c *Client) Kill() {
 	c.killed.Store(true)
-	c.closeBatcher()
 	select {
 	case <-c.stopBeat:
 	default:
@@ -280,24 +229,23 @@ func (c *Client) Multi(ops ...Op) error {
 	return nil
 }
 
-// MultiAllResolved commits several independent Multi batches in one
-// ensemble proposal round, returning one result per batch (position-
-// matched): the demultiplexed error, or the resolved final path of every
-// create in the batch. Each batch is atomic on its own; a failed batch
-// does not affect its siblings, and later batches see the effects of
-// earlier successful ones. This is the group-commit primitive behind
-// MultiAsync and the Batcher: one quorum round and one WAL fsync
-// amortized over every batch in the group.
-func (c *Client) MultiAllResolved(groups ...[]Op) []GroupResult {
+// MultiAll commits several independent Multi batches in one ensemble
+// proposal round, returning each batch's demultiplexed error (position-
+// matched). Each batch is atomic on its own; a failed batch does not
+// affect its siblings, and later batches see the effects of earlier
+// successful ones. This is the group-commit primitive behind the
+// Batcher: one quorum round and one WAL fsync amortized over every
+// batch in the group.
+func (c *Client) MultiAll(groups ...[]Op) []error {
 	e := c.ens
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := c.checkSessionLocked(); err != nil {
-		results := make([]GroupResult, len(groups))
-		for i := range results {
-			results[i] = GroupResult{Err: err}
+		errs := make([]error, len(groups))
+		for i := range errs {
+			errs[i] = err
 		}
-		return results
+		return errs
 	}
 	for _, ops := range groups {
 		for i := range ops {
@@ -306,42 +254,14 @@ func (c *Client) MultiAllResolved(groups ...[]Op) []GroupResult {
 			}
 		}
 	}
-	results := e.commitAllLocked(groups)
-	for _, r := range results {
-		if r.Err == nil {
+	errs := e.commitAllLocked(groups)
+	for _, err := range errs {
+		if err == nil {
 			c.noteWriteLocked()
 			break
 		}
 	}
-	return results
-}
-
-// MultiAll is MultiAllResolved reduced to the per-batch errors.
-func (c *Client) MultiAll(groups ...[]Op) []error {
-	results := c.MultiAllResolved(groups...)
-	errs := make([]error, len(results))
-	for i, r := range results {
-		errs[i] = r.Err
-	}
 	return errs
-}
-
-// MultiAsync submits a Multi batch through the client's default batcher
-// and returns a channel that delivers the batch's outcome once it has
-// been group-committed (buffered: the result never blocks on the
-// caller). Concurrent MultiAsync calls — from any goroutine sharing the
-// client — coalesce into one ensemble proposal. Callers needing
-// different bounds create their own Batcher with NewBatcher.
-func (c *Client) MultiAsync(ops ...Op) <-chan error {
-	return c.defaultBatcher().MultiAsync(ops...)
-}
-
-// CreateAsync creates a znode through the client's default batcher,
-// delivering the resolved final path (sequence suffixes included) once
-// the group commit lands. Concurrent submitters sharing the client pay
-// one proposal round between them instead of one each.
-func (c *Client) CreateAsync(path string, data []byte, flags int) <-chan CreateResult {
-	return c.defaultBatcher().CreateAsync(path, data, flags)
 }
 
 // Get returns a znode's data and stat. The data is shared with the
@@ -494,105 +414,27 @@ func (c *Client) ChildrenPage(path, after string, limit int, minZxid int64) (nam
 	return names, e.zxid, false, err
 }
 
-// WatchNode registers a one-shot watch for create/delete/set on path.
-// The returned channel delivers exactly one event and is then closed.
-func (c *Client) WatchNode(path string) (<-chan Event, error) {
+// NodeWatch arms a watch on create/delete/set of path (see Watch).
+// One NodeWatch fans out to arbitrarily many read-path subscribers,
+// which keeps 100k concurrent watch streams at O(records) store watches
+// instead of O(sessions).
+func (c *Client) NodeWatch(path string) (*Watch, error) {
+	return c.watch(c.ens.watches.node, path)
+}
+
+// ChildWatch arms a watch on membership changes of path's children (see
+// Watch). A blocking queue take arms one ChildWatch for its whole wait.
+func (c *Client) ChildWatch(path string) (*Watch, error) {
+	return c.watch(c.ens.watches.child, path)
+}
+
+func (c *Client) watch(m map[string][]*watcher, path string) (*Watch, error) {
 	if err := validPath(path); err != nil {
 		return nil, err
 	}
 	w := &watcher{ch: make(chan Event, 1), session: c.sessionID}
-	c.ens.watches.addNode(path, w)
-	return w.ch, nil
-}
-
-// Unwatch cancels an armed node watch that the caller will not consume
-// (e.g. Wait discovering the record is already terminal after arming).
-// The channel is closed without an event. Without this, one-shot
-// watches on nodes that never change again would accumulate in the
-// ensemble's watch table for the life of the session.
-func (c *Client) Unwatch(path string, ch <-chan Event) {
-	c.ens.watches.cancelNode(path, ch)
-}
-
-// WatchChildren registers a one-shot watch for membership changes of
-// path's children.
-func (c *Client) WatchChildren(path string) (<-chan Event, error) {
-	if err := validPath(path); err != nil {
-		return nil, err
-	}
-	w := &watcher{ch: make(chan Event, 1), session: c.sessionID}
-	c.ens.watches.addChild(path, w)
-	return w.ch, nil
-}
-
-// NodeWatch registers a REUSABLE watch on create/delete/set of path: it
-// stays armed across events (coalescing back-to-back changes into one
-// pending wakeup) until Close. This is the fan-out primitive the read
-// path multiplexes SSE subscribers onto — one NodeWatch per watched
-// record regardless of how many sessions stream it.
-func (c *Client) NodeWatch(path string) (*NodeWatch, error) {
-	if err := validPath(path); err != nil {
-		return nil, err
-	}
-	w := &watcher{ch: make(chan Event, 1), session: c.sessionID, persistent: true}
-	c.ens.watches.addNode(path, w)
-	return &NodeWatch{path: path, w: w, wt: c.ens.watches}, nil
-}
-
-// ChildWatch registers a REUSABLE watch on membership changes of path's
-// children: it stays armed across events (coalescing back-to-back
-// changes into one pending wakeup) until Close. This is the queue-wakeup
-// primitive — a blocking take arms one ChildWatch for its whole wait
-// instead of burning a fresh one-shot watch per poll round.
-func (c *Client) ChildWatch(path string) (*ChildWatch, error) {
-	if err := validPath(path); err != nil {
-		return nil, err
-	}
-	w := &watcher{ch: make(chan Event, 1), session: c.sessionID, persistent: true}
-	c.ens.watches.addChild(path, w)
-	return &ChildWatch{path: path, w: w, wt: c.ens.watches}, nil
-}
-
-// ChildrenW returns the children of path and a one-shot watch armed
-// atomically with the read, so no membership change can slip between the
-// read and the watch registration.
-func (c *Client) ChildrenW(path string) ([]string, <-chan Event, error) {
-	e := c.ens
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := c.checkSessionLocked(); err != nil {
-		return nil, nil, err
-	}
-	t, err := e.leaderTree()
-	if err != nil {
-		return nil, nil, err
-	}
-	n, err := t.lookup(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := &watcher{ch: make(chan Event, 1), session: c.sessionID}
-	e.watches.addChild(path, w)
-	return n.childNames(), w.ch, nil
-}
-
-// ExistsW reports whether path exists and arms a one-shot node watch
-// atomically with the read.
-func (c *Client) ExistsW(path string) (bool, <-chan Event, error) {
-	e := c.ens
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := c.checkSessionLocked(); err != nil {
-		return false, nil, err
-	}
-	t, err := e.leaderTree()
-	if err != nil {
-		return false, nil, err
-	}
-	w := &watcher{ch: make(chan Event, 1), session: c.sessionID}
-	e.watches.addNode(path, w)
-	_, lookErr := t.lookup(path)
-	return lookErr == nil, w.ch, nil
+	c.ens.watches.add(m, path, w)
+	return &Watch{path: path, w: w, m: m, wt: c.ens.watches}, nil
 }
 
 // EnsurePath creates path and any missing ancestors as persistent nodes.

@@ -437,13 +437,13 @@ func (e *Ensemble) commitLocked(op Op) (Op, error) {
 // step weaker than the single-op path (which rejects before applying);
 // it is the price of validating each group against its predecessors'
 // effects. Caller holds e.mu.
-func (e *Ensemble) commitAllLocked(groups [][]Op) []GroupResult {
-	results := make([]GroupResult, len(groups))
-	fill := func(err error) []GroupResult {
-		for i := range results {
-			results[i] = GroupResult{Err: err}
+func (e *Ensemble) commitAllLocked(groups [][]Op) []error {
+	errs := make([]error, len(groups))
+	fill := func(err error) []error {
+		for i := range errs {
+			errs[i] = err
 		}
-		return results
+		return errs
 	}
 	if e.closed {
 		return fill(ErrClosed)
@@ -462,32 +462,24 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []GroupResult {
 	for gi, ops := range groups {
 		if walFailed != nil {
 			// Fail-stop: nothing may commit behind a torn WAL frame.
-			results[gi].Err = walFailed
+			errs[gi] = walFailed
 			continue
 		}
 		resolved, err := validateOp(e.tree, Op{kind: opMulti, ops: ops})
 		if err != nil {
-			results[gi].Err = err
+			errs[gi] = err
 			continue
 		}
 		e.zxid++
 		if e.pstore != nil {
 			if err := e.pstore.AppendNoSync(e.zxid, e.encodeLocked(resolved)); err != nil {
-				results[gi].Err = err
+				errs[gi] = err
 				walFailed = err
 				continue
 			}
 		}
 		e.applyLocked(resolved)
 		e.commits++
-		paths := make([]string, len(resolved.ops))
-		for i, sub := range resolved.ops {
-			if sub.kind == opCreate {
-				paths[i] = childFullPath(sub.Path, sub.resolvedName)
-			}
-		}
-		results[gi].Paths = paths
-		results[gi].Zxid = e.zxid
 		applied = append(applied, gi)
 	}
 	if e.pstore != nil && len(applied) > 0 {
@@ -496,16 +488,16 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []GroupResult {
 			// fires, no snapshot of state whose log record may not be
 			// durable. Fail-stop prevents anything committing after it.
 			for _, gi := range applied {
-				results[gi] = GroupResult{Err: err}
+				errs[gi] = err
 			}
-			return results
+			return errs
 		}
 		for range applied {
 			e.maybeSnapshotLocked()
 		}
 	}
 	e.watches.fire(&e.fired)
-	return results
+	return errs
 }
 
 // validateOp checks an op against the tree and resolves sequence-node
@@ -690,28 +682,6 @@ func (e *Ensemble) Commits() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.commits
-}
-
-// DumpPaths returns all paths in the current tree, for debugging and
-// tests.
-func (e *Ensemble) DumpPaths() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	lt, err := e.leaderTree()
-	if err != nil {
-		return nil
-	}
-	var out []string
-	var walk func(n *znode, prefix string)
-	walk = func(n *znode, prefix string) {
-		for name := range n.index.all() {
-			p := prefix + "/" + name
-			out = append(out, p)
-			walk(n.children[name], p)
-		}
-	}
-	walk(lt.root, "")
-	return out
 }
 
 // String summarizes ensemble state for debugging.

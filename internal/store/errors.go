@@ -18,6 +18,15 @@
 // snapshots walk it in order. Transaction records all live under one
 // directory, so a page of them costs the same at 100 records as at
 // 100,000.
+//
+// A Client writes through one synchronous primitive, Multi (Create, Set
+// and Delete are its one-op forms), and one group primitive, MultiAll,
+// which commits independent batches in one proposal round. A Batcher,
+// owned by the code that uses it, is the one asynchronous write path: it
+// coalesces concurrent MultiAsync submissions into MultiAll rounds. A
+// Watch (NodeWatch, ChildWatch) is the one kind of watch: it stays armed
+// across events, coalescing them, until it is closed or its session
+// expires.
 package store
 
 import "repro/tropic/trerr"

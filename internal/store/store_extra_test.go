@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestWatchCreateBeforeNodeExists(t *testing.T) {
@@ -15,38 +14,50 @@ func TestWatchCreateBeforeNodeExists(t *testing.T) {
 	e := newTestEnsemble(t)
 	c := e.Connect()
 	defer c.Close()
-	ch, err := c.WatchNode("/later")
+	w, err := c.NodeWatch("/later")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	mustCreate(t, c, "/later", "v")
-	if ev := recvEvent(t, ch); ev.Type != EventCreated || ev.Path != "/later" {
+	if ev := recvEvent(t, w.C()); ev.Type != EventCreated || ev.Path != "/later" {
 		t.Fatalf("event = %+v", ev)
 	}
 }
 
-func TestExistsWArmsAtomically(t *testing.T) {
+// TestNodeWatchArmedBeforeExists: the arm-then-read pattern every waiter
+// uses (election, reconcile replies, idempotency keys) misses no change
+// that lands after the read, whether the node exists or not yet.
+func TestNodeWatchArmedBeforeExists(t *testing.T) {
 	e := newTestEnsemble(t)
 	c := e.Connect()
 	defer c.Close()
 	mustCreate(t, c, "/a", "")
-	ok, ch, err := c.ExistsW("/a")
-	if err != nil || !ok {
-		t.Fatalf("existsW: %v %v", ok, err)
+	w, err := c.NodeWatch("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if ok, _, err := c.Exists("/a"); err != nil || !ok {
+		t.Fatalf("exists: %v %v", ok, err)
 	}
 	if err := c.Delete("/a", -1); err != nil {
 		t.Fatal(err)
 	}
-	if ev := recvEvent(t, ch); ev.Type != EventDeleted {
+	if ev := recvEvent(t, w.C()); ev.Type != EventDeleted {
 		t.Fatalf("event = %+v", ev)
 	}
 	// Non-existent path: watch fires on later create.
-	ok, ch2, err := c.ExistsW("/b")
-	if err != nil || ok {
-		t.Fatalf("existsW missing: %v %v", ok, err)
+	w2, err := c.NodeWatch("/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if ok, _, err := c.Exists("/b"); err != nil || ok {
+		t.Fatalf("exists missing: %v %v", ok, err)
 	}
 	mustCreate(t, c, "/b", "")
-	if ev := recvEvent(t, ch2); ev.Type != EventCreated {
+	if ev := recvEvent(t, w2.C()); ev.Type != EventCreated {
 		t.Fatalf("event = %+v", ev)
 	}
 }
@@ -107,68 +118,69 @@ func TestMultiWithSequenceResolution(t *testing.T) {
 	}
 }
 
+// TestWatchFiresOnceAcrossMultipleChanges: changes made while nobody
+// reads coalesce into one pending wakeup; the watch stays armed for the
+// next change.
 func TestWatchFiresOnceAcrossMultipleChanges(t *testing.T) {
 	e := newTestEnsemble(t)
 	c := e.Connect()
 	defer c.Close()
 	mustCreate(t, c, "/q", "")
-	_, ch, err := c.ChildrenW("/q")
+	w, err := c.ChildWatch("/q")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	for i := 0; i < 5; i++ {
 		mustCreate(t, c, fmt.Sprintf("/q/x%d", i), "")
 	}
-	// Exactly one event is delivered, then the channel closes.
-	ev := recvEvent(t, ch)
-	if ev.Type != EventChildrenChanged {
+	if ev := recvEvent(t, w.C()); ev.Type != EventChildrenChanged {
 		t.Fatalf("event = %+v", ev)
 	}
-	if _, open := <-ch; open {
-		t.Fatal("watch channel not closed after one-shot delivery")
+	select {
+	case ev, ok := <-w.C():
+		t.Fatalf("second delivery for one burst: %+v (open=%v)", ev, ok)
+	default:
+	}
+	mustCreate(t, c, "/q/y", "")
+	if ev := recvEvent(t, w.C()); ev.Type != EventChildrenChanged {
+		t.Fatalf("event after the burst = %+v", ev)
 	}
 }
 
-// TestWatchMixedPersistentAndOneShot: one change to a path watched both
-// ways delivers to every watcher, detaches only the one-shot ones, and
-// leaves the persistent ones armed for the next change.
-func TestWatchMixedPersistentAndOneShot(t *testing.T) {
+// TestWatchesOnOnePathAllStayArmed: one change to a path watched several
+// times delivers to every watcher and leaves each armed for the next
+// change; closing them returns the watch table to its baseline.
+func TestWatchesOnOnePathAllStayArmed(t *testing.T) {
 	e := newTestEnsemble(t)
 	c := e.Connect()
 	defer c.Close()
 	mustCreate(t, c, "/q", "")
 	_, base := e.WatchCounts()
-	_, once1, err := c.ChildrenW("/q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw, err := c.ChildWatch("/q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cw.Close()
-	_, once2, err := c.ChildrenW("/q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustCreate(t, c, "/q/a", "")
-	for _, ch := range []<-chan Event{once1, once2} {
-		if ev := recvEvent(t, ch); ev.Type != EventChildrenChanged {
-			t.Fatalf("one-shot event = %+v", ev)
+	var ws []*Watch
+	for i := 0; i < 3; i++ {
+		w, err := c.ChildWatch("/q")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, open := <-ch; open {
-			t.Fatal("one-shot watch not closed after delivery")
+		ws = append(ws, w)
+	}
+	for _, name := range []string{"/q/a", "/q/b"} {
+		mustCreate(t, c, name, "")
+		for i, w := range ws {
+			if ev := recvEvent(t, w.C()); ev.Type != EventChildrenChanged {
+				t.Fatalf("watch %d after %s: event = %+v", i, name, ev)
+			}
+		}
+		if _, child := e.WatchCounts(); child != base+3 {
+			t.Fatalf("child watches = %d, want %d", child, base+3)
 		}
 	}
-	if ev := recvEvent(t, cw.C()); ev.Type != EventChildrenChanged {
-		t.Fatalf("persistent event = %+v", ev)
+	for _, w := range ws {
+		w.Close()
 	}
-	if _, child := e.WatchCounts(); child != base+1 {
-		t.Fatalf("child watches = %d, want the persistent one only (%d)", child, base+1)
-	}
-	mustCreate(t, c, "/q/b", "")
-	if ev := recvEvent(t, cw.C()); ev.Type != EventChildrenChanged {
-		t.Fatalf("persistent event after re-fire = %+v", ev)
+	if _, child := e.WatchCounts(); child != base {
+		t.Fatalf("child watches = %d after Close, want %d", child, base)
 	}
 }
 
@@ -176,18 +188,19 @@ func TestSessionWatchExpiry(t *testing.T) {
 	e := newTestEnsemble(t)
 	c := e.Connect()
 	mustCreate(t, c, "/a", "")
-	ch, err := c.WatchNode("/a")
+	w, err := c.NodeWatch("/a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.ExpireSession(c.SessionID())
-	select {
-	case ev := <-ch:
-		if ev.Type != EventSessionExpired {
-			t.Fatalf("event = %+v", ev)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no session-expired event")
+	if ev := recvEvent(t, w.C()); ev.Type != EventSessionExpired {
+		t.Fatalf("event = %+v", ev)
+	}
+	if _, open := <-w.C(); open {
+		t.Fatal("watch channel open after session expiry")
+	}
+	if node, _ := e.WatchCounts(); node != 0 {
+		t.Fatalf("node watches = %d after expiry, want 0", node)
 	}
 }
 

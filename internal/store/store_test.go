@@ -75,7 +75,7 @@ func TestBadPaths(t *testing.T) {
 		if _, _, err := c.Get(p); !errors.Is(err, ErrBadPath) {
 			t.Errorf("get(%q) err = %v, want ErrBadPath", p, err)
 		}
-		if _, err := c.WatchNode(p); !errors.Is(err, ErrBadPath) {
+		if _, err := c.NodeWatch(p); !errors.Is(err, ErrBadPath) {
 			t.Errorf("watch(%q) err = %v, want ErrBadPath", p, err)
 		}
 	}
@@ -238,27 +238,20 @@ func TestWatchData(t *testing.T) {
 	defer c.Close()
 
 	mustCreate(t, c, "/a", "v0")
-	ch, err := c.WatchNode("/a")
+	w, err := c.NodeWatch("/a")
 	if err != nil {
 		t.Fatalf("watch: %v", err)
 	}
-	if err := c.Set("/a", []byte("v1"), -1); err != nil {
-		t.Fatalf("set: %v", err)
-	}
-	ev := recvEvent(t, ch)
-	if ev.Type != EventDataChanged || ev.Path != "/a" {
-		t.Fatalf("event = %+v, want data-changed /a", ev)
-	}
-	// One-shot: second set must not fire the same watch.
-	if err := c.Set("/a", []byte("v2"), -1); err != nil {
-		t.Fatalf("set: %v", err)
-	}
-	select {
-	case ev, ok := <-ch:
-		if ok {
-			t.Fatalf("unexpected second event %+v", ev)
+	defer w.Close()
+	for _, v := range []string{"v1", "v2"} {
+		if err := c.Set("/a", []byte(v), -1); err != nil {
+			t.Fatalf("set: %v", err)
 		}
-	case <-time.After(50 * time.Millisecond):
+		// The watch stays armed: every consumed change re-fires it.
+		ev := recvEvent(t, w.C())
+		if ev.Type != EventDataChanged || ev.Path != "/a" {
+			t.Fatalf("event = %+v, want data-changed /a", ev)
+		}
 	}
 }
 
@@ -268,17 +261,24 @@ func TestWatchChildren(t *testing.T) {
 	defer c.Close()
 
 	mustCreate(t, c, "/q", "")
-	names, ch, err := c.ChildrenW("/q")
+	w, err := c.ChildWatch("/q")
 	if err != nil {
-		t.Fatalf("childrenW: %v", err)
+		t.Fatalf("child watch: %v", err)
 	}
-	if len(names) != 0 {
-		t.Fatalf("children = %v, want empty", names)
-	}
+	defer w.Close()
+	// Membership changes fire it; a data change of a child does not.
 	mustCreate(t, c, "/q/x", "")
-	ev := recvEvent(t, ch)
+	ev := recvEvent(t, w.C())
 	if ev.Type != EventChildrenChanged || ev.Path != "/q" {
 		t.Fatalf("event = %+v, want children-changed /q", ev)
+	}
+	if err := c.Set("/q/x", []byte("v"), -1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-w.C():
+		t.Fatalf("child data change fired the child watch: %+v", ev)
+	case <-time.After(20 * time.Millisecond):
 	}
 }
 
@@ -288,14 +288,15 @@ func TestWatchDelete(t *testing.T) {
 	defer c.Close()
 
 	mustCreate(t, c, "/a", "")
-	ch, err := c.WatchNode("/a")
+	w, err := c.NodeWatch("/a")
 	if err != nil {
 		t.Fatalf("watch: %v", err)
 	}
+	defer w.Close()
 	if err := c.Delete("/a", -1); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if ev := recvEvent(t, ch); ev.Type != EventDeleted {
+	if ev := recvEvent(t, w.C()); ev.Type != EventDeleted {
 		t.Fatalf("event = %+v, want deleted", ev)
 	}
 }

@@ -63,14 +63,14 @@ type Config struct {
 	// claim-delete commit across the batch; the claimed items execute
 	// sequentially on the claiming thread.
 	ClaimBatch int
-	// BatchMaxOps > 1 routes outcome reports through a store batcher, so
-	// concurrent threads' result notices coalesce into group commits
-	// (bounded by BatchMaxOps operations or BatchMaxDelay of waiting).
-	// ≤ 1 reports each outcome with its own store round trip.
+	// BatchMaxOps bounds the worker's store batcher, through which every
+	// claim and outcome report commits, so concurrent threads' writes
+	// coalesce into group commits (bounded by BatchMaxOps operations or
+	// BatchMaxDelay of waiting). ≤ 1 is a batch of one: each write
+	// commits alone.
 	BatchMaxOps int
-	// BatchMaxDelay bounds how long a report waits for company
-	// (default store.DefaultBatchMaxDelay). Ignored unless BatchMaxOps
-	// enables the batcher.
+	// BatchMaxDelay bounds how long a write waits for company (default
+	// store.DefaultBatchMaxDelay).
 	BatchMaxDelay time.Duration
 	// Registry, when non-nil, receives the worker's Prometheus families
 	// (claim waits, execute timings, per-outcome counters, report
@@ -98,7 +98,7 @@ type Worker struct {
 	cli     *store.Client
 	phyQ    *queue.Queue
 	inQ     *queue.Queue
-	batcher *store.Batcher // nil when report batching is off
+	batcher *store.Batcher
 	stats   Stats
 
 	// Exported metric instruments (always non-nil; backed by a private
@@ -154,22 +154,20 @@ func New(cfg Config) (*Worker, error) {
 	w.outcomes = reg.CounterVec("tropic_worker_outcomes_total",
 		"Physical execution outcomes reported to the controller, by outcome state and taxonomy code.",
 		"shard", "outcome", "code")
-	if cfg.BatchMaxOps > 1 {
-		groupOps := reg.HistogramVec("tropic_store_group_commit_ops",
-			"Operations carried by one store group commit, by submitting component.",
-			metrics.DefSizeBuckets, "shard", "source").With(shard, "worker")
-		groupLat := reg.HistogramVec("tropic_store_group_commit_seconds",
-			"Wall time of one store group commit, by submitting component.",
-			nil, "shard", "source").With(shard, "worker")
-		w.batcher = cli.NewBatcher(store.BatcherConfig{
-			MaxOps:   cfg.BatchMaxOps,
-			MaxDelay: cfg.BatchMaxDelay,
-			OnFlush: func(ops int, d time.Duration) {
-				groupOps.Observe(float64(ops))
-				groupLat.ObserveDuration(d)
-			},
-		})
-	}
+	groupOps := reg.HistogramVec("tropic_store_group_commit_ops",
+		"Operations carried by one store group commit, by submitting component.",
+		metrics.DefSizeBuckets, "shard", "source").With(shard, "worker")
+	groupLat := reg.HistogramVec("tropic_store_group_commit_seconds",
+		"Wall time of one store group commit, by submitting component.",
+		nil, "shard", "source").With(shard, "worker")
+	w.batcher = cli.NewBatcher(store.BatcherConfig{
+		MaxOps:   max(1, cfg.BatchMaxOps),
+		MaxDelay: cfg.BatchMaxDelay,
+		OnFlush: func(ops int, d time.Duration) {
+			groupOps.Observe(float64(ops))
+			groupLat.ObserveDuration(d)
+		},
+	})
 	return w, nil
 }
 
@@ -198,9 +196,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // Close releases the worker's store session, flushing any batched
 // reports first.
 func (w *Worker) Close() {
-	if w.batcher != nil {
-		w.batcher.Close()
-	}
+	w.batcher.Close()
 	w.cli.Close()
 }
 
@@ -221,16 +217,10 @@ func (w *Worker) serve(ctx context.Context, thread int) error {
 		claim = 1
 	}
 	for {
-		var batch [][]byte
-		var err error
 		claimStart := time.Now()
-		if w.batcher != nil {
-			// The claim commit rides the shared batcher, grouping with
-			// sibling threads' claims and outcome reports.
-			batch, err = w.phyQ.TakeBatchVia(ctx, claim, w.batcher)
-		} else {
-			batch, err = w.phyQ.TakeBatch(ctx, claim)
-		}
+		// The claim commit rides the shared batcher, grouping with
+		// sibling threads' claims and outcome reports.
+		batch, err := w.phyQ.TakeBatch(ctx, claim, w.batcher)
 		if err == nil {
 			w.claimLat.ObserveDuration(time.Since(claimStart))
 		}
@@ -276,10 +266,9 @@ func (w *Worker) serve(ctx context.Context, thread int) error {
 }
 
 // execute replays one transaction's log against the devices (Figure 2,
-// step 4) and reports the result to the controller via inputQ. With
-// report batching, the returned channel delivers the report's group-
-// commit outcome (nil channel: nothing was reported, or the report
-// already completed synchronously).
+// step 4) and reports the result to the controller via inputQ. The
+// returned channel delivers the report's group-commit outcome (nil
+// channel: nothing was reported).
 func (w *Worker) execute(txnPath string) (<-chan error, error) {
 	rec, _, err := w.loadTxn(txnPath)
 	if err != nil {
@@ -318,7 +307,7 @@ func (w *Worker) execute(txnPath string) (<-chan error, error) {
 	}
 
 	if actErr == nil {
-		return w.report(txnPath, txn.StateCommitted, nil, 0)
+		return w.report(txnPath, txn.StateCommitted, nil, 0), nil
 	}
 
 	// Roll back the applied prefix in reverse chronological order. If
@@ -344,20 +333,19 @@ func (w *Worker) execute(txnPath string) (<-chan error, error) {
 	}
 
 	if undoErr == nil {
-		return w.report(txnPath, txn.StateAborted, actErr, undone)
+		return w.report(txnPath, txn.StateAborted, actErr, undone), nil
 	}
 	return w.report(txnPath, txn.StateFailed,
-		trerr.Newf(trerr.TxnRollbackFailed, "%v; rollback stopped: %v", actErr, undoErr), undone)
+		trerr.Newf(trerr.TxnRollbackFailed, "%v; rollback stopped: %v", actErr, undoErr), undone), nil
 }
 
 // report notifies the controller of the physical outcome through
 // inputQ. Per Figure 2, the *controller* marks the record terminal
 // during cleanup — the worker only executes and reports; the failure's
-// taxonomy code rides along so it survives into the record. With the
-// batcher enabled the notice coalesces with other threads' reports into
-// one group commit and the returned channel carries its outcome;
-// without, the notice is committed synchronously before returning.
-func (w *Worker) report(txnPath string, outcome txn.State, outcomeErr error, undone int) (<-chan error, error) {
+// taxonomy code rides along so it survives into the record. The notice
+// coalesces with other threads' reports into one group commit and the
+// returned channel carries its outcome.
+func (w *Worker) report(txnPath string, outcome txn.State, outcomeErr error, undone int) <-chan error {
 	switch outcome {
 	case txn.StateCommitted:
 		atomic.AddInt64(&w.stats.Committed, 1)
@@ -385,11 +373,7 @@ func (w *Worker) report(txnPath string, outcome txn.State, outcomeErr error, und
 		msg.Error = outcomeErr.Error()
 		msg.Code = string(trerr.CodeOf(outcomeErr))
 	}
-	if w.batcher != nil {
-		return w.batcher.MultiAsync(w.inQ.PutOp(msg.Encode())), nil
-	}
-	_, err := w.inQ.Put(msg.Encode())
-	return nil, err
+	return w.batcher.MultiAsync(w.inQ.PutOp(msg.Encode()))
 }
 
 func (w *Worker) currentSignal(txnPath string) (txn.Signal, error) {

@@ -51,6 +51,7 @@ type harness struct {
 	ens *store.Ensemble
 	cli *store.Client
 	inQ *queue.Queue
+	b   *store.Batcher // the notice claims commit through it
 }
 
 func newHarness(t *testing.T, exec worker.Executor) *harness {
@@ -71,14 +72,16 @@ func newHarness(t *testing.T, exec worker.Executor) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := cli.NewBatcher(store.BatcherConfig{MaxOps: 1})
 	t.Cleanup(func() {
 		cancel()
 		<-done
+		b.Close()
 		cli.Close()
 		w.Close()
 		ens.Close()
 	})
-	return &harness{ens: ens, cli: cli, inQ: inQ}
+	return &harness{ens: ens, cli: cli, inQ: inQ, b: b}
 }
 
 // enqueue persists a started transaction and puts it on phyQ.
@@ -101,11 +104,11 @@ func (h *harness) result(t *testing.T) proto.InputMsg {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	data, err := h.inQ.Take(ctx)
+	data, err := h.inQ.TakeBatch(ctx, 1, h.b)
 	if err != nil {
 		t.Fatalf("no result notice: %v", err)
 	}
-	msg, err := proto.DecodeInputMsg(data)
+	msg, err := proto.DecodeInputMsg(data[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +332,10 @@ func TestWorkerCompetingThreadsExactlyOnce(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	b := cli.NewBatcher(store.BatcherConfig{MaxOps: 1})
+	defer b.Close()
 	for i := 0; i < txns; i++ {
-		if _, err := inQ.Take(ctx); err != nil {
+		if _, err := inQ.TakeBatch(ctx, 1, b); err != nil {
 			t.Fatalf("notice %d: %v", i, err)
 		}
 	}

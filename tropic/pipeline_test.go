@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proto"
 	"repro/tcloud"
 	"repro/tropic"
 )
@@ -113,15 +114,64 @@ func TestBatchedSubmitLifecycle(t *testing.T) {
 }
 
 // TestUnbatchedSubmitStillWorks pins the unbatched arm the ablation
-// benchmarks depend on: BatchMaxOps=1 drains one item per event round.
+// benchmarks depend on: BatchMaxOps=1 is a batch of one. A submission is
+// ONE store commit that creates the record and its inputQ notice
+// together, and the controller drains one item per event round.
 func TestUnbatchedSubmitStillWorks(t *testing.T) {
-	p := minimalPlatform(t, 1)
+	p, err := tropic.New(tropic.Config{
+		Schema:      tcloud.NewSchema(),
+		Procedures:  tcloud.Procedures(),
+		Bootstrap:   tcloud.Topology{ComputeHosts: 4}.BuildModel(),
+		Controllers: 1,
+		BatchMaxOps: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Stop() })
 	cli := p.Client()
 	defer cli.Close()
+
+	// Before Start nothing consumes inputQ, so the submission's own
+	// commits are all the ensemble sees.
+	ens := p.Ensemble()
+	before := ens.Commits()
+	id, err := cli.Submit(tcloud.ProcSpawnVM,
+		tcloud.StorageHostPath(0), tcloud.ComputeHostPath(0), "uvm0", "1024")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ens.Commits() - before; d != 1 {
+		t.Fatalf("one submit took %d store commits, want 1 (record and notice together)", d)
+	}
+	peek := ens.Connect()
+	defer peek.Close()
+	recPath := proto.TxnsPath + "/" + id
+	if ok, _, err := peek.Exists(recPath); err != nil || !ok {
+		t.Fatalf("record %s: exists=%v err=%v", recPath, ok, err)
+	}
+	items, err := peek.Children(proto.InputQPath)
+	if err != nil || len(items) != 1 {
+		t.Fatalf("inputQ = %v (%v), want the one submit notice", items, err)
+	}
+	data, _, err := peek.Get(proto.InputQPath + "/" + items[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := proto.DecodeInputMsg(data); err != nil || msg.Kind != proto.KindSubmit || msg.TxnPath != recPath {
+		t.Fatalf("notice = %+v (%v), want a submit for %s", msg, err, recPath)
+	}
+
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
+	if err := p.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := cli.Wait(ctx, id); err != nil || rec.State != tropic.StateCommitted {
+		t.Fatalf("queued submit: %v (%v)", rec, err)
+	}
 	rec, err := cli.SubmitAndWait(ctx, tcloud.ProcSpawnVM,
-		tcloud.StorageHostPath(0), tcloud.ComputeHostPath(0), "uvm", "1024")
+		tcloud.StorageHostPath(0), tcloud.ComputeHostPath(1), "uvm1", "1024")
 	if err != nil {
 		t.Fatal(err)
 	}

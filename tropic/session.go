@@ -557,17 +557,20 @@ func (c *Client) submitIdempotentVia(ctx context.Context, key, proc string, args
 
 // awaitIdempotent resolves a lost idempotency race: read the winner's
 // recorded id, waiting out the window between its key claim and its id
-// write.
+// write. One watch on the key, armed before the first read, serves the
+// whole wait; it is released on every exit (and before a takeover
+// re-submits).
 func (c *Client) awaitIdempotent(ctx context.Context, keyPath, key, proc string, args []string, submitFn func() (string, error)) (string, bool, error) {
+	watch, err := c.cli.NodeWatch(keyPath)
+	if err != nil {
+		return "", false, err
+	}
+	defer watch.Close()
 	for {
-		watch, err := c.cli.WatchNode(keyPath)
-		if err != nil {
-			return "", false, err
-		}
 		data, stat, err := c.cli.Get(keyPath)
 		if err != nil {
-			c.cli.Unwatch(keyPath, watch)
 			if errors.Is(err, store.ErrNoNode) {
+				watch.Close()
 				// The winner's submission failed (or its session died)
 				// and the claim is gone; take over.
 				return c.submitIdempotentVia(ctx, key, proc, args, submitFn)
@@ -577,12 +580,10 @@ func (c *Client) awaitIdempotent(ctx context.Context, keyPath, key, proc string,
 		var e idemEntry
 		if len(data) > 0 {
 			if err := json.Unmarshal(data, &e); err != nil {
-				c.cli.Unwatch(keyPath, watch)
 				return "", false, fmt.Errorf("tropic: idempotency entry %s: %w", key, err)
 			}
 		}
 		if e.ID != "" {
-			c.cli.Unwatch(keyPath, watch)
 			if e.Proc != proc {
 				return "", false, trerr.Newf(trerr.SubmitIdempotencyReuse,
 					"tropic: idempotency key %q was used for procedure %q, not %q",
@@ -600,9 +601,9 @@ func (c *Client) awaitIdempotent(ctx context.Context, keyPath, key, proc string,
 		// that never expires; a version-checked delete takes it over
 		// without racing the owner's promotion.
 		if !e.ClaimedAt.IsZero() && time.Since(e.ClaimedAt) > staleIdempotencyClaim {
-			c.cli.Unwatch(keyPath, watch)
 			derr := c.cli.Delete(keyPath, stat.Version)
 			if derr == nil || errors.Is(derr, store.ErrNoNode) {
+				watch.Close()
 				return c.submitIdempotentVia(ctx, key, proc, args, submitFn)
 			}
 			if errors.Is(derr, store.ErrBadVersion) {
@@ -612,11 +613,10 @@ func (c *Client) awaitIdempotent(ctx context.Context, keyPath, key, proc string,
 		}
 		select {
 		case <-ctx.Done():
-			c.cli.Unwatch(keyPath, watch)
 			return "", false, trerr.Wrap(trerr.SubmitIdempotencyPending, ctx.Err(),
 				fmt.Sprintf("tropic: idempotency key %q is claimed by an unfinished submission", key)).With("key", key)
-		case ev := <-watch:
-			if ev.Type == store.EventSessionExpired {
+		case ev, ok := <-watch.C():
+			if !ok || ev.Type == store.EventSessionExpired {
 				return "", false, store.ErrSessionExpired
 			}
 		}

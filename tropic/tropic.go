@@ -240,15 +240,16 @@ type Config struct {
 	// flushes their effects — and each scheduling round's admissions —
 	// in single grouped store commits, and workers coalesce up to this
 	// many report operations per commit. 0 selects the default (32);
-	// 1 drains one item per controller round (through the same round
-	// code) and sends submissions and worker reports one commit each —
-	// the unbatched arm of the ablation benchmarks.
+	// 1 is a batch of one: one item per controller round (through the
+	// same round code), and every submission (record plus notice, one
+	// atomic commit), claim and worker report commits alone through the
+	// same batchers — the unbatched arm of the ablation benchmarks.
 	BatchMaxOps int
 	// BatchMaxDelay bounds how long an asynchronously batched store
-	// operation (worker outcome reports) waits for company before its
-	// batch flushes anyway (default 2ms). It is the pipeline's
-	// batching-latency ceiling: no report sits unflushed longer than
-	// this.
+	// operation (submissions, worker claims and outcome reports) waits
+	// for company before its batch flushes anyway (default 2ms). It is
+	// the pipeline's batching-latency ceiling: no write sits unflushed
+	// longer than this.
 	BatchMaxDelay time.Duration
 	// WorkerClaimBatch is how many phyQ entries one worker thread claims
 	// per store round trip (default 4 when batching, 1 otherwise).
@@ -1000,24 +1001,23 @@ func (p *Platform) Client() *Client {
 		groupLat := p.reg.HistogramVec("tropic_store_group_commit_seconds",
 			"Wall time of one store group commit, by submitting component.",
 			nil, "shard", "source").With(label, "submit")
-		// The submit path's coalescing obeys the same knobs as the rest
-		// of the pipeline.
-		cli.ConfigureBatcher(store.BatcherConfig{
-			MaxOps:   p.cfg.BatchMaxOps,
-			MaxDelay: p.cfg.BatchMaxDelay,
-			OnFlush: func(ops int, d time.Duration) {
-				groupOps.Observe(float64(ops))
-				groupLat.ObserveDuration(d)
-			},
-		})
 		shardIdx := u.index
 		return &Client{
-			cli:     cli,
-			procs:   p.cfg.Procedures,
-			batched: p.cfg.BatchMaxOps > 1,
-			rp:      u.rp,
-			admit:   func() error { return p.admitShard(shardIdx) },
-			lat:     p.submitLat.With(label),
+			cli: cli,
+			// The submit path's coalescing obeys the same knobs as the
+			// rest of the pipeline.
+			b: cli.NewBatcher(store.BatcherConfig{
+				MaxOps:   p.cfg.BatchMaxOps,
+				MaxDelay: p.cfg.BatchMaxDelay,
+				OnFlush: func(ops int, d time.Duration) {
+					groupOps.Observe(float64(ops))
+					groupLat.ObserveDuration(d)
+				},
+			}),
+			procs: p.cfg.Procedures,
+			rp:    u.rp,
+			admit: func() error { return p.admitShard(shardIdx) },
+			lat:   p.submitLat.With(label),
 		}
 	}
 	if p.router == nil {
@@ -1039,18 +1039,17 @@ func (p *Platform) Client() *Client {
 // playing the role of the API service gateway in Figure 1.
 type Client struct {
 	cli *store.Client
+	// b is the group-commit batcher every submission goes through, so
+	// concurrent submitters sharing this Client coalesce their record
+	// and notice creations into shared proposal rounds (a batch of one
+	// at BatchMaxOps=1).
+	b *store.Batcher
 	// procs is the platform's procedure registry, used to reject
 	// unknown procedures synchronously at submit time (nil skips the
 	// check, for clients constructed without a registry).
 	procs map[string]Procedure
-	// batched routes submissions through the store client's group-commit
-	// batcher, so concurrent submitters sharing this Client coalesce
-	// their record and notice creations into shared proposal rounds.
-	// Set from the platform's BatchMaxOps; false preserves the per-item
-	// submission path.
-	batched bool
-	// seq numbers this client's batched submissions (their record ids
-	// are client-generated rather than sequence-allocated, so record and
+	// seq numbers this client's submissions (their record ids are
+	// client-generated rather than sequence-allocated, so record and
 	// notice can ride one atomic commit).
 	seq atomic.Int64
 
@@ -1156,7 +1155,8 @@ func (c *Client) refreshChildren(rec *Txn) {
 	}
 }
 
-// Close releases the client's store session(s).
+// Close flushes the client's pending submissions and releases its
+// store session(s).
 func (c *Client) Close() {
 	if c.sharded() {
 		for _, sub := range c.subs {
@@ -1164,6 +1164,7 @@ func (c *Client) Close() {
 		}
 		return
 	}
+	c.b.Close()
 	c.cli.Close()
 }
 
@@ -1231,35 +1232,27 @@ func (c *Client) Submit(proc string, args ...string) (string, error) {
 		SubmittedAt: now,
 		History:     []txn.StateStamp{{State: txn.StateInitialized, At: now}},
 	}
-	if c.batched {
-		// Group-committed submission: record and notice ride ONE atomic
-		// batch (no orphaned records), coalesced with every concurrent
-		// submitter on this client into shared proposal rounds. The
-		// record id is client-generated — session id plus a local
-		// counter, unique ensemble-wide — because a sequence-allocated
-		// name would only be known after a first, separate commit.
-		id := fmt.Sprintf("t-s%xc%08d", c.cli.SessionID(), c.seq.Add(1))
-		path := proto.TxnsPath + "/" + id
-		err := <-c.cli.MultiAsync(
-			store.CreateOp(path, rec.Encode(), 0),
-			store.CreateOp(proto.InputQPath+"/item-",
-				proto.InputMsg{Kind: proto.KindSubmit, TxnPath: path}.Encode(), store.FlagSequence),
-		)
-		if err != nil {
-			return "", fmt.Errorf("tropic: submit: %w", err)
-		}
-		return id, nil
-	}
-	path, err := c.cli.Create(proto.TxnPrefix, rec.Encode(), store.FlagSequence)
-	if err != nil {
+	// Record and notice ride ONE atomic batch (no orphaned records),
+	// coalesced with every concurrent submitter on this client into
+	// shared proposal rounds. The record id is client-generated —
+	// session id plus a local counter, unique ensemble-wide — because a
+	// sequence-allocated name would only be known after a first,
+	// separate commit.
+	id := fmt.Sprintf("t-s%xc%08d", c.cli.SessionID(), c.seq.Add(1))
+	path := proto.TxnsPath + "/" + id
+	if err := <-c.b.MultiAsync(submitOps(path, rec)...); err != nil {
 		return "", fmt.Errorf("tropic: submit: %w", err)
 	}
-	_, err = c.cli.Create(proto.InputQPath+"/item-",
-		proto.InputMsg{Kind: proto.KindSubmit, TxnPath: path}.Encode(), store.FlagSequence)
-	if err != nil {
-		return "", fmt.Errorf("tropic: submit enqueue: %w", err)
+	return id, nil
+}
+
+// submitOps creates a transaction record and its inputQ submit notice.
+func submitOps(path string, rec *txn.Txn) []store.Op {
+	return []store.Op{
+		store.CreateOp(path, rec.Encode(), 0),
+		store.CreateOp(proto.InputQPath+"/item-",
+			proto.InputMsg{Kind: proto.KindSubmit, TxnPath: path}.Encode(), store.FlagSequence),
 	}
-	return idFromPath(path), nil
 }
 
 // rejectCrossShard builds the ablation rejection for a spanning
@@ -1301,15 +1294,10 @@ func (c *Client) xSubmit(split shard.Split, proc string, args []string) (string,
 		Children:    children,
 	}
 	path := proto.TxnsPath + "/" + local
-	// Asynchronous through the session batcher (like batched single-shard
+	// Through the coordinator shard's batcher (like single-shard
 	// submits): concurrent cross-shard submitters coalesce into shared
 	// proposal rounds instead of each paying a private commit.
-	err := <-sub.cli.MultiAsync(
-		store.CreateOp(path, rec.Encode(), 0),
-		store.CreateOp(proto.InputQPath+"/item-",
-			proto.InputMsg{Kind: proto.KindSubmit, TxnPath: path}.Encode(), store.FlagSequence),
-	)
-	if err != nil {
+	if err := <-sub.b.MultiAsync(submitOps(path, rec)...); err != nil {
 		return "", fmt.Errorf("tropic: submit cross-shard: %w", err)
 	}
 	return qualified, nil
@@ -1532,22 +1520,21 @@ func (c *Client) reconcileRequest(ctx context.Context, kind proto.MsgKind, targe
 		return err
 	}
 	defer func() { _ = c.cli.Delete(replyPath, -1) }()
-	watch, err := c.cli.WatchNode(replyPath)
+	watch, err := c.cli.NodeWatch(replyPath)
 	if err != nil {
 		return err
 	}
+	defer watch.Close()
 	_, err = c.cli.Create(proto.InputQPath+"/item-",
 		proto.InputMsg{Kind: kind, Target: target, Reply: replyPath}.Encode(), store.FlagSequence)
 	if err != nil {
-		c.cli.Unwatch(replyPath, watch)
 		return err
 	}
 	select {
 	case <-ctx.Done():
-		c.cli.Unwatch(replyPath, watch)
 		return ctx.Err()
-	case ev := <-watch:
-		if ev.Type == store.EventSessionExpired {
+	case ev, ok := <-watch.C():
+		if !ok || ev.Type == store.EventSessionExpired {
 			return store.ErrSessionExpired
 		}
 	}
@@ -1614,8 +1601,4 @@ func (c *Client) Signal(id string, sig txn.Signal) error {
 			Signal:  string(sig),
 		}.Encode(), store.FlagSequence)
 	return err
-}
-
-func idFromPath(path string) string {
-	return path[strings.LastIndexByte(path, '/')+1:]
 }

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/proto"
 	"repro/internal/reconcile"
+	"repro/internal/store"
 	"repro/tcloud"
 	"repro/tropic"
 	"repro/tropic/trerr"
@@ -447,3 +449,58 @@ func TestSpawnVMNetSetsUpVLAN(t *testing.T) {
 }
 
 func vmName(i int) string { return "vm" + string(rune('A'+i)) }
+
+// TestCancelledWaitsReleaseWatches: a Repair whose reply never comes and
+// an idempotent submission stuck behind an unfinished claim both give
+// up when ctx ends, and neither leaves a watch armed in the store. The
+// platform is never started, so no controller replies and the claim is
+// never resolved.
+func TestCancelledWaitsReleaseWatches(t *testing.T) {
+	p, err := tropic.New(tropic.Config{
+		Schema:      tcloud.NewSchema(),
+		Procedures:  tcloud.Procedures(),
+		Bootstrap:   tcloud.Topology{ComputeHosts: 4}.BuildModel(),
+		Controllers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Stop() })
+	cli := p.Client()
+	defer cli.Close()
+	ens := p.Ensemble()
+	baseNode, baseChild := ens.WatchCounts()
+	checkBaseline := func(when string) {
+		t.Helper()
+		if node, child := ens.WatchCounts(); node != baseNode || child != baseChild {
+			t.Fatalf("%s: watch counts = (%d, %d), want baseline (%d, %d)",
+				when, node, child, baseNode, baseChild)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	err = cli.Repair(ctx, tcloud.ComputeHostPath(0))
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("repair = %v, want DeadlineExceeded", err)
+	}
+	checkBaseline("after a cancelled repair")
+
+	// Another session holds the key's claim without ever recording an id.
+	claimant := ens.Connect()
+	defer claimant.Close()
+	if err := claimant.EnsurePath(proto.IdempotencyPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := claimant.Create(proto.IdempotencyPath+"/k1", nil, store.FlagEphemeral); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), 30*time.Millisecond)
+	_, _, err = cli.SubmitIdempotent(ctx, "k1", tcloud.ProcSpawnVM,
+		tcloud.StorageHostPath(0), tcloud.ComputeHostPath(0), "ivm", "1024")
+	cancel()
+	if !errors.Is(err, trerr.SubmitIdempotencyPending) {
+		t.Fatalf("submit = %v, want %s", err, trerr.SubmitIdempotencyPending)
+	}
+	checkBaseline("after a cancelled idempotent submit")
+}
