@@ -258,13 +258,10 @@ func runSoak(ctx context.Context, p exp.SoakParams, jsonPath string) error {
 	return nil
 }
 
-// runCrossShard sweeps the shard count over the cross-shard 2PC path —
-// both message-flow arms (the coalesced fast path and the
-// per-message-round-trip slow path) at every multi-shard point —
+// runCrossShard sweeps the shard count over the cross-shard 2PC path,
 // printing spanning vs same-shard throughput/latency side by side and
 // optionally writing the points as JSON (CI emits BENCH_xshard.json on
-// every run — the cross-shard overhead trajectory the fast-path gate
-// reads).
+// every run — the cross-shard overhead trajectory its gate reads).
 func runCrossShard(ctx context.Context, txns, reps int, counts []int, jsonPath string) error {
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4}
@@ -275,30 +272,18 @@ func runCrossShard(ctx context.Context, txns, reps int, counts []int, jsonPath s
 		Results   []exp.CrossShardResult `json:"results"`
 	}
 	doc := jsonDoc{Generated: time.Now().UTC().Format(time.RFC3339), Txns: txns}
-	fmt.Printf("%-8s %-10s %-14s %-14s %-12s %-12s %-12s %s\n",
-		"shards", "flow", "cross txns/s", "local txns/s", "overhead", "cross p99", "local p99", "committed (cross/local)")
+	fmt.Printf("%-8s %-14s %-14s %-12s %-12s %-12s %s\n",
+		"shards", "cross txns/s", "local txns/s", "overhead", "cross p99", "local p99", "committed (cross/local)")
 	for _, n := range counts {
-		arms := []bool{false}
-		if n > 1 {
-			// The message-flow arms only diverge once transactions span
-			// shards; the Shards=1 baseline is identical either way.
-			arms = []bool{false, true}
+		res, err := exp.CrossShard(ctx, exp.CrossShardParams{Shards: n, Txns: txns, Reps: reps})
+		if err != nil {
+			return err
 		}
-		for _, slow := range arms {
-			res, err := exp.CrossShard(ctx, exp.CrossShardParams{Shards: n, Txns: txns, Reps: reps, SlowPath: slow})
-			if err != nil {
-				return err
-			}
-			flow := "fast"
-			if slow {
-				flow = "slow"
-			}
-			fmt.Printf("%-8d %-10s %-14.0f %-14.0f %-12.2f %-12.0f %-12.0f %d/%d of %d\n",
-				n, flow, res.Cross.PerSecond, res.Local.PerSecond, res.OverheadX,
-				res.Cross.P99LatencyMs, res.Local.P99LatencyMs,
-				res.Cross.Committed, res.Local.Committed, res.Cross.Txns)
-			doc.Results = append(doc.Results, res)
-		}
+		fmt.Printf("%-8d %-14.0f %-14.0f %-12.2f %-12.0f %-12.0f %d/%d of %d\n",
+			n, res.Cross.PerSecond, res.Local.PerSecond, res.OverheadX,
+			res.Cross.P99LatencyMs, res.Local.P99LatencyMs,
+			res.Cross.Committed, res.Local.Committed, res.Cross.Txns)
+		doc.Results = append(doc.Results, res)
 	}
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(doc, "", "  ")

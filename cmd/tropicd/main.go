@@ -14,7 +14,8 @@
 // With -shards N the platform is partitioned into N independent
 // ensembles (each with its own WAL under -data-dir/shard-NN, leader
 // election, queues, and workers) behind a consistent-hash router; see
-// docs/sharding.md for the routing rules and cross-shard semantics.
+// docs/sharding.md for the routing rules. Submissions spanning shards
+// run as atomic two-phase-commit transactions (docs/cross-shard.md).
 //
 // The HTTP surface is implemented by internal/api (see its package
 // documentation for the endpoint reference); failures are structured
@@ -59,9 +60,7 @@ func main() {
 		batchDelay    = flag.Duration("batch-max-delay", 2*time.Millisecond, "async batch flush-latency ceiling")
 		workerClaim   = flag.Int("worker-claim", 4, "phyQ items one worker thread claims per store round trip")
 		shards        = flag.Int("shards", 1, "consistent-hash store partitions, each with its own ensemble, controllers, and workers (see docs/sharding.md)")
-		crossShard    = flag.Bool("cross-shard", true, "execute submissions spanning shards as atomic two-phase-commit transactions; false rejects them with shard.cross_shard (see docs/cross-shard.md)")
 		xshardTO      = flag.Duration("xshard-prepare-timeout", 10*time.Second, "cross-shard vote-collection deadline before an in-doubt transaction aborts")
-		xshardFast    = flag.Bool("xshard-fastpath", true, "coalesced cross-shard 2PC message flow (local-child coalescing, piggybacked decisions, per-peer batching, wound-wait); false restores per-message round trips (see docs/cross-shard.md)")
 		maxInflight   = flag.Int("max-inflight", 0, "per-shard admission watermark: shed submissions (HTTP 429, api.overloaded) once a shard's queued backlog reaches this (0 disables; see docs/observability.md)")
 		followerReads = flag.Bool("follower-reads", true, "serve watermarked reads from caught-up follower replicas instead of the shard leader (see docs/reads.md)")
 		readCache     = flag.Int64("read-cache-bytes", 32<<20, "per-shard watch-invalidated read cache budget in bytes (0 disables caching)")
@@ -79,14 +78,6 @@ func main() {
 	if err != nil {
 		logger.Fatalf("-sync: %v", err)
 	}
-	crossShardMode := tropic.CrossShardEnabled
-	if !*crossShard {
-		crossShardMode = tropic.CrossShardDisabled
-	}
-	fastPathMode := tropic.XShardFastPathEnabled
-	if !*xshardFast {
-		fastPathMode = tropic.XShardFastPathDisabled
-	}
 	cfg := tropic.Config{
 		Schema:               tcloud.NewSchema(),
 		Procedures:           tcloud.Procedures(),
@@ -100,8 +91,6 @@ func main() {
 		BatchMaxDelay:        *batchDelay,
 		WorkerClaimBatch:     *workerClaim,
 		Shards:               *shards,
-		CrossShard:           crossShardMode,
-		XShardFastPath:       fastPathMode,
 		XShardPrepareTimeout: *xshardTO,
 		MaxInflightPerShard:  *maxInflight,
 		FollowerReads:        *followerReads,
@@ -144,16 +133,7 @@ func main() {
 		logger.Printf("pipeline: group commit OFF (per-item round trips)")
 	}
 	if n := p.NumShards(); n > 1 {
-		if info := p.PipelineInfo(); info.CrossShard {
-			flow := "coalesced fast path"
-			if !info.XShardFastPath {
-				flow = "per-message round trips (-xshard-fastpath=false)"
-			}
-			logger.Printf("sharding: %d consistent-hash partitions, cross-shard 2PC on (prepare timeout %s, %s)",
-				n, *xshardTO, flow)
-		} else {
-			logger.Printf("sharding: %d consistent-hash partitions, cross-shard transactions REJECTED (-cross-shard=false)", n)
-		}
+		logger.Printf("sharding: %d consistent-hash partitions, cross-shard 2PC prepare timeout %s", n, *xshardTO)
 	}
 	if *maxInflight > 0 {
 		logger.Printf("admission control: shedding api.overloaded at %d queued per shard", *maxInflight)

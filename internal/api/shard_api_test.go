@@ -19,7 +19,7 @@ import (
 // newShardedServer runs a logical-only sharded deployment behind the
 // gateway. One storage host per compute host so every shard (almost
 // surely) owns colocated spawn targets.
-func newShardedServer(t *testing.T, shards, hosts int, mode tropic.CrossShardMode) (*httptest.Server, *tropic.Platform) {
+func newShardedServer(t *testing.T, shards, hosts int) (*httptest.Server, *tropic.Platform) {
 	t.Helper()
 	p, err := tropic.New(tropic.Config{
 		Schema:      tcloud.NewSchema(),
@@ -28,7 +28,6 @@ func newShardedServer(t *testing.T, shards, hosts int, mode tropic.CrossShardMod
 		Executor:    tropic.NoopExecutor{},
 		Controllers: 1,
 		Shards:      shards,
-		CrossShard:  mode,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,15 +77,14 @@ func shardedSpawnArgs(t *testing.T, p *tropic.Platform, hosts int) [][]string {
 }
 
 // TestAPISharded drives the whole HTTP surface against a sharded
-// platform in the single-shard-only ablation (CrossShardDisabled):
-// submissions route by resource root and return shard-qualified ids,
-// waits and gets resolve through the prefix, /v1/txns merges cursor
-// pagination across shards, a cross-shard submission is a typed 422,
-// and stats/healthz report per-shard sections. (The cross-shard
-// EXECUTION path over HTTP is TestAPICrossShard.)
+// platform with same-shard work: submissions route by resource root and
+// return shard-qualified ids, waits and gets resolve through the prefix,
+// /v1/txns merges cursor pagination across shards, and stats/healthz
+// report per-shard sections. (The cross-shard path over HTTP is
+// TestAPICrossShard.)
 func TestAPISharded(t *testing.T) {
 	const shards, hosts = 3, 12
-	srv, p := newShardedServer(t, shards, hosts, tropic.CrossShardDisabled)
+	srv, p := newShardedServer(t, shards, hosts)
 
 	var ids []string
 	for _, args := range shardedSpawnArgs(t, p, hosts) {
@@ -117,29 +115,6 @@ func TestAPISharded(t *testing.T) {
 		if rec.State != tropic.StateCommitted {
 			t.Fatalf("txn %s: %s (%s)", id, rec.State, rec.Error)
 		}
-	}
-
-	// Cross-shard submission: typed 422 through the wire.
-	var crossArgs []string
-	for i := 0; i < hosts && crossArgs == nil; i++ {
-		for j := 0; j < hosts; j++ {
-			ss, _ := p.ShardOf(tcloud.ProcSpawnVM, tcloud.StorageHostPath(i))
-			hs, _ := p.ShardOf(tcloud.ProcSpawnVM, tcloud.ComputeHostPath(j))
-			if ss != hs {
-				crossArgs = []string{tcloud.StorageHostPath(i), tcloud.ComputeHostPath(j), "xvm", "1024"}
-				break
-			}
-		}
-	}
-	if crossArgs == nil {
-		t.Fatal("no cross-shard pair found")
-	}
-	code, body := postJSON(t, srv.URL+"/v1/submit", map[string]any{"proc": "spawnVM", "args": crossArgs})
-	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("cross-shard submit: %d %s", code, body)
-	}
-	if got := errCode(t, body); got != string(trerr.ShardCrossShard) {
-		t.Fatalf("cross-shard code = %q", got)
 	}
 
 	// /v1/txns pages across every shard without duplicates.
@@ -177,7 +152,7 @@ func TestAPISharded(t *testing.T) {
 	}
 
 	// Stats aggregates and breaks down per shard.
-	code, body = getJSON(t, srv.URL+"/v1/stats")
+	code, body := getJSON(t, srv.URL+"/v1/stats")
 	if code != http.StatusOK {
 		t.Fatalf("stats: %d %s", code, body)
 	}
@@ -221,13 +196,13 @@ func TestAPISharded(t *testing.T) {
 }
 
 // TestAPICrossShard drives a spanning submission over HTTP with
-// cross-shard execution enabled (the default): the submit returns a
+// cross-shard execution (always on when sharded): the submit returns a
 // parent id, wait resolves it to committed with a fully-committed child
 // ledger, the children are fetchable through /v1/txn by their own ids,
 // and /v1/stats reports the pipeline as cross-shard capable.
 func TestAPICrossShard(t *testing.T) {
 	const shards, hosts = 3, 12
-	srv, p := newShardedServer(t, shards, hosts, tropic.CrossShardAuto)
+	srv, p := newShardedServer(t, shards, hosts)
 
 	var crossArgs []string
 	for i := 0; i < hosts && crossArgs == nil; i++ {
@@ -304,7 +279,7 @@ func TestAPICrossShard(t *testing.T) {
 // so readiness must not claim ok.
 func TestAPIShardedHealthzAllOrNothing(t *testing.T) {
 	const shards = 3
-	srv, p := newShardedServer(t, shards, 6, tropic.CrossShardAuto)
+	srv, p := newShardedServer(t, shards, 6)
 
 	// Stop two of shard 1's three store replicas: quorum lost.
 	p.ShardEnsemble(1).StopReplica(0)

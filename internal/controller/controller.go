@@ -61,8 +61,12 @@ type Config struct {
 	// effects plus the scheduling pass's admissions, typically a few ops
 	// per item (Stats.MaxFlushOps reports the realized sizes). Values
 	// ≤ 1 drain one item per round through the same round code (the
-	// unbatched arm of the ablation benchmarks).
+	// unbatched arm of the ablation benchmarks). It also bounds the
+	// batchers that carry cross-shard sends to peer shards.
 	BatchMaxOps int
+	// BatchMaxDelay bounds how long a cross-shard send waits in its peer
+	// batcher for company (default store.DefaultBatchMaxDelay).
+	BatchMaxDelay time.Duration
 	// XShard wires the controller into the cross-shard transaction
 	// layer: as coordinator for parents whose plan names this shard
 	// first, and as participant for child prepares. Nil (the default,
@@ -195,16 +199,16 @@ func newCtrlInstruments(reg *metrics.Registry, shard string) ctrlInstruments {
 			"Finalized cross-shard parent transactions by terminal outcome.",
 			"shard", "outcome"),
 		xLocalKids: reg.CounterVec("tropic_xshard_local_children_total",
-			"Coordinator-local children created in the same grouped Multi as their parent's accept, skipping the cross-store prepare round (fast path).",
+			"Coordinator-local children created in the same grouped Multi as their parent's accept, skipping the cross-store prepare round.",
 			"shard").With(shard),
 		xPiggy: reg.CounterVec("tropic_xshard_piggyback_total",
-			"2PC decisions applied without a decide-notice round trip: read off the parent record by the vote-ack watch, or delivered in memory to a coordinator-local child (fast path).",
+			"2PC decisions applied without a decide-notice round trip: read off the parent record by the vote-ack watch, or delivered in memory to a coordinator-local child.",
 			"shard").With(shard),
 		xWounds: reg.CounterVec("tropic_xshard_wounds_total",
 			"Wound-wait resolutions: prepared children of younger cross-shard transactions whose votes this participant revoked at their coordinators, voiding and restarting the prepare to break a lock-order inversion.",
 			"shard").With(shard),
 		xPeerBatch: reg.HistogramVec("tropic_xshard_peer_batch_ops",
-			"Store operations carried by one per-peer cross-shard fan-out Multi (fast path).",
+			"Store operations carried by one per-peer cross-shard fan-out Multi.",
 			metrics.DefSizeBuckets, "shard").With(shard),
 	}
 }
@@ -504,11 +508,11 @@ func (c *Controller) lead(ctx context.Context) error {
 
 // takeInput blocks for the leader's next work source: drained inputQ
 // items, or locally-delivered (in-memory) cross-shard messages, whichever
-// is ready first. Local messages are the fast path's in-process 2PC
-// messages and wound-wait restarts; a pending one wakes the drain out of
-// its store watch via localWake, and the round that follows folds it in
-// ahead of the store items. With a scheduling pass owed (resched) the
-// take does not block: it returns what inputQ holds, possibly nothing.
+// is ready first. Local messages are the in-process 2PC messages and
+// wound-wait restarts; a pending one wakes the drain out of its store
+// watch via localWake, and the round that follows folds it in ahead of
+// the store items. With a scheduling pass owed (resched) the take does
+// not block: it returns what inputQ holds, possibly nothing.
 func (c *Controller) takeInput(ctx context.Context) ([]queue.Item, error) {
 	if c.localsPending() {
 		return nil, nil
@@ -1234,12 +1238,10 @@ func (c *Controller) admitApply(t *txn.Txn) {
 	if t.State == txn.StatePrepared {
 		c.prepared[t.ID] = t
 		c.xSendVote(t)
-		// Fast path: read the decision off the parent record the moment
-		// the coordinator's durable decision write lands, instead of
-		// waiting for a decide notice through this shard's inputQ.
-		if c.xFastPath() {
-			c.xWatchDecision(t)
-		}
+		// Read the decision off the parent record the moment the
+		// coordinator's durable decision write lands, instead of waiting
+		// for a decide notice through this shard's inputQ.
+		c.xWatchDecision(t)
 		return
 	}
 	c.inFlight[t.ID] = t

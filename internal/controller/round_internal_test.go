@@ -30,7 +30,7 @@ func newRoundController(t *testing.T) *Controller {
 			"link": func(cx *Ctx) error { return cx.Do(cx.Arg(0), "link", cx.Arg(1)) },
 		},
 		BatchMaxOps: 32,
-		XShard:      &XShardConfig{Self: 0, Router: shard.NewRouter(shard.NewMap(2)), FastPath: true},
+		XShard:      &XShardConfig{Self: 0, Router: shard.NewRouter(shard.NewMap(2))},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -78,16 +78,6 @@ type XShardConfig struct {
 	// durable decision write). Chaos tests use it to crash the leader at
 	// exact protocol points; nil in production.
 	Hook func(event, parentID string)
-	// FastPath enables the coalesced 2PC message flow: coordinator-local
-	// children skip the cross-store prepare round, participants read
-	// decisions off the (watched) parent record instead of waiting for
-	// decide notices, and per-peer sends batch into one Multi per round.
-	// Off is the slow-path ablation: every message takes its own store
-	// round trip. Correctness is identical either way — the fast path
-	// only changes how (and how often) messages travel, never what is
-	// durable; the deterministic prepare order and wound-wait restarts
-	// that keep cross-shard lock waits deadlock-free run on both.
-	FastPath bool
 }
 
 // DefaultPrepareTimeout is the default vote-collection deadline.
@@ -102,9 +92,6 @@ const (
 // xEnabled reports whether this controller participates in cross-shard
 // transactions.
 func (c *Controller) xEnabled() bool { return c.cfg.XShard != nil }
-
-// xFastPath reports whether the coalesced 2PC message flow is on.
-func (c *Controller) xFastPath() bool { return c.xEnabled() && c.cfg.XShard.FastPath }
 
 // xTimeoutDur returns the resolved prepare deadline.
 func (c *Controller) xTimeoutDur() time.Duration {
@@ -123,7 +110,8 @@ func (c *Controller) xHook(event, parentID string) {
 
 // peer is one shard's store session as the cross-shard layer reaches
 // it, with the batcher every asynchronous send to that shard commits
-// through.
+// through, bounded like the platform's other batchers (BatchMaxOps,
+// BatchMaxDelay).
 type peer struct {
 	cli *store.Client
 	b   *store.Batcher
@@ -157,7 +145,10 @@ func (c *Controller) xPeer(i int) (*peer, error) {
 	if c.xpeers == nil {
 		c.xpeers = make(map[int]*peer)
 	}
-	p := &peer{cli: cli, b: cli.NewBatcher(store.BatcherConfig{})}
+	p := &peer{cli: cli, b: cli.NewBatcher(store.BatcherConfig{
+		MaxOps:   c.batchMax(),
+		MaxDelay: c.cfg.BatchMaxDelay,
+	})}
 	c.xpeers[i] = p
 	return p, nil
 }
@@ -319,22 +310,19 @@ func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat,
 		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
 	}
 	var localKid *txn.Txn
-	if c.xFastPath() {
-		for k, ref := range rec.Children {
-			if ref.Shard != c.cfg.XShard.Self {
-				continue
-			}
-			// Coordinator-local coalescing: the child this shard owns
-			// skips the cross-store prepare round entirely — its record
-			// rides the SAME grouped Multi as the parent's accept, and it
-			// joins todoQ post-flush so this round's own scheduling pass
-			// can prepare it. A 2-shard transaction thus pays one remote
-			// prepare, not two.
-			localKid = c.xBuildChild(rec, k)
-			localKid.ID = ref.ID
-			ops = append(ops, store.CreateOp(proto.TxnsPath+"/"+ref.ID, localKid.Encode(), 0))
-			break
+	for k, ref := range rec.Children {
+		if ref.Shard != c.cfg.XShard.Self {
+			continue
 		}
+		// Coordinator-local coalescing: the child this shard owns skips
+		// the cross-store prepare round entirely — its record rides the
+		// SAME grouped Multi as the parent's accept, and it joins todoQ
+		// post-flush so this round's own scheduling pass can prepare it. A
+		// 2-shard transaction thus pays one remote prepare, not two.
+		localKid = c.xBuildChild(rec, k)
+		localKid.ID = ref.ID
+		ops = append(ops, store.CreateOp(proto.TxnsPath+"/"+ref.ID, localKid.Encode(), 0))
+		break
 	}
 	r.stage(ops,
 		func() {
@@ -350,23 +338,21 @@ func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat,
 					c.countStage(&c.stats.Accepted, "accepted")
 				}
 			}
-			c.xStartPrepares(rec, localKid != nil)
+			c.xStartPrepares(rec)
 		},
 		nil,
 	)
 	return nil
 }
 
-// xStartPrepares fans the prepare phase out to every participant and
-// arms the vote-collection deadline. Called with the parent's accepted
-// state already durable. skipLocal marks the coordinator-local child as
-// already created (coalesced into the parent's accept); the slow path
-// and the recovery path pass false and prepare it like any remote
-// participant.
-func (c *Controller) xStartPrepares(rec *txn.Txn, skipLocal bool) {
+// xStartPrepares fans the prepare phase out to every remote participant
+// and arms the vote-collection deadline. Called with the parent's
+// accepted state already durable; the coordinator-local child was
+// created in the same write (stageXAcceptParent).
+func (c *Controller) xStartPrepares(rec *txn.Txn) {
 	c.xClockStart(rec.ID)
 	for k := range rec.Children {
-		if skipLocal && rec.Children[k].Shard == c.cfg.XShard.Self {
+		if rec.Children[k].Shard == c.cfg.XShard.Self {
 			continue
 		}
 		c.xSendPrepare(rec, k)
@@ -626,50 +612,57 @@ func (c *Controller) xRecordDecision(rec *txn.Txn, timeout bool) error {
 // xFanOutDecides delivers the recorded decision to every child the
 // ledger shows prepared (aborted voters are already terminal; started
 // and terminal children have the decision already). eager marks the
-// first fan-out, straight after the durable decision write: on the fast
-// path remote participants are then SKIPPED — each armed a watch on the
-// parent record at vote time and reads the decision off the write
-// itself (the piggyback). Re-deliveries (deadline, recovery) pass
-// eager=false and send real notices, covering any
-// participant whose watch died with a crash.
+// first fan-out, straight after the durable decision write: remote
+// participants are then SKIPPED — each armed a watch on the parent
+// record at vote time and reads the decision off the write itself (the
+// piggyback). Re-deliveries (deadline, recovery) pass eager=false and
+// send real notices, covering any participant whose watch died with a
+// crash.
 func (c *Controller) xFanOutDecides(rec *txn.Txn, eager bool) {
 	for k, ref := range rec.Children {
 		if ref.State != txn.StatePrepared {
 			continue
 		}
-		if eager && c.xFastPath() && ref.Shard != c.cfg.XShard.Self {
+		if eager && ref.Shard != c.cfg.XShard.Self {
 			continue
 		}
 		c.xSendDecide(rec, k)
 	}
 }
 
-// xSendDecide delivers the decision for child k to its shard's inputQ —
-// or, for a coordinator-local child on the fast path, straight to this
-// controller's own leader loop in memory (no store round trip; a crash
-// loses only the in-memory copy, and recovery's in-doubt resolution
-// reads the decision off the parent record).
-func (c *Controller) xSendDecide(rec *txn.Txn, k int) {
-	ref := rec.Children[k]
+// xDecideMsg carries parent's decision to the child childID. via names
+// how the decision skipped the decide-notice round trip ("local",
+// "inline", "ack"), or is empty for a real notice.
+func xDecideMsg(parent *txn.Txn, childID, via string) proto.InputMsg {
 	msg := proto.InputMsg{
 		Kind:     proto.KindXDecide,
-		TxnPath:  proto.TxnsPath + "/" + ref.ID,
-		Decision: rec.Decision,
+		TxnPath:  proto.TxnsPath + "/" + childID,
+		Decision: parent.Decision,
+		Via:      via,
 	}
-	if rec.Decision == txn.DecisionAbort {
-		msg.Error, msg.Code = rec.Error, rec.Code
+	if parent.Decision == txn.DecisionAbort {
+		msg.Error, msg.Code = parent.Error, parent.Code
 	}
-	if c.xFastPath() && ref.Shard == c.cfg.XShard.Self {
+	return msg
+}
+
+// xSendDecide delivers the decision for child k to its shard's inputQ —
+// or, for a coordinator-local child, straight to this controller's own
+// leader loop in memory (no store round trip; a crash loses only the
+// in-memory copy, and recovery's in-doubt resolution reads the decision
+// off the parent record).
+func (c *Controller) xSendDecide(rec *txn.Txn, k int) {
+	ref := rec.Children[k]
+	if ref.Shard == c.cfg.XShard.Self {
 		if _, tracked := c.prepared[ref.ID]; !tracked {
 			// Already applied (e.g. the inline piggyback staged it into
 			// the decision round) — a delivery would just be consumed.
 			return
 		}
-		msg.Via = "local"
-		c.enqueueLocal(msg)
+		c.enqueueLocal(xDecideMsg(rec, ref.ID, "local"))
 		return
 	}
-	c.xSendMsg(ref.Shard, msg, "decide for "+ref.ID)
+	c.xSendMsg(ref.Shard, xDecideMsg(rec, ref.ID, ""), "decide for "+ref.ID)
 }
 
 // xWatchDecision is the participant half of decision piggybacking: arm
@@ -692,7 +685,6 @@ func (c *Controller) xWatchDecision(t *txn.Txn) {
 	}
 	cli := pr.cli
 	parentPath := proto.TxnsPath + "/" + parentLocal
-	childPath := c.txnPath(t.ID)
 	deadline := time.Now().Add(2 * c.xTimeoutDur())
 	go func() {
 		for time.Now().Before(deadline) {
@@ -717,16 +709,7 @@ func (c *Controller) xWatchDecision(t *txn.Txn) {
 			}
 			if parent.Decision != "" {
 				w.Close()
-				msg := proto.InputMsg{
-					Kind:     proto.KindXDecide,
-					TxnPath:  childPath,
-					Decision: parent.Decision,
-					Via:      "ack",
-				}
-				if parent.Decision == txn.DecisionAbort {
-					msg.Error, msg.Code = parent.Error, parent.Code
-				}
-				c.enqueueLocal(msg)
+				c.enqueueLocal(xDecideMsg(parent, t.ID, "ack"))
 				return
 			}
 			select {
@@ -955,9 +938,6 @@ func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) e
 // its in-memory transition — the round's re-run applies the vote again
 // and delivers the decision once it IS durable.
 func (c *Controller) stageXDecideLocal(r *round, rec *txn.Txn) error {
-	if !c.xFastPath() {
-		return nil
-	}
 	for k := range rec.Children {
 		ref := rec.Children[k]
 		if ref.Shard != c.cfg.XShard.Self || ref.State != txn.StatePrepared {
@@ -966,16 +946,7 @@ func (c *Controller) stageXDecideLocal(r *round, rec *txn.Txn) error {
 		if _, tracked := c.prepared[ref.ID]; !tracked {
 			continue
 		}
-		msg := proto.InputMsg{
-			Kind:     proto.KindXDecide,
-			TxnPath:  proto.TxnsPath + "/" + ref.ID,
-			Decision: rec.Decision,
-			Via:      "inline",
-		}
-		if rec.Decision == txn.DecisionAbort {
-			msg.Error, msg.Code = rec.Error, rec.Code
-		}
-		if err := c.stageXDecide(r, msg, ""); err != nil {
+		if err := c.stageXDecide(r, xDecideMsg(rec, ref.ID, "inline"), ""); err != nil {
 			return err
 		}
 	}
@@ -1193,42 +1164,71 @@ func (c *Controller) xMarkForeign(t *txn.Txn) {
 	}
 }
 
-// xSendVote reports a child's vote — its prepared or aborted state — to
-// the coordinator's inputQ, or, when this shard IS the coordinator and
-// the fast path is on, straight to the local leader loop in memory (the
-// coordinator-local child's vote never leaves the process). Best-effort
-// either way: a lost vote is recovered by the coordinator's direct
-// ledger sync or, failing that, the prepare deadline.
-func (c *Controller) xSendVote(t *txn.Txn) {
+// xParentOf locates child t's parent: the coordinator shard, the
+// parent record's path there, and t's index in its ledger. ok=false
+// when this controller has no cross-shard layer or t's ids do not
+// parse.
+func (c *Controller) xParentOf(t *txn.Txn) (coord int, parentPath string, k int, ok bool) {
 	x := c.cfg.XShard
 	if x == nil {
-		return
+		return 0, "", 0, false
 	}
 	coord, parentLocal, ok := shard.ParseID(t.Parent, x.Router.Shards())
 	if !ok {
-		c.cfg.Logf("controller %s: child %s has malformed parent id %q", c.cfg.Name, t.ID, t.Parent)
-		return
+		return 0, "", 0, false
 	}
-	_, k, ok := shard.ParseChildID(t.ID)
-	if !ok {
-		c.cfg.Logf("controller %s: malformed child id %q", c.cfg.Name, t.ID)
-		return
+	if _, k, ok = shard.ParseChildID(t.ID); !ok {
+		return 0, "", 0, false
 	}
+	return coord, proto.TxnsPath + "/" + parentLocal, k, true
+}
+
+// xReportMsg is child t's report of its state to the ledger entry k of
+// the parent at parentPath: a vote (kind KindXVote, prepared or
+// aborted, carrying the prepare attempt it speaks for) or a terminal
+// outcome (KindXChildDone).
+func xReportMsg(kind proto.MsgKind, t *txn.Txn, parentPath string, k int) proto.InputMsg {
 	msg := proto.InputMsg{
-		Kind:       proto.KindXVote,
-		TxnPath:    proto.TxnsPath + "/" + parentLocal,
+		Kind:       kind,
+		TxnPath:    parentPath,
 		ChildIndex: k,
 		Outcome:    string(t.State),
 		Error:      t.Error,
 		Code:       t.Code,
-		Epoch:      t.Epoch,
 	}
-	if coord == x.Self && c.xFastPath() {
+	if kind == proto.KindXVote {
+		msg.Epoch = t.Epoch
+	}
+	return msg
+}
+
+// xSendReport sends child t's vote or terminal outcome to its
+// coordinator's inputQ, or, when this shard IS the coordinator, straight
+// to the local leader loop in memory (the coordinator-local child's
+// reports never leave the process). Best-effort either way: a lost
+// report is recovered by the coordinator's direct ledger sync or,
+// failing that, the prepare deadline.
+func (c *Controller) xSendReport(kind proto.MsgKind, t *txn.Txn) {
+	coord, parentPath, k, ok := c.xParentOf(t)
+	if !ok {
+		if c.xEnabled() {
+			c.cfg.Logf("controller %s: child %s has malformed ids (parent %q)", c.cfg.Name, t.ID, t.Parent)
+		}
+		return
+	}
+	msg := xReportMsg(kind, t, parentPath, k)
+	if coord == c.cfg.XShard.Self {
 		c.enqueueLocal(msg)
 		return
 	}
-	c.xSendMsg(coord, msg, "vote for "+t.ID)
+	c.xSendMsg(coord, msg, string(kind)+" for "+t.ID)
 }
+
+// xSendVote reports a child's vote — its prepared or aborted state.
+func (c *Controller) xSendVote(t *txn.Txn) { c.xSendReport(proto.KindXVote, t) }
+
+// xSendChildDone reports a child's terminal outcome.
+func (c *Controller) xSendChildDone(t *txn.Txn) { c.xSendReport(proto.KindXChildDone, t) }
 
 // stagedVote is one coordinator-local yes-vote folded into a grouped
 // admission flush (xStageLocalVotes): the parent record with the vote
@@ -1250,39 +1250,20 @@ type stagedVote struct {
 // discarded — the children are unwound and vote again when the re-run
 // admits them.
 func (c *Controller) xStageLocalVotes(r *round, pending []*txn.Txn) map[string]*stagedVote {
-	if !c.xFastPath() {
-		return nil
-	}
-	x := c.cfg.XShard
 	var votes map[string]*stagedVote
 	for _, t := range pending {
 		if t.State != txn.StatePrepared {
 			continue
 		}
-		coord, parentLocal, ok := shard.ParseID(t.Parent, x.Router.Shards())
-		if !ok || coord != x.Self {
-			continue
-		}
-		_, k, ok := shard.ParseChildID(t.ID)
-		if !ok {
-			continue
-		}
-		parentPath := proto.TxnsPath + "/" + parentLocal
-		if r.staged[parentPath] {
-			continue // vote by message instead
+		coord, parentPath, k, ok := c.xParentOf(t)
+		if !ok || coord != c.cfg.XShard.Self || r.staged[parentPath] {
+			continue // a parent staged already: vote by message instead
 		}
 		rec, stat, err := c.loadTxn(parentPath)
 		if err != nil {
 			continue
 		}
-		msg := proto.InputMsg{
-			Kind:       proto.KindXVote,
-			TxnPath:    parentPath,
-			ChildIndex: k,
-			Outcome:    string(t.State),
-			Epoch:      t.Epoch,
-		}
-		eff, applied, err := c.xApplyVote(rec, msg)
+		eff, applied, err := c.xApplyVote(rec, xReportMsg(proto.KindXVote, t, parentPath, k))
 		if err != nil || !applied {
 			continue
 		}
@@ -1298,63 +1279,18 @@ func (c *Controller) xStageLocalVotes(r *round, pending []*txn.Txn) map[string]*
 	return votes
 }
 
-// xSendChildDone reports a child's terminal outcome to the coordinator
-// (in memory when this shard coordinates and the fast path is on).
-func (c *Controller) xSendChildDone(t *txn.Txn) {
-	x := c.cfg.XShard
-	if x == nil {
-		return
-	}
-	coord, parentLocal, ok := shard.ParseID(t.Parent, x.Router.Shards())
-	if !ok {
-		return
-	}
-	_, k, ok := shard.ParseChildID(t.ID)
-	if !ok {
-		return
-	}
-	msg := proto.InputMsg{
-		Kind:       proto.KindXChildDone,
-		TxnPath:    proto.TxnsPath + "/" + parentLocal,
-		ChildIndex: k,
-		Outcome:    string(t.State),
-		Error:      t.Error,
-		Code:       t.Code,
-	}
-	if coord == x.Self && c.xFastPath() {
-		c.enqueueLocal(msg)
-		return
-	}
-	c.xSendMsg(coord, msg, "child-done for "+t.ID)
-}
-
 // stageXChildDoneLocal stages a terminal local child's child-done
 // ledger write (and, when it completes the set, the parent's finalize)
 // into the round that persists the child's own terminal state
 // (stageCleanup's committed branch), when this shard coordinates the
-// parent on the fast path. Returns true when the report was staged or
-// queued — the caller then skips xSendChildDone.
+// parent. Returns true when the report was staged or queued — the
+// caller then skips xSendChildDone.
 func (c *Controller) stageXChildDoneLocal(r *round, t *txn.Txn) bool {
-	x := c.cfg.XShard
-	if x == nil || !c.xFastPath() {
+	coord, parentPath, k, ok := c.xParentOf(t)
+	if !ok || coord != c.cfg.XShard.Self {
 		return false
 	}
-	coord, parentLocal, ok := shard.ParseID(t.Parent, x.Router.Shards())
-	if !ok || coord != x.Self {
-		return false
-	}
-	_, k, ok := shard.ParseChildID(t.ID)
-	if !ok {
-		return false
-	}
-	msg := proto.InputMsg{
-		Kind:       proto.KindXChildDone,
-		TxnPath:    proto.TxnsPath + "/" + parentLocal,
-		ChildIndex: k,
-		Outcome:    string(t.State),
-		Error:      t.Error,
-		Code:       t.Code,
-	}
+	msg := xReportMsg(proto.KindXChildDone, t, parentPath, k)
 	if err := c.stageXChildDone(r, msg, ""); err != nil {
 		c.cfg.Logf("controller %s: inline child-done for %s: %v", c.cfg.Name, t.ID, err)
 		c.enqueueLocal(msg)
@@ -1603,14 +1539,12 @@ func (c *Controller) xResolveInDoubt(t *txn.Txn) {
 			return
 		}
 		// Undecided: hold the prepare (locks and all) and re-vote — the
-		// old leader's vote may never have left this shard. On the fast
-		// path, re-arm the decision watch too (the old leader's died with
-		// it); the coordinator skips the eager decide notice assuming a
-		// watch exists.
+		// old leader's vote may never have left this shard — and re-arm
+		// the decision watch (the old leader's died with it); the
+		// coordinator skips the eager decide notice assuming a watch
+		// exists.
 		c.xSendVote(t)
-		if c.xFastPath() {
-			c.xWatchDecision(t)
-		}
+		c.xWatchDecision(t)
 	}
 }
 

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -249,5 +250,57 @@ func checkRestarted(t *testing.T, c *Controller, child *txn.Txn, path string, ep
 	}
 	if len(c.todo) != 1 || c.todo[0] != child {
 		t.Fatalf("todo = %v, want the restarted child", c.todo)
+	}
+}
+
+// TestXPeerBatcherFollowsBatchMaxOps: the batchers that carry 2PC
+// sends to peer shards take the platform's batch bound, so at
+// BatchMaxOps=1 every cross-shard send commits alone, like every other
+// write; a larger bound still coalesces sends queued behind a commit in
+// flight. Each commit round is one WAL fsync, which is what is counted.
+func TestXPeerBatcherFollowsBatchMaxOps(t *testing.T) {
+	const sends = 8
+	for _, tc := range []struct {
+		maxOps int
+		rounds func(int64) bool
+		want   string
+	}{
+		{1, func(n int64) bool { return n == sends }, "one per send"},
+		{32, func(n int64) bool { return n < sends }, "fewer than sends"},
+	} {
+		ens, err := store.OpenEnsemble(store.Config{Replicas: 1, SessionTimeout: 200 * time.Millisecond,
+			CommitLatency: 5 * time.Millisecond, DataDir: t.TempDir(), SyncPolicy: store.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(Config{
+			Name:        "x0",
+			Ensemble:    ens,
+			Schema:      ctxSchema(),
+			BatchMaxOps: tc.maxOps,
+			XShard:      &XShardConfig{Self: 0, Router: shard.NewRouter(shard.NewMap(2))},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.xPeer(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ens.PersistStats().Fsyncs
+		var chs []<-chan error
+		for i := 0; i < sends; i++ {
+			chs = append(chs, p.b.MultiAsync(store.CreateOp(fmt.Sprintf("/peer-send-%d", i), nil, 0)))
+		}
+		for _, ch := range chs {
+			if err := <-ch; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := ens.PersistStats().Fsyncs - before; !tc.rounds(n) {
+			t.Errorf("BatchMaxOps=%d: %d sends took %d commit rounds, want %s", tc.maxOps, sends, n, tc.want)
+		}
+		c.Close()
+		ens.Close()
 	}
 }

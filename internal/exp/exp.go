@@ -65,11 +65,6 @@ type PlatformParams struct {
 	// (tropic.Config semantics; 0 disables shedding — the default, so
 	// every existing experiment measures the unshed pipeline).
 	MaxInflightPerShard int
-	// XShardSlowPath disables the coalesced cross-shard 2PC message flow
-	// (tropic.XShardFastPathDisabled): every 2PC message takes its own
-	// store round trip — the fast-path ablation arm. False (the default)
-	// keeps the fast path on, matching production.
-	XShardSlowPath bool
 	// FollowerReads serves watermarked reads from caught-up replicas
 	// (tropic.Config semantics; false is the leader-only baseline).
 	FollowerReads bool
@@ -117,9 +112,6 @@ func Start(ctx context.Context, p PlatformParams) (*Env, error) {
 		MaxInflightPerShard: p.MaxInflightPerShard,
 		FollowerReads:       p.FollowerReads,
 		ReadCacheBytes:      p.ReadCacheBytes,
-	}
-	if p.XShardSlowPath {
-		cfg.XShardFastPath = tropic.XShardFastPathDisabled
 	}
 	if p.LogicalOnly {
 		cfg.Bootstrap = p.Topology.BuildModel()

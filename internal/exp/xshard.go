@@ -37,14 +37,11 @@ type CrossShardParams struct {
 	CommitLatency time.Duration
 	// BatchMaxOps sizes each shard pipeline's group commits (default 32).
 	BatchMaxOps int
-	// SlowPath disables the coalesced 2PC message flow, measuring the
-	// per-message-round-trip ablation arm instead of the fast path.
-	SlowPath bool
 	// Reps measures each workload this many times on the same platform
 	// (default 1), keeping the best-throughput run per workload. On a
 	// CPU-starved CI box a single draw confounds scheduler interference
 	// with protocol cost; the best of a few reps is a far more stable
-	// capability measurement for both arms of the overhead ratio.
+	// capability measurement for both workloads of the overhead ratio.
 	Reps int
 }
 
@@ -91,9 +88,6 @@ type CrossShardLoadResult struct {
 type CrossShardResult struct {
 	// Shards echoes the partition count under test.
 	Shards int `json:"shards"`
-	// FastPath reports which 2PC message-flow arm this point measured
-	// (true: coalesced flow; false: per-message round trips).
-	FastPath bool `json:"fastPath"`
 	// CrossPairs is how many distinct cross-shard (storage, compute)
 	// pairings the topology offered (0 at one shard).
 	CrossPairs int `json:"crossPairs"`
@@ -128,7 +122,6 @@ func CrossShard(ctx context.Context, p CrossShardParams) (CrossShardResult, erro
 		BatchMaxOps:    p.BatchMaxOps,
 		Shards:         p.Shards,
 		Controllers:    1,
-		XShardSlowPath: p.SlowPath,
 	})
 	if err != nil {
 		return CrossShardResult{}, err
@@ -172,7 +165,7 @@ func CrossShard(ctx context.Context, p CrossShardParams) (CrossShardResult, erro
 	}
 
 	crossPairs := 0
-	res := CrossShardResult{Shards: p.Shards, FastPath: !p.SlowPath}
+	res := CrossShardResult{Shards: p.Shards}
 	res.Cross, err = best(func(rep int) ([]workload.Op, error) {
 		ops, pairs, err := crossShardSpawnOps(env.Platform, p.Hosts, p.Txns, fmt.Sprintf("x%d", rep))
 		crossPairs = pairs

@@ -7,11 +7,12 @@
 // The unit of placement is the RESOURCE ROOT — the host-level node of a
 // model path ("/vmRoot/vmHost00003/vm7" roots at "/vmRoot/vmHost00003")
 // — so every transaction on a host lands on the same shard regardless
-// of which of its descendants it touches. A transaction whose resource
-// roots map to different shards is rejected with
-// trerr.ShardCrossShard: each shard is an independent ACID domain, and
-// refusing to half-run a transaction keeps the paper's single-ensemble
-// atomicity invariant explicit instead of silently weakening it.
+// of which of its descendants it touches. Each shard is an independent
+// ACID domain: a transaction whose resource roots map to different
+// shards has no owning shard (Router.Route reports
+// trerr.ShardCrossShard), and the Planner splits it into one child per
+// participant shard for two-phase commit, so atomicity across shards is
+// explicit rather than silently weakened.
 package shard
 
 import (

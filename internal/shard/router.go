@@ -25,12 +25,12 @@ func (r *Router) Map() *Map { return r.m }
 func (r *Router) Shards() int { return r.m.Shards() }
 
 // Route derives the owning shard of a submission. Every path-shaped
-// argument (leading '/') contributes its resource root; all roots must
-// map to the same shard or the submission is rejected with
-// trerr.ShardCrossShard — a sharded platform cannot execute one
-// transaction atomically across two independent ensembles. A
-// submission with no path arguments routes by its procedure name, so
-// repeated invocations still land on one deterministic shard.
+// argument (leading '/') contributes its resource root; roots mapping
+// to different shards report trerr.ShardCrossShard — no single shard
+// owns the submission, and the Planner splits it into per-shard
+// children instead. A submission with no path arguments routes by its
+// procedure name, so repeated invocations still land on one
+// deterministic shard.
 func (r *Router) Route(proc string, args []string) (int, error) {
 	shard := -1
 	var firstRoot string

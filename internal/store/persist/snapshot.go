@@ -169,6 +169,10 @@ func readSnapshot(path string) (payload []byte, zxid int64, ok bool) {
 		return nil, 0, false
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, false
+	}
 	hdr := make([]byte, 24)
 	if _, err := io.ReadFull(f, hdr); err != nil {
 		return nil, 0, false
@@ -179,7 +183,8 @@ func readSnapshot(path string) (payload []byte, zxid int64, ok bool) {
 	zxid = int64(binary.BigEndian.Uint64(hdr[8:16]))
 	crc := binary.BigEndian.Uint32(hdr[16:20])
 	n := binary.BigEndian.Uint32(hdr[20:24])
-	if n > maxRecordBytes*16 {
+	if n > maxRecordBytes*16 || int64(n) > st.Size()-int64(len(hdr)) {
+		// Corrupt or truncated: refused before allocating the payload.
 		return nil, 0, false
 	}
 	payload = make([]byte, n)

@@ -215,23 +215,35 @@ func (s *Store) replaySegment(path string, afterZxid int64, last *int64, apply f
 		return false, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return false, err
+	}
 	magic := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != walMagic {
 		// Not a segment this version wrote (or truncated before the
 		// header finished): treat as end of log.
 		return true, nil
 	}
+	left := st.Size() - int64(len(walMagic)) // bytes not yet read
 	hdr := make([]byte, 8)
 	for {
 		if _, err := io.ReadFull(f, hdr); err != nil {
 			// Clean end of segment (EOF) or torn frame header.
 			return !errors.Is(err, io.EOF), nil
 		}
+		left -= int64(len(hdr))
 		crc := binary.BigEndian.Uint32(hdr[:4])
 		n := binary.BigEndian.Uint32(hdr[4:])
 		if n < 8 || n > maxRecordBytes {
 			return true, nil // corrupt length
 		}
+		if int64(n) > left {
+			// Torn record; checked before allocating, so a corrupt length
+			// costs nothing out of proportion to the file.
+			return true, nil
+		}
+		left -= int64(n)
 		body := make([]byte, n)
 		if _, err := io.ReadFull(f, body); err != nil {
 			return true, nil // torn record

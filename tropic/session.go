@@ -498,9 +498,6 @@ func (c *Client) SubmitIdempotent(ctx context.Context, key, proc string, args ..
 			}
 			return shard.FormatID(s, id), deduped, nil
 		}
-		if !c.crossShard {
-			return "", false, c.rejectCrossShard(proc, args)
-		}
 		// The recorded id is the (already qualified) parent id, returned
 		// verbatim on dedup.
 		return c.subs[split.CoordinatorFor(proc, args)].submitIdempotentVia(ctx, key, proc, args,

@@ -187,73 +187,6 @@ func TestShardedLifecycle(t *testing.T) {
 	}
 }
 
-// TestShardedCrossShardRejected: with cross-shard execution DISABLED
-// (Config.CrossShard, the PR-4 single-shard-only ablation), a
-// submission whose resource roots land on different shards fails
-// synchronously with shard.cross_shard, and no transaction record is
-// created anywhere. (With it enabled — the default — the same
-// submission executes atomically; see xshard_test.go.)
-func TestShardedCrossShardRejected(t *testing.T) {
-	const shards, hosts = 4, 16
-	p, err := tropic.New(tropic.Config{
-		Schema:      tcloud.NewSchema(),
-		Procedures:  tcloud.Procedures(),
-		Bootstrap:   tcloud.Topology{ComputeHosts: hosts, ComputePerStorage: 1}.BuildModel(),
-		Controllers: 1,
-		Shards:      shards,
-		CrossShard:  tropic.CrossShardDisabled,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	startCtx, startCancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer startCancel()
-	if err := p.Start(startCtx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Stop() })
-	cli := p.Client()
-	defer cli.Close()
-
-	// Find a storage host and compute host on different shards.
-	var storagePath, hostPath string
-	for i := 0; i < hosts && storagePath == ""; i++ {
-		for j := 0; j < hosts; j++ {
-			ss, _ := p.ShardOf(tcloud.ProcSpawnVM, tcloud.StorageHostPath(i))
-			hs, _ := p.ShardOf(tcloud.ProcSpawnVM, tcloud.ComputeHostPath(j))
-			if ss != hs {
-				storagePath, hostPath = tcloud.StorageHostPath(i), tcloud.ComputeHostPath(j)
-				break
-			}
-		}
-	}
-	if storagePath == "" {
-		t.Fatal("no cross-shard pair found (degenerate layout)")
-	}
-	_, err = cli.Submit(tcloud.ProcSpawnVM, storagePath, hostPath, "xvm", "1024")
-	if !errors.Is(err, trerr.ShardCrossShard) {
-		t.Fatalf("cross-shard submit error = %v, want %s", err, trerr.ShardCrossShard)
-	}
-	// Idempotent submissions reject the same way before claiming a key.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, _, err := cli.SubmitIdempotent(ctx, "xkey", tcloud.ProcSpawnVM, storagePath, hostPath, "xvm", "1024"); !errors.Is(err, trerr.ShardCrossShard) {
-		t.Fatalf("cross-shard idempotent submit error = %v, want %s", err, trerr.ShardCrossShard)
-	}
-	page, err := cli.List(tropic.ListOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for page.NextCursor != "" && len(page.Txns) == 0 {
-		if page, err = cli.List(tropic.ListOptions{Cursor: page.NextCursor}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(page.Txns) != 0 {
-		t.Fatalf("rejected submission left %d records behind", len(page.Txns))
-	}
-}
-
 // TestShardedRestartPreservesState: a durable sharded platform keeps
 // one WAL per shard under DataDir/shard-NN; stopping the whole process
 // and restarting from the same directory preserves every committed

@@ -100,13 +100,13 @@ var (
 	ReconcileUnsupported = register("reconcile.unsupported", http.StatusNotImplemented,
 		"deployment has no reconciler configured")
 
-	// ShardCrossShard: the submission's resource roots map to more than
-	// one shard of a sharded platform AND cross-shard transactions are
-	// disabled (Config.CrossShard, the ablation path). With cross-shard
-	// execution enabled — the default — spanning submissions run as
-	// atomic two-phase-commit transactions instead of being rejected.
+	// ShardCrossShard: the arguments' resource roots map to more than
+	// one shard of a sharded platform, so no single shard owns them.
+	// Routing reports it (Platform.ShardOf, for callers building
+	// shard-local work); a submission with such arguments is not
+	// rejected but runs as an atomic two-phase-commit transaction.
 	ShardCrossShard = register("shard.cross_shard", http.StatusUnprocessableEntity,
-		"transaction addresses resources owned by different shards and cross-shard execution is disabled")
+		"transaction addresses resources owned by different shards, so no single shard owns it")
 
 	// XShardPrepareFailed: a participant shard voted to abort a
 	// cross-shard transaction during its prepare phase (constraint

@@ -131,45 +131,29 @@ const (
 // ErrAbort aborts a transaction from inside a stored procedure.
 var ErrAbort = controller.ErrAbort
 
-// CrossShardMode selects cross-shard transaction handling on a sharded
-// platform (Config.CrossShard).
+// CrossShardMode is the type of the deprecated Config.CrossShard.
 type CrossShardMode int
 
 const (
-	// CrossShardAuto (the zero value) resolves to enabled.
+	// CrossShardAuto is the zero value.
 	CrossShardAuto CrossShardMode = iota
-	// CrossShardEnabled runs submissions spanning shards as atomic
-	// two-phase-commit transactions.
+	// CrossShardEnabled is the one remaining mode: a sharded platform
+	// always runs submissions spanning shards as atomic two-phase-commit
+	// transactions.
 	CrossShardEnabled
-	// CrossShardDisabled rejects submissions spanning shards with
-	// trerr.ShardCrossShard — the single-shard-only ablation.
-	CrossShardDisabled
 )
 
-// enabled resolves the mode (Auto → enabled).
-func (m CrossShardMode) enabled() bool { return m != CrossShardDisabled }
-
-// XShardFastPathMode selects the cross-shard 2PC message flow
-// (Config.XShardFastPath).
+// XShardFastPathMode is the type of the deprecated
+// Config.XShardFastPath.
 type XShardFastPathMode int
 
 const (
-	// XShardFastPathAuto (the zero value) resolves to enabled.
+	// XShardFastPathAuto is the zero value.
 	XShardFastPathAuto XShardFastPathMode = iota
-	// XShardFastPathEnabled coalesces the 2PC message flow:
-	// coordinator-local children skip the cross-store prepare round,
-	// decisions piggyback on vote acks, per-peer sends batch into one
-	// Multi per event round, and children prepare in a deterministic
-	// global order with wound-wait resolving lock-order inversions.
+	// XShardFastPathEnabled names the one remaining cross-shard message
+	// flow (see docs/cross-shard.md).
 	XShardFastPathEnabled
-	// XShardFastPathDisabled restores the one-store-round-trip-per-
-	// message flow — the slow-path ablation the cross-shard overhead
-	// benchmark compares against. Correctness is identical.
-	XShardFastPathDisabled
 )
-
-// enabled resolves the mode (Auto → enabled).
-func (m XShardFastPathMode) enabled() bool { return m != XShardFastPathDisabled }
 
 // NewSchema creates an empty schema.
 func NewSchema() *Schema { return model.NewSchema() }
@@ -261,34 +245,31 @@ type Config struct {
 	// replicas with their own leader election, queue namespaces, and
 	// worker pool; a consistent-hash router assigns every transaction to
 	// the shard owning its resource roots. Transactions spanning shards
-	// are rejected with trerr.ShardCrossShard — each shard is an
-	// independent ACID domain. See docs/sharding.md.
+	// run as atomic two-phase-commit transactions, coordinated by one of
+	// their participant shards. See docs/sharding.md and
+	// docs/cross-shard.md.
 	Shards int
 	// ShardExecutors optionally assigns one Executor per shard (length
 	// must equal the resolved shard count). Nil shares Executor across
 	// all shards — the usual deployment, where shards partition the
 	// control plane over one device substrate.
 	ShardExecutors []Executor
-	// CrossShard selects how a sharded platform handles submissions
-	// whose resource roots span shards: CrossShardAuto (the zero value)
-	// and CrossShardEnabled execute them as atomic two-phase-commit
-	// transactions — split into per-shard children coordinated by the
-	// lowest-numbered participant shard; CrossShardDisabled restores the
-	// synchronous trerr.ShardCrossShard rejection (the single-shard-only
-	// ablation). See docs/cross-shard.md.
+	// CrossShard is ignored: a sharded platform always executes
+	// submissions spanning shards as two-phase-commit transactions.
+	//
+	// Deprecated: the field goes once the benchmark harness (tbench)
+	// stops setting it.
 	CrossShard CrossShardMode
 	// XShardPrepareTimeout bounds how long a cross-shard coordinator
 	// waits for participant votes before resolving the transaction as
 	// aborted (trerr.XShardInDoubtTimeout), and paces re-delivery of
 	// decisions to outstanding children. Default 10s.
 	XShardPrepareTimeout time.Duration
-	// XShardFastPath selects the cross-shard 2PC message flow:
-	// XShardFastPathAuto (the zero value) and XShardFastPathEnabled use
-	// the coalesced fast path (local-child coalescing, piggybacked
-	// decisions, per-peer fan-out batching, deterministic prepare order
-	// with wound-wait); XShardFastPathDisabled restores the
-	// per-message-round-trip slow path, kept runnable for the ablation
-	// benchmarks. See docs/cross-shard.md.
+	// XShardFastPath is ignored: cross-shard transactions have one
+	// message flow (docs/cross-shard.md).
+	//
+	// Deprecated: the field goes once the benchmark harness (tbench)
+	// stops setting it.
 	XShardFastPath XShardFastPathMode
 	// IdempotencyTTL bounds how long an unfinished idempotency claim
 	// (a submission that crashed between claiming its key and recording
@@ -578,7 +559,7 @@ func (p *Platform) newShardUnit(i int) (*shardUnit, error) {
 	}
 	u := &shardUnit{index: i, ens: ens}
 	var xs *controller.XShardConfig
-	if p.router != nil && cfg.CrossShard.enabled() {
+	if p.router != nil {
 		// Cross-shard coordination: each controller can reach every peer
 		// shard's store. The connector is called lazily (under
 		// leadership), after New has populated p.units.
@@ -587,7 +568,6 @@ func (p *Platform) newShardUnit(i int) (*shardUnit, error) {
 			Self:           shardIdx,
 			Router:         p.router,
 			PrepareTimeout: cfg.XShardPrepareTimeout,
-			FastPath:       cfg.XShardFastPath.enabled(),
 			Connect: func(j int) *store.Client {
 				if j < 0 || j >= len(p.units) {
 					return nil
@@ -612,6 +592,7 @@ func (p *Platform) newShardUnit(i int) (*shardUnit, error) {
 			Reconciler:      cfg.Reconciler,
 			Policy:          cfg.Policy,
 			BatchMaxOps:     cfg.BatchMaxOps,
+			BatchMaxDelay:   cfg.BatchMaxDelay,
 			IdempotencyTTL:  cfg.IdempotencyTTL,
 			XShard:          xs,
 			Registry:        p.reg,
@@ -811,12 +792,8 @@ type PipelineInfo struct {
 	// unsharded); the per-pipeline knobs above apply to each shard.
 	Shards int `json:"shards"`
 	// CrossShard reports whether submissions spanning shards execute as
-	// two-phase-commit transactions (false: rejected, the ablation).
+	// two-phase-commit transactions: true on every sharded platform.
 	CrossShard bool `json:"crossShard"`
-	// XShardFastPath reports whether the coalesced cross-shard message
-	// flow is active (false: per-message round trips, the slow-path
-	// ablation). Meaningful only when CrossShard is true.
-	XShardFastPath bool `json:"xshardFastPath"`
 	// FollowerReads reports whether watermarked reads may be served
 	// from follower replicas (false: every read goes to the leader, the
 	// read-path ablation).
@@ -834,8 +811,7 @@ func (p *Platform) PipelineInfo() PipelineInfo {
 		WorkerClaimBatch: p.cfg.WorkerClaimBatch,
 		WorkerThreads:    p.cfg.WorkerThreads,
 		Shards:           p.cfg.Shards,
-		CrossShard:       p.cfg.Shards > 1 && p.cfg.CrossShard.enabled(),
-		XShardFastPath:   p.cfg.Shards > 1 && p.cfg.CrossShard.enabled() && p.cfg.XShardFastPath.enabled(),
+		CrossShard:       p.cfg.Shards > 1,
 		FollowerReads:    p.cfg.FollowerReads,
 		ReadCacheBytes:   p.cfg.ReadCacheBytes,
 	}
@@ -1024,10 +1000,9 @@ func (p *Platform) Client() *Client {
 		return connect(p.units[0])
 	}
 	c := &Client{
-		router:     p.router,
-		procs:      p.cfg.Procedures,
-		planner:    shard.NewPlanner(p.router.Map()),
-		crossShard: p.cfg.CrossShard.enabled(),
+		router:  p.router,
+		procs:   p.cfg.Procedures,
+		planner: shard.NewPlanner(p.router.Map()),
 	}
 	for _, u := range p.units {
 		c.subs = append(c.subs, connect(u))
@@ -1059,11 +1034,8 @@ type Client struct {
 	// shard-qualified ("s<shard>-<local id>").
 	router *shard.Router
 	subs   []*Client
-	// planner splits cross-shard submissions into per-shard children;
-	// crossShard gates whether such submissions execute (two-phase
-	// commit) or reject (trerr.ShardCrossShard, the ablation).
-	planner    *shard.Planner
-	crossShard bool
+	// planner splits cross-shard submissions into per-shard children.
+	planner *shard.Planner
 
 	// rp is the shard's read path: Get/Wait/List and the watch surface
 	// serve through it (cache hit, follower replica, or leader
@@ -1194,10 +1166,8 @@ func (c *Client) Submit(proc string, args ...string) (string, error) {
 	}
 	if c.sharded() {
 		// Route by the submission's resource roots. A single-shard plan
-		// submits to its owner; a spanning plan either executes as an
-		// atomic cross-shard transaction (the default) or, with
-		// Config.CrossShard disabled, is rejected here
-		// (trerr.ShardCrossShard) — the single-shard-only ablation.
+		// submits to its owner; a spanning plan executes as an atomic
+		// cross-shard transaction.
 		split := c.planner.Split(proc, args)
 		if !split.CrossShard() {
 			s := split.Coordinator()
@@ -1206,9 +1176,6 @@ func (c *Client) Submit(proc string, args ...string) (string, error) {
 				return "", err
 			}
 			return shard.FormatID(s, id), nil
-		}
-		if !c.crossShard {
-			return "", c.rejectCrossShard(proc, args)
 		}
 		// Every participant shard must admit the work: a parent whose
 		// children would land in saturated pipelines is shed whole —
@@ -1253,18 +1220,6 @@ func submitOps(path string, rec *txn.Txn) []store.Op {
 		store.CreateOp(proto.InputQPath+"/item-",
 			proto.InputMsg{Kind: proto.KindSubmit, TxnPath: path}.Encode(), store.FlagSequence),
 	}
-}
-
-// rejectCrossShard builds the ablation rejection for a spanning
-// submission (Config.CrossShard disabled), preferring Route's detailed
-// error — it names the conflicting roots and shards.
-func (c *Client) rejectCrossShard(proc string, args []string) error {
-	if _, err := c.router.Route(proc, args); err != nil {
-		return err
-	}
-	// Unreachable while Route and Split agree on what spans shards.
-	return trerr.New(trerr.ShardCrossShard,
-		"tropic: submit: transaction spans shards and cross-shard execution is disabled")
 }
 
 // xSubmit initiates a cross-shard transaction: one PARENT record on the

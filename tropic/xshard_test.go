@@ -266,23 +266,16 @@ func TestCrossShardAbort(t *testing.T) {
 // vm-memory constraint — plus same-shard traffic on every shard. All
 // transactions reach terminal states, committed ones have exact
 // physical effects executed exactly once on the owning shards, aborted
-// ones leave none, and no locks leak anywhere. The matrix runs on BOTH
-// message-flow arms: the coalesced fast path and the per-round-trip
-// slow path must produce identical outcomes.
+// ones leave none, and no locks leak anywhere. The subtest keeps the
+// name of the coalesced message flow ("fast path"), which is now the
+// only one.
 func TestCrossShardMatrix(t *testing.T) {
-	t.Run("fastpath", func(t *testing.T) {
-		runCrossShardMatrix(t, tropic.XShardFastPathEnabled)
-	})
-	t.Run("slowpath", func(t *testing.T) {
-		runCrossShardMatrix(t, tropic.XShardFastPathDisabled)
-	})
+	t.Run("fastpath", runCrossShardMatrix)
 }
 
-func runCrossShardMatrix(t *testing.T, mode tropic.XShardFastPathMode) {
+func runCrossShardMatrix(t *testing.T) {
 	const shards, hosts, seed = 3, 12, 2012
-	p, counters := xshardPlatform(t, shards, hosts, 1, func(cfg *tropic.Config) {
-		cfg.XShardFastPath = mode
-	})
+	p, counters := xshardPlatform(t, shards, hosts, 1, nil)
 	cli := p.Client()
 	defer cli.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
