@@ -1,9 +1,6 @@
 package store
 
-import (
-	"iter"
-	"sort"
-)
+import "sort"
 
 // chunkCap bounds the names one chunk of a childIndex holds. It keeps
 // an insert or delete inside a chunk a short copy, while the chunk list
@@ -11,52 +8,67 @@ import (
 // even for /txns at cloud scale.
 const chunkCap = 128
 
-// childIndex keeps a znode's child names in lexicographic order, as a
-// sorted list of sorted chunks of at most chunkCap names each: a seek
-// is a binary search over the chunks' first names and then inside one
-// chunk, and an insert or delete touches one chunk. Ascending names
-// (sequence nodes, session-scoped ids) append to the last chunk and
-// deletes from the front (queue heads) shrink the first, so the common
-// churn never moves more than one chunk's names. No chunk is empty.
+// childIndex keeps a znode's children in lexicographic order of their
+// names, as a sorted list of sorted chunks of at most chunkCap entries
+// each: a seek is a binary search over the chunks' first names and then
+// inside one chunk, and an insert or delete touches one chunk. Ascending
+// names (sequence nodes, session-scoped ids) append to the last chunk
+// and deletes from the front (queue heads) shrink the first, so the
+// common churn never moves more than one chunk's entries. No chunk is
+// empty. An entry carries the child with its name, so a walk of the
+// tree in order (a snapshot capture) needs no map lookup.
 type childIndex struct {
-	chunks [][]string
+	chunks [][]indexEntry
+}
+
+// indexEntry is one child in a childIndex.
+type indexEntry struct {
+	name string
+	node *znode
+}
+
+// searchChunk returns the position in c of the first entry whose name is
+// not below name.
+func searchChunk(c []indexEntry, name string) int {
+	return sort.Search(len(c), func(i int) bool { return c[i].name >= name })
 }
 
 // chunkFor returns the index of the chunk name belongs in: the last
 // chunk whose first name is ≤ name, or 0 when name precedes them all.
 func (x *childIndex) chunkFor(name string) int {
-	k := sort.Search(len(x.chunks), func(k int) bool { return x.chunks[k][0] > name })
+	k := sort.Search(len(x.chunks), func(k int) bool { return x.chunks[k][0].name > name })
 	if k > 0 {
 		k--
 	}
 	return k
 }
 
-// insert adds name, which must not be present already. A chunk's
-// array grows by append up to chunkCap, so the many small directories
-// (queues, locks, election) never pay for a full chunk.
-func (x *childIndex) insert(name string) {
+// insert adds child, whose name must not be present already. A
+// chunk's array grows by append up to chunkCap, so the many small
+// directories (queues, locks, election) never pay for a full chunk.
+func (x *childIndex) insert(child *znode) {
+	entry := indexEntry{child.name, child}
 	if len(x.chunks) == 0 {
-		var c []string
+		var c []indexEntry
 		if cap(x.chunks) > 0 {
 			c = x.chunks[:1][0][:0] // the array remove kept (see there)
 		}
-		x.chunks = append(x.chunks[:0], append(c, name))
+		x.chunks = append(x.chunks[:0], append(c, entry))
 		return
 	}
-	k := x.chunkFor(name)
+	k := x.chunkFor(entry.name)
 	c := x.chunks[k]
-	i := sort.SearchStrings(c, name)
+	i := searchChunk(c, entry.name)
 	if len(c) == chunkCap {
 		if i == len(c) && k == len(x.chunks)-1 {
 			// Past the end of a full last chunk: open a new one rather
 			// than split, so ascending inserts leave full chunks behind.
-			x.chunks = append(x.chunks, []string{name})
+			x.chunks = append(x.chunks, []indexEntry{entry})
 			return
 		}
 		// Split the full chunk in two and insert into the half that
 		// holds name's position.
-		half := append([]string(nil), c[chunkCap/2:]...)
+		half := append([]indexEntry(nil), c[chunkCap/2:]...)
 		clear(c[chunkCap/2:])
 		c = c[:chunkCap/2]
 		x.chunks[k] = c
@@ -67,9 +79,9 @@ func (x *childIndex) insert(name string) {
 			k, c, i = k+1, half, i-len(c)
 		}
 	}
-	c = append(c, "")
+	c = append(c, indexEntry{})
 	copy(c[i+1:], c[i:])
-	c[i] = name
+	c[i] = entry
 	x.chunks[k] = c
 }
 
@@ -80,12 +92,12 @@ func (x *childIndex) remove(name string) {
 	}
 	k := x.chunkFor(name)
 	c := x.chunks[k]
-	i := sort.SearchStrings(c, name)
-	if i == len(c) || c[i] != name {
+	i := searchChunk(c, name)
+	if i == len(c) || c[i].name != name {
 		return
 	}
 	copy(c[i:], c[i+1:])
-	c[len(c)-1] = ""
+	c[len(c)-1] = indexEntry{}
 	c = c[:len(c)-1]
 	if len(c) > 0 {
 		x.chunks[k] = c
@@ -119,27 +131,16 @@ func (x *childIndex) appendAfter(dst []string, after string, limit int) []string
 		return dst
 	}
 	k := x.chunkFor(after)
-	i := sort.Search(len(x.chunks[k]), func(i int) bool { return x.chunks[k][i] > after })
+	i := sort.Search(len(x.chunks[k]), func(i int) bool { return x.chunks[k][i].name > after })
 	for ; k < len(x.chunks) && limit > 0; k, i = k+1, 0 {
 		c := x.chunks[k][i:]
 		if len(c) > limit {
 			c = c[:limit]
 		}
-		dst = append(dst, c...)
+		for _, en := range c {
+			dst = append(dst, en.name)
+		}
 		limit -= len(c)
 	}
 	return dst
-}
-
-// all yields every name in order.
-func (x *childIndex) all() iter.Seq[string] {
-	return func(yield func(string) bool) {
-		for _, c := range x.chunks {
-			for _, name := range c {
-				if !yield(name) {
-					return
-				}
-			}
-		}
-	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // checkIndex verifies the structural invariants of a child index and
-// that it holds exactly the names of the node's children map.
+// that it holds exactly the children map's names and nodes.
 func checkIndex(t *testing.T, n *znode) {
 	t.Helper()
 	var all []string
@@ -19,7 +19,12 @@ func checkIndex(t *testing.T, n *znode) {
 		if len(c) == 0 || len(c) > chunkCap {
 			t.Fatalf("chunk %d holds %d names, want 1..%d", k, len(c), chunkCap)
 		}
-		all = append(all, c...)
+		for _, en := range c {
+			if en.node != n.children[en.name] || en.node.name != en.name {
+				t.Fatalf("index entry %q does not hold the child of that name", en.name)
+			}
+			all = append(all, en.name)
+		}
 	}
 	if !slices.IsSorted(all) || len(slices.Compact(slices.Clone(all))) != len(all) {
 		t.Fatalf("index names not strictly ascending")
@@ -175,7 +180,7 @@ func TestChildIndexSplitsAndDrops(t *testing.T) {
 	var names []string
 	for _, i := range rng.Perm(5 * chunkCap) {
 		name := fmt.Sprintf("n%05d", i)
-		x.insert(name)
+		x.insert(newZnode(name))
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -201,11 +206,11 @@ func TestChildIndexSplitsAndDrops(t *testing.T) {
 // chunk instead of allocating one per refill.
 func TestChildIndexQueueChurnAllocatesNothing(t *testing.T) {
 	var x childIndex
-	names := []string{"item-0000000001", "item-0000000002"}
+	nodes := []*znode{newZnode("item-0000000001"), newZnode("item-0000000002")}
 	i := 0
 	if n := testing.AllocsPerRun(100, func() {
-		x.insert(names[i%2])
-		x.remove(names[i%2])
+		x.insert(nodes[i%2])
+		x.remove(nodes[i%2].name)
 		i++
 	}); n != 0 {
 		t.Errorf("an insert and delete on an empty index allocate %.0f times", n)

@@ -3,6 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
+	"slices"
 )
 
 // This file is the store's half of the persistence contract: it encodes
@@ -119,40 +121,104 @@ func maxSessionOf(op Op) int64 {
 
 // --- Tree snapshot encoding --------------------------------------------
 
-// encodeTreeSnapshot appends the persistent portion of a tree plus the
-// session counter to b. Ephemeral nodes are deliberately skipped: their
-// owning sessions cannot survive a process restart, so persisting them
-// would resurrect state ZooKeeper semantics say must die (the paper's
-// failover behavior depends on exactly this — election and queue-consumer
-// ephemerals vanishing on crash). Ephemerals never have children, so
-// skipping one never orphans a subtree.
-func encodeTreeSnapshot(b []byte, t *tree, nextSess int64) []byte {
-	b = append(b, codecVersion)
-	b = binary.AppendVarint(b, nextSess)
-	return appendNode(b, t.root, "/")
+// snapNode is one persistent node of a captured tree: its fields as of
+// the capture, and its data slice shared with the tree, not copied
+// (applied data is never modified in place, so the slice stays valid
+// after the tree moves on).
+type snapNode struct {
+	name         string
+	depth        int
+	data         []byte
+	version      int32
+	czxid, mzxid int64
+	seqCounter   uint64
 }
 
-// appendNode emits one node entry followed by its persistent children
-// in sorted order (pre-order, parents before children).
-func appendNode(b []byte, n *znode, path string) []byte {
-	b = appendBlob(b, path)
-	b = appendBlob(b, n.data)
-	b = binary.AppendVarint(b, int64(n.version))
-	b = binary.AppendVarint(b, n.czxid)
-	b = binary.AppendVarint(b, n.mzxid)
-	b = binary.AppendUvarint(b, n.seqCounter)
-	for name := range n.index.all() {
-		child := n.children[name]
-		if child.ephemeralOwner != 0 {
-			continue
+// snapCapture is the state a snapshot covers: the persistent nodes of
+// the tree in pre-order (parents before children, siblings in name
+// order) plus the session counter. Capturing copies only the nodes'
+// fixed-size fields, so it is cheap enough to run under the commit
+// lock; encode then builds the paths and payload bytes off it. Its
+// buffers are reused across snapshots.
+type snapCapture struct {
+	zxid     int64
+	nextSess int64
+	nodes    []snapNode
+	chunk    []byte // encoded payload not yet written
+	path     []byte // path of the node being encoded
+	ends     []int  // ends[d]: length of the path prefix at depth d
+}
+
+// snapChunk is how much encoded payload encode gathers before handing
+// it to the writer.
+const snapChunk = 64 << 10
+
+// capture records the persistent portion of t as of zxid. Ephemeral
+// nodes are deliberately skipped: their owning sessions cannot survive
+// a process restart, so persisting them would resurrect state
+// ZooKeeper semantics say must die (the paper's failover behavior
+// depends on exactly this — election and queue-consumer ephemerals
+// vanishing on crash). Ephemerals never have children, so skipping one
+// never orphans a subtree.
+func (c *snapCapture) capture(t *tree, zxid, nextSess int64) {
+	c.zxid, c.nextSess = zxid, nextSess
+	c.nodes = captureNode(c.nodes[:0], t.root, 0)
+}
+
+func captureNode(out []snapNode, n *znode, depth int) []snapNode {
+	out = slices.Grow(out, 1)[:len(out)+1]
+	s := &out[len(out)-1] // filled in place: no temporary to copy
+	s.name, s.depth, s.data, s.version = n.name, depth, n.data, n.version
+	s.czxid, s.mzxid, s.seqCounter = n.czxid, n.mzxid, n.seqCounter
+	for _, entries := range n.index.chunks {
+		for _, en := range entries {
+			if en.node.ephemeralOwner == 0 {
+				out = captureNode(out, en.node, depth+1)
+			}
 		}
-		childPath := path + "/" + name
-		if path == "/" {
-			childPath = "/" + name
-		}
-		b = appendNode(b, child, childPath)
 	}
-	return b
+	return out
+}
+
+// encode writes the snapshot payload of the capture to w, in pieces of
+// about snapChunk bytes. The payload is the codec version, the session
+// counter, and one entry per node: its path, data, version, czxid,
+// mzxid and sequence counter.
+func (c *snapCapture) encode(w io.Writer) error {
+	b := append(c.chunk[:0], codecVersion)
+	b = binary.AppendVarint(b, c.nextSess)
+	path, ends := c.path, c.ends
+	for i := range c.nodes {
+		n := &c.nodes[i]
+		if n.depth == 0 {
+			path, ends = append(path[:0], '/'), append(ends[:0], 0)
+		} else {
+			path = append(append(path[:ends[n.depth-1]], '/'), n.name...)
+			ends = append(ends[:n.depth], len(path))
+		}
+		b = appendBlob(b, path)
+		b = appendBlob(b, n.data)
+		b = binary.AppendVarint(b, int64(n.version))
+		b = binary.AppendVarint(b, n.czxid)
+		b = binary.AppendVarint(b, n.mzxid)
+		b = binary.AppendUvarint(b, n.seqCounter)
+		if len(b) >= snapChunk {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	c.chunk, c.path, c.ends = b, path, ends
+	_, err := w.Write(b)
+	return err
+}
+
+// release drops the capture's references to the tree's data, so a
+// snapshot does not keep since-replaced data alive until the next one.
+func (c *snapCapture) release() {
+	clear(c.nodes)
+	c.nodes = c.nodes[:0]
 }
 
 // decodeTreeSnapshot rebuilds a tree from a snapshot payload.

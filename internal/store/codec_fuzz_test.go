@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/store/persist"
 )
 
 // seedOps are resolved ops of every kind, as the commit path encodes
@@ -45,6 +47,19 @@ func FuzzDecodeOp(f *testing.F) {
 	})
 }
 
+// encodeSnapshot encodes t through the streaming snapshot encoder, as
+// a snapshot file's payload.
+func encodeSnapshot(tb testing.TB, t *tree, nextSess int64) []byte {
+	tb.Helper()
+	var c snapCapture
+	c.capture(t, 0, nextSess)
+	var buf bytes.Buffer
+	if err := c.encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzDecodeSnapshot: recovery decodes the latest snapshot payload on
 // disk. Any input is rejected or decoded without a panic; a decoded
 // tree re-encodes to a payload that decodes to the same tree, and every
@@ -65,9 +80,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		applyOp(tr, resolved, 1, nil)
 	}
-	f.Add(encodeTreeSnapshot(nil, tr, 123))
-	e := NewEnsemble(Config{})
-	defer e.Close()
+	f.Add(encodeSnapshot(f, tr, 123))
+	// A payload as a durable ensemble's snapshot goroutine wrote it to
+	// disk, read back the way recovery reads it.
+	dir := f.TempDir()
+	e := openDurable(f, dir, 20)
 	c := e.Connect()
 	if _, err := c.Create("/q", nil, 0); err != nil {
 		f.Fatal(err)
@@ -77,10 +94,18 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	waitSnapshots(f, e, 1)
 	c.Close()
-	e.mu.Lock()
-	f.Add(bytes.Clone(e.snapshotPayload(e.tree)))
-	e.mu.Unlock()
+	e.Close()
+	ps, err := persist.Open(dir, SyncNone)
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, _, err := ps.LoadSnapshot()
+	if err != nil || payload == nil {
+		f.Fatalf("no snapshot on disk: %v", err)
+	}
+	f.Add(payload)
 	f.Add([]byte{codecVersion, 0})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -96,12 +121,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 		}
 		walk(tr.root)
-		enc := encodeTreeSnapshot(nil, tr, nextSess)
+		enc := encodeSnapshot(t, tr, nextSess)
 		tr2, nextSess2, err := decodeTreeSnapshot(enc)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}
-		if nextSess2 != nextSess || !bytes.Equal(encodeTreeSnapshot(nil, tr2, nextSess2), enc) {
+		if nextSess2 != nextSess || !bytes.Equal(encodeSnapshot(t, tr2, nextSess2), enc) {
 			t.Fatal("snapshot round trip changed the tree")
 		}
 	})

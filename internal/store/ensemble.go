@@ -148,8 +148,10 @@ type Ensemble struct {
 
 	// Durability (nil without Config.DataDir).
 	pstore    *persist.Store
-	sinceSnap int    // WAL appends since the last snapshot
-	snapBuf   []byte // snapshot payload, reused under mu
+	sinceSnap int           // WAL appends since the last snapshot started
+	snap      snapCapture   // the snapshot being written; reused
+	snapDone  chan struct{} // closed when the last snapshot started has landed
+	snapHook  func()        // tests: run by the snapshot goroutine before it writes
 
 	// stats
 	commits int64
@@ -202,9 +204,10 @@ func OpenEnsemble(cfg Config) (*Ensemble, error) {
 }
 
 // Close shuts the ensemble down. All subsequent operations fail with
-// ErrClosed. The returned error reports a failed final WAL flush — the
-// shutdown itself always completes, but a caller that persists state
-// must not tell its operator the tail is durable when it is not.
+// ErrClosed; a snapshot being written lands before Close returns. The
+// returned error reports a failed final WAL flush — the shutdown
+// itself always completes, but a caller that persists state must not
+// tell its operator the tail is durable when it is not.
 func (e *Ensemble) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -218,9 +221,13 @@ func (e *Ensemble) Close() error {
 			close(s.expiredCh)
 		}
 	}
+	snapDone := e.snapDone
 	e.mu.Unlock()
 	close(e.stopTick)
 	<-e.tickDone
+	if snapDone != nil {
+		<-snapDone // the snapshot in flight lands before its store closes
+	}
 	if e.pstore != nil {
 		// No further commits are possible (closed is set); flush the WAL
 		// tail so everything committed survives the shutdown.
@@ -405,7 +412,7 @@ func (e *Ensemble) commitLocked(op Op) (Op, error) {
 	e.applyLocked(resolved)
 	e.commits++
 	if e.pstore != nil {
-		e.maybeSnapshotLocked()
+		e.maybeSnapshotLocked(1)
 	}
 	e.watches.fire(&e.fired)
 	return resolved, nil
@@ -492,9 +499,7 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []error {
 			}
 			return errs
 		}
-		for range applied {
-			e.maybeSnapshotLocked()
-		}
+		e.maybeSnapshotLocked(len(applied))
 	}
 	e.watches.fire(&e.fired)
 	return errs

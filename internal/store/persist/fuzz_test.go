@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -106,9 +107,26 @@ func FuzzReadSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := s.writeSnapshotLocked(42, []byte("snapshot payload")); err != nil {
+	// Seeds come from the streaming writer: a payload handed over in
+	// pieces, and an empty one.
+	if err := s.WriteSnapshot(42, func(w io.Writer) error {
+		for _, piece := range []string{"snap", "shot ", "", "payload"} {
+			if _, err := io.WriteString(w, piece); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		f.Fatal(err)
 	}
+	if err := s.WriteSnapshot(43, func(io.Writer) error { return nil }); err != nil {
+		f.Fatal(err)
+	}
+	empty, err := os.ReadFile(filepath.Join(dir, snapName(43)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty)
 	snap, err := os.ReadFile(filepath.Join(dir, snapName(42)))
 	if err != nil {
 		f.Fatal(err)

@@ -16,10 +16,14 @@
 //	snap-<zxid:016x>.snap      full-tree snapshots, named by the zxid
 //	                           they cover
 //
-// Protocol: Open → LoadSnapshot → Replay → StartAppending → Append...,
-// with Snapshot called at any point after appending begins. A snapshot
-// rotates the log: all prior segments cover only zxids ≤ the snapshot's
-// and are deleted, bounding both disk usage and recovery time.
+// Protocol: Open → LoadSnapshot → Replay → Roll → Append..., with a
+// snapshot taken at any point after appending begins in two steps. Under
+// the caller's commit lock, Roll(zxid+1) starts a fresh segment, so every
+// earlier segment covers only zxids ≤ zxid; then WriteSnapshot(zxid, ...)
+// streams the payload to disk while appends go on, and once the file is
+// durable it deletes those earlier segments, bounding both disk usage and
+// recovery time. A crash before the file lands leaves the previous
+// snapshot and every segment after it in place.
 package persist
 
 import (
@@ -100,7 +104,7 @@ type Store struct {
 	policy SyncPolicy
 
 	mu     sync.Mutex
-	active *os.File // current append segment; nil until StartAppending
+	active *os.File // current append segment; nil until the first Roll
 	frame  []byte   // the record being appended, reused under mu
 	closed bool
 	// failErr makes the store fail-stop: once a WAL append or rotation

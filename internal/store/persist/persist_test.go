@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,6 +45,23 @@ func appendN(t *testing.T, s *Store, from, n int64) {
 	}
 }
 
+// takeSnapshot snapshots the way the store does: roll the log to
+// zxid+1, then stream the payload.
+func takeSnapshot(s *Store, zxid int64, payload string) error {
+	if err := s.Roll(zxid + 1); err != nil {
+		return err
+	}
+	return s.WriteSnapshot(zxid, writeString(payload))
+}
+
+// writeString returns a snapshot encoder that writes payload.
+func writeString(payload string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.WriteString(w, payload)
+		return err
+	}
+}
+
 // newestWAL returns the path of the newest log segment.
 func newestWAL(t *testing.T, dir string) string {
 	t.Helper()
@@ -57,9 +76,9 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
 	if err := s.Append(1, []byte("x")); err != ErrNotAppending {
-		t.Fatalf("Append before StartAppending: err=%v, want ErrNotAppending", err)
+		t.Fatalf("Append before Roll: err=%v, want ErrNotAppending", err)
 	}
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 1, 100)
@@ -87,7 +106,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestTornFinalRecordIsDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 1, 10)
@@ -115,7 +134,7 @@ func TestTornFinalRecordIsDropped(t *testing.T) {
 func TestCorruptCRCEndsReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 1, 10)
@@ -149,7 +168,7 @@ func TestCorruptCRCEndsReplay(t *testing.T) {
 func TestCorruptLengthFieldEndsReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 1, 3)
@@ -180,7 +199,7 @@ func TestCorruptLengthFieldEndsReplay(t *testing.T) {
 func TestTornHeadSegmentIsNotReused(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 1, 1)
@@ -189,7 +208,7 @@ func TestTornHeadSegmentIsNotReused(t *testing.T) {
 	}
 	// Simulate a previous incarnation that rotated to segment wal-2 and
 	// crashed mid-first-append: the file exists but holds only a torn
-	// frame. StartAppending(2) resolves to the same name and must NOT
+	// frame. Roll(2) resolves to the same name and must NOT
 	// append behind the torn bytes (replay would stop at them and lose
 	// every new record).
 	torn := filepath.Join(dir, walName(2))
@@ -202,7 +221,7 @@ func TestTornHeadSegmentIsNotReused(t *testing.T) {
 	if err != nil || last != 1 {
 		t.Fatalf("replay over torn-head segment: last=%d err=%v", last, err)
 	}
-	if err := s2.StartAppending(2); err != nil {
+	if err := s2.Roll(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Append(2, []byte("op-2")); err != nil {
@@ -222,11 +241,11 @@ func TestTornHeadSegmentIsNotReused(t *testing.T) {
 func TestSnapshotRotatesAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 1, 50)
-	if err := s.Snapshot(50, []byte("state@50")); err != nil {
+	if err := takeSnapshot(s, 50, "state@50"); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 51, 25)
@@ -261,14 +280,14 @@ func TestSnapshotRotatesAndPrunes(t *testing.T) {
 func TestSnapshotRetention(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 5; i++ {
 		if err := s.Append(i, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Snapshot(i, fmt.Appendf(nil, "state@%d", i)); err != nil {
+		if err := takeSnapshot(s, i, fmt.Sprintf("state@%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,14 +303,14 @@ func TestSnapshotRetention(t *testing.T) {
 func TestCorruptNewestSnapshotRefusesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 1, 2)
-	if err := s.Snapshot(1, []byte("older")); err != nil {
+	if err := takeSnapshot(s, 1, "older"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Snapshot(2, []byte("newer")); err != nil {
+	if err := takeSnapshot(s, 2, "newer"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -319,7 +338,7 @@ func TestCorruptNewestSnapshotRefusesRecovery(t *testing.T) {
 
 func TestAppendFailureIsFailStop(t *testing.T) {
 	s := openStore(t, t.TempDir())
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 1, 3)
@@ -335,10 +354,10 @@ func TestAppendFailureIsFailStop(t *testing.T) {
 	if err2 := s.Append(5, []byte("after")); err2 == nil || err2.Error() != err.Error() {
 		t.Fatalf("append after failure: %v, want sticky %v", err2, err)
 	}
-	if err2 := s.StartAppending(6); err2 == nil {
-		t.Fatal("StartAppending after failure succeeded")
+	if err2 := s.Roll(6); err2 == nil {
+		t.Fatal("Roll after failure succeeded")
 	}
-	if err2 := s.Snapshot(5, []byte("x")); err2 == nil {
+	if err2 := s.WriteSnapshot(5, writeString("x")); err2 == nil {
 		t.Fatal("Snapshot after failure succeeded")
 	}
 }
@@ -382,7 +401,7 @@ func TestSyncAlwaysCountsFsyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 1, 8)
@@ -403,7 +422,7 @@ func TestHotPathFsyncsAreTimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Stats()
@@ -432,7 +451,7 @@ func TestHotPathFsyncsAreTimed(t *testing.T) {
 func TestAppendAllocatesNothing(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	defer s.Close()
-	if err := s.StartAppending(1); err != nil {
+	if err := s.Roll(1); err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 512)
@@ -456,5 +475,138 @@ func TestAppendAllocatesNothing(t *testing.T) {
 	}
 	if zxids, _ := replayAll(t, s, 0); int64(len(zxids)) != z {
 		t.Fatalf("replayed %d records, want %d", len(zxids), z)
+	}
+}
+
+// TestCrashMidSnapshotRecovers: a crash while a snapshot is being
+// written, after the log rolled for it and records landed past the
+// roll, leaves the older snapshot and every segment after it in place.
+// Recovery delivers every record from the older snapshot on, and Open
+// removes the half-written file.
+func TestCrashMidSnapshotRecovers(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if err := s.Roll(1); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 1, 20)
+	if err := takeSnapshot(s, 20, "state@20"); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 21, 30)
+	// The next snapshot rolls at 50 and is never renamed into place:
+	// the process dies while its temporary file is half written.
+	if err := s.Roll(51); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 51, 10)
+	tmp := filepath.Join(dir, snapName(50)+".123456.tmp")
+	if err := os.WriteFile(tmp, []byte(snapMagic+"half a snapsh"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openStore(t, dir) // no Close: a crash
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("Open left the interrupted snapshot's temporary file: %v", err)
+	}
+	payload, zxid, err := s2.LoadSnapshot()
+	if err != nil || string(payload) != "state@20" || zxid != 20 {
+		t.Fatalf("LoadSnapshot = %q@%d, %v; want the older state@20@20", payload, zxid, err)
+	}
+	zxids, payloads := replayAll(t, s2, zxid)
+	if len(zxids) != 40 {
+		t.Fatalf("replayed %d records after the snapshot, want 40 (21..60)", len(zxids))
+	}
+	for i, z := range zxids {
+		if z != int64(21+i) || payloads[i] != fmt.Sprintf("op-%d", z) {
+			t.Fatalf("record %d: zxid=%d payload=%q", i, z, payloads[i])
+		}
+	}
+}
+
+// TestWriteSnapshotStreamsChunks: a payload handed over in many writes,
+// some larger than any buffer, lands as one snapshot file whose header
+// carries the whole payload's CRC and length, and it prunes every
+// segment but the one rolled to at zxid+1.
+func TestWriteSnapshotStreamsChunks(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	defer s.Close()
+	if err := s.Roll(1); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 1, 5)
+	if err := s.Roll(6); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 6, 5)
+	var want []byte
+	if err := s.WriteSnapshot(5, func(w io.Writer) error {
+		for i := 0; i < 40; i++ {
+			piece := bytes.Repeat([]byte{byte(i)}, 1+i*i*97)
+			want = append(want, piece...)
+			if _, err := w.Write(piece); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	payload, zxid, ok := readSnapshot(filepath.Join(dir, snapName(5)))
+	if !ok || zxid != 5 || !bytes.Equal(payload, want) {
+		t.Fatalf("readSnapshot: ok=%v zxid=%d, %d payload bytes (want %d, equal=%v)",
+			ok, zxid, len(payload), len(want), bytes.Equal(payload, want))
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, walPrefix+"*"+walSuffix))
+	if len(segs) != 1 || filepath.Base(segs[0]) != walName(6) {
+		t.Fatalf("segments after the snapshot at 5: %v, want only %s", segs, walName(6))
+	}
+	if zxids, _ := replayAll(t, s, zxid); len(zxids) != 5 || zxids[0] != 6 {
+		t.Fatalf("tail replay: %v, want 6..10", zxids)
+	}
+	// A failing encoder leaves no file behind and prunes nothing.
+	if err := s.WriteSnapshot(10, func(io.Writer) error { return os.ErrClosed }); err == nil {
+		t.Fatal("WriteSnapshot with a failing encoder succeeded")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
+		t.Fatalf("failed snapshot left %v", left)
+	}
+	if _, _, ok := readSnapshot(filepath.Join(dir, snapName(10))); ok {
+		t.Fatal("failed snapshot landed")
+	}
+}
+
+// TestReplayReusesRecordBuffer: replay reads every record into one
+// buffer, so a log of 1,000 records replays with as many allocations
+// as a log of 10.
+func TestReplayReusesRecordBuffer(t *testing.T) {
+	allocs := func(n int64) float64 {
+		s := openStore(t, t.TempDir())
+		defer s.Close()
+		if err := s.Roll(1); err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, 700)
+		for z := int64(1); z <= n; z++ {
+			if err := s.AppendNoSync(z, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		delivered := int64(0)
+		a := testing.AllocsPerRun(5, func() {
+			delivered = 0
+			if _, err := s.Replay(0, func(int64, []byte) error { delivered++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if delivered != n {
+			t.Fatalf("replayed %d records, want %d", delivered, n)
+		}
+		return a
+	}
+	small, large := allocs(10), allocs(1000)
+	if large > small+2 {
+		t.Fatalf("replaying 1,000 records allocates %.0f times, 10 records %.0f: the record buffer is not reused", large, small)
 	}
 }

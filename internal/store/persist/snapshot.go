@@ -17,8 +17,10 @@ import (
 //	[4]  payload length
 //	[n]  payload (opaque to this package)
 //
-// Snapshots are written to a temporary file, fsynced, and renamed into
-// place, so a crash mid-snapshot leaves the previous snapshot intact.
+// A snapshot is streamed to a temporary file, its header's CRC and
+// length back-filled once the payload is written, fsynced, and renamed
+// into place, so a crash mid-snapshot leaves the previous snapshot (and
+// every segment after it) intact; Open removes the temporary file.
 // LoadSnapshot reads ONLY the newest snapshot and fails loudly when it
 // is unreadable: rotation deletes the WAL segments a snapshot covers,
 // so recovering from an older snapshot plus the surviving tail would
@@ -41,45 +43,52 @@ func snapName(zxid int64) string {
 	return fmt.Sprintf("%s%016x%s", snapPrefix, uint64(zxid), snapSuffix)
 }
 
-// Snapshot durably writes a full-state snapshot covering every record
-// up to and including zxid, then rotates the WAL: a fresh segment
-// becomes active and all prior segments — whose records are all ≤ zxid,
-// since the caller sequences Snapshot with appends — are deleted, along
-// with all but the last snapRetain snapshots. This is what bounds
-// recovery time and disk usage.
+// WriteSnapshot durably writes a snapshot covering every record up to
+// and including zxid; encode streams its payload to the writer it is
+// given, which passes it straight to the file while keeping the CRC and
+// length that are back-filled into the header. The caller must have
+// rolled the log to zxid+1 first (Roll), so every segment named below
+// zxid+1 holds only records the snapshot covers: once the file is
+// durable, every segment but the one rolled to is deleted, along with
+// all but the last snapRetain snapshots. This is what bounds recovery
+// time and disk usage.
 //
-// A failure before the snapshot file lands is harmless (the WAL still
-// holds everything; the caller may retry later). A failure during the
-// rotation that follows is fail-stop, like a failed append: the store
-// would otherwise be left with no usable active segment.
-func (s *Store) Snapshot(zxid int64, payload []byte) error {
+// WriteSnapshot takes no lock that Append takes, so appends go on while
+// a snapshot is written; callers write one snapshot at a time. A failure
+// before the file lands is harmless (the WAL still holds everything and
+// nothing is pruned; the caller may retry later).
+func (s *Store) WriteSnapshot(zxid int64, encode func(io.Writer) error) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failErr != nil {
-		return s.failErr
+	err := s.failErr
+	s.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	if err := s.writeSnapshotLocked(zxid, payload); err != nil {
+	if err := s.writeSnapshotFile(zxid, encode); err != nil {
 		return err
 	}
 	s.snapshots.Inc()
-	// Rotate: records from zxid+1 on go to a fresh segment.
-	if s.active != nil {
-		if err := s.active.Close(); err != nil {
-			s.active = nil
-			return s.fail(err)
-		}
-		s.active = nil
-	}
-	if err := s.openSegmentLocked(zxid + 1); err != nil {
-		return s.fail(err)
-	}
 	// Prune failures are non-fatal: leftover segments only hold records
-	// the snapshot covers, which replay skips; the next rotation retries
+	// the snapshot covers, which replay skips; the next snapshot retries
 	// their removal.
-	return s.pruneLocked(zxid)
+	return s.prune(zxid)
 }
 
-func (s *Store) writeSnapshotLocked(zxid int64, payload []byte) error {
+// payloadWriter passes a snapshot payload through to its file, keeping
+// the CRC and length the header needs.
+type payloadWriter struct {
+	f   *os.File
+	crc uint32
+	n   int64
+}
+
+func (p *payloadWriter) Write(b []byte) (int, error) {
+	p.crc = crc32.Update(p.crc, crc32.IEEETable, b)
+	p.n += int64(len(b))
+	return p.f.Write(b)
+}
+
+func (s *Store) writeSnapshotFile(zxid int64, encode func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(s.dir, snapName(zxid)+".*.tmp")
 	if err != nil {
 		return err
@@ -88,21 +97,27 @@ func (s *Store) writeSnapshotLocked(zxid int64, payload []byte) error {
 	hdr := make([]byte, 0, 24)
 	hdr = append(hdr, snapMagic...)
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(zxid))
-	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))
-	if _, err := tmp.Write(hdr); err != nil {
-		tmp.Close()
-		return err
+	hdr = append(hdr, make([]byte, 8)...) // crc and length, back-filled below
+	w := &payloadWriter{f: tmp}
+	if _, err = tmp.Write(hdr); err == nil {
+		err = encode(w)
 	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		return err
+	if err == nil && w.n > maxRecordBytes*16 {
+		// Recovery refuses a payload this large (readSnapshot).
+		err = fmt.Errorf("persist: snapshot payload of %d bytes is too large", w.n)
 	}
-	if err := s.fsync(tmp); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		binary.BigEndian.PutUint32(hdr[16:], w.crc)
+		binary.BigEndian.PutUint32(hdr[20:], uint32(w.n))
+		_, err = tmp.WriteAt(hdr[16:], 16)
 	}
-	if err := tmp.Close(); err != nil {
+	if err == nil {
+		err = s.fsync(tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, snapName(zxid))); err != nil {
@@ -111,17 +126,20 @@ func (s *Store) writeSnapshotLocked(zxid int64, payload []byte) error {
 	return s.syncDir()
 }
 
-// pruneLocked removes WAL segments fully covered by the snapshot at
-// zxid (every segment except the just-opened active one) and old
-// snapshots beyond the retention count.
-func (s *Store) pruneLocked(zxid int64) error {
+// prune removes every WAL segment but the one rolled to at zxid+1, and
+// old snapshots beyond the retention count. The segments named below it
+// hold only records the snapshot at zxid covers. None is named above it
+// unless recovery stopped at a corrupt record in front of them: those
+// records are not part of the recovered state, and replay must never
+// reach them behind the records logged from zxid+1 on.
+func (s *Store) prune(zxid int64) error {
 	segs, err := s.sortedMatches(walPrefix, walSuffix)
 	if err != nil {
 		return err
 	}
-	activeName := walName(zxid + 1)
+	active := walName(zxid + 1)
 	for _, name := range segs {
-		if name != activeName {
+		if name != active {
 			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
 				return err
 			}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Segment file format:
@@ -32,18 +33,21 @@ const (
 	maxRecordBytes = 1 << 26 // 64 MiB
 )
 
-// ErrNotAppending is returned by Append before StartAppending.
-var ErrNotAppending = errors.New("persist: no active WAL segment (call StartAppending)")
+// ErrNotAppending is returned by Append before the first Roll.
+var ErrNotAppending = errors.New("persist: no active WAL segment (call Roll)")
 
 func walName(firstZxid int64) string {
 	return fmt.Sprintf("%s%016x%s", walPrefix, uint64(firstZxid), walSuffix)
 }
 
-// StartAppending opens a fresh active segment for records from nextZxid
-// on. Recovery always rotates to a new segment rather than appending to
-// the last one, so a torn tail from the previous run can never sit in
-// front of new records.
-func (s *Store) StartAppending(nextZxid int64) error {
+// Roll closes the active segment, if there is one, and opens a fresh
+// segment for records from nextZxid on. Recovery rolls before its first
+// append, so a torn tail from the previous run can never sit in front of
+// new records; a snapshot rolls when it captures the tree, so every
+// segment named below its zxid+1 is closed and can be pruned once the
+// snapshot is durable. A failed roll is fail-stop, like a failed append:
+// the store would otherwise be left with no usable active segment.
+func (s *Store) Roll(nextZxid int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -53,12 +57,16 @@ func (s *Store) StartAppending(nextZxid int64) error {
 		return s.failErr
 	}
 	if s.active != nil {
-		if err := s.active.Close(); err != nil {
-			return err
-		}
+		err := s.active.Close()
 		s.active = nil
+		if err != nil {
+			return s.fail(fmt.Errorf("persist: wal roll: %w", err))
+		}
 	}
-	return s.openSegmentLocked(nextZxid)
+	if err := s.openSegmentLocked(nextZxid); err != nil {
+		return s.fail(fmt.Errorf("persist: wal roll: %w", err))
+	}
+	return nil
 }
 
 func (s *Store) openSegmentLocked(firstZxid int64) error {
@@ -186,14 +194,19 @@ func appendFrame(b []byte, zxid int64, payload []byte) []byte {
 // order, to apply. It stops cleanly at the first torn or corrupt record
 // and returns the zxid of the last record delivered (afterZxid when
 // none were). An error from apply aborts the replay.
+//
+// Every record is read into one buffer, grown to the largest record, so
+// apply's payload is valid only during the call: apply must copy what
+// it keeps.
 func (s *Store) Replay(afterZxid int64, apply func(zxid int64, payload []byte) error) (int64, error) {
 	names, err := s.sortedMatches(walPrefix, walSuffix)
 	if err != nil {
 		return afterZxid, err
 	}
 	last := afterZxid
+	var buf []byte
 	for _, name := range names {
-		done, err := s.replaySegment(filepath.Join(s.dir, name), afterZxid, &last, apply)
+		done, err := s.replaySegment(filepath.Join(s.dir, name), afterZxid, &last, &buf, apply)
 		if err != nil {
 			return last, err
 		}
@@ -206,10 +219,10 @@ func (s *Store) Replay(afterZxid int64, apply func(zxid int64, payload []byte) e
 	return last, nil
 }
 
-// replaySegment reads one segment. It returns done=true when the
-// segment terminated at an unreadable record, meaning replay must not
-// continue into later segments.
-func (s *Store) replaySegment(path string, afterZxid int64, last *int64, apply func(int64, []byte) error) (done bool, err error) {
+// replaySegment reads one segment, each record into *buf. It returns
+// done=true when the segment terminated at an unreadable record,
+// meaning replay must not continue into later segments.
+func (s *Store) replaySegment(path string, afterZxid int64, last *int64, buf *[]byte, apply func(int64, []byte) error) (done bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return false, err
@@ -239,12 +252,13 @@ func (s *Store) replaySegment(path string, afterZxid int64, last *int64, apply f
 			return true, nil // corrupt length
 		}
 		if int64(n) > left {
-			// Torn record; checked before allocating, so a corrupt length
-			// costs nothing out of proportion to the file.
+			// Torn record; checked before growing the buffer, so a
+			// corrupt length costs nothing out of proportion to the file.
 			return true, nil
 		}
 		left -= int64(n)
-		body := make([]byte, n)
+		*buf = slices.Grow((*buf)[:0], int(n))
+		body := (*buf)[:n]
 		if _, err := io.ReadFull(f, body); err != nil {
 			return true, nil // torn record
 		}

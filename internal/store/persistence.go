@@ -50,7 +50,7 @@ func (e *Ensemble) LastRecovery() time.Duration {
 
 // recoverFromDisk rebuilds ensemble state from the data directory:
 // latest valid snapshot, then the WAL tail, then a cleanup pass that
-// expires every pre-crash session. It leaves the WAL rotated to a fresh
+// expires every pre-crash session. It leaves the WAL rolled to a fresh
 // segment and ready for appends. Called from OpenEnsemble before the
 // ensemble serves; no locking needed.
 func (e *Ensemble) recoverFromDisk() error {
@@ -61,40 +61,31 @@ func (e *Ensemble) recoverFromDisk() error {
 	if err != nil {
 		return err
 	}
-	t := newTree()
-	var nextSess int64
 	if payload != nil {
-		if t, nextSess, err = decodeTreeSnapshot(payload); err != nil {
+		if e.tree, e.nextSess, err = decodeTreeSnapshot(payload); err != nil {
 			return err
 		}
 	}
 
 	// 2. Replay the WAL tail. Records the snapshot already covers are
 	// skipped inside Replay; a torn or corrupt tail ends the log there.
-	maxSess := nextSess
 	last, err := e.pstore.Replay(snapZxid, func(zxid int64, rec []byte) error {
 		op, err := decodeOp(rec)
 		if err != nil {
 			return err
 		}
-		applyOp(t, op, zxid, nil)
-		if s := maxSessionOf(op); s > maxSess {
-			maxSess = s
-		}
+		applyOp(e.tree, op, zxid, nil)
+		e.nextSess = max(e.nextSess, maxSessionOf(op))
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	e.zxid = snapZxid
-	if last > e.zxid {
-		e.zxid = last
-	}
-	e.nextSess = maxSess
+	e.zxid = max(snapZxid, last)
 
 	// 3. New records go to a fresh segment (never append after a
 	// possibly-torn tail).
-	if err := e.pstore.StartAppending(e.zxid + 1); err != nil {
+	if err := e.pstore.Roll(e.zxid + 1); err != nil {
 		return err
 	}
 
@@ -104,7 +95,7 @@ func (e *Ensemble) recoverFromDisk() error {
 	// on failover. The expiries are themselves logged (log-before-apply),
 	// so a crash during or after recovery replays the same cleanup.
 	var owners []int64
-	collectOwners(t.root, map[int64]bool{}, &owners)
+	collectOwners(e.tree.root, map[int64]bool{}, &owners)
 	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
 	for _, sess := range owners {
 		op := Op{kind: opExpireSession, session: sess}
@@ -112,26 +103,26 @@ func (e *Ensemble) recoverFromDisk() error {
 		if err := e.pstore.Append(e.zxid, e.encodeLocked(op)); err != nil {
 			return err
 		}
-		applyOp(t, op, e.zxid, nil)
+		applyOp(e.tree, op, e.zxid, nil)
 	}
+	e.applied = e.zxid
 
-	// 5. Compact everything recovery accepted into a fresh snapshot and
-	// rotate the log. This is a correctness step, not an optimization:
-	// replay stops at the first torn or corrupt record, so if a damaged
-	// segment were left in place, a LATER recovery would stop there and
-	// never reach the records this incarnation is about to write. The
-	// snapshot supersedes the damaged tail and rotation deletes it.
+	// 5. Compact everything recovery accepted into a fresh snapshot,
+	// through the same capture and stream as a commit-time snapshot, but
+	// waited for. This is a correctness step, not an optimization: replay
+	// stops at the first torn or corrupt record, so if a damaged segment
+	// were left in place, a LATER recovery would stop there and never
+	// reach the records this incarnation is about to write. The snapshot
+	// supersedes the damaged tail and its prune deletes it.
 	if e.zxid > 0 {
-		if err := e.pstore.Snapshot(e.zxid, e.snapshotPayload(t)); err != nil {
+		if err := e.captureLocked(); err != nil {
 			return err
 		}
-	}
-
-	// 6. Serve the recovered tree.
-	e.tree, e.applied = t, e.zxid
-	// A fresh data dir is initialization, not a recovery; only count the
-	// pass when there was state to recover.
-	if e.zxid > 0 {
+		if err := e.writeSnapshot(); err != nil {
+			return err
+		}
+		// A fresh data dir is initialization, not a recovery; only count
+		// the pass when there was state to recover.
 		e.pstore.ObserveRecovery(time.Since(start))
 	}
 	return nil
@@ -149,34 +140,67 @@ func collectOwners(n *znode, seen map[int64]bool, out *[]int64) {
 	}
 }
 
-// snapshotPayload encodes t for a snapshot into a buffer reused across
-// snapshots, so the multi-megabyte payload is not allocated afresh each
-// time; it grows only when the tree outgrows every earlier snapshot.
-// Called with e.mu held (or before the ensemble serves); the bytes are
-// valid until the next call.
-func (e *Ensemble) snapshotPayload(t *tree) []byte {
-	e.snapBuf = encodeTreeSnapshot(e.snapBuf[:0], t, e.nextSess)
-	return e.snapBuf
-}
-
-// maybeSnapshotLocked writes a snapshot and rotates the WAL once enough
-// appends accumulated since the last one. Called with e.mu held, right
-// after a commit applied; the tree is therefore exactly the state at
-// e.zxid. A failure to write the snapshot file is absorbed
-// (the WAL still holds every committed record, so durability is
-// unaffected — only recovery time stops improving); a failure during
-// the rotation that follows trips the persist layer's fail-stop and
-// surfaces on the next commit. Either way the counter resets, so a
-// persistently failing snapshot is retried once per SnapshotEvery
-// appends rather than on every commit.
-func (e *Ensemble) maybeSnapshotLocked() {
+// maybeSnapshotLocked starts a snapshot once SnapshotEvery appends have
+// accumulated since the last one started. Called with e.mu held, right
+// after a commit applied, so the tree is exactly the state at e.zxid.
+//
+// Under the lock it only rolls the WAL to e.zxid+1 and captures the
+// tree's persistent nodes, copying no path or payload bytes. A
+// goroutine then streams the capture into the snapshot file while
+// commits go on, and prunes the segments it covers once the file is
+// durable. At most one snapshot is in flight: one that falls due while
+// another is written starts on the first commit after it lands.
+//
+// A failed roll trips the persist layer's fail-stop and surfaces on the
+// next commit. A failed write is absorbed: the WAL still holds every
+// committed record, so durability is unaffected — only recovery time
+// stops improving — and the next snapshot falls due SnapshotEvery
+// appends later.
+func (e *Ensemble) maybeSnapshotLocked(appends int) {
 	if e.cfg.SnapshotEvery <= 0 {
 		return
 	}
-	e.sinceSnap++
+	e.sinceSnap += appends
 	if e.sinceSnap < e.cfg.SnapshotEvery {
 		return
 	}
+	if e.snapDone != nil {
+		select {
+		case <-e.snapDone:
+		default:
+			return // one is in flight
+		}
+	}
 	e.sinceSnap = 0
-	_ = e.pstore.Snapshot(e.zxid, e.snapshotPayload(e.tree))
+	if e.captureLocked() != nil {
+		return
+	}
+	done := make(chan struct{})
+	e.snapDone = done
+	go func() {
+		defer close(done)
+		if e.snapHook != nil {
+			e.snapHook()
+		}
+		_ = e.writeSnapshot() // absorbed: see above
+	}()
+}
+
+// captureLocked rolls the WAL to e.zxid+1 and captures the tree as of
+// e.zxid into e.snap: the commit-lock half of a snapshot. Called with
+// e.mu held (or before the ensemble serves) and no snapshot in flight.
+func (e *Ensemble) captureLocked() error {
+	if err := e.pstore.Roll(e.zxid + 1); err != nil {
+		return err
+	}
+	e.snap.capture(e.tree, e.zxid, e.nextSess)
+	return nil
+}
+
+// writeSnapshot streams e.snap into the snapshot file and, once it is
+// durable, prunes the segments and snapshots it supersedes: the half of
+// a snapshot that runs off the commit lock.
+func (e *Ensemble) writeSnapshot() error {
+	defer e.snap.release()
+	return e.pstore.WriteSnapshot(e.snap.zxid, e.snap.encode)
 }

@@ -1,15 +1,19 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/store/persist"
 )
 
-func openDurable(t *testing.T, dir string, snapEvery int) *Ensemble {
+func openDurable(t testing.TB, dir string, snapEvery int) *Ensemble {
 	t.Helper()
 	e, err := OpenEnsemble(Config{
 		DataDir:       dir,
@@ -132,6 +136,11 @@ func TestRestartFromSnapshotPlusWALTail(t *testing.T) {
 	createOrFail(t, c, "/data", nil, 0)
 	for i := 0; i < 37; i++ {
 		createOrFail(t, c, fmt.Sprintf("/data/n%02d", i), []byte{byte(i)}, 0)
+		// Writes 10, 20 and 30 each start a snapshot; let it land before
+		// the next 10 writes, so none falls due while one is in flight.
+		if w := i + 2; w%10 == 0 {
+			waitSnapshots(t, e, int64(w/10))
+		}
 	}
 	if got := e.PersistStats().Snapshots; got < 3 {
 		t.Fatalf("Snapshots = %d, want ≥ 3 with SnapshotEvery=10", got)
@@ -379,7 +388,7 @@ func TestTreeSnapshotCodecSkipsEphemerals(t *testing.T) {
 	apply(Op{kind: opCreate, Path: "/p/eph", session: 9})
 	apply(Op{kind: opCreate, Path: "/p/seq-", Flags: FlagSequence})
 
-	got, nextSess, err := decodeTreeSnapshot(encodeTreeSnapshot(nil, tr, 123))
+	got, nextSess, err := decodeTreeSnapshot(encodeSnapshot(t, tr, 123))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,9 +413,360 @@ func TestTreeSnapshotCodecSkipsEphemerals(t *testing.T) {
 	}
 }
 
+// waitSnapshots waits until e has landed at least n snapshots and the
+// goroutine that wrote the last one has finished pruning, so the next
+// snapshot to fall due starts on the commit that makes it due.
+func waitSnapshots(t testing.TB, e *Ensemble, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); e.PersistStats().Snapshots < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("Snapshots = %d after 10s, want ≥ %d", e.PersistStats().Snapshots, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	e.mu.Lock()
+	done := e.snapDone
+	e.mu.Unlock()
+	<-done
+}
+
 func createOrFail(t *testing.T, c *Client, path string, data []byte, flags int) {
 	t.Helper()
 	if _, err := c.Create(path, data, flags); err != nil {
 		t.Fatalf("create %s: %v", path, err)
+	}
+}
+
+// blockSnapshots makes e's snapshot goroutine wait, before it writes,
+// until the returned release is called; started is ready once a
+// snapshot has reached the block.
+func blockSnapshots(e *Ensemble) (started <-chan struct{}, release func()) {
+	ch := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	e.snapHook = func() {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	var once sync.Once
+	return ch, func() { once.Do(func() { close(gate) }) }
+}
+
+// TestCommitsProceedWhileSnapshotWrites: a snapshot holds the commit
+// lock only to roll the WAL and capture the tree, so commits keep
+// completing while its write is stalled. A snapshot that falls due
+// meanwhile starts on the first commit after the stalled one lands,
+// and a restart recovers every write.
+func TestCommitsProceedWhileSnapshotWrites(t *testing.T) {
+	dir := t.TempDir()
+	e := openDurable(t, dir, 10)
+	started, release := blockSnapshots(e)
+	defer release()
+	c := e.Connect()
+	createOrFail(t, c, "/data", nil, 0)
+	// create writes /data/n<from>../data/n<to-1>, failing the test if
+	// they do not all commit within 10s.
+	create := func(from, to int) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			for i := from; i < to; i++ {
+				if _, err := c.Create(fmt.Sprintf("/data/n%02d", i), []byte{byte(i)}, 0); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("commits blocked behind a stalled snapshot write")
+		}
+	}
+	create(0, 9) // the 10th write starts a snapshot
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no snapshot started after 10 writes with SnapshotEvery=10")
+	}
+	create(9, 39) // three more snapshot intervals while the write stalls
+	if got := e.PersistStats().Snapshots; got != 0 {
+		t.Fatalf("Snapshots = %d while the only one started is stalled, want 0", got)
+	}
+	release()
+	waitSnapshots(t, e, 1)
+	// The overdue snapshot starts on the next commit, not before.
+	create(39, 40)
+	waitSnapshots(t, e, 2)
+	c.Kill()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := openDurable(t, dir, 10)
+	defer e2.Close()
+	c2 := e2.Connect()
+	defer c2.Close()
+	for i := 0; i < 40; i++ {
+		data, _, err := c2.Get(fmt.Sprintf("/data/n%02d", i))
+		if err != nil || len(data) != 1 || data[0] != byte(i) {
+			t.Fatalf("node n%02d after restart: %v %v", i, data, err)
+		}
+	}
+}
+
+// TestCloseWaitsForInflightSnapshot: Close returns only after the
+// snapshot in flight has landed, and leaves its goroutine finished.
+func TestCloseWaitsForInflightSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	e := openDurable(t, dir, 5)
+	started, release := blockSnapshots(e)
+	defer release()
+	c := e.Connect()
+	for i := 0; i < 5; i++ {
+		createOrFail(t, c, fmt.Sprintf("/n%d", i), nil, 0)
+	}
+	<-started
+	c.Kill()
+	closed := make(chan error, 1)
+	go func() { closed <- e.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a snapshot was being written")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if got := e.PersistStats().Snapshots; got != 1 {
+		t.Fatalf("Snapshots = %d after Close, want the in-flight one landed", got)
+	}
+	select {
+	case <-e.snapDone:
+	default:
+		t.Fatal("the snapshot goroutine is still running after Close")
+	}
+	ps, err := persist.Open(dir, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, zxid, err := ps.LoadSnapshot(); err != nil || zxid != 5 {
+		t.Fatalf("newest snapshot on disk covers zxid %d (%v), want 5", zxid, err)
+	}
+}
+
+// TestRecoverV1DataDir: testdata/v1-datadir was written by the build
+// that encoded snapshots into one payload buffer under the commit lock
+// (nodes, sets, a delete, sequence nodes, an ephemeral reaped by its
+// recovery). It recovers, and recovery's compaction snapshot, streamed
+// from a capture, rewrites the same snapshot file byte for byte.
+func TestRecoverV1DataDir(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "v1-datadir")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ent.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const snap = "snap-000000000000001c.snap"
+	v1, err := os.ReadFile(filepath.Join(dir, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := openDurable(t, dir, 10)
+	c := e.Connect()
+	for path, want := range map[string]string{
+		"/vmRoot":                 "root",
+		"/vmRoot/vmHost00001":     "v3",
+		"/vmRoot/vmHost00002":     `{"mem":12288}`,
+		"/vmRoot/vmHost00000/vm0": "",
+		"/txns/t-0000000004":      "\x04\xff\x00",
+	} {
+		if data, _, err := c.Get(path); err != nil || string(data) != want {
+			t.Fatalf("%s = %q, %v; want %q", path, data, err, want)
+		}
+	}
+	for _, gone := range []string{"/txns/t-0000000002", "/election/leader"} {
+		if ok, _, _ := c.Exists(gone); ok {
+			t.Fatalf("%s survived recovery", gone)
+		}
+	}
+	if seq, err := c.Create("/txns/t-", nil, FlagSequence); err != nil || seq != "/txns/t-0000000005" {
+		t.Fatalf("next sequence node = %q, %v", seq, err)
+	}
+	c.Kill()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(filepath.Join(dir, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, v1) {
+		t.Fatalf("recovery rewrote %s as %d bytes that differ from the %d it read", snap, len(again), len(v1))
+	}
+}
+
+// snapshotBenchSizes are the tree sizes the snapshot benchmarks run
+// at, in nodes of 700 B.
+var snapshotBenchSizes = []struct {
+	name  string
+	nodes int
+}{{"8k", 8 << 10}, {"32k", 32 << 10}}
+
+// snapshotBenchEnsemble opens a durable ensemble (SyncNone, no
+// automatic snapshots) whose tree holds nodes nodes of 700 B spread
+// over 16 directories. The nodes are applied directly, not logged.
+func snapshotBenchEnsemble(b *testing.B, nodes int) *Ensemble {
+	b.Helper()
+	e := openDurable(b, b.TempDir(), -1)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	create := func(path string, data []byte) {
+		op, err := validateOp(e.tree, CreateOp(path, data, 0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.zxid++
+		e.applyLocked(op)
+	}
+	create("/b", nil)
+	for d := 0; d < 16; d++ {
+		create(fmt.Sprintf("/b/d%02d", d), nil)
+	}
+	data := make([]byte, 700)
+	for i := 0; i < nodes; i++ {
+		create(fmt.Sprintf("/b/d%02d/n%06d", i%16, i), data)
+	}
+	return e
+}
+
+// BenchmarkSnapshotLockHold: how long one snapshot holds the commit
+// lock — the WAL roll plus the capture of the tree's persistent nodes.
+// Every commit on the shard waits this long once per SnapshotEvery
+// appends.
+func BenchmarkSnapshotLockHold(b *testing.B) {
+	for _, size := range snapshotBenchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			e := snapshotBenchEnsemble(b, size.nodes)
+			defer e.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.mu.Lock()
+				err := e.captureLocked()
+				e.mu.Unlock()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshotWrite: the part of a snapshot that runs off the
+// commit lock — encoding the capture into the snapshot file, fsync,
+// rename and prune.
+func BenchmarkSnapshotWrite(b *testing.B) {
+	for _, size := range snapshotBenchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			e := snapshotBenchEnsemble(b, size.nodes)
+			defer e.Close()
+			e.mu.Lock()
+			err := e.captureLocked()
+			e.mu.Unlock()
+			if err != nil {
+				b.Fatal(err)
+			}
+			write := func() {
+				if err := e.pstore.WriteSnapshot(e.snap.zxid, e.snap.encode); err != nil {
+					b.Fatal(err)
+				}
+			}
+			write()
+			st, err := os.Stat(filepath.Join(e.pstore.Dir(), fmt.Sprintf("snap-%016x.snap", e.snap.zxid)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(st.Size())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				write()
+			}
+		})
+	}
+}
+
+// TestRestartCorruptSegmentDropsLaterSegments: when recovery stops at
+// a corrupt record, the segments after it hold records that are not
+// part of the recovered state. Recovery's compaction snapshot deletes
+// them, so a later restart never replays them behind new writes.
+func TestRestartCorruptSegmentDropsLaterSegments(t *testing.T) {
+	dir := t.TempDir()
+	e := openDurable(t, dir, -1)
+	c := e.Connect()
+	createOrFail(t, c, "/a", []byte("1"), 0) // zxid 1
+	createOrFail(t, c, "/b", []byte("2"), 0) // zxid 2
+	c.Kill()
+	e.Close()
+	// A later segment, as a previous incarnation would have rolled to.
+	ps, err := persist.Open(dir, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Roll(3); err != nil {
+		t.Fatal(err)
+	}
+	op, err := validateOp(newTree(), CreateOp("/stale", []byte("s"), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Append(3, encodeOp(nil, op)); err != nil {
+		t.Fatal(err)
+	}
+	ps.Close()
+	// Corrupt /b's record, the last of the first segment: replay stops
+	// there and never reads the later segment.
+	first := filepath.Join(dir, "wal-0000000000000001.log")
+	data, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF
+	if err := os.WriteFile(first, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := openDurable(t, dir, -1)
+	c2 := e2.Connect()
+	createOrFail(t, c2, "/c", []byte("3"), 0)
+	c2.Kill()
+	e2.Close()
+
+	e3 := openDurable(t, dir, -1)
+	defer e3.Close()
+	c3 := e3.Connect()
+	defer c3.Close()
+	for path, want := range map[string]bool{"/a": true, "/b": false, "/c": true, "/stale": false} {
+		if ok, _, _ := c3.Exists(path); ok != want {
+			t.Fatalf("%s exists = %v after the second restart, want %v", path, ok, want)
+		}
 	}
 }

@@ -42,8 +42,8 @@ type znode struct {
 	ephemeralOwner int64
 	seqCounter     uint64
 	children       map[string]*znode
-	// index orders the keys of children, so listings and snapshots
-	// read names in order without sorting them.
+	// index orders children by name, so listings and snapshots read
+	// them in order without sorting.
 	index childIndex
 }
 
@@ -133,9 +133,10 @@ func (t *tree) lookup(path string) (*znode, error) {
 // addChild links child under z by its name, replacing any child of
 // that name.
 func (z *znode) addChild(child *znode) {
-	if _, ok := z.children[child.name]; !ok {
-		z.index.insert(child.name)
+	if _, ok := z.children[child.name]; ok {
+		z.index.remove(child.name)
 	}
+	z.index.insert(child)
 	z.children[child.name] = child
 }
 
