@@ -16,6 +16,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/queue"
+	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/txn"
 	"repro/tropic/trerr"
@@ -69,8 +70,9 @@ type Config struct {
 	BatchMaxDelay time.Duration
 	// XShard wires the controller into the cross-shard transaction
 	// layer: as coordinator for parents whose plan names this shard
-	// first, and as participant for child prepares. Nil (the default,
-	// and always on unsharded platforms) rejects cross-shard work.
+	// first, and as participant for child prepares. Nil selects a
+	// one-shard map over Ensemble: no peer exists, so a parent naming
+	// another shard fails its prepare and aborts.
 	XShard *XShardConfig
 	// Registry receives the controller's exported instruments (event
 	// rounds, flush latency, per-stage counters, 2PC phase timings). Nil
@@ -327,9 +329,17 @@ func New(cfg Config) (*Controller, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	shard := cfg.Shard
-	if shard == "" {
-		shard = "0"
+	label := cfg.Shard
+	if label == "" {
+		label = "0"
+	}
+	if cfg.XShard == nil {
+		// The one-shard map: this ensemble is shard 0 and no peer
+		// answers (Connect opens nothing).
+		cfg.XShard = &XShardConfig{
+			Router:  shard.NewRouter(shard.NewMap(1)),
+			Connect: func(int) *store.Client { return nil },
+		}
 	}
 	c := &Controller{
 		cfg:       cfg,
@@ -337,7 +347,7 @@ func New(cfg Config) (*Controller, error) {
 		inputQ:    inputQ,
 		phyQ:      phyQ,
 		cand:      cand,
-		met:       newCtrlInstruments(reg, shard),
+		met:       newCtrlInstruments(reg, label),
 		localWake: make(chan struct{}, 1),
 	}
 	if cfg.Bootstrap != nil {
@@ -1113,13 +1123,11 @@ const (
 // the aggressive policy it continues past deferred transactions so
 // independent work behind them proceeds (§3.1.1).
 func (c *Controller) scheduleWalk(r *round) {
-	if c.xEnabled() {
-		// Deterministic global prepare order: every participant acquires
-		// cross-shard child locks in the same order, so two children of
-		// different parents contending on two shards cannot deadlock by
-		// acquiring in reversed orders (see shard.PrepareLess).
-		c.xOrderChildren()
-	}
+	// Deterministic global prepare order: every participant acquires
+	// cross-shard child locks in the same order, so two children of
+	// different parents contending on two shards cannot deadlock by
+	// acquiring in reversed orders (see shard.PrepareLess).
+	c.xOrderChildren()
 	stalled := false
 	i := 0
 	for i < len(c.todo) {
@@ -1187,7 +1195,7 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 		// shards holding each other's locks in reversed orders would both
 		// sit out the prepare deadline.
 		c.rollbackTimed(t.ID, t.Log)
-		if t.IsChild() && c.xEnabled() {
+		if t.IsChild() {
 			c.xMaybeWound(t, reqs)
 		}
 		t.Log = nil

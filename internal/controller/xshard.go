@@ -55,8 +55,9 @@ import (
 )
 
 // XShardConfig wires a controller into the cross-shard transaction
-// layer. Nil disables it: parents and 2PC messages are then rejected
-// (the PR-4 single-shard-only ablation).
+// layer. Every controller has one: New resolves a nil Config.XShard to
+// the one-shard map over the controller's own ensemble, where a parent
+// naming any other shard fails its prepare and aborts.
 type XShardConfig struct {
 	// Self is this controller's shard index.
 	Self int
@@ -89,10 +90,6 @@ const (
 	XEventDecided     = "decided"
 )
 
-// xEnabled reports whether this controller participates in cross-shard
-// transactions.
-func (c *Controller) xEnabled() bool { return c.cfg.XShard != nil }
-
 // xTimeoutDur returns the resolved prepare deadline.
 func (c *Controller) xTimeoutDur() time.Duration {
 	if c.cfg.XShard.PrepareTimeout > 0 {
@@ -103,7 +100,7 @@ func (c *Controller) xTimeoutDur() time.Duration {
 
 // xHook fires a coordinator protocol event.
 func (c *Controller) xHook(event, parentID string) {
-	if c.cfg.XShard != nil && c.cfg.XShard.Hook != nil {
+	if c.cfg.XShard.Hook != nil {
 		c.cfg.XShard.Hook(event, parentID)
 	}
 }
@@ -122,9 +119,6 @@ type peer struct {
 // loses its cross-shard reach exactly like its local one.
 func (c *Controller) xPeer(i int) (*peer, error) {
 	x := c.cfg.XShard
-	if x == nil {
-		return nil, errors.New("controller: cross-shard transactions not configured")
-	}
 	c.xmu.Lock()
 	defer c.xmu.Unlock()
 	if c.killed.Load() {
@@ -290,21 +284,6 @@ func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat,
 		return err
 	}
 	r.staged[msg.TxnPath] = true
-	if !c.xEnabled() {
-		// A parent record on a platform without the cross-shard layer can
-		// never execute; abort it instead of wedging the queue head.
-		c.cfg.Logf("controller %s: parent %s without cross-shard config, aborting", c.cfg.Name, rec.ID)
-		rec.Error = "platform is not configured for cross-shard transactions"
-		rec.Code = string(trerr.XShardPrepareFailed)
-		if err := rec.Transition(txn.StateAborted); err != nil {
-			return err
-		}
-		r.stage([]store.Op{
-			c.inputQ.RemoveOp(itemPath),
-			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
-		}, nil, nil)
-		return nil
-	}
 	ops := []store.Op{
 		c.inputQ.RemoveOp(itemPath),
 		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
@@ -377,7 +356,7 @@ func (c *Controller) xBuildChild(parent *txn.Txn, k int) *txn.Txn {
 		State:        txn.StateInitialized,
 		SubmittedAt:  parent.SubmittedAt,
 		History:      []txn.StateStamp{{State: txn.StateInitialized, At: time.Now()}},
-		Parent:       shard.FormatID(c.cfg.XShard.Self, parent.ID),
+		Parent:       c.cfg.XShard.Router.QualifyID(c.cfg.XShard.Self, parent.ID),
 		Participants: participants,
 	}
 }
@@ -675,7 +654,7 @@ func (c *Controller) xSendDecide(rec *txn.Txn, k int) {
 // child.
 func (c *Controller) xWatchDecision(t *txn.Txn) {
 	x := c.cfg.XShard
-	coord, parentLocal, ok := shard.ParseID(t.Parent, x.Router.Shards())
+	coord, parentLocal, ok := x.Router.ResolveID(t.Parent)
 	if !ok || coord == x.Self {
 		return // local children get their decision delivered in memory
 	}
@@ -1090,19 +1069,25 @@ func (c *Controller) xAdvanceParent(rec *txn.Txn, changed, deadline bool, persis
 // xSyncLedger refreshes a parent's ledger by reading child records
 // directly from their shards, covering votes and outcomes whose notices
 // were lost in transit. Read failures leave entries untouched — the
-// message path and the next deadline remain as backstops.
+// message path and the next deadline remain as backstops. A child on a
+// shard outside the map (only a hand-written parent names one) has no
+// record anywhere, like a child whose prepare send was lost.
 func (c *Controller) xSyncLedger(rec *txn.Txn) (changed bool) {
+	shards := c.cfg.XShard.Router.Shards()
 	for k := range rec.Children {
 		ref := &rec.Children[k]
 		if ref.State.Terminal() {
 			continue
 		}
-		pr, err := c.xPeer(ref.Shard)
-		if err != nil {
-			continue
+		var data []byte
+		var err error = store.ErrNoNode
+		if ref.Shard >= 0 && ref.Shard < shards {
+			pr, perr := c.xPeer(ref.Shard)
+			if perr != nil {
+				continue
+			}
+			data, _, err = pr.cli.Get(proto.TxnsPath + "/" + ref.ID)
 		}
-		cli := pr.cli
-		data, _, err := cli.Get(proto.TxnsPath + "/" + ref.ID)
 		if err != nil {
 			if errors.Is(err, store.ErrNoNode) && ref.State == "" &&
 				rec.State == txn.StateDeciding && rec.Decision == txn.DecisionAbort {
@@ -1146,7 +1131,7 @@ func (c *Controller) xSyncLedger(rec *txn.Txn) (changed bool) {
 // and roll back here — only physical execution is elsewhere.
 func (c *Controller) xMarkForeign(t *txn.Txn) {
 	x := c.cfg.XShard
-	if x == nil || !t.IsChild() {
+	if !t.IsChild() {
 		return
 	}
 	coordinator := x.Self
@@ -1166,14 +1151,9 @@ func (c *Controller) xMarkForeign(t *txn.Txn) {
 
 // xParentOf locates child t's parent: the coordinator shard, the
 // parent record's path there, and t's index in its ledger. ok=false
-// when this controller has no cross-shard layer or t's ids do not
-// parse.
+// when t's ids do not parse.
 func (c *Controller) xParentOf(t *txn.Txn) (coord int, parentPath string, k int, ok bool) {
-	x := c.cfg.XShard
-	if x == nil {
-		return 0, "", 0, false
-	}
-	coord, parentLocal, ok := shard.ParseID(t.Parent, x.Router.Shards())
+	coord, parentLocal, ok := c.cfg.XShard.Router.ResolveID(t.Parent)
 	if !ok {
 		return 0, "", 0, false
 	}
@@ -1211,9 +1191,7 @@ func xReportMsg(kind proto.MsgKind, t *txn.Txn, parentPath string, k int) proto.
 func (c *Controller) xSendReport(kind proto.MsgKind, t *txn.Txn) {
 	coord, parentPath, k, ok := c.xParentOf(t)
 	if !ok {
-		if c.xEnabled() {
-			c.cfg.Logf("controller %s: child %s has malformed ids (parent %q)", c.cfg.Name, t.ID, t.Parent)
-		}
+		c.cfg.Logf("controller %s: child %s has malformed ids (parent %q)", c.cfg.Name, t.ID, t.Parent)
 		return
 	}
 	msg := xReportMsg(kind, t, parentPath, k)
@@ -1471,13 +1449,8 @@ func (c *Controller) xAbortPrepared(t *txn.Txn, errStr, code string) error {
 // roll it back; an undecided parent gets the vote re-sent and keeps the
 // child prepared, locks held, until the coordinator decides.
 func (c *Controller) xResolveInDoubt(t *txn.Txn) {
-	x := c.cfg.XShard
-	if x == nil {
-		c.cfg.Logf("controller %s: prepared child %s without cross-shard config", c.cfg.Name, t.ID)
-		return
-	}
 	c.met.xInDoubt.Inc()
-	coord, parentLocal, ok := shard.ParseID(t.Parent, x.Router.Shards())
+	coord, parentLocal, ok := c.cfg.XShard.Router.ResolveID(t.Parent)
 	if !ok {
 		c.cfg.Logf("controller %s: child %s has malformed parent id %q", c.cfg.Name, t.ID, t.Parent)
 		return
@@ -1555,10 +1528,6 @@ func (c *Controller) xResolveInDoubt(t *txn.Txn) {
 // Failures are logged, never fatal to recovery — the armed deadline
 // retries everything.
 func (c *Controller) xRecoverParent(rec *txn.Txn) {
-	if !c.xEnabled() {
-		c.cfg.Logf("controller %s: parent %s without cross-shard config", c.cfg.Name, rec.ID)
-		return
-	}
 	path := c.txnPath(rec.ID)
 	if rec.State == txn.StateInitialized {
 		// The old leader consumed (or never saw) the submit notice; a
@@ -1607,15 +1576,24 @@ func (c *Controller) xRecoverParent(rec *txn.Txn) {
 // B prepares t2 then t1, both stuck until the prepare deadline — simply
 // not arise between transactions that are both still waiting; wound-wait
 // (xMaybeWound) covers the races that slip through interleaved rounds.
+//
+// It runs on every scheduling round, so it allocates only when there
+// are children to sort.
 func (c *Controller) xOrderChildren() {
-	idx := make([]int, 0, len(c.todo))
+	n := 0
+	for _, t := range c.todo {
+		if t.IsChild() {
+			n++
+		}
+	}
+	if n < 2 {
+		return
+	}
+	idx := make([]int, 0, n)
 	for i, t := range c.todo {
 		if t.IsChild() {
 			idx = append(idx, i)
 		}
-	}
-	if len(idx) < 2 {
-		return
 	}
 	kids := make([]*txn.Txn, len(idx))
 	for j, i := range idx {
@@ -1666,8 +1644,7 @@ func (c *Controller) xMaybeWound(t *txn.Txn, reqs []lock.Request) {
 // best-effort — a lost wound costs the prepare-deadline window, never
 // correctness.
 func (c *Controller) xWound(victim *txn.Txn) {
-	x := c.cfg.XShard
-	coord, parentLocal, ok := shard.ParseID(victim.Parent, x.Router.Shards())
+	coord, parentLocal, ok := c.cfg.XShard.Router.ResolveID(victim.Parent)
 	if !ok {
 		return
 	}
@@ -1786,20 +1763,12 @@ func (c *Controller) xRestartPrepared(t *txn.Txn, epoch int) error {
 // failures err toward keeping the record — the next checkpoint retries.
 func (c *Controller) gcReapable(rec *txn.Txn) bool {
 	if rec.IsParent() {
-		if !c.xEnabled() {
-			// The unconfigured-platform abort path leaves an empty ledger.
-			return true
-		}
 		return xAllTerminal(rec)
 	}
 	if !rec.IsChild() {
 		return true
 	}
-	x := c.cfg.XShard
-	if x == nil {
-		return true
-	}
-	coord, parentLocal, ok := shard.ParseID(rec.Parent, x.Router.Shards())
+	coord, parentLocal, ok := c.cfg.XShard.Router.ResolveID(rec.Parent)
 	if !ok {
 		return true
 	}

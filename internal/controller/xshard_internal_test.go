@@ -1,12 +1,14 @@
 package controller
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/lock"
 	"repro/internal/proto"
+	"repro/internal/queue"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/txn"
@@ -302,5 +304,108 @@ func TestXPeerBatcherFollowsBatchMaxOps(t *testing.T) {
 		}
 		c.Close()
 		ens.Close()
+	}
+}
+
+// TestOneShardParentNamingPeerAborts: a controller built without an
+// XShard config runs on the one-shard map. A hand-written parent there
+// that names shard 1 — which no map of one shard has — fails its
+// prepare to that shard, aborts at the prepare deadline along with its
+// coordinator-local child, and leaves no lock held.
+func TestOneShardParentNamingPeerAborts(t *testing.T) {
+	ens := store.NewEnsemble(store.Config{Replicas: 1, SessionTimeout: 200 * time.Millisecond})
+	c, err := New(Config{
+		Name:       "solo",
+		Ensemble:   ens,
+		Schema:     ctxSchema(),
+		Bootstrap:  ctxTree(),
+		Procedures: map[string]Procedure{"put": func(cx *Ctx) error { return cx.Do(cx.Arg(0), "put", cx.Arg(1)) }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := c.cfg.XShard
+	if x == nil || x.Self != 0 || x.Router.Shards() != 1 {
+		t.Fatalf("resolved XShard = %+v, want shard 0 of a one-shard map", x)
+	}
+	x.PrepareTimeout = 100 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = c.Run(ctx) }()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+		c.Close()
+		ens.Close()
+	})
+
+	const parent = "t-x1c00000001"
+	rec := &txn.Txn{
+		Proc: "put", Args: []string{"/b1", "apple"}, State: txn.StateInitialized, SubmittedAt: time.Now(),
+		Children: []txn.ChildRef{
+			{ID: shard.ChildID(parent, 0), Shard: 0},
+			{ID: shard.ChildID(parent, 1), Shard: 1},
+		},
+	}
+	cli := ens.Connect()
+	defer cli.Close()
+	path := proto.TxnsPath + "/" + parent
+	if err := cli.Multi(
+		store.CreateOp(path, rec.Encode(), 0),
+		store.CreateOp(proto.InputQPath+"/"+queue.ItemPrefix,
+			proto.InputMsg{Kind: proto.KindSubmit, TxnPath: path}.Encode(), store.FlagSequence),
+	); err != nil {
+		t.Fatal(err)
+	}
+	final := func(p string) *txn.Txn {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if data, _, err := cli.Get(p); err == nil {
+				r, err := txn.Decode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.State.Terminal() {
+					return r
+				}
+			}
+			if time.Now().After(deadline) {
+				data, _, err := cli.Get(p)
+				r, _ := txn.Decode(data)
+				t.Fatalf("%s never reached a terminal state: %+v %v", p, r, err)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	if got := final(path); got.State != txn.StateAborted {
+		t.Fatalf("parent ended %s (%s), want aborted", got.State, got.Error)
+	}
+	if kid := final(proto.TxnsPath + "/" + shard.ChildID(parent, 0)); kid.State != txn.StateAborted {
+		t.Fatalf("coordinator-local child ended %s, want aborted", kid.State)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.LockManager().LockCount() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d locks still held after the abort", c.LockManager().LockCount())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n, _ := c.LogicalTree().Get("/b1"); n.GetString("item") != "pear" {
+		t.Fatalf("/b1 holds %q after the abort, want the rolled-back pear", n.GetString("item"))
+	}
+}
+
+// TestXOrderChildrenAllocs: the prepare-order pass runs on every
+// scheduling round of every controller, so over a todo queue without
+// two children to sort it allocates nothing.
+func TestXOrderChildrenAllocs(t *testing.T) {
+	c := newXController(t)
+	for i := 0; i < 16; i++ {
+		c.todo = append(c.todo, &txn.Txn{ID: fmt.Sprintf("t-s1c%08d", i)})
+	}
+	c.todo = append(c.todo, &txn.Txn{ID: "s0-t-x1c00000001.c0", Parent: "s0-t-x1c00000001"})
+	if n := testing.AllocsPerRun(100, c.xOrderChildren); n != 0 {
+		t.Fatalf("xOrderChildren over a child-free todo: %v allocs, want 0", n)
 	}
 }

@@ -269,14 +269,29 @@ func (h *BucketHistogram) Sum() float64 { return math.Float64frombits(h.sumBits.
 
 // --- Text rendering ---------------------------------------------------
 
+// The exposition format's escapes, built once: HELP text escapes
+// backslash and newline, label values also the double quote.
+var (
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+)
+
 // escapeHelp escapes a HELP line per the exposition format.
 func escapeHelp(s string) string {
-	return strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(s)
+	if !strings.ContainsAny(s, "\\\n") {
+		return s
+	}
+	return helpEscaper.Replace(s)
 }
 
-// escapeLabel escapes a label value per the exposition format.
+// escapeLabel escapes a label value per the exposition format. Label
+// values are shard indexes, stage and queue names: nearly all need no
+// escape and are returned as they are.
 func escapeLabel(s string) string {
-	return strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(s)
+	if !strings.ContainsAny(s, "\\\"\n") {
+		return s
+	}
+	return labelEscaper.Replace(s)
 }
 
 // formatValue renders a sample value ('g' keeps integers undecorated).

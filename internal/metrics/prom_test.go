@@ -199,3 +199,26 @@ func TestHistogramExactBelowCap(t *testing.T) {
 		t.Errorf("exact p99 = %v, want 5", got)
 	}
 }
+
+// TestEscapeLabelAllocs: escaping renders as before, and a label that
+// needs no escape (every label the platform emits) is returned without
+// allocating; the per-call replacer used to allocate on every call.
+func TestEscapeLabelAllocs(t *testing.T) {
+	for in, want := range map[string]string{
+		"0":         "0",
+		"inputq":    "inputq",
+		`a\b`:       `a\\b`,
+		`say "hi"`:  `say \"hi\"`,
+		"two\nline": `two\nline`,
+	} {
+		if got := escapeLabel(in); got != want {
+			t.Errorf("escapeLabel(%q) = %q, want %q", in, got, want)
+		}
+	}
+	if got, want := escapeHelp("a\\b\nc \"q\""), `a\\b\nc "q"`; got != want {
+		t.Errorf("escapeHelp = %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = escapeLabel("inputq") }); n != 0 {
+		t.Fatalf("escapeLabel of a plain label: %v allocs, want 0", n)
+	}
+}

@@ -17,7 +17,6 @@ package shard
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 )
@@ -106,9 +105,12 @@ func (m *Map) Shard(key string) int {
 // ids and cursors embed shard indexes, so routing must be a pure
 // function of the key.
 func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return fmix64(h.Sum64())
+	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211 // FNV-1a 64 prime
+	}
+	return fmix64(h)
 }
 
 // fmix64 is MurmurHash3's 64-bit finalizer.

@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -27,9 +27,6 @@ type Split struct {
 	// Shards[0] is the coordinator: the durable parent record (and the
 	// 2PC decision) live on it.
 	Shards []int
-	// Roots maps each participating shard to the resource roots it owns
-	// among the submission's path arguments, in first-appearance order.
-	Roots map[int][]string
 }
 
 // CrossShard reports whether the plan spans more than one shard.
@@ -71,37 +68,51 @@ func (s Split) CoordinatorFor(proc string, args []string) int {
 
 // Split derives the plan of a submission from its path-shaped
 // arguments: every argument with a leading '/' contributes its resource
-// root, and each distinct root is assigned to the shard owning it. A
-// submission with no path arguments routes by its procedure name,
-// exactly like Router.Route, so repeated invocations land on one
-// deterministic shard.
+// root, and each distinct root adds the shard owning it. A submission
+// with no path arguments routes by its procedure name, exactly like
+// Router.Route, so repeated invocations land on one deterministic
+// shard. Every submission goes through it, so it allocates only the
+// participant list: submissions carry a handful of arguments, and a
+// linear scan dedupes them.
 func (p *Planner) Split(proc string, args []string) Split {
-	roots := make(map[int][]string)
-	seen := make(map[string]bool)
-	var shards []int
-	add := func(key string) {
-		s := p.m.Shard(key)
-		if len(roots[s]) == 0 {
-			shards = append(shards, s)
-		}
-		roots[s] = append(roots[s], key)
-	}
-	for _, a := range args {
+	shards := make([]int, 0, 2) // most plans span one shard or two
+	for i, a := range args {
 		if len(a) == 0 || a[0] != '/' {
 			continue
 		}
 		root := RootOf(a)
-		if seen[root] {
+		if rootSeen(args[:i], root) {
 			continue
 		}
-		seen[root] = true
-		add(root)
+		shards = addShard(shards, p.m.Shard(root))
 	}
 	if len(shards) == 0 {
-		add(proc)
+		shards = addShard(shards, p.m.Shard(proc))
 	}
-	sort.Ints(shards)
-	return Split{Shards: shards, Roots: roots}
+	return Split{Shards: shards}
+}
+
+// rootSeen reports whether one of the path arguments in args has the
+// resource root root.
+func rootSeen(args []string, root string) bool {
+	for _, a := range args {
+		if len(a) != 0 && a[0] == '/' && RootOf(a) == root {
+			return true
+		}
+	}
+	return false
+}
+
+// addShard inserts s into the ascending set shards.
+func addShard(shards []int, s int) []int {
+	i := 0
+	for i < len(shards) && shards[i] < s {
+		i++
+	}
+	if i < len(shards) && shards[i] == s {
+		return shards
+	}
+	return slices.Insert(shards, i, s)
 }
 
 // ParentLocalPrefix prefixes the client-generated local id of every

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/tropic/trerr"
@@ -156,9 +158,10 @@ func TestRouteAgreesWithSplit(t *testing.T) {
 	}
 }
 
-// TestSplitPartition: Split assigns every distinct resource root to
-// exactly the shard the map owns it by, participants are ascending with
-// no duplicates, and the coordinator is the lowest.
+// TestSplitPartition: Split's participants are exactly the sorted set
+// of the shards owning the submission's distinct resource roots (the
+// procedure name's owner for a path-free submission), and the
+// coordinator is the lowest.
 func TestSplitPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for i := 0; i < 1000; i++ {
@@ -167,46 +170,53 @@ func TestSplitPartition(t *testing.T) {
 		p := NewPlanner(m)
 		args := randomPaths(rng)
 		split := p.Split("proc", args)
-		for j := 1; j < len(split.Shards); j++ {
-			if split.Shards[j] <= split.Shards[j-1] {
-				t.Fatalf("participants %v not strictly ascending", split.Shards)
+		owners := make(map[int]bool)
+		for _, a := range args {
+			if len(a) != 0 && a[0] == '/' {
+				owners[m.Shard(RootOf(a))] = true
 			}
+		}
+		if len(owners) == 0 {
+			owners[m.Shard("proc")] = true
+		}
+		want := make([]int, 0, len(owners))
+		for s := range owners {
+			want = append(want, s)
+		}
+		sort.Ints(want)
+		if !slices.Equal(split.Shards, want) {
+			t.Fatalf("Split(%v).Shards = %v, want the owners %v", args, split.Shards, want)
 		}
 		if split.Coordinator() != split.Shards[0] {
 			t.Fatalf("coordinator %d != lowest participant %d", split.Coordinator(), split.Shards[0])
 		}
-		seen := make(map[string]bool)
-		for _, a := range args {
-			if len(a) == 0 || a[0] != '/' {
-				continue
-			}
-			root := RootOf(a)
-			if seen[root] {
-				continue
-			}
-			seen[root] = true
-			owner := m.Shard(root)
-			found := false
-			for _, r := range split.Roots[owner] {
-				if r == root {
-					found = true
+	}
+}
+
+// BenchmarkPlannerSplit times one spawnVM-shaped Split, the call every
+// submission makes: a storage host and a compute host path plus two
+// plain arguments. At one shard it allocates only the participant list.
+func BenchmarkPlannerSplit(b *testing.B) {
+	args := []string{"/storageRoot/storageHost0000", "/vmRoot/vmHost00000", "vm1", "1024"}
+	for _, shards := range []int{1, 2} {
+		p := NewPlanner(NewMap(shards))
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s := p.Split("spawnVM", args); len(s.Shards) == 0 {
+					b.Fatal("empty plan")
 				}
 			}
-			if !found {
-				t.Fatalf("root %q (owner %d) missing from Roots[%d] = %v", root, owner, owner, split.Roots[owner])
-			}
-		}
-		total := 0
-		for _, roots := range split.Roots {
-			total += len(roots)
-		}
-		if len(seen) == 0 {
-			// Path-free submissions: one pseudo-root (the proc name).
-			if total != 1 {
-				t.Fatalf("path-free split has %d roots, want 1", total)
-			}
-		} else if total != len(seen) {
-			t.Fatalf("split holds %d roots, want %d distinct", total, len(seen))
-		}
+		})
+	}
+}
+
+// TestPlannerSplitAllocs pins BenchmarkPlannerSplit's one-shard figure:
+// a single-shard submission pays one allocation for its plan.
+func TestPlannerSplitAllocs(t *testing.T) {
+	args := []string{"/storageRoot/storageHost0000", "/vmRoot/vmHost00000", "vm1", "1024"}
+	p := NewPlanner(NewMap(1))
+	if n := testing.AllocsPerRun(100, func() { p.Split("spawnVM", args) }); n > 1 {
+		t.Fatalf("one-shard Split: %v allocs/op, want ≤ 1", n)
 	}
 }

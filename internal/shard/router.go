@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -9,8 +11,16 @@ import (
 
 // Router makes the platform's routing decisions over a Map: which
 // shard owns a submission (from its path-shaped arguments), which owns
-// a reconciliation target, and how shard-qualified transaction ids are
-// formatted and parsed.
+// a reconciliation target, and how the platform names what each shard
+// holds — transaction ids, List cursors, data directories and
+// component names.
+//
+// A one-shard map is the paper's deployment. Its names stay
+// unqualified — ids and cursors carry no shard prefix, the store writes
+// at the data directory itself, components have their plain names — so
+// the data directories, ids and cursors of one-shard deployments stay
+// valid. Those rules live only here, so a platform of N ≥ 1 shards runs
+// one code path.
 type Router struct {
 	m *Map
 }
@@ -93,4 +103,76 @@ func ParseID(id string, shards int) (shard int, local string, ok bool) {
 		return 0, "", false
 	}
 	return n, rest[dash+1:], true
+}
+
+// QualifyID makes shard s's local id platform-unique: FormatID's
+// "s<shard>-" form on a map of several shards, the local id itself on a
+// one-shard map.
+func (r *Router) QualifyID(s int, local string) string {
+	if r.m.shards == 1 {
+		return local
+	}
+	return FormatID(s, local)
+}
+
+// ResolveID inverts QualifyID: the shard owning a platform id and the
+// id local to it. ok is false for an id of a multi-shard map without a
+// well-formed "s<shard>-" prefix (see ParseID); on a one-shard map
+// every id is local to shard 0.
+func (r *Router) ResolveID(id string) (s int, local string, ok bool) {
+	if r.m.shards == 1 {
+		return 0, id, true
+	}
+	return ParseID(id, r.m.shards)
+}
+
+// FormatCursor encodes a List position: after the local id local of
+// shard s ("s<shard>:<local>" on a map of several shards, where the
+// walk goes shard by shard; the local id itself on a one-shard map).
+// The format is opaque to callers: cursors round-trip.
+func (r *Router) FormatCursor(s int, local string) string {
+	if r.m.shards == 1 {
+		return local
+	}
+	return idPrefix + strconv.Itoa(s) + ":" + local
+}
+
+// ParseCursor inverts FormatCursor. ok is false for a malformed cursor
+// or one naming a shard outside the map.
+func (r *Router) ParseCursor(cursor string) (s int, local string, ok bool) {
+	if r.m.shards == 1 {
+		return 0, cursor, true
+	}
+	rest, found := strings.CutPrefix(cursor, idPrefix)
+	if !found {
+		return 0, "", false
+	}
+	digits, local, found := strings.Cut(rest, ":")
+	if !found || digits == "" {
+		return 0, "", false
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil || n < 0 || n >= r.m.shards {
+		return 0, "", false
+	}
+	return n, local, true
+}
+
+// Dir is shard i's durable-store directory under base: base itself on a
+// one-shard map, base/shard-NN otherwise. An empty base (an in-memory
+// store) stays empty.
+func (r *Router) Dir(base string, i int) string {
+	if base == "" || r.m.shards == 1 {
+		return base
+	}
+	return filepath.Join(base, fmt.Sprintf("shard-%02d", i))
+}
+
+// NamePrefix prefixes the names of shard i's components ("s1-ctrl-0"),
+// so logs attribute cleanly; empty on a one-shard map.
+func (r *Router) NamePrefix(i int) string {
+	if r.m.shards == 1 {
+		return ""
+	}
+	return idPrefix + strconv.Itoa(i) + "-"
 }

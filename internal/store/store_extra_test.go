@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/tropic/trerr"
 )
 
 func TestWatchCreateBeforeNodeExists(t *testing.T) {
@@ -356,5 +358,26 @@ func TestVersionCASLoop(t *testing.T) {
 	fmt.Sscanf(string(data), "%d", &v)
 	if v != writers*per {
 		t.Fatalf("n = %d, want %d", v, writers*per)
+	}
+}
+
+// TestLookupMissError: a miss matches ErrNoNode and its trerr code,
+// reads exactly as the formatted "%w: %s" error did, and costs at most
+// one allocation (the formatted error took several).
+func TestLookupMissError(t *testing.T) {
+	tr := newTree()
+	const path = "/txns/t-s5c00000001"
+	_, err := tr.lookup(path)
+	if !errors.Is(err, ErrNoNode) {
+		t.Fatalf("lookup miss = %v, want ErrNoNode", err)
+	}
+	if got, want := err.Error(), fmt.Errorf("%w: %s", ErrNoNode, path).Error(); got != want {
+		t.Fatalf("message %q, want %q", got, want)
+	}
+	if code := trerr.CodeOf(err); code != trerr.StoreNoNode {
+		t.Fatalf("code %q, want %q", code, trerr.StoreNoNode)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = tr.lookup(path) }); n > 1 {
+		t.Fatalf("lookup miss: %v allocs, want ≤ 1", n)
 	}
 }

@@ -123,12 +123,22 @@ func (t *tree) lookup(path string) (*znode, error) {
 		name, rest, _ = strings.Cut(rest, "/")
 		child, ok := n.children[name]
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoNode, path)
+			return nil, &noNodeError{path: path}
 		}
 		n = child
 	}
 	return n, nil
 }
+
+// noNodeError reports a missing znode: it matches ErrNoNode under
+// errors.Is and reads "<ErrNoNode>: <path>". Reads miss often (the
+// read path probes records, existence checks expect misses), so the
+// message is built only when Error is called.
+type noNodeError struct{ path string }
+
+func (e *noNodeError) Error() string { return ErrNoNode.Error() + ": " + e.path }
+
+func (e *noNodeError) Unwrap() error { return ErrNoNode }
 
 // addChild links child under z by its name, replacing any child of
 // that name.

@@ -6,12 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/proto"
-	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/txn"
 	"repro/tropic/trerr"
@@ -95,29 +92,66 @@ const (
 // at most listScanCap records are examined, so a filter that matches
 // nothing costs O(scan cap), not O(all records).
 //
-// On a sharded platform, listing walks the shards in index order:
-// all of shard 0's matching records (ascending local id), then shard
-// 1's, and so on. Cursors encode the shard being walked plus its local
-// cursor ("s<shard>:<local>"), so one iteration covers every shard
-// exactly once; ordering is per-shard, not global submission order.
+// On a platform of several shards, listing walks the shards in index
+// order: all of shard 0's matching records (ascending local id), then
+// shard 1's, and so on. Cursors encode the shard being walked plus its
+// local cursor ("s<shard>:<local>"), so one iteration covers every
+// shard exactly once; ordering is per-shard, not global submission
+// order. On one shard a cursor is the last id a page examined.
 func (c *Client) List(opts ListOptions) (*TxnPage, error) {
 	page, _, err := c.ListAt(opts, -1)
 	return page, err
 }
 
 // ListAt is List with an explicit zxid watermark (see GetAt; minZxid <
-// 0 substitutes the serving shard's own client watermark). The child
+// 0 substitutes the serving shard's own client watermark). Each page is
+// served from one shard, and its cursor names the next position: within
+// the same shard while it has more records, then the start of the next
+// shard. The returned zxid is the highest position any read was served
+// at.
+func (c *Client) ListAt(opts ListOptions, minZxid int64) (*TxnPage, int64, error) {
+	s, local := 0, ""
+	if opts.Cursor != "" {
+		var ok bool
+		if s, local, ok = c.router.ParseCursor(opts.Cursor); !ok {
+			return nil, 0, trerr.Newf(trerr.APIBadRequest,
+				"tropic: list: malformed cursor %q", opts.Cursor).With("cursor", opts.Cursor)
+		}
+	}
+	page, z, err := c.subs[s].listAt(opts, local, minZxid)
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, rec := range page.Txns {
+		if rec.IsChild() {
+			// A cross-shard child's record node name IS its full id
+			// (embedding its parent's shard prefix); re-qualifying it with
+			// the hosting shard would mangle it.
+			continue
+		}
+		rec.ID = c.router.QualifyID(s, rec.ID)
+	}
+	switch {
+	case page.NextCursor != "":
+		page.NextCursor = c.router.FormatCursor(s, page.NextCursor)
+	case s+1 < len(c.subs):
+		// This shard is exhausted; resume at the next one. The page may
+		// be short (even empty) with a cursor still set — the documented
+		// TxnPage contract.
+		page.NextCursor = c.router.FormatCursor(s+1, "")
+	}
+	return page, z, nil
+}
+
+// listAt serves one page of this shard's records after the local id
+// cursor, naming records and the next cursor by local id. The child
 // listing and every record read go through the shard's read path; the
 // listing reads the ids after the cursor in batches, each an
 // O(log n + batch) seek, so a page costs the same however many records
-// the store holds. The returned zxid is the highest position any read
-// was served at.
-func (c *Client) ListAt(opts ListOptions, minZxid int64) (*TxnPage, int64, error) {
-	if c.sharded() {
-		return c.listSharded(opts, minZxid)
-	}
+// the store holds.
+func (sc *shardClient) listAt(opts ListOptions, cursor string, minZxid int64) (*TxnPage, int64, error) {
 	if minZxid < 0 {
-		minZxid = c.cli.LastWriteZxid()
+		minZxid = sc.cli.LastWriteZxid()
 	}
 	limit := opts.Limit
 	if limit <= 0 {
@@ -129,12 +163,12 @@ func (c *Client) ListAt(opts ListOptions, minZxid int64) (*TxnPage, int64, error
 	page := &TxnPage{}
 	var maxZ int64
 	scanned := 0
-	lastExamined := opts.Cursor
+	lastExamined := cursor
 	// Read the ids after the cursor one batch at a time, each batch a
 	// seek of the store's ordered child index. A batch of limit+1 fills
 	// an unfiltered page and shows whether a further match exists.
-	for after := opts.Cursor; ; {
-		ids, z, _, err := c.rp.ChildrenPage(proto.TxnsPath, after, limit+1, minZxid)
+	for after := cursor; ; {
+		ids, z, _, err := sc.rp.ChildrenPage(proto.TxnsPath, after, limit+1, minZxid)
 		if err != nil {
 			if errors.Is(err, store.ErrNoNode) {
 				return &TxnPage{}, maxZ, nil // platform not bootstrapped yet: nothing to list
@@ -154,7 +188,7 @@ func (c *Client) ListAt(opts ListOptions, minZxid int64) (*TxnPage, int64, error
 				page.NextCursor = lastExamined
 				return page, maxZ, nil
 			}
-			rec, z, err := c.GetAt(id, minZxid)
+			rec, z, err := sc.getAt(id, id, minZxid)
 			if err != nil {
 				if errors.Is(err, trerr.TxnNotFound) {
 					continue // record GC'd between the listing and Get
@@ -182,68 +216,6 @@ func (c *Client) ListAt(opts ListOptions, minZxid int64) (*TxnPage, int64, error
 	}
 }
 
-// listSharded merges cursor pagination across shards: it serves each
-// page from one shard's sub-client and hands out a composite cursor
-// naming the next position — within the same shard while it has more
-// records, then the start of the next shard.
-func (c *Client) listSharded(opts ListOptions, minZxid int64) (*TxnPage, int64, error) {
-	s, local := 0, ""
-	if opts.Cursor != "" {
-		var ok bool
-		s, local, ok = parseShardCursor(opts.Cursor, len(c.subs))
-		if !ok {
-			return nil, 0, trerr.Newf(trerr.APIBadRequest,
-				"tropic: list: malformed cursor %q", opts.Cursor).With("cursor", opts.Cursor)
-		}
-	}
-	lopts := opts
-	lopts.Cursor = local
-	page, z, err := c.subs[s].ListAt(lopts, minZxid)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, rec := range page.Txns {
-		if rec.IsChild() {
-			// A cross-shard child's record node name IS its full id
-			// (embedding its parent's shard prefix); re-qualifying it with
-			// the hosting shard would mangle it.
-			continue
-		}
-		rec.ID = shard.FormatID(s, rec.ID)
-	}
-	switch {
-	case page.NextCursor != "":
-		page.NextCursor = formatShardCursor(s, page.NextCursor)
-	case s+1 < len(c.subs):
-		// This shard is exhausted; resume at the next one. The page may
-		// be short (even empty) with a cursor still set — the documented
-		// TxnPage contract.
-		page.NextCursor = formatShardCursor(s+1, "")
-	}
-	return page, z, nil
-}
-
-// formatShardCursor and parseShardCursor encode a shard-qualified List
-// position. The format is opaque to callers (cursors round-trip).
-func formatShardCursor(shardIdx int, local string) string {
-	return fmt.Sprintf("s%d:%s", shardIdx, local)
-}
-
-func parseShardCursor(cursor string, shards int) (shardIdx int, local string, ok bool) {
-	if len(cursor) < 2 || cursor[0] != 's' {
-		return 0, "", false
-	}
-	colon := strings.IndexByte(cursor, ':')
-	if colon <= 1 {
-		return 0, "", false
-	}
-	n, err := strconv.Atoi(cursor[1:colon])
-	if err != nil || n < 0 || n >= shards {
-		return 0, "", false
-	}
-	return n, cursor[colon+1:], true
-}
-
 // WatchTxn streams the transaction's state transitions: the current
 // state immediately, then every observed change, ending with the
 // terminal record, after which the channel closes. Transitions faster
@@ -262,35 +234,22 @@ func (c *Client) WatchTxn(ctx context.Context, id string) (<-chan *Txn, error) {
 // terminal record, context cancellation (an SSE client disconnecting),
 // or session expiry.
 func (c *Client) WatchTxnAt(ctx context.Context, id string, minZxid int64) (<-chan *Txn, error) {
-	if c.sharded() {
-		sub, local, qualify, err := c.locate(id)
-		if err != nil {
-			return nil, err
-		}
-		ch, err := sub.WatchTxnAt(ctx, local, minZxid)
-		if err != nil {
-			return nil, err
-		}
-		out := make(chan *Txn, 8)
-		go func() {
-			defer close(out)
-			for rec := range ch {
-				rec.ID = qualify(rec.ID)
-				select {
-				case out <- rec:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		return out, nil
-	}
-	path := proto.TxnsPath + "/" + id
-	mux, err := c.rp.Subscribe(path)
+	sub, local, public, err := c.locate(id)
 	if err != nil {
 		return nil, err
 	}
-	rec, z, err := c.GetAt(id, minZxid)
+	return sub.watchTxnAt(ctx, local, public, minZxid)
+}
+
+// watchTxnAt streams the record of this shard's local id, naming every
+// record it delivers public, so no relay has to rename them.
+func (sc *shardClient) watchTxnAt(ctx context.Context, id, public string, minZxid int64) (<-chan *Txn, error) {
+	path := proto.TxnsPath + "/" + id
+	mux, err := sc.rp.Subscribe(path)
+	if err != nil {
+		return nil, err
+	}
+	rec, z, err := sc.getAt(id, public, minZxid)
 	if err != nil {
 		mux.Close()
 		return nil, err
@@ -323,7 +282,7 @@ func (c *Client) WatchTxnAt(ctx context.Context, id string, minZxid int64) (<-ch
 			// Re-read past the position just served (see WaitAt): a
 			// cached entry at exactly z would satisfy the watermark and
 			// stall the stream on the state the wakeup superseded.
-			data, zz, err := c.readRecord(id, z+1)
+			data, zz, err := sc.readRecord(id, z+1)
 			if err != nil {
 				return
 			}
@@ -337,7 +296,7 @@ func (c *Client) WatchTxnAt(ctx context.Context, id string, minZxid int64) (<-ch
 			if st == last {
 				continue
 			}
-			if rec, err = decodeRecord(id, data); err != nil {
+			if rec, err = decodeRecord(public, data); err != nil {
 				return
 			}
 		}
@@ -481,39 +440,38 @@ func (c *Client) SubmitIdempotent(ctx context.Context, key, proc string, args ..
 	if err := c.ValidateProc(proc); err != nil {
 		return "", false, err
 	}
-	if c.sharded() {
-		// The key lives on the shard the arguments route to, so
-		// resubmissions of the same (key, args) always consult the same
-		// shard's registry. A key reused with different arguments that
-		// route to a DIFFERENT shard cannot be detected as reuse — the
-		// dedup scope is per shard (see docs/sharding.md). A cross-shard
-		// submission's key lives on its COORDINATOR shard (deterministic
-		// for a given key+args), guarding the whole parent.
-		split := c.planner.Split(proc, args)
-		if !split.CrossShard() {
-			s := split.Coordinator()
-			id, deduped, err := c.subs[s].SubmitIdempotent(ctx, key, proc, args...)
-			if err != nil {
-				return "", false, err
-			}
-			return shard.FormatID(s, id), deduped, nil
-		}
+	// The key lives on the shard the arguments route to, so
+	// resubmissions of the same (key, args) always consult the same
+	// shard's registry. A key reused with different arguments that route
+	// to a DIFFERENT shard cannot be detected as reuse — the dedup scope
+	// is per shard (see docs/sharding.md). A cross-shard submission's key
+	// lives on its COORDINATOR shard (deterministic for a given
+	// key+args), guarding the whole parent.
+	split := c.planner.Split(proc, args)
+	if split.CrossShard() {
 		// The recorded id is the (already qualified) parent id, returned
 		// verbatim on dedup.
 		return c.subs[split.CoordinatorFor(proc, args)].submitIdempotentVia(ctx, key, proc, args,
 			func() (string, error) { return c.xSubmit(split, proc, args) })
 	}
-	return c.submitIdempotentVia(ctx, key, proc, args,
-		func() (string, error) { return c.Submit(proc, args...) })
+	// A single-shard key records the shard-local id.
+	s := split.Coordinator()
+	sub := c.subs[s]
+	id, deduped, err := sub.submitIdempotentVia(ctx, key, proc, args,
+		func() (string, error) { return sub.submit(proc, args) })
+	if err != nil {
+		return "", false, err
+	}
+	return c.router.QualifyID(s, id), deduped, nil
 }
 
-// submitIdempotentVia runs the idempotency-key protocol on THIS
-// client's store session, submitting through submitFn — its own Submit
-// for single-shard work, or the sharded parent's xSubmit when a
-// cross-shard submission keys its registry on the coordinator shard.
-// key and proc are already validated.
-func (c *Client) submitIdempotentVia(ctx context.Context, key, proc string, args []string, submitFn func() (string, error)) (string, bool, error) {
-	if err := c.cli.EnsurePath(proto.IdempotencyPath); err != nil {
+// submitIdempotentVia runs the idempotency-key protocol on this shard's
+// store session, submitting through submitFn — the shard's own submit
+// for single-shard work, or the Client's xSubmit when a cross-shard
+// submission keys its registry on the coordinator shard. key and proc
+// are already validated.
+func (sc *shardClient) submitIdempotentVia(ctx context.Context, key, proc string, args []string, submitFn func() (string, error)) (string, bool, error) {
+	if err := sc.cli.EnsurePath(proto.IdempotencyPath); err != nil {
 		return "", false, err
 	}
 	keyPath := proto.IdempotencyPath + "/" + key
@@ -523,16 +481,16 @@ func (c *Client) submitIdempotentVia(ctx context.Context, key, proc string, args
 	if merr != nil {
 		return "", false, fmt.Errorf("tropic: idempotency claim %s: %w", key, merr)
 	}
-	if _, err := c.cli.Create(keyPath, claim, store.FlagEphemeral); err != nil {
+	if _, err := sc.cli.Create(keyPath, claim, store.FlagEphemeral); err != nil {
 		if !errors.Is(err, store.ErrNodeExists) {
 			return "", false, err
 		}
-		return c.awaitIdempotent(ctx, keyPath, key, proc, args, submitFn)
+		return sc.awaitIdempotent(ctx, keyPath, key, proc, args, submitFn)
 	}
 	id, err := submitFn()
 	if err != nil {
 		// Release the claim so a corrected retry can reuse the key.
-		_ = c.cli.Delete(keyPath, -1)
+		_ = sc.cli.Delete(keyPath, -1)
 		return "", false, err
 	}
 	// The resolved mapping keeps a timestamp so the controller's TTL
@@ -545,7 +503,7 @@ func (c *Client) submitIdempotentVia(ctx context.Context, key, proc string, args
 	// Promote the ephemeral claim to a persistent entry atomically;
 	// best-effort — on failure the claim dies with this session and the
 	// key becomes reusable, which can re-execute but never wedges.
-	_ = c.cli.Multi(
+	_ = sc.cli.Multi(
 		store.DeleteOp(keyPath, -1),
 		store.CreateOp(keyPath, entry, 0),
 	)
@@ -557,20 +515,20 @@ func (c *Client) submitIdempotentVia(ctx context.Context, key, proc string, args
 // write. One watch on the key, armed before the first read, serves the
 // whole wait; it is released on every exit (and before a takeover
 // re-submits).
-func (c *Client) awaitIdempotent(ctx context.Context, keyPath, key, proc string, args []string, submitFn func() (string, error)) (string, bool, error) {
-	watch, err := c.cli.NodeWatch(keyPath)
+func (sc *shardClient) awaitIdempotent(ctx context.Context, keyPath, key, proc string, args []string, submitFn func() (string, error)) (string, bool, error) {
+	watch, err := sc.cli.NodeWatch(keyPath)
 	if err != nil {
 		return "", false, err
 	}
 	defer watch.Close()
 	for {
-		data, stat, err := c.cli.Get(keyPath)
+		data, stat, err := sc.cli.Get(keyPath)
 		if err != nil {
 			if errors.Is(err, store.ErrNoNode) {
 				watch.Close()
 				// The winner's submission failed (or its session died)
 				// and the claim is gone; take over.
-				return c.submitIdempotentVia(ctx, key, proc, args, submitFn)
+				return sc.submitIdempotentVia(ctx, key, proc, args, submitFn)
 			}
 			return "", false, err
 		}
@@ -598,10 +556,10 @@ func (c *Client) awaitIdempotent(ctx context.Context, keyPath, key, proc string,
 		// that never expires; a version-checked delete takes it over
 		// without racing the owner's promotion.
 		if !e.ClaimedAt.IsZero() && time.Since(e.ClaimedAt) > staleIdempotencyClaim {
-			derr := c.cli.Delete(keyPath, stat.Version)
+			derr := sc.cli.Delete(keyPath, stat.Version)
 			if derr == nil || errors.Is(derr, store.ErrNoNode) {
 				watch.Close()
-				return c.submitIdempotentVia(ctx, key, proc, args, submitFn)
+				return sc.submitIdempotentVia(ctx, key, proc, args, submitFn)
 			}
 			if errors.Is(derr, store.ErrBadVersion) {
 				continue // the claim just resolved; re-read it

@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,15 +238,17 @@ type Config struct {
 	// per store round trip (default 4 when batching, 1 otherwise).
 	WorkerClaimBatch int
 	// Shards partitions the platform horizontally into this many
-	// independent shards (default 1: the paper's single-ensemble
-	// deployment). Each shard runs its own coordination-store ensemble
-	// (with its own WAL under DataDir/shard-NN when durable), controller
-	// replicas with their own leader election, queue namespaces, and
-	// worker pool; a consistent-hash router assigns every transaction to
-	// the shard owning its resource roots. Transactions spanning shards
-	// run as atomic two-phase-commit transactions, coordinated by one of
-	// their participant shards. See docs/sharding.md and
-	// docs/cross-shard.md.
+	// independent shards, N ≥ 1 (default 1: the paper's single-ensemble
+	// deployment). Each shard runs its own coordination-store ensemble,
+	// controller replicas with their own leader election, queue
+	// namespaces, and worker pool; a consistent-hash router assigns every
+	// transaction to the shard owning its resource roots. Transactions
+	// spanning shards run as atomic two-phase-commit transactions,
+	// coordinated by one of their participant shards. Over several shards
+	// ids carry an "s<shard>-" prefix and each shard's WAL lives under
+	// DataDir/shard-NN; at N = 1 ids, List cursors and the data dir are
+	// unqualified, so a one-shard data dir and the ids clients hold stay
+	// valid. See docs/sharding.md and docs/cross-shard.md.
 	Shards int
 	// ShardExecutors optionally assigns one Executor per shard (length
 	// must equal the resolved shard count). Nil shares Executor across
@@ -313,13 +314,13 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Platform is a running TROPIC deployment: one shard (the paper's
-// deployment) or several independent shards behind a consistent-hash
-// router (Config.Shards).
+// Platform is a running TROPIC deployment: N ≥ 1 independent shards
+// behind a consistent-hash router (Config.Shards). One shard is the
+// paper's deployment: its map has no peer, so no two-phase commit runs.
 type Platform struct {
 	cfg    Config
 	units  []*shardUnit
-	router *shard.Router // nil when Shards == 1
+	router *shard.Router
 
 	// reg is the metrics registry every subsystem exports through;
 	// submitLat and shed are the platform-level series it owns directly.
@@ -428,9 +429,7 @@ func New(cfg Config) (*Platform, error) {
 	if p.reg == nil {
 		p.reg = metrics.NewRegistry()
 	}
-	if cfg.Shards > 1 {
-		p.router = shard.NewRouter(shard.NewMap(cfg.Shards))
-	}
+	p.router = shard.NewRouter(shard.NewMap(cfg.Shards))
 	for i := 0; i < cfg.Shards; i++ {
 		u, err := p.newShardUnit(i)
 		if err != nil {
@@ -536,21 +535,14 @@ func (p *Platform) admitShard(i int) error {
 // newShardUnit assembles one shard's ensemble, controllers, and worker.
 func (p *Platform) newShardUnit(i int) (*shardUnit, error) {
 	cfg := p.cfg
-	dataDir := cfg.DataDir
-	namePrefix := ""
-	if cfg.Shards > 1 {
-		// Each shard gets its own WAL/snapshot directory and its own
-		// component names, so logs and on-disk state attribute cleanly.
-		if dataDir != "" {
-			dataDir = filepath.Join(dataDir, fmt.Sprintf("shard-%02d", i))
-		}
-		namePrefix = fmt.Sprintf("s%d-", i)
-	}
+	// Each shard of several gets its own WAL/snapshot directory and its
+	// own component names, so logs and on-disk state attribute cleanly.
+	namePrefix := p.router.NamePrefix(i)
 	ens, err := store.OpenEnsemble(store.Config{
 		Replicas:       cfg.StoreReplicas,
 		SessionTimeout: cfg.SessionTimeout,
 		CommitLatency:  cfg.CommitLatency,
-		DataDir:        dataDir,
+		DataDir:        p.router.Dir(cfg.DataDir, i),
 		SyncPolicy:     cfg.SyncPolicy,
 		SnapshotEvery:  cfg.SnapshotEvery,
 	})
@@ -558,27 +550,23 @@ func (p *Platform) newShardUnit(i int) (*shardUnit, error) {
 		return nil, fmt.Errorf("tropic: store (shard %d): %w", i, err)
 	}
 	u := &shardUnit{index: i, ens: ens}
-	var xs *controller.XShardConfig
-	if p.router != nil {
-		// Cross-shard coordination: each controller can reach every peer
-		// shard's store. The connector is called lazily (under
-		// leadership), after New has populated p.units.
-		shardIdx := i
-		xs = &controller.XShardConfig{
-			Self:           shardIdx,
-			Router:         p.router,
-			PrepareTimeout: cfg.XShardPrepareTimeout,
-			Connect: func(j int) *store.Client {
-				if j < 0 || j >= len(p.units) {
-					return nil
-				}
-				return p.units[j].ens.Connect()
-			},
-		}
-		if cfg.CrossShardHook != nil {
-			hook := cfg.CrossShardHook
-			xs.Hook = func(event, parentID string) { hook(shardIdx, event, parentID) }
-		}
+	// Cross-shard coordination: each controller can reach every peer
+	// shard's store. The connector is called lazily (under leadership),
+	// after New has populated p.units.
+	xs := &controller.XShardConfig{
+		Self:           i,
+		Router:         p.router,
+		PrepareTimeout: cfg.XShardPrepareTimeout,
+		Connect: func(j int) *store.Client {
+			if j < 0 || j >= len(p.units) {
+				return nil
+			}
+			return p.units[j].ens.Connect()
+		},
+	}
+	if cfg.CrossShardHook != nil {
+		hook := cfg.CrossShardHook
+		xs.Hook = func(event, parentID string) { hook(i, event, parentID) }
 	}
 	for j := 0; j < cfg.Controllers; j++ {
 		c, err := controller.New(controller.Config{
@@ -882,13 +870,10 @@ func (p *Platform) ShardReadPath(i int) *readpath.Shard { return p.units[i].rp }
 func (p *Platform) NumShards() int { return len(p.units) }
 
 // ShardOf resolves which shard a submission with these arguments would
-// route to. Unsharded platforms always answer 0; sharded platforms
-// report trerr.ShardCrossShard for argument sets spanning shards. Used
-// by workload generators and tests to build shard-local work.
+// route to: always 0 on one shard, trerr.ShardCrossShard for argument
+// sets spanning shards. Used by workload generators and tests to build
+// shard-local work.
 func (p *Platform) ShardOf(proc string, args ...string) (int, error) {
-	if p.router == nil {
-		return 0, nil
-	}
 	return p.router.Route(proc, args)
 }
 
@@ -964,11 +949,16 @@ func (p *Platform) ControllerStats() controller.Stats {
 	return total
 }
 
-// Client opens a new client session against the platform. On a sharded
-// platform the client holds one store session per shard and routes
-// every call by resource root (submissions) or id prefix (lookups).
+// Client opens a new client session against the platform: one store
+// session per shard, each call routed by resource root (submissions,
+// reconciliation) or by id (lookups).
 func (p *Platform) Client() *Client {
-	connect := func(u *shardUnit) *Client {
+	c := &Client{
+		procs:   p.cfg.Procedures,
+		router:  p.router,
+		planner: shard.NewPlanner(p.router.Map()),
+	}
+	for _, u := range p.units {
 		cli := u.ens.Connect()
 		label := fmt.Sprint(u.index)
 		groupOps := p.reg.HistogramVec("tropic_store_group_commit_ops",
@@ -978,7 +968,7 @@ func (p *Platform) Client() *Client {
 			"Wall time of one store group commit, by submitting component.",
 			nil, "shard", "source").With(label, "submit")
 		shardIdx := u.index
-		return &Client{
+		c.subs = append(c.subs, &shardClient{
 			cli: cli,
 			// The submit path's coalescing obeys the same knobs as the
 			// rest of the pipeline.
@@ -990,123 +980,92 @@ func (p *Platform) Client() *Client {
 					groupLat.ObserveDuration(d)
 				},
 			}),
-			procs: p.cfg.Procedures,
 			rp:    u.rp,
 			admit: func() error { return p.admitShard(shardIdx) },
 			lat:   p.submitLat.With(label),
-		}
-	}
-	if p.router == nil {
-		return connect(p.units[0])
-	}
-	c := &Client{
-		router:  p.router,
-		procs:   p.cfg.Procedures,
-		planner: shard.NewPlanner(p.router.Map()),
-	}
-	for _, u := range p.units {
-		c.subs = append(c.subs, connect(u))
+		})
 	}
 	return c
 }
 
 // Client submits transactional orchestrations and tracks their outcome,
-// playing the role of the API service gateway in Figure 1.
+// playing the role of the API service gateway in Figure 1. It fronts
+// every shard of the platform — one in the paper's deployment, whose
+// ids, List cursors and data directory then keep their unqualified
+// form. Each call routes once and runs on the owning shard: a
+// submission by its resource roots (one spanning shards runs as an
+// atomic cross-shard transaction), a lookup by its id.
 type Client struct {
-	cli *store.Client
-	// b is the group-commit batcher every submission goes through, so
-	// concurrent submitters sharing this Client coalesce their record
-	// and notice creations into shared proposal rounds (a batch of one
-	// at BatchMaxOps=1).
-	b *store.Batcher
 	// procs is the platform's procedure registry, used to reject
 	// unknown procedures synchronously at submit time (nil skips the
-	// check, for clients constructed without a registry).
+	// check).
 	procs map[string]Procedure
-	// seq numbers this client's submissions (their record ids are
+	// router resolves the shard owning a reconciliation target or an
+	// id, and names ids and cursors; planner places submissions.
+	router  *shard.Router
+	planner *shard.Planner
+	// subs holds one per-shard client, indexed by shard.
+	subs []*shardClient
+}
+
+// shardClient is a Client's reach into one shard. It addresses records
+// by their shard-local ids; the Client resolves the ids callers pass
+// and names the records it returns.
+type shardClient struct {
+	cli *store.Client
+	// b is the group-commit batcher every submission goes through, so
+	// concurrent submitters sharing the Client coalesce their record and
+	// notice creations into shared proposal rounds (a batch of one at
+	// BatchMaxOps=1).
+	b *store.Batcher
+	// seq numbers the submissions on this shard (their record ids are
 	// client-generated rather than sequence-allocated, so record and
 	// notice can ride one atomic commit).
 	seq atomic.Int64
-
-	// router and subs make this a sharded client: router derives the
-	// owning shard of every call and subs holds one single-shard client
-	// per shard. cli is nil in this mode; ids returned to callers are
-	// shard-qualified ("s<shard>-<local id>").
-	router *shard.Router
-	subs   []*Client
-	// planner splits cross-shard submissions into per-shard children.
-	planner *shard.Planner
-
 	// rp is the shard's read path: Get/Wait/List and the watch surface
 	// serve through it (cache hit, follower replica, or leader
 	// fall-through) instead of issuing leader reads on cli, and
 	// WatchTxn/Wait subscribe to its fan-out multiplexer instead of
 	// arming per-call store watches. Owned by the platform's shard unit
-	// and shared by every client on the shard; nil on sharded clients,
-	// which delegate to their per-shard clients.
+	// and shared by every client on the shard.
 	rp *readpath.Shard
-
-	// admit, when non-nil, is the platform's admission-control check for
-	// this client's shard, consulted before a submission writes anything
-	// (nil on clients built outside Platform.Client, e.g. in tests).
+	// admit is the platform's admission-control check for this shard,
+	// consulted before a submission writes anything.
 	admit func() error
-	// lat, when non-nil, observes submit-to-terminal latency for every
-	// terminal record this client's Wait returns.
+	// lat observes submit-to-terminal latency for every terminal record
+	// a Wait returns.
 	lat *metrics.BucketHistogram
 }
 
-// admitted runs the shard's admission check, if the client has one.
-func (c *Client) admitted() error {
-	if c.admit == nil {
-		return nil
-	}
-	return c.admit()
-}
-
-// sharded reports whether this client fans out over shard sub-clients.
-func (c *Client) sharded() bool { return c.router != nil }
-
-// resolveID splits a shard-qualified id into its owning sub-client and
-// shard-local id. Ids without a well-formed shard prefix cannot name
-// any transaction on a sharded platform and are reported as
+// locate resolves ANY transaction id to its owning shard client, the
+// id local to that shard, and the public id its records carry. A plain
+// id routes by the router's shard qualification; a cross-shard CHILD id
+// ("<parent>.c<k>") routes via the parent's ledger — its record lives
+// on the participant shard under the full child id, which is already
+// platform-unique. Ids that cannot name a transaction are reported as
 // trerr.TxnNotFound.
-func (c *Client) resolveID(id string) (*Client, int, string, error) {
-	s, local, ok := shard.ParseID(id, len(c.subs))
+func (c *Client) locate(id string) (sub *shardClient, local, public string, err error) {
+	parentID, k, child := shard.ParseChildID(id)
+	if !child {
+		parentID = id
+	}
+	s, local, ok := c.router.ResolveID(parentID)
 	if !ok {
-		return nil, 0, "", trerr.Newf(trerr.TxnNotFound,
-			"tropic: transaction %q not found (sharded ids carry an s<shard>- prefix)", id).With("id", id)
+		return nil, "", "", trerr.Newf(trerr.TxnNotFound,
+			"tropic: transaction %q not found (sharded ids carry an s<shard>- prefix)", parentID).With("id", id)
 	}
-	return c.subs[s], s, local, nil
-}
-
-// locate resolves ANY transaction id to its owning sub-client, the id
-// to use against it, and how to re-qualify returned record ids. A plain
-// id routes by its "s<shard>-" prefix and is re-qualified on the way
-// out; a cross-shard CHILD id ("<parent>.c<k>") routes via the parent's
-// ledger — its record lives on the participant shard under the full
-// child id, which is already platform-unique and passes through
-// unchanged.
-func (c *Client) locate(id string) (sub *Client, local string, qualify func(string) string, err error) {
-	if parentID, k, ok := shard.ParseChildID(id); ok {
-		psub, _, plocal, err := c.resolveID(parentID)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		prec, err := psub.Get(plocal)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if k >= len(prec.Children) || prec.Children[k].Shard < 0 || prec.Children[k].Shard >= len(c.subs) {
-			return nil, "", nil, trerr.Newf(trerr.TxnNotFound,
-				"tropic: transaction %s has no child %d", parentID, k).With("id", id)
-		}
-		return c.subs[prec.Children[k].Shard], id, func(local string) string { return local }, nil
+	if !child {
+		return c.subs[s], local, c.router.QualifyID(s, local), nil
 	}
-	sub, s, local, err := c.resolveID(id)
+	prec, _, err := c.subs[s].getAt(local, parentID, -1)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, "", "", err
 	}
-	return sub, local, func(local string) string { return shard.FormatID(s, local) }, nil
+	if k >= len(prec.Children) || prec.Children[k].Shard < 0 || prec.Children[k].Shard >= len(c.subs) {
+		return nil, "", "", trerr.Newf(trerr.TxnNotFound,
+			"tropic: transaction %s has no child %d", parentID, k).With("id", id)
+	}
+	return c.subs[prec.Children[k].Shard], id, id, nil
 }
 
 // refreshChildren overlays a parent record's ledger with each child's
@@ -1119,7 +1078,7 @@ func (c *Client) refreshChildren(rec *Txn) {
 		if ref.State.Terminal() || ref.Shard < 0 || ref.Shard >= len(c.subs) {
 			continue
 		}
-		child, err := c.subs[ref.Shard].Get(ref.ID)
+		child, _, err := c.subs[ref.Shard].getAt(ref.ID, ref.ID, -1)
 		if err != nil {
 			continue
 		}
@@ -1128,16 +1087,12 @@ func (c *Client) refreshChildren(rec *Txn) {
 }
 
 // Close flushes the client's pending submissions and releases its
-// store session(s).
+// store sessions.
 func (c *Client) Close() {
-	if c.sharded() {
-		for _, sub := range c.subs {
-			sub.Close()
-		}
-		return
+	for _, sub := range c.subs {
+		sub.b.Close()
+		sub.cli.Close()
 	}
-	c.b.Close()
-	c.cli.Close()
 }
 
 // ValidateProc rejects submissions that could never execute: an empty
@@ -1164,31 +1119,34 @@ func (c *Client) Submit(proc string, args ...string) (string, error) {
 	if err := c.ValidateProc(proc); err != nil {
 		return "", err
 	}
-	if c.sharded() {
-		// Route by the submission's resource roots. A single-shard plan
-		// submits to its owner; a spanning plan executes as an atomic
-		// cross-shard transaction.
-		split := c.planner.Split(proc, args)
-		if !split.CrossShard() {
-			s := split.Coordinator()
-			id, err := c.subs[s].Submit(proc, args...)
-			if err != nil {
-				return "", err
-			}
-			return shard.FormatID(s, id), nil
-		}
+	// Route by the submission's resource roots. A single-shard plan
+	// submits to its owner; a spanning plan executes as an atomic
+	// cross-shard transaction.
+	split := c.planner.Split(proc, args)
+	if split.CrossShard() {
 		// Every participant shard must admit the work: a parent whose
 		// children would land in saturated pipelines is shed whole —
 		// 2PC holds cross-shard locks for the slowest participant, so
 		// overload on any member shard is overload for the transaction.
 		for _, s := range split.Shards {
-			if err := c.subs[s].admitted(); err != nil {
+			if err := c.subs[s].admit(); err != nil {
 				return "", err
 			}
 		}
 		return c.xSubmit(split, proc, args)
 	}
-	if err := c.admitted(); err != nil {
+	s := split.Coordinator()
+	id, err := c.subs[s].submit(proc, args)
+	if err != nil {
+		return "", err
+	}
+	return c.router.QualifyID(s, id), nil
+}
+
+// submit writes a single-shard transaction record and its submit
+// notice, returning the record's local id.
+func (sc *shardClient) submit(proc string, args []string) (string, error) {
+	if err := sc.admit(); err != nil {
 		return "", err
 	}
 	now := time.Now()
@@ -1205,9 +1163,9 @@ func (c *Client) Submit(proc string, args ...string) (string, error) {
 	// session id plus a local counter, unique ensemble-wide — because a
 	// sequence-allocated name would only be known after a first,
 	// separate commit.
-	id := fmt.Sprintf("t-s%xc%08d", c.cli.SessionID(), c.seq.Add(1))
+	id := fmt.Sprintf("t-s%xc%08d", sc.cli.SessionID(), sc.seq.Add(1))
 	path := proto.TxnsPath + "/" + id
-	if err := <-c.b.MultiAsync(submitOps(path, rec)...); err != nil {
+	if err := <-sc.b.MultiAsync(submitOps(path, rec)...); err != nil {
 		return "", fmt.Errorf("tropic: submit: %w", err)
 	}
 	return id, nil
@@ -1225,16 +1183,17 @@ func submitOps(path string, rec *txn.Txn) []store.Op {
 // xSubmit initiates a cross-shard transaction: one PARENT record on the
 // coordinator shard (a deterministic hash of the submission over the
 // participants, balancing coordination load) naming one child per
-// participant shard, created atomically with its submit notice. The coordinator's lead controller drives the two-phase commit
-// from there; the returned parent id supports Get/Wait/WatchTxn like
-// any other. The parent id is client-generated (session id + local
-// counter, a distinct "t-x" prefix) so the deterministic child ids can
-// be derived before anything is written.
+// participant shard, created atomically with its submit notice. The
+// coordinator's lead controller drives the two-phase commit from there;
+// the returned parent id supports Get/Wait/WatchTxn like any other. The
+// parent id is client-generated (session id + local counter, a distinct
+// "t-x" prefix) so the deterministic child ids can be derived before
+// anything is written.
 func (c *Client) xSubmit(split shard.Split, proc string, args []string) (string, error) {
 	coord := split.CoordinatorFor(proc, args)
 	sub := c.subs[coord]
 	local := fmt.Sprintf("%s%xc%08d", shard.ParentLocalPrefix, sub.cli.SessionID(), sub.seq.Add(1))
-	qualified := shard.FormatID(coord, local)
+	qualified := c.router.QualifyID(coord, local)
 	children := make([]txn.ChildRef, len(split.Shards))
 	for k, s := range split.Shards {
 		children[k] = txn.ChildRef{ID: shard.ChildID(qualified, k), Shard: s}
@@ -1259,37 +1218,28 @@ func (c *Client) xSubmit(split shard.Split, proc string, args []string) (string,
 }
 
 // Watermark returns the highest store zxid this client's own writes
-// have committed at (the maximum across shards on a sharded client).
-// A caller that threads this value into GetAt/WaitAt/ListAt — or sends
-// it as the X-Tropic-Zxid header over HTTP — is guaranteed to observe
-// all of its own writes no matter which replica serves the read.
+// have committed at (the maximum across shards). A caller that threads
+// this value into GetAt/WaitAt/ListAt — or sends it as the
+// X-Tropic-Zxid header over HTTP — is guaranteed to observe all of its
+// own writes no matter which replica serves the read.
 func (c *Client) Watermark() int64 {
-	if c.sharded() {
-		var max int64
-		for _, sub := range c.subs {
-			if z := sub.cli.LastWriteZxid(); z > max {
-				max = z
-			}
+	var max int64
+	for _, sub := range c.subs {
+		if z := sub.cli.LastWriteZxid(); z > max {
+			max = z
 		}
-		return max
 	}
-	return c.cli.LastWriteZxid()
+	return max
 }
 
 // Get fetches the current record of a transaction. An unknown id is
 // reported as trerr.TxnNotFound. The read is served through the shard's
-// read path under the client's own write watermark, so it always
-// observes this client's completed submissions (session consistency)
-// while bypassing the leader whenever a caught-up replica or cache
-// entry can answer.
+// read path under the client's own write watermark on that shard, so it
+// always observes this client's completed submissions (session
+// consistency) while bypassing the leader whenever a caught-up replica
+// or cache entry can answer.
 func (c *Client) Get(id string) (*Txn, error) {
-	if c.sharded() {
-		// Each sub-client applies its own shard's watermark, which is
-		// tighter than the cross-shard maximum.
-		rec, _, err := c.GetAt(id, -1)
-		return rec, err
-	}
-	rec, _, err := c.GetAt(id, c.cli.LastWriteZxid())
+	rec, _, err := c.GetAt(id, -1)
 	return rec, err
 }
 
@@ -1302,29 +1252,31 @@ func (c *Client) GetAt(id string, minZxid int64) (*Txn, int64, error) {
 	if id == "" {
 		return nil, 0, trerr.New(trerr.APIBadRequest, "tropic: get: missing transaction id")
 	}
-	if c.sharded() {
-		sub, local, qualify, err := c.locate(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		rec, z, err := sub.GetAt(local, minZxid)
-		if err != nil {
-			return nil, 0, err
-		}
-		rec.ID = qualify(rec.ID)
-		if rec.IsParent() {
-			c.refreshChildren(rec)
-		}
-		return rec, z, nil
+	sub, local, public, err := c.locate(id)
+	if err != nil {
+		return nil, 0, err
 	}
-	if minZxid < 0 {
-		minZxid = c.cli.LastWriteZxid()
-	}
-	data, z, err := c.readRecord(id, minZxid)
+	rec, z, err := sub.getAt(local, public, minZxid)
 	if err != nil {
 		return nil, z, err
 	}
-	rec, err := decodeRecord(id, data)
+	if rec.IsParent() {
+		c.refreshChildren(rec)
+	}
+	return rec, z, nil
+}
+
+// getAt reads the record of the local id under minZxid (< 0: this
+// shard's own watermark), naming it public.
+func (sc *shardClient) getAt(local, public string, minZxid int64) (*Txn, int64, error) {
+	if minZxid < 0 {
+		minZxid = sc.cli.LastWriteZxid()
+	}
+	data, z, err := sc.readRecord(local, minZxid)
+	if err != nil {
+		return nil, z, err
+	}
+	rec, err := decodeRecord(public, data)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1335,8 +1287,8 @@ func (c *Client) GetAt(id string, minZxid int64) (*Txn, int64, error) {
 // the read path under minZxid, reporting a missing record as
 // trerr.TxnNotFound. The bytes are shared with the store: decode them,
 // never modify them.
-func (c *Client) readRecord(id string, minZxid int64) ([]byte, int64, error) {
-	data, _, z, _, err := c.rp.GetRecord(proto.TxnsPath+"/"+id, minZxid)
+func (sc *shardClient) readRecord(id string, minZxid int64) ([]byte, int64, error) {
+	data, _, z, _, err := sc.rp.GetRecord(proto.TxnsPath+"/"+id, minZxid)
 	if err != nil {
 		if errors.Is(err, store.ErrNoNode) {
 			return nil, z, trerr.Wrap(trerr.TxnNotFound, err,
@@ -1373,31 +1325,32 @@ func (c *Client) Wait(ctx context.Context, id string) (*Txn, error) {
 // through the cache. A wake-up decodes only the record's state; the
 // whole record is decoded once, when that state is terminal.
 func (c *Client) WaitAt(ctx context.Context, id string, minZxid int64) (*Txn, int64, error) {
-	if c.sharded() {
-		sub, local, qualify, err := c.locate(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		rec, z, err := sub.WaitAt(ctx, local, minZxid)
-		if err != nil {
-			return nil, 0, err
-		}
-		rec.ID = qualify(rec.ID)
-		if rec.IsParent() {
-			c.refreshChildren(rec)
-		}
-		return rec, z, nil
+	sub, local, public, err := c.locate(id)
+	if err != nil {
+		return nil, 0, err
 	}
+	rec, z, err := sub.waitAt(ctx, local, public, minZxid)
+	if err != nil {
+		return nil, 0, err
+	}
+	if rec.IsParent() {
+		c.refreshChildren(rec)
+	}
+	return rec, z, nil
+}
+
+// waitAt is WaitAt on the shard owning the local id.
+func (sc *shardClient) waitAt(ctx context.Context, id, public string, minZxid int64) (*Txn, int64, error) {
 	path := proto.TxnsPath + "/" + id
-	sub, err := c.rp.Subscribe(path)
+	sub, err := sc.rp.Subscribe(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer sub.Close()
 	if minZxid < 0 {
-		minZxid = c.cli.LastWriteZxid()
+		minZxid = sc.cli.LastWriteZxid()
 	}
-	data, z, err := c.readRecord(id, minZxid)
+	data, z, err := sc.readRecord(id, minZxid)
 	for {
 		var st State
 		if err == nil {
@@ -1407,13 +1360,11 @@ func (c *Client) WaitAt(ctx context.Context, id string, minZxid int64) (*Txn, in
 			return nil, 0, err
 		}
 		if st.Terminal() {
-			rec, err := decodeRecord(id, data)
+			rec, err := decodeRecord(public, data)
 			if err != nil {
 				return nil, 0, err
 			}
-			if c.lat != nil {
-				c.lat.ObserveDuration(rec.Latency())
-			}
+			sc.lat.ObserveDuration(rec.Latency())
 			return rec, z, nil
 		}
 		select {
@@ -1432,7 +1383,7 @@ func (c *Client) WaitAt(ctx context.Context, id string, minZxid int64) (*Txn, in
 		// record changed after zxid z, and a still-cached entry at
 		// exactly z would otherwise satisfy the watermark and stall the
 		// loop on the state the event superseded.
-		data, z, err = c.readRecord(id, z+1)
+		data, z, err = sc.readRecord(id, z+1)
 	}
 }
 
@@ -1460,27 +1411,25 @@ func (c *Client) Repair(ctx context.Context, target string) error {
 	return c.reconcileRequest(ctx, proto.KindRepair, target)
 }
 
+// reconcileRequest sends a reload or repair to the shard whose
+// logical layer must resynchronize: the owner of the target subtree's
+// resource root.
 func (c *Client) reconcileRequest(ctx context.Context, kind proto.MsgKind, target string) error {
-	if c.sharded() {
-		// Reconciliation is a per-shard operation: the target subtree's
-		// resource root names the shard whose logical layer must
-		// resynchronize.
-		return c.subs[c.router.RouteTarget(target)].reconcileRequest(ctx, kind, target)
-	}
-	if err := c.cli.EnsurePath(proto.RepliesPath); err != nil {
+	cli := c.subs[c.router.RouteTarget(target)].cli
+	if err := cli.EnsurePath(proto.RepliesPath); err != nil {
 		return err
 	}
-	replyPath, err := c.cli.Create(proto.RepliesPath+"/r-", nil, store.FlagSequence)
+	replyPath, err := cli.Create(proto.RepliesPath+"/r-", nil, store.FlagSequence)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = c.cli.Delete(replyPath, -1) }()
-	watch, err := c.cli.NodeWatch(replyPath)
+	defer func() { _ = cli.Delete(replyPath, -1) }()
+	watch, err := cli.NodeWatch(replyPath)
 	if err != nil {
 		return err
 	}
 	defer watch.Close()
-	_, err = c.cli.Create(proto.InputQPath+"/item-",
+	_, err = cli.Create(proto.InputQPath+"/item-",
 		proto.InputMsg{Kind: kind, Target: target, Reply: replyPath}.Encode(), store.FlagSequence)
 	if err != nil {
 		return err
@@ -1493,7 +1442,7 @@ func (c *Client) reconcileRequest(ctx context.Context, kind proto.MsgKind, targe
 			return store.ErrSessionExpired
 		}
 	}
-	data, _, err := c.cli.Get(replyPath)
+	data, _, err := cli.Get(replyPath)
 	if err != nil {
 		return err
 	}
@@ -1520,22 +1469,22 @@ func (c *Client) Signal(id string, sig txn.Signal) error {
 		return trerr.Newf(trerr.TxnInvalidSignal,
 			"tropic: signal %q: signal must be TERM or KILL", sig)
 	}
-	if c.sharded() {
-		sub, local, _, err := c.locate(id)
-		if err != nil {
-			return err
-		}
-		if shard.IsParentLocal(local) {
-			// Parents are pure coordination records — there is no
-			// simulation or physical execution to stop; the 2PC decision
-			// resolves them. Recognized by the id prefix alone, so the
-			// common signal path pays no extra record read.
-			return trerr.Newf(trerr.TxnInvalidSignal,
-				"tropic: signal %s: cross-shard parents cannot be signalled; signal a child", id).With("id", id)
-		}
-		return sub.Signal(local, sig)
+	if id == "" {
+		return trerr.New(trerr.APIBadRequest, "tropic: signal: missing transaction id")
 	}
-	rec, err := c.Get(id)
+	sub, local, public, err := c.locate(id)
+	if err != nil {
+		return err
+	}
+	if shard.IsParentLocal(local) {
+		// Parents are pure coordination records — there is no
+		// simulation or physical execution to stop; the 2PC decision
+		// resolves them. Recognized by the id prefix alone, so the
+		// common signal path pays no extra record read.
+		return trerr.Newf(trerr.TxnInvalidSignal,
+			"tropic: signal %s: cross-shard parents cannot be signalled; signal a child", id).With("id", id)
+	}
+	rec, _, err := sub.getAt(local, public, -1)
 	if err != nil {
 		return err
 	}
@@ -1549,10 +1498,10 @@ func (c *Client) Signal(id string, sig txn.Signal) error {
 		return trerr.Newf(trerr.TxnInvalidSignal,
 			"tropic: signal %s: cross-shard child is %s and cannot abort unilaterally", id, rec.State).With("id", id)
 	}
-	_, err = c.cli.Create(proto.InputQPath+"/item-",
+	_, err = sub.cli.Create(proto.InputQPath+"/item-",
 		proto.InputMsg{
 			Kind:    proto.KindSignal,
-			TxnPath: proto.TxnsPath + "/" + id,
+			TxnPath: proto.TxnsPath + "/" + local,
 			Signal:  string(sig),
 		}.Encode(), store.FlagSequence)
 	return err
