@@ -59,12 +59,8 @@ func newBatchRig(t *testing.T, counters, batchMaxOps, claimBatch int, policy con
 	r.wrk = w
 	r.wg.Add(1)
 	go func() { defer r.wg.Done(); _ = w.Run(ctx) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for r.leader() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("no controller ever led")
-		}
-		time.Sleep(time.Millisecond)
+	if !eventually(5*time.Second, func() bool { return r.leader() != nil }) {
+		t.Fatal("no controller ever led")
 	}
 	t.Cleanup(func() {
 		cancel()
@@ -104,24 +100,7 @@ func (r *batchRig) submit(t *testing.T, proc string, args ...string) string {
 
 func (r *batchRig) wait(t *testing.T, path string) *txn.Txn {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		data, _, err := r.cli.Get(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := txn.Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.State.Terminal() {
-			return rec
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("txn %s stuck in %s", path, rec.State)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	return waitTerminal(t, r.cli, path, 15*time.Second)
 }
 
 // TestScheduleAggressiveConflictHeavy drives the §3.1.1 aggressive
@@ -228,12 +207,8 @@ func TestBatchBoundaryCrashRecovery(t *testing.T) {
 
 	// Let the pipeline get mid-flight, then crash the leader: the kill
 	// lands between grouped flushes of a live batch stream.
-	deadline := time.Now().Add(5 * time.Second)
-	for r.wrk.Stats().Committed < int64(total)/4 {
-		if time.Now().After(deadline) {
-			t.Fatal("pipeline never got going")
-		}
-		time.Sleep(time.Millisecond)
+	if !eventually(5*time.Second, func() bool { return r.wrk.Stats().Committed >= int64(total)/4 }) {
+		t.Fatal("pipeline never got going")
 	}
 	old := r.leader()
 	if old == nil {
@@ -254,14 +229,12 @@ func TestBatchBoundaryCrashRecovery(t *testing.T) {
 	}
 	// The new leader's recovered model carries exactly the committed
 	// effects.
-	deadline = time.Now().Add(5 * time.Second)
 	var lead *controller.Controller
-	for lead == nil || lead == old {
-		if time.Now().After(deadline) {
-			t.Fatal("no failover leader")
-		}
-		time.Sleep(time.Millisecond)
+	if !eventually(5*time.Second, func() bool {
 		lead = r.leader()
+		return lead != nil && lead != old
+	}) {
+		t.Fatal("no failover leader")
 	}
 	tree := lead.LogicalTree()
 	for c := 0; c < counters; c++ {

@@ -276,12 +276,11 @@ type Controller struct {
 	// Leader-goroutine-only round state: resched owes todoQ a
 	// scheduling pass without waiting for input (a coordinator-local
 	// child or a restarted prepare joined todoQ mid-round, or a failed
-	// flush unwound admissions); peerCollect/peerSends stage cross-shard
-	// sends so every message bound for one peer in a round rides a
-	// single Multi through that peer's batcher.
-	resched     bool
-	peerCollect bool
-	peerSends   map[int][]peerSend
+	// flush unwound admissions); peerSends stages cross-shard sends so
+	// every message bound for one peer in a round rides a single Multi
+	// through that peer's batcher.
+	resched   bool
+	peerSends map[int][]peerSend
 
 	// wmu guards wounding, the set of prepared children with a
 	// wound-wait vote revocation in flight (dedup across scheduling
@@ -600,31 +599,23 @@ func (c *Controller) localsPending() bool {
 }
 
 // handleLocal folds locally-delivered cross-shard messages into the
-// round ahead of the drained store items: votes, child-dones, and
-// piggybacked decisions all stage into the grouped Multi exactly like
-// their store-delivered twins, and a message that staged a write is
-// kept in r.locals so a failed flush can queue it again. A message
-// colliding with a record already staged this round requeues for the
-// next one; one lost to a transient store error is left to its durable
-// backstop.
+// round ahead of the drained store items: votes, child-dones,
+// piggybacked decisions and wound-wait restarts all stage into the
+// grouped Multi exactly like their store-delivered twins, and a message
+// that staged a write is kept in r.locals so a failed flush can queue
+// it again. A message colliding with a record already staged this round
+// requeues for the next one; one lost to a transient store error is
+// left to its durable backstop.
 func (c *Controller) handleLocal(r *round) error {
 	var firstErr error
 	for _, msg := range c.takeLocal() {
-		if r.staged[msg.TxnPath] {
-			c.enqueueLocal(msg)
-			continue
-		}
 		staged := len(r.ops)
 		var err error
 		switch msg.Kind {
-		case proto.KindXVote:
-			err = c.stageXVote(r, msg, "")
-		case proto.KindXChildDone:
-			err = c.stageXChildDone(r, msg, "")
-		case proto.KindXDecide:
-			err = c.stageXDecide(r, msg, "")
-		case proto.KindXRestart:
-			err = c.xRestart(msg)
+		case proto.KindXVote, proto.KindXChildDone:
+			err = c.stageXParentMsg(r, msg, "")
+		case proto.KindXDecide, proto.KindXRestart:
+			err = c.stageXChild(r, msg, "")
 		default:
 			c.cfg.Logf("controller %s: dropping local message kind %q", c.cfg.Name, msg.Kind)
 		}
@@ -653,6 +644,27 @@ func (c *Controller) noticeRemoveOps(itemPath string) []store.Op {
 	return []store.Op{c.inputQ.RemoveOp(itemPath)}
 }
 
+// loadStaged reads the record a message names for staging into the
+// round. ok=false when there is nothing to stage: the round already has
+// a write to the record staged — the message waits for the next round
+// (a local one is queued again, a store item just stays queued), so the
+// grouped Multi never carries a stale version — or the record is gone
+// and the notice is consumed.
+func (c *Controller) loadStaged(r *round, msg proto.InputMsg, itemPath string) (rec *txn.Txn, stat store.Stat, ok bool, err error) {
+	if r.staged[msg.TxnPath] {
+		if itemPath == "" {
+			c.enqueueLocal(msg)
+		}
+		return nil, stat, false, nil
+	}
+	rec, stat, err = c.loadTxn(msg.TxnPath)
+	if errors.Is(err, store.ErrNoNode) {
+		r.stage(c.noticeRemoveOps(itemPath), nil, nil)
+		return nil, stat, false, nil
+	}
+	return rec, stat, err == nil, err
+}
+
 // processRound handles one drained batch end to end: the items' staged
 // effects AND the scheduling pass's admissions all ride one grouped
 // Multi — a freshly submitted transaction can go accepted→started→phyQ
@@ -663,11 +675,7 @@ func (c *Controller) noticeRemoveOps(itemPath string) []store.Op {
 func (c *Controller) processRound(items []queue.Item) error {
 	r := newRound()
 	c.resched = false
-	c.peerCollect = true
-	defer func() {
-		c.peerCollect = false
-		c.xFlushPeerSends()
-	}()
+	defer c.xFlushPeerSends()
 	err := c.handleLocal(r)
 	if err != nil && errFatal(err) {
 		return err
@@ -693,7 +701,8 @@ func (c *Controller) processRound(items []queue.Item) error {
 	resched := c.resched
 	c.resched = false
 	if (cleanups > 0 || resched) && len(c.todo) > 0 {
-		if serr := c.schedule(); serr != nil {
+		c.scheduleInto(r)
+		if serr := c.flushRound(r); serr != nil {
 			return serr
 		}
 	}
@@ -786,8 +795,8 @@ func (r *round) stage(ops []store.Op, after, undo func()) {
 }
 
 // handleRound processes one drained batch of input messages into the
-// round. Submit, result, vote, child-done, and decide notices are staged
-// for the grouped commit; signal, reconciliation, and deadline messages
+// round. Submit, result, vote, child-done, deadline, and decide notices
+// are staged for the grouped commit; signal and reconciliation messages
 // (rare, and with their own write patterns) are handled directly after
 // flushing whatever is staged, preserving queue order. The returned
 // error, if any, is the first retryable failure — session and quorum
@@ -806,12 +815,10 @@ func (c *Controller) handleRound(r *round, items []queue.Item) error {
 			err = c.stageAccept(r, msg, it.Path)
 		case proto.KindResult:
 			err = c.stageCleanup(r, msg, it.Path)
-		case proto.KindXVote:
-			err = c.stageXVote(r, msg, it.Path)
-		case proto.KindXChildDone:
-			err = c.stageXChildDone(r, msg, it.Path)
+		case proto.KindXVote, proto.KindXChildDone, proto.KindXTimeout:
+			err = c.stageXParentMsg(r, msg, it.Path)
 		case proto.KindXDecide:
-			err = c.stageXDecide(r, msg, it.Path)
+			err = c.stageXChild(r, msg, it.Path)
 		default:
 			// Flush staged work first so this item observes (and its own
 			// writes serialize after) everything ahead of it in the queue.
@@ -851,6 +858,12 @@ func errFatal(err error) bool {
 // arrives.
 func (c *Controller) flushRound(r *round) error {
 	if len(r.ops) == 0 {
+		// Nothing to write: the staged effects (a re-sent vote, a
+		// redelivered decision) are durable as they stand.
+		for _, f := range r.after {
+			f()
+		}
+		r.after = nil
 		return nil
 	}
 	ops, after, undo, locals := r.ops, r.after, r.undo, r.locals
@@ -936,21 +949,12 @@ func (c *Controller) flushRound(r *round) error {
 	return err
 }
 
-// schedule runs a scheduling pass in a round of its own and commits its
-// admissions (and the aborts it decides) in one grouped Multi.
-func (c *Controller) schedule() error {
-	r := newRound()
-	c.scheduleInto(r)
-	err := c.flushRound(r)
-	c.todoDepth.Set(int64(len(c.todo)))
-	return err
-}
-
 // scheduleInto runs a scheduling pass whose admissions are staged into
 // the round — the group commit of transaction admission. A
 // coordinator-local child's yes-vote rides the same Multi as its
-// prepare (xStageLocalVotes); its post-flush effects run after every
-// admission in the batch is tracked.
+// prepare (stageXLocalVote); its post-flush effects are staged after
+// the admissions' own, so they run with every child in the batch
+// tracked.
 func (c *Controller) scheduleInto(r *round) {
 	c.scheduleWalk(r)
 	pending := r.admitted
@@ -960,21 +964,24 @@ func (c *Controller) scheduleInto(r *round) {
 	for _, t := range pending {
 		r.ops = append(r.ops, c.admissionOps(t)...)
 	}
-	votes := c.xStageLocalVotes(r, pending)
+	var voted map[*txn.Txn]bool
 	r.after = append(r.after, func() {
 		for _, t := range pending {
-			if votes[t.ID] != nil {
+			if voted[t] {
 				c.prepared[t.ID] = t
 				continue
 			}
 			c.admitApply(t)
 		}
-		for _, t := range pending {
-			if v := votes[t.ID]; v != nil {
-				c.xPostVote(v.rec, v.eff)
-			}
-		}
 	})
+	for _, t := range pending {
+		if t.State == txn.StatePrepared && c.stageXLocalVote(r, t) {
+			if voted == nil {
+				voted = make(map[*txn.Txn]bool)
+			}
+			voted[t] = true
+		}
+	}
 }
 
 // Retry backoff bounds for the leader loop: the floor matches the old
@@ -985,13 +992,14 @@ const (
 	retryBackoffMax = 100 * time.Millisecond
 )
 
+// recoveryAttempts bounds how often recovery re-runs a round whose flush
+// failed.
+const recoveryAttempts = 3
+
 // handle processes the input messages that are not staged into a
-// round: operator signals, reconciliation requests, and 2PC deadline
-// checks.
+// round: operator signals and reconciliation requests.
 func (c *Controller) handle(msg proto.InputMsg, itemPath string) error {
 	switch msg.Kind {
-	case proto.KindXTimeout:
-		return c.xTimeout(msg, itemPath)
 	case proto.KindSignal:
 		if err := c.signal(msg.TxnPath, txn.Signal(msg.Signal)); err != nil {
 			// A signal for a record that does not exist can never
@@ -1058,18 +1066,8 @@ func (c *Controller) reply(msg proto.InputMsg, err error) {
 // consuming the submit notice) and the accepted count (run only after
 // the group commits).
 func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) error {
-	if r.staged[msg.TxnPath] {
-		// Another message already staged effects on this record this
-		// round; leave the item queued — the next drain re-reads it
-		// against the flushed state.
-		return nil
-	}
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil, nil)
-			return nil
-		}
+	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
+	if !ok {
 		return err
 	}
 	if rec.State != txn.StateInitialized {
@@ -1245,7 +1243,7 @@ func (c *Controller) admissionOps(t *txn.Txn) []store.Op {
 func (c *Controller) admitApply(t *txn.Txn) {
 	if t.State == txn.StatePrepared {
 		c.prepared[t.ID] = t
-		c.xSendVote(t)
+		c.xSendReport(proto.KindXVote, t)
 		// Read the decision off the parent record the moment the
 		// coordinator's durable decision write lands, instead of waiting
 		// for a decide notice through this shard's inputQ.
@@ -1293,7 +1291,7 @@ func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 		// A cross-shard child aborted before it could prepare is a NO
 		// vote; it goes out only after the terminal state is durable.
 		if t.IsChild() {
-			c.xSendVote(t)
+			c.xSendReport(proto.KindXVote, t)
 		}
 	}
 	if r != nil {
@@ -1318,15 +1316,8 @@ func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 // — run only after the group commits, so a failed flush never rolls the
 // logical layer back for a transaction whose record still says started.
 func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string) error {
-	if r.staged[msg.TxnPath] {
-		return nil // defer to the next round; see stageAccept
-	}
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil, nil)
-			return nil
-		}
+	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
+	if !ok {
 		return err
 	}
 	t, tracked := c.inFlight[rec.ID]
@@ -1377,7 +1368,7 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 				delete(c.inFlight, rec.ID)
 				c.countStage(&c.stats.Committed, "committed")
 				if rec.IsChild() && !doneInline {
-					c.xSendChildDone(rec)
+					c.xSendReport(proto.KindXChildDone, rec)
 				}
 				c.maybeCheckpoint()
 			},
@@ -1437,7 +1428,7 @@ func (c *Controller) finishCleanup(t, rec *txn.Txn, outcome txn.State, marks []s
 	// A cross-shard child's terminal outcome feeds the coordinator's
 	// ledger (the parent finalizes when every child has reported).
 	if rec.IsChild() {
-		defer c.xSendChildDone(rec)
+		defer c.xSendReport(proto.KindXChildDone, rec)
 	}
 	// The physical execution failed; roll the logical layer back too.
 	c.rollbackTimed(t.ID, t.Log)
@@ -1824,7 +1815,8 @@ func (c *Controller) recover() error {
 	if err != nil {
 		return err
 	}
-	var xParents, xInDoubt []*txn.Txn
+	var xParents []string
+	var xInDoubt []*txn.Txn
 	for _, id := range ids {
 		path := proto.TxnsPath + "/" + id
 		rec, _, err := c.loadTxn(path)
@@ -1838,7 +1830,7 @@ func (c *Controller) recover() error {
 			// Cross-shard parents never enter todoQ; the coordinator
 			// resumes them once local state is rebuilt.
 			if !rec.State.Terminal() {
-				xParents = append(xParents, rec)
+				xParents = append(xParents, id)
 			}
 			continue
 		}
@@ -1857,48 +1849,67 @@ func (c *Controller) recover() error {
 		case txn.StateAccepted, txn.StateDeferred:
 			rec.State = txn.StateAccepted
 			c.todo = append(c.todo, rec)
-		case txn.StateStarted:
-			// Re-apply the simulated effects and re-take the locks; the
-			// worker will (or already did) deliver a result notice.
+		case txn.StateStarted, txn.StatePrepared:
+			// Re-apply the simulated effects and re-take the locks. A
+			// started transaction's worker will (or already did) deliver a
+			// result notice; a prepared cross-shard child is in doubt until
+			// it is resolved against its coordinator record below.
 			if err := replayLog(c.ltree, c.cfg.Schema, rec.Log); err != nil {
-				return fmt.Errorf("replay in-flight %s: %w", rec.ID, err)
+				return fmt.Errorf("replay %s %s: %w", rec.State, rec.ID, err)
 			}
 			reqs := lockRequestsFromLog(c.ltree, c.cfg.Schema, rec.Log)
 			if err := c.locks.Acquire(rec.ID, reqs); err != nil {
-				return fmt.Errorf("re-lock in-flight %s: %w", rec.ID, err)
+				return fmt.Errorf("re-lock %s %s: %w", rec.State, rec.ID, err)
 			}
-			c.inFlight[rec.ID] = rec
-		case txn.StatePrepared:
-			// An in-doubt cross-shard child: re-apply its simulation and
-			// re-take its locks exactly like a started transaction, then
-			// resolve it against the coordinator record below.
-			if err := replayLog(c.ltree, c.cfg.Schema, rec.Log); err != nil {
-				return fmt.Errorf("replay prepared %s: %w", rec.ID, err)
-			}
-			reqs := lockRequestsFromLog(c.ltree, c.cfg.Schema, rec.Log)
-			if err := c.locks.Acquire(rec.ID, reqs); err != nil {
-				return fmt.Errorf("re-lock prepared %s: %w", rec.ID, err)
+			if rec.State == txn.StateStarted {
+				c.inFlight[rec.ID] = rec
+				continue
 			}
 			c.prepared[rec.ID] = rec
 			xInDoubt = append(xInDoubt, rec)
 		}
 	}
-	// Resolve in-doubt prepares against their coordinator records BEFORE
-	// the scheduling pass, so locks released by abort decisions are
-	// immediately claimable; then resume coordination of local parents.
-	for _, rec := range xInDoubt {
-		c.xResolveInDoubt(rec)
+	// Resolve in-doubt prepares against their coordinator records and
+	// resume coordination of local parents in the round that also carries
+	// the first scheduling pass, every write staged at the version it was
+	// read at. A round that fails (a wound's CAS on a parent landed in
+	// between) re-runs against fresh records; locks released by its
+	// aborts are claimed by the owed scheduling pass (resched). Each
+	// parent's deadline is armed first, a backstop should every attempt
+	// fail. The cross-shard sends of the round go out when recovery ends.
+	defer c.xFlushPeerSends()
+	for _, id := range xParents {
+		c.xArmTimeout(id)
 	}
-	for _, rec := range xParents {
-		c.xRecoverParent(rec)
-	}
-	if err := c.schedule(); err != nil {
-		// Not fatal: the owed scheduling pass (resched) retries it.
+	for attempt := 1; ; attempt++ {
+		r := newRound()
+		for _, t := range xInDoubt {
+			if _, ok := c.prepared[t.ID]; ok {
+				c.stageXResolve(r, t)
+			}
+		}
+		for _, id := range xParents {
+			rec, stat, err := c.loadTxn(c.txnPath(id))
+			if err == nil {
+				err = c.stageXParent(r, rec, stat, parentEvent{kind: evResume, seen: c.xReadChildren(rec)}, nil)
+			}
+			if err != nil {
+				c.cfg.Logf("controller %s: resume parent %s: %v", c.cfg.Name, id, err)
+			}
+		}
+		c.scheduleInto(r)
+		err := c.flushRound(r)
 		if errFatal(err) {
 			return err
 		}
-		c.cfg.Logf("controller %s: recovery scheduling pass: %v", c.cfg.Name, err)
+		if err == nil || attempt == recoveryAttempts {
+			if err != nil {
+				c.cfg.Logf("controller %s: recovery round: %v", c.cfg.Name, err)
+			}
+			break
+		}
 	}
+	c.todoDepth.Set(int64(len(c.todo)))
 	c.cfg.Logf("controller %s: recovered %d in-flight, %d prepared, %d queued, model %d nodes",
 		c.cfg.Name, len(c.inFlight), len(c.prepared), len(c.todo), c.ltree.Size())
 	return nil

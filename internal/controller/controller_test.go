@@ -157,12 +157,8 @@ func newRig(t *testing.T, counters int, exec worker.Executor) *rig {
 	r.wg.Add(2)
 	go func() { defer r.wg.Done(); _ = c.Run(ctx) }()
 	go func() { defer r.wg.Done(); _ = w.Run(ctx) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for !c.Leading() {
-		if time.Now().After(deadline) {
-			t.Fatal("controller never led")
-		}
-		time.Sleep(time.Millisecond)
+	if !eventually(5*time.Second, c.Leading) {
+		t.Fatal("controller never led")
 	}
 	t.Cleanup(func() {
 		cancel()
@@ -192,24 +188,49 @@ func (r *rig) submit(t *testing.T, proc string, args ...string) string {
 
 func (r *rig) wait(t *testing.T, path string) *txn.Txn {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		data, _, err := r.cli.Get(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := txn.Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.State.Terminal() {
-			return rec
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("txn %s stuck in %s", path, rec.State)
-		}
-		time.Sleep(2 * time.Millisecond)
+	return waitTerminal(t, r.cli, path, 10*time.Second)
+}
+
+// waitTerminal polls the record at path until it is terminal.
+func waitTerminal(t *testing.T, cli *store.Client, path string, timeout time.Duration) *txn.Txn {
+	t.Helper()
+	var rec *txn.Txn
+	if !eventually(timeout, func() bool {
+		rec = readTxn(t, cli, path)
+		return rec.State.Terminal()
+	}) {
+		t.Fatalf("txn %s stuck in %s", path, rec.State)
 	}
+	return rec
+}
+
+// readTxn reads and decodes the record at path.
+func readTxn(t *testing.T, cli *store.Client, path string) *txn.Txn {
+	t.Helper()
+	data, _, err := cli.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := txn.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// eventually polls cond every millisecond until it holds or timeout
+// passes, and reports whether it held.
+func eventually(timeout time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		<-tick.C
+	}
+	return true
 }
 
 func TestLifecycleCommit(t *testing.T) {
@@ -362,7 +383,14 @@ func TestReadLockBlocksWriter(t *testing.T) {
 	// writer of /c0 must defer (R ‖ W conflict) — the §3.1.3 isolation.
 	r := newRig(t, 2, &slowExecutor{delay: 80 * time.Millisecond})
 	p1 := r.submit(t, "readThenInc", "/c0", "/c1")
-	time.Sleep(20 * time.Millisecond)
+	// The writer is submitted only once the reader executes, holding its
+	// read lock.
+	if !eventually(5*time.Second, func() bool {
+		s := readTxn(t, r.cli, p1).State
+		return s == txn.StateStarted || s.Terminal()
+	}) {
+		t.Fatal("reader never started")
+	}
 	p2 := r.submit(t, "incN", "/c0", "1")
 	if rec := r.wait(t, p1); rec.State != txn.StateCommitted {
 		t.Fatalf("reader = %s", rec.State)
@@ -395,7 +423,13 @@ func TestDuplicateSubmitNoticeIgnored(t *testing.T) {
 	if rec.State != txn.StateCommitted {
 		t.Fatalf("state = %s", rec.State)
 	}
-	time.Sleep(50 * time.Millisecond) // let the duplicate drain
+	// The duplicate is consumed once inputQ is empty.
+	if !eventually(5*time.Second, func() bool {
+		items, err := r.cli.Children(proto.InputQPath)
+		return err == nil && len(items) == 0
+	}) {
+		t.Fatal("the duplicate notice never drained")
+	}
 	n, _ := r.ctrl.LogicalTree().Get("/c0")
 	if n.GetInt("value") != 1 {
 		t.Fatalf("c0 = %d, want 1 (duplicate executed?)", n.GetInt("value"))
@@ -434,12 +468,8 @@ func TestCheckpointGCsTerminalRecords(t *testing.T) {
 		w.Close()
 		ens.Close()
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for !c.Leading() {
-		if time.Now().After(deadline) {
-			t.Fatal("no leader")
-		}
-		time.Sleep(time.Millisecond)
+	if !eventually(5*time.Second, c.Leading) {
+		t.Fatal("no leader")
 	}
 	r := &rig{ens: ens, ctrl: c, wrk: w, cli: cli}
 	for i := 0; i < 6; i++ {
@@ -448,9 +478,14 @@ func TestCheckpointGCsTerminalRecords(t *testing.T) {
 			t.Fatalf("txn %d: %s (%s)", i, rec.State, rec.Error)
 		}
 	}
-	// Let the last checkpoint settle, then count records and log
-	// entries.
-	time.Sleep(50 * time.Millisecond)
+	// The last checkpoint has settled once it folded the commit log;
+	// then count records and log entries.
+	if !eventually(5*time.Second, func() bool {
+		entries, err := cli.Children(proto.CommitLogPath)
+		return err == nil && len(entries) == 0
+	}) {
+		t.Fatal("the last checkpoint never folded the commit log")
+	}
 	ids, err := cli.Children(proto.TxnsPath)
 	if err != nil {
 		t.Fatal(err)

@@ -24,12 +24,18 @@ package controller
 // Crash safety: the decision lives in the parent record, which each
 // shard's store persists and replays like any znode, so a participant
 // leader elected after a crash resolves its in-doubt prepared children
-// by reading the coordinator record (xResolveInDoubt), and a
-// coordinator leader resumes undecided or undelivered parents from its
-// record scan (xRecoverParent). An undecided parent past its prepare
+// by reading the coordinator record (stageXResolve), and a coordinator
+// leader resumes undecided or undelivered parents from its record scan
+// (a resume event). An undecided parent past its prepare
 // deadline is aborted with xshard.indoubt_timeout — the standard 2PC
 // presumed-abort escape hatch — so crashed participants can never
 // strand locks on the survivors.
+//
+// Every parent and child transition is one step function (step.go):
+// parentStep for votes, child-dones, deadlines and resumes, childStep
+// for commit, abort and restart. Their executors (stageXParent,
+// stageXChild) stage the record write into the leader's event round, so
+// message handling and recovery write through the same grouped flush.
 //
 // Lock waits between children cannot deadlock: every participant
 // prepares children in one global order (shard.PrepareLess), and a child
@@ -42,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/lock"
@@ -189,14 +194,12 @@ type peerSend struct {
 	onErr func(cli *store.Client, err error)
 }
 
-// xPeerSend dispatches ops to shard i's store. Mid-round (the leader
-// processing an event round) the send is staged, so every message bound
-// for one peer this round — several parents' prepares, decisions, votes
-// — rides a single Multi through that peer's batcher at round end.
-// Outside a round (recovery, deadline timers) it goes out immediately,
-// asynchronously through the session's batcher, never blocking the
-// caller on the peer's quorum latency. Failures route to onErr (or the
-// log): every cross-shard message has a recovery backstop (the
+// xPeerSend stages ops for shard i's store: every message bound for one
+// peer in an event round (or in recovery) — several parents' prepares,
+// decisions, votes — rides a single Multi through that peer's batcher
+// when the round ends (xFlushPeerSends), asynchronously, never blocking
+// the leader on the peer's quorum latency. Failures route to onErr (or
+// the log): every cross-shard message has a recovery backstop (the
 // coordinator's direct ledger sync, the prepare deadline, participant
 // in-doubt resolution), so a lost message costs latency, never
 // correctness.
@@ -206,24 +209,10 @@ func (c *Controller) xPeerSend(i int, what string, onErr func(cli *store.Client,
 			c.cfg.Logf("controller %s: %s: %v", c.cfg.Name, what, err)
 		}
 	}
-	p, err := c.xPeer(i)
-	if err != nil {
-		onErr(nil, err)
-		return
+	if c.peerSends == nil {
+		c.peerSends = make(map[int][]peerSend)
 	}
-	if c.peerCollect {
-		if c.peerSends == nil {
-			c.peerSends = make(map[int][]peerSend)
-		}
-		c.peerSends[i] = append(c.peerSends[i], peerSend{ops: ops, onErr: onErr})
-		return
-	}
-	ch := p.b.MultiAsync(ops...)
-	go func() {
-		if err := <-ch; err != nil {
-			onErr(p.cli, err)
-		}
-	}()
+	c.peerSends[i] = append(c.peerSends[i], peerSend{ops: ops, onErr: onErr})
 }
 
 // xSendMsg stages one inputQ item for shard i (the common peerSend
@@ -234,9 +223,10 @@ func (c *Controller) xSendMsg(i int, msg proto.InputMsg, what string) {
 }
 
 // xFlushPeerSends commits every send staged during the round, one
-// grouped Multi per peer shard. A failed group degrades to per-message
-// sends so one bad op (a prepare's ErrNodeExists on a coordinator
-// retry) cannot veto the rest of its peer's traffic.
+// grouped Multi per peer shard; an unreachable peer fails its sends. A
+// failed group degrades to per-message sends so one bad op (a prepare's
+// ErrNodeExists on a coordinator retry) cannot veto the rest of its
+// peer's traffic.
 func (c *Controller) xFlushPeerSends() {
 	sends := c.peerSends
 	c.peerSends = nil
@@ -253,14 +243,12 @@ func (c *Controller) xFlushPeerSends() {
 			ops = append(ops, s.ops...)
 		}
 		c.met.xPeerBatch.Observe(float64(len(ops)))
-		group := group
 		ch := p.b.MultiAsync(ops...)
 		go func() {
 			if err := <-ch; err == nil {
 				return
 			}
 			for _, s := range group {
-				s := s
 				sch := p.b.MultiAsync(s.ops...)
 				go func() {
 					if err := <-sch; err != nil {
@@ -495,9 +483,7 @@ func (c *Controller) xClockVote(id string) {
 func (c *Controller) xClockDecided(id string) {
 	c.xtMu.Lock()
 	clk := c.xTimes[id]
-	if clk != nil && !clk.decidedAt.IsZero() {
-		clk = nil // already timed by an earlier decide path
-	} else if clk != nil {
+	if clk != nil {
 		clk.decidedAt = time.Now()
 	}
 	c.xtMu.Unlock()
@@ -519,93 +505,6 @@ func (c *Controller) xClockFinalized(id string) {
 	c.xtMu.Unlock()
 	if clk != nil && !clk.decidedAt.IsZero() {
 		c.met.xPhase.With(c.met.shard, "decide").ObserveDuration(time.Since(clk.decidedAt))
-	}
-}
-
-// xAllVoted reports whether every child has a ledger entry (vote or
-// terminal outcome).
-func xAllVoted(rec *txn.Txn) bool {
-	for _, ref := range rec.Children {
-		if ref.State == "" {
-			return false
-		}
-	}
-	return true
-}
-
-// xAllTerminal reports whether every child's ledger entry is terminal.
-func xAllTerminal(rec *txn.Txn) bool {
-	for _, ref := range rec.Children {
-		if !ref.State.Terminal() {
-			return false
-		}
-	}
-	return true
-}
-
-// xRecordDecision derives and records the 2PC decision from the
-// parent's ledger, transitioning it to deciding. The caller persists
-// the record — that write IS the durable decision. timeout marks a
-// deadline-driven decision: children that never voted abort the parent
-// with xshard.indoubt_timeout instead of xshard.prepare_failed.
-func (c *Controller) xRecordDecision(rec *txn.Txn, timeout bool) error {
-	noVote, abortVote := -1, -1
-	for k, ref := range rec.Children {
-		switch {
-		case ref.State == "":
-			if noVote == -1 {
-				noVote = k
-			}
-		case ref.State != txn.StatePrepared:
-			if abortVote == -1 {
-				abortVote = k
-			}
-		}
-	}
-	switch {
-	case noVote == -1 && abortVote == -1:
-		rec.Decision = txn.DecisionCommit
-	case abortVote >= 0:
-		ref := rec.Children[abortVote]
-		rec.Decision = txn.DecisionAbort
-		rec.Code = string(trerr.XShardPrepareFailed)
-		if ref.Code != "" {
-			// Keep the participant's own classification reachable.
-			rec.Error = fmt.Sprintf("child %s aborted during prepare (%s): %s", ref.ID, ref.Code, ref.Error)
-		} else {
-			rec.Error = fmt.Sprintf("child %s aborted during prepare: %s", ref.ID, ref.Error)
-		}
-	default:
-		if !timeout {
-			return fmt.Errorf("controller: decision for %s requested with child %s unvoted",
-				rec.ID, rec.Children[noVote].ID)
-		}
-		rec.Decision = txn.DecisionAbort
-		rec.Code = string(trerr.XShardInDoubtTimeout)
-		rec.Error = fmt.Sprintf("child %s did not vote before the prepare deadline", rec.Children[noVote].ID)
-		c.met.xInDoubt.Inc()
-	}
-	return rec.Transition(txn.StateDeciding)
-}
-
-// xFanOutDecides delivers the recorded decision to every child the
-// ledger shows prepared (aborted voters are already terminal; started
-// and terminal children have the decision already). eager marks the
-// first fan-out, straight after the durable decision write: remote
-// participants are then SKIPPED — each armed a watch on the parent
-// record at vote time and reads the decision off the write itself (the
-// piggyback). Re-deliveries (deadline, recovery) pass eager=false and
-// send real notices, covering any participant whose watch died with a
-// crash.
-func (c *Controller) xFanOutDecides(rec *txn.Txn, eager bool) {
-	for k, ref := range rec.Children {
-		if ref.State != txn.StatePrepared {
-			continue
-		}
-		if eager && ref.Shard != c.cfg.XShard.Self {
-			continue
-		}
-		c.xSendDecide(rec, k)
 	}
 }
 
@@ -662,7 +561,7 @@ func (c *Controller) xWatchDecision(t *txn.Txn) {
 	if err != nil {
 		return
 	}
-	cli := pr.cli
+	cli, id := pr.cli, t.ID
 	parentPath := proto.TxnsPath + "/" + parentLocal
 	deadline := time.Now().Add(2 * c.xTimeoutDur())
 	go func() {
@@ -688,7 +587,7 @@ func (c *Controller) xWatchDecision(t *txn.Txn) {
 			}
 			if parent.Decision != "" {
 				w.Close()
-				c.enqueueLocal(xDecideMsg(parent, t.ID, "ack"))
+				c.enqueueLocal(xDecideMsg(parent, id, "ack"))
 				return
 			}
 			select {
@@ -703,43 +602,6 @@ func (c *Controller) xWatchDecision(t *txn.Txn) {
 			}
 		}
 	}()
-}
-
-// xFinalizeParent folds the completed ledger into the parent's own
-// terminal state: committed iff every child committed; failed if any
-// child failed (a cross-layer inconsistency on that shard); aborted
-// otherwise. Decision-time Error/Code (prepare_failed, indoubt_timeout)
-// are preserved; a post-decision physical failure adopts the child's.
-func (c *Controller) xFinalizeParent(rec *txn.Txn) error {
-	outcome := txn.StateCommitted
-	carry := -1
-	for k, ref := range rec.Children {
-		switch ref.State {
-		case txn.StateFailed:
-			outcome = txn.StateFailed
-			carry = k
-		case txn.StateAborted:
-			if outcome == txn.StateCommitted {
-				outcome = txn.StateAborted
-				if carry == -1 {
-					carry = k
-				}
-			}
-		}
-	}
-	if outcome != txn.StateCommitted && rec.Error == "" && carry >= 0 {
-		ref := rec.Children[carry]
-		rec.Error = fmt.Sprintf("child %s: %s", ref.ID, ref.Error)
-		rec.Code = ref.Code
-		if rec.Code == "" {
-			rec.Code = string(trerr.XShardPrepareFailed)
-		}
-	}
-	// Stats are NOT counted here: finalization may be staged into a
-	// grouped Multi whose flush can fail and re-run the round — the
-	// caller counts via xCountParent only after the terminal write is
-	// durable.
-	return rec.Transition(outcome)
 }
 
 // xCountParent tallies a parent's terminal outcome once its finalize
@@ -764,362 +626,144 @@ func (c *Controller) xCountParent(rec *txn.Txn) {
 	c.xClockFinalized(rec.ID)
 }
 
-// xEffects describes what one ledger message (vote or child-done) did
-// to a parent record and what must happen after its write is durable.
-type xEffects struct {
-	// changed: the record was mutated (ledger entry, decision, or
-	// finalization) and must be persisted.
-	changed bool
-	// decided: THIS message completed the vote set; after the durable
-	// decision write, fan it out and re-arm the deadline.
-	decided bool
-	// finalized: THIS message completed the ledger and the parent's
-	// terminal transition rode the write; count it once durable.
-	finalized bool
-	// lateAbort: a prepared vote arrived at (or after) an abort
-	// decision; its shard holds locks nobody will release unless told —
-	// deliver the abort to child.
-	lateAbort bool
-	child     int
+// stageXParentMsg applies a vote, child-done or deadline notice to the
+// parent it names (stageXParent). A second message touching the same
+// parent this round stays queued for the next drain (the discipline
+// shared with stageAccept).
+func (c *Controller) stageXParentMsg(r *round, msg proto.InputMsg, itemPath string) error {
+	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
+	if !ok {
+		return err
+	}
+	notice := c.noticeRemoveOps(itemPath)
+	if !rec.IsParent() {
+		r.stage(notice, nil, nil)
+		return nil
+	}
+	ev := parentEvent{kind: evVote, child: msg.ChildIndex, state: txn.State(msg.Outcome),
+		err: msg.Error, code: msg.Code, epoch: msg.Epoch}
+	switch msg.Kind {
+	case proto.KindXChildDone:
+		ev.kind = evChildDone
+	case proto.KindXTimeout:
+		ev = parentEvent{kind: evDeadline, seen: c.xReadChildren(rec)}
+	}
+	return c.stageXParent(r, rec, stat, ev, notice)
 }
 
-// xApplyVote folds one participant vote into the parent's ledger,
-// deciding when the last vote lands and finalizing when the decision's
-// children are already all terminal. ok=false consumes a malformed
-// message without touching the record.
-func (c *Controller) xApplyVote(rec *txn.Txn, msg proto.InputMsg) (eff xEffects, ok bool, err error) {
-	k := msg.ChildIndex
-	eff.child = k
-	if k < 0 || k >= len(rec.Children) {
-		c.cfg.Logf("controller %s: vote for %s with child index %d out of range", c.cfg.Name, rec.ID, k)
-		return eff, false, nil
+// stageXParent is parentStep's executor. It applies ev to rec, read at
+// stat, and stages the record write — at that version, so a write that
+// raced it (a wound's CAS) fails the round, which re-runs against the
+// fresh record — into the round together with notice, the ops consuming
+// the event's notice. A decision bound for a coordinator-local prepared
+// child rides the same round ("inline"), so the durable decision and the
+// child's promotion (or abort) commit in one Multi. The rest — counters,
+// sends, the next deadline — runs once the round is durable.
+func (c *Controller) stageXParent(r *round, rec *txn.Txn, stat store.Stat, ev parentEvent, notice []store.Op) error {
+	out, err := parentStep(rec, ev)
+	if errors.Is(err, errXMalformed) {
+		c.cfg.Logf("controller %s: %v", c.cfg.Name, err)
+		r.stage(notice, nil, nil)
+		return nil
 	}
-	vote := txn.State(msg.Outcome)
-	if vote != txn.StatePrepared && !vote.Terminal() {
-		c.cfg.Logf("controller %s: vote for %s/%d with outcome %q", c.cfg.Name, rec.ID, k, msg.Outcome)
-		return eff, false, nil
+	if err != nil {
+		return err
 	}
-	ref := &rec.Children[k]
-	if vote == txn.StatePrepared && msg.Epoch != ref.Epoch {
-		// A yes from a prepare attempt wound-wait has since voided: the
-		// child is back in todoQ (or about to be) and votes again.
-		return eff, true, nil
+	var inline, later []int
+	for _, k := range out.deliver {
+		ref := rec.Children[k]
+		switch _, tracked := c.prepared[ref.ID]; {
+		case ref.Shard != c.cfg.XShard.Self:
+			if !out.eager {
+				later = append(later, k)
+			}
+		case tracked && !r.staged[c.txnPath(ref.ID)]:
+			inline = append(inline, k)
+		default:
+			// Not prepared in memory yet (its admission rides this round)
+			// or already decided this round: xSendDecide re-checks once
+			// the round is durable.
+			later = append(later, k)
+		}
 	}
-	if ref.State == "" || (ref.State == txn.StatePrepared && vote.Terminal()) {
-		if ref.State == "" {
-			// First word from this participant: one prepare round trip.
+	ops := notice
+	if out.write {
+		path := c.txnPath(rec.ID)
+		r.staged[path] = true
+		ops = append(ops, store.SetOp(path, rec.Encode(), stat.Version))
+	}
+	r.stage(ops, func() {
+		if out.accepted {
+			c.countStage(&c.stats.Accepted, "accepted")
+		}
+		if out.firstVote {
 			c.xClockVote(rec.ID)
 		}
-		ref.State, ref.Error, ref.Code = vote, msg.Error, msg.Code
-		eff.changed = true
-	}
-	if rec.State == txn.StateAccepted && xAllVoted(rec) {
-		if err := c.xRecordDecision(rec, false); err != nil {
-			return eff, false, err
+		if out.indoubt {
+			c.met.xInDoubt.Inc()
 		}
-		eff.decided, eff.changed = true, true
-	}
-	if rec.State == txn.StateDeciding && xAllTerminal(rec) {
-		if err := c.xFinalizeParent(rec); err != nil {
-			return eff, false, err
+		if out.finalized {
+			c.xCountParent(rec)
 		}
-		eff.finalized, eff.changed = true, true
-	}
-	if !eff.decided && vote == txn.StatePrepared && rec.Decision == txn.DecisionAbort {
-		eff.lateAbort = true
-	}
-	return eff, true, nil
-}
-
-// xPostVote runs a vote's post-persist effects.
-func (c *Controller) xPostVote(rec *txn.Txn, eff xEffects) {
-	if eff.finalized {
-		c.xCountParent(rec)
-	}
-	if eff.decided {
-		c.xClockDecided(rec.ID)
-		c.xHook(XEventDecided, rec.ID)
-		c.xFanOutDecides(rec, true)
-		c.xArmTimeout(rec.ID)
-		return
-	}
-	if eff.lateAbort {
-		// A late voter may have missed the piggybacked decision window
-		// (its watch fired before the decision landed and the redelivery
-		// pace is slow) — send it a real notice.
-		c.xSendDecide(rec, eff.child)
-	}
-}
-
-// stageXVote processes one participant vote on the coordinator: the
-// ledger write (with the decision, once the last vote lands) and notice
-// consumption join the round's grouped Multi; fan-outs — the decision,
-// or an abort to a latecomer prepared after an abort decision — run
-// post-flush. A second message touching the same parent this round
-// stays queued for the next drain (the discipline shared with
-// stageAccept).
-func (c *Controller) stageXVote(r *round, msg proto.InputMsg, itemPath string) error {
-	if r.staged[msg.TxnPath] {
-		if itemPath == "" {
-			// Local message colliding with an already-staged parent write:
-			// requeue in memory for the next round (the staged-path
-			// discipline; a store-queued item just stays queued).
-			c.enqueueLocal(msg)
-		}
-		return nil
-	}
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			r.stage(c.noticeRemoveOps(itemPath), nil, nil)
-			return nil
-		}
-		return err
-	}
-	eff, ok, err := c.xApplyVote(rec, msg)
-	if err != nil {
-		return err
-	}
-	if !ok || !eff.changed {
-		if itemPath == "" {
-			// Nothing to persist and no notice to consume: flushRound skips
-			// op-less stages, so run the effects directly.
-			c.xPostVote(rec, eff)
-			return nil
-		}
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)},
-			func() { c.xPostVote(rec, eff) }, nil)
-		return nil
-	}
-	if eff.decided {
-		// The final vote decided the parent: piggyback the
-		// coordinator-local child's decision apply onto this same round,
-		// so the durable decision write and the child's promote (or
-		// abort) commit in one atomic Multi — no extra round trip.
-		if err := c.stageXDecideLocal(r, rec); err != nil {
-			return err
-		}
-	}
-	r.staged[msg.TxnPath] = true
-	r.stage(
-		append(c.noticeRemoveOps(itemPath),
-			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version)),
-		func() { c.xPostVote(rec, eff) },
-		nil,
-	)
-	return nil
-}
-
-// stageXDecideLocal stages the decision apply for any coordinator-local
-// prepared child into the round that is about to write the parent's
-// durable decision (stageXVote's decided branch). Delivery is
-// Via="inline": if the shared Multi fails, the child stage only unwinds
-// its in-memory transition — the round's re-run applies the vote again
-// and delivers the decision once it IS durable.
-func (c *Controller) stageXDecideLocal(r *round, rec *txn.Txn) error {
-	for k := range rec.Children {
-		ref := rec.Children[k]
-		if ref.Shard != c.cfg.XShard.Self || ref.State != txn.StatePrepared {
-			continue
-		}
-		if _, tracked := c.prepared[ref.ID]; !tracked {
-			continue
-		}
-		if err := c.stageXDecide(r, xDecideMsg(rec, ref.ID, "inline"), ""); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// xApplyChildDone folds one terminal child outcome into the ledger and
-// finalizes the parent once every child has reported.
-func (c *Controller) xApplyChildDone(rec *txn.Txn, msg proto.InputMsg) (changed, finalized bool, err error) {
-	k := msg.ChildIndex
-	outcome := txn.State(msg.Outcome)
-	if k < 0 || k >= len(rec.Children) || !outcome.Terminal() {
-		c.cfg.Logf("controller %s: child-done for %s: index %d outcome %q", c.cfg.Name, rec.ID, k, msg.Outcome)
-		return false, false, nil
-	}
-	ref := &rec.Children[k]
-	if !ref.State.Terminal() {
-		ref.State, ref.Error, ref.Code = outcome, msg.Error, msg.Code
-		changed = true
-	}
-	if rec.State == txn.StateDeciding && xAllTerminal(rec) {
-		if err := c.xFinalizeParent(rec); err != nil {
-			return changed, false, err
-		}
-		changed, finalized = true, true
-	}
-	return changed, finalized, nil
-}
-
-// stageXChildDone records a child's terminal outcome on the coordinator:
-// the ledger write (and, when it completes the set, the parent's
-// terminal transition) rides the round's grouped Multi.
-func (c *Controller) stageXChildDone(r *round, msg proto.InputMsg, itemPath string) error {
-	if r.staged[msg.TxnPath] {
-		if itemPath == "" {
-			c.enqueueLocal(msg)
-		}
-		return nil
-	}
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			r.stage(c.noticeRemoveOps(itemPath), nil, nil)
-			return nil
-		}
-		return err
-	}
-	changed, finalized, err := c.xApplyChildDone(rec, msg)
-	if err != nil {
-		return err
-	}
-	if !changed {
-		r.stage(c.noticeRemoveOps(itemPath), nil, nil)
-		return nil
-	}
-	r.staged[msg.TxnPath] = true
-	var after func()
-	if finalized {
-		after = func() { c.xCountParent(rec) }
-	}
-	r.stage(
-		append(c.noticeRemoveOps(itemPath),
-			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version)),
-		after,
-		nil,
-	)
-	return nil
-}
-
-// xTimeout processes a parent deadline check: an undecided parent is
-// resolved — by its ledger if every vote is actually visible (direct
-// child reads cover votes whose notices were lost), by presumed abort
-// otherwise — and a decided parent re-delivers its decision to children
-// still outstanding, re-arming itself until the ledger completes.
-func (c *Controller) xTimeout(msg proto.InputMsg, itemPath string) error {
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			return c.inputQ.Remove(itemPath)
-		}
-		return err
-	}
-	if rec.State.Terminal() || !rec.IsParent() {
-		// Terminal (or not a parent): the deadline is moot.
-		return c.inputQ.Remove(itemPath)
-	}
-	return c.xAdvanceParent(rec, c.xSyncLedger(rec), true, func(changed bool) error {
-		if !changed {
-			return c.inputQ.Remove(itemPath)
-		}
-		return c.cli.Multi(
-			c.inputQ.RemoveOp(itemPath),
-			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
-		)
-	})
-}
-
-// xAdvanceParent drives a non-terminal parent as far as its ledger
-// allows — decide (when every vote is in, or unconditionally on a
-// deadline), finalize when every child is terminal — persists through
-// the caller's closure, and runs the post-persist effects: outcome
-// counting, the decided hook, decision (re-)delivery, and the next
-// deadline. The single state machine behind the timeout and recovery
-// paths, so they cannot diverge.
-func (c *Controller) xAdvanceParent(rec *txn.Txn, changed, deadline bool, persist func(changed bool) error) error {
-	decided, finalized := false, false
-	if rec.State == txn.StateAccepted && (deadline || xAllVoted(rec)) {
-		if err := c.xRecordDecision(rec, deadline); err != nil {
-			return err
-		}
-		changed, decided = true, true
-	}
-	if rec.State == txn.StateDeciding && xAllTerminal(rec) {
-		if err := c.xFinalizeParent(rec); err != nil {
-			return err
-		}
-		changed, finalized = true, true
-	}
-	if err := persist(changed); err != nil {
-		return err
-	}
-	if finalized {
-		c.xCountParent(rec)
-	}
-	if rec.Decision != "" {
-		if decided {
+		if out.decided {
 			c.xClockDecided(rec.ID)
 			c.xHook(XEventDecided, rec.ID)
 		}
-		// Re-delivery to children the ledger still shows prepared; a
-		// no-op once everything reported. Never eager: redelivery must
-		// reach participants whose piggyback watch died with a crash.
-		c.xFanOutDecides(rec, false)
-	}
-	if !rec.State.Terminal() {
-		c.xArmTimeout(rec.ID)
+		for _, k := range out.prepare {
+			c.xSendPrepare(rec, k)
+		}
+		for _, k := range later {
+			c.xSendDecide(rec, k)
+		}
+		if out.rearm {
+			c.xArmTimeout(rec.ID)
+		}
+	}, nil)
+	// Staged after the parent's write: a child whose stage fails still
+	// gets the decision, delivered once the round is durable.
+	for _, k := range inline {
+		id := rec.Children[k].ID
+		if err := c.stageXChild(r, xDecideMsg(rec, id, "inline"), ""); err != nil {
+			c.cfg.Logf("controller %s: inline decide for %s: %v", c.cfg.Name, id, err)
+			later = append(later, k)
+		}
 	}
 	return nil
 }
 
-// xSyncLedger refreshes a parent's ledger by reading child records
-// directly from their shards, covering votes and outcomes whose notices
-// were lost in transit. Read failures leave entries untouched — the
-// message path and the next deadline remain as backstops. A child on a
-// shard outside the map (only a hand-written parent names one) has no
-// record anywhere, like a child whose prepare send was lost.
-func (c *Controller) xSyncLedger(rec *txn.Txn) (changed bool) {
+// xReadChildren reads the record of every child whose ledger entry is
+// open straight from its shard, for a deadline or a resume to sync the
+// ledger with (syncLedger). A child on a shard outside the map (only a
+// hand-written parent names one) has no record anywhere, like a child
+// whose prepare send was lost.
+func (c *Controller) xReadChildren(rec *txn.Txn) []childRead {
 	shards := c.cfg.XShard.Router.Shards()
-	for k := range rec.Children {
-		ref := &rec.Children[k]
+	seen := make([]childRead, len(rec.Children))
+	for k, ref := range rec.Children {
 		if ref.State.Terminal() {
 			continue
 		}
-		var data []byte
-		var err error = store.ErrNoNode
-		if ref.Shard >= 0 && ref.Shard < shards {
-			pr, perr := c.xPeer(ref.Shard)
-			if perr != nil {
-				continue
-			}
-			data, _, err = pr.cli.Get(proto.TxnsPath + "/" + ref.ID)
-		}
-		if err != nil {
-			if errors.Is(err, store.ErrNoNode) && ref.State == "" &&
-				rec.State == txn.StateDeciding && rec.Decision == txn.DecisionAbort {
-				// The decision is abort and this child was never created
-				// (its prepare send was lost): it can never prepare, so
-				// record it aborted — otherwise the ledger never completes
-				// and the parent re-arms its deadline forever. If the
-				// prepare lands late after all, the child's vote meets the
-				// abort decision and is aborted through the late-vote path.
-				ref.State = txn.StateAborted
-				ref.Error = "never prepared before the abort decision"
-				ref.Code = string(trerr.XShardInDoubtTimeout)
-				changed = true
-			}
+		if ref.Shard < 0 || ref.Shard >= shards {
+			seen[k].missing = true
 			continue
 		}
-		child, err := txn.Decode(data)
+		pr, err := c.xPeer(ref.Shard)
 		if err != nil {
 			continue
 		}
-		if child.State != txn.StatePrepared && !child.State.Terminal() {
+		data, _, err := pr.cli.Get(proto.TxnsPath + "/" + ref.ID)
+		if errors.Is(err, store.ErrNoNode) {
+			seen[k].missing = true
 			continue
 		}
-		if child.State == txn.StatePrepared && child.Epoch != ref.Epoch {
-			continue // a prepare wound-wait voided; its restart is pending
+		if err != nil {
+			continue
 		}
-		if ref.State != child.State {
-			ref.State, ref.Error, ref.Code = child.State, child.Error, child.Code
-			changed = true
+		if child, err := txn.Decode(data); err == nil {
+			seen[k] = childRead{state: child.State, epoch: child.Epoch, err: child.Error, code: child.Code}
 		}
 	}
-	return changed
+	return seen
 }
 
 // --- Participant ------------------------------------------------------
@@ -1202,59 +846,25 @@ func (c *Controller) xSendReport(kind proto.MsgKind, t *txn.Txn) {
 	c.xSendMsg(coord, msg, string(kind)+" for "+t.ID)
 }
 
-// xSendVote reports a child's vote — its prepared or aborted state.
-func (c *Controller) xSendVote(t *txn.Txn) { c.xSendReport(proto.KindXVote, t) }
-
-// xSendChildDone reports a child's terminal outcome.
-func (c *Controller) xSendChildDone(t *txn.Txn) { c.xSendReport(proto.KindXChildDone, t) }
-
-// stagedVote is one coordinator-local yes-vote folded into a grouped
-// admission flush (xStageLocalVotes): the parent record with the vote
-// applied and the effects to run once the flush is durable.
-type stagedVote struct {
-	rec *txn.Txn
-	eff xEffects
-}
-
-// xStageLocalVotes folds the yes-vote of every coordinator-local
-// prepared child in the admission batch into the round's Multi: the
-// parent-ledger vote write commits atomically with the child's durable
-// prepare, so the local vote costs no separate store commit and no
-// extra leader round. A parent whose record already has a write staged
-// this round is skipped; its child votes by message. Returns the
-// applied votes keyed by child ID (the caller tracks those children
-// directly and skips the message vote, then runs each vote's post-flush
-// effects). On a failed flush the mutated parent copies are simply
-// discarded — the children are unwound and vote again when the re-run
-// admits them.
-func (c *Controller) xStageLocalVotes(r *round, pending []*txn.Txn) map[string]*stagedVote {
-	var votes map[string]*stagedVote
-	for _, t := range pending {
-		if t.State != txn.StatePrepared {
-			continue
-		}
-		coord, parentPath, k, ok := c.xParentOf(t)
-		if !ok || coord != c.cfg.XShard.Self || r.staged[parentPath] {
-			continue // a parent staged already: vote by message instead
-		}
-		rec, stat, err := c.loadTxn(parentPath)
-		if err != nil {
-			continue
-		}
-		eff, applied, err := c.xApplyVote(rec, xReportMsg(proto.KindXVote, t, parentPath, k))
-		if err != nil || !applied {
-			continue
-		}
-		if eff.changed {
-			r.staged[parentPath] = true
-			r.ops = append(r.ops, store.SetOp(parentPath, rec.Encode(), stat.Version))
-		}
-		if votes == nil {
-			votes = make(map[string]*stagedVote)
-		}
-		votes[t.ID] = &stagedVote{rec: rec, eff: eff}
+// stageXLocalVote folds the yes-vote of a coordinator-local child
+// admitted as prepared this round into the same round: the parent-ledger
+// write commits atomically with the child's durable prepare, so the
+// local vote costs no store commit and no leader round of its own.
+// Returns false when the child must vote by message instead (not
+// coordinated here, or its parent already has a write staged this
+// round). On a failed flush the child is unwound and votes again when
+// the re-run admits it.
+func (c *Controller) stageXLocalVote(r *round, t *txn.Txn) bool {
+	coord, parentPath, k, ok := c.xParentOf(t)
+	if !ok || coord != c.cfg.XShard.Self || r.staged[parentPath] {
+		return false
 	}
-	return votes
+	rec, stat, err := c.loadTxn(parentPath)
+	if err != nil {
+		return false
+	}
+	ev := parentEvent{kind: evVote, child: k, state: t.State, epoch: t.Epoch}
+	return c.stageXParent(r, rec, stat, ev, nil) == nil
 }
 
 // stageXChildDoneLocal stages a terminal local child's child-done
@@ -1262,194 +872,108 @@ func (c *Controller) xStageLocalVotes(r *round, pending []*txn.Txn) map[string]*
 // into the round that persists the child's own terminal state
 // (stageCleanup's committed branch), when this shard coordinates the
 // parent. Returns true when the report was staged or queued — the
-// caller then skips xSendChildDone.
+// caller then skips its child-done report.
 func (c *Controller) stageXChildDoneLocal(r *round, t *txn.Txn) bool {
 	coord, parentPath, k, ok := c.xParentOf(t)
 	if !ok || coord != c.cfg.XShard.Self {
 		return false
 	}
 	msg := xReportMsg(proto.KindXChildDone, t, parentPath, k)
-	if err := c.stageXChildDone(r, msg, ""); err != nil {
+	if err := c.stageXParentMsg(r, msg, ""); err != nil {
 		c.cfg.Logf("controller %s: inline child-done for %s: %v", c.cfg.Name, t.ID, err)
 		c.enqueueLocal(msg)
 	}
 	return true
 }
 
-// stageXDecide applies a coordinator decision to a prepared child: the
-// commit promotion — the started-state write and phyQ enqueue, the only
-// path by which a cross-shard child enters phyQ, so physical execution
-// stays exactly-once — or the abort rides the round's grouped Multi
-// with consuming the notice, so decisions for many transactions share
-// one store commit instead of paying one each. An abort's logical
-// rollback and lock release follow the flush. A failed flush unwinds
-// the in-memory transition.
-func (c *Controller) stageXDecide(r *round, msg proto.InputMsg, itemPath string) error {
-	if r.staged[msg.TxnPath] {
-		if itemPath == "" {
-			c.enqueueLocal(msg)
-		}
-		return nil
-	}
-	rec, stat, err := c.loadTxn(msg.TxnPath)
-	if err != nil {
-		if errors.Is(err, store.ErrNoNode) {
-			r.stage(c.noticeRemoveOps(itemPath), nil, nil)
-			return nil
-		}
+// stageXChild is childStep's executor for a decide or restart message
+// naming a prepared child tracked here. The child's write — at the
+// version it was read at, with the phyQ enqueue for a commit — and the
+// notice's consumption ride the round's grouped Multi, so decisions for
+// many transactions share one store commit. Rollback and lock release
+// (abort, restart) run only once the write is durable, the
+// persist-before-rollback discipline of cleanup; a failed flush undoes
+// the in-memory step. A late, duplicate or malformed message, or one for
+// a child not prepared, is consumed without acting: prepared on disk but
+// untracked in memory can only mean a bug in recovery, and refusing to
+// act blind keeps the store consistent.
+func (c *Controller) stageXChild(r *round, msg proto.InputMsg, itemPath string) error {
+	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
+	if !ok {
 		return err
 	}
+	notice := c.noticeRemoveOps(itemPath)
 	t, tracked := c.prepared[rec.ID]
-	if rec.State != txn.StatePrepared || !tracked ||
-		(msg.Decision != txn.DecisionCommit && msg.Decision != txn.DecisionAbort) {
-		// Late, duplicate, malformed, or untracked: consume without acting.
-		// Prepared on disk but untracked in memory can only mean a bug in
-		// recovery; refusing to act blind keeps the store consistent.
-		switch {
-		case rec.State == txn.StatePrepared && !tracked:
-			c.cfg.Logf("controller %s: decide for untracked prepared child %s", c.cfg.Name, rec.ID)
-		case rec.State == txn.StatePrepared:
-			c.cfg.Logf("controller %s: decide for %s with decision %q", c.cfg.Name, rec.ID, msg.Decision)
+	if rec.State != txn.StatePrepared || !tracked {
+		if rec.State == txn.StatePrepared {
+			c.cfg.Logf("controller %s: %s for untracked prepared child %s", c.cfg.Name, msg.Kind, rec.ID)
 		}
-		r.stage(c.noticeRemoveOps(itemPath), nil, nil)
+		r.stage(notice, nil, nil)
 		return nil
 	}
-	// A decision with Via set skipped the decide-notice round trip: it
-	// rode the coordinator's own event round ("local", "inline") or the
-	// vote-ack watch on the parent record ("ack"). It is counted once
-	// the round commits; a failed flush restores the previous Via.
-	prevVia := t.DecisionVia
-	if msg.Via != "" {
-		t.DecisionVia = msg.Via
+	// What childStep may change, to undo it if the round fails.
+	state, history, completed, log := t.State, t.History, t.CompletedAt, t.Log
+	epoch, errStr, code, via := t.Epoch, t.Error, t.Code, t.DecisionVia
+	undo := func() {
+		t.State, t.History, t.CompletedAt, t.Log = state, history, completed, log
+		t.Epoch, t.Error, t.Code, t.DecisionVia = epoch, errStr, code, via
 	}
-	countVia := func() {
-		if msg.Via != "" {
-			c.met.xPiggy.Inc()
-		}
-	}
-	if msg.Decision == txn.DecisionCommit {
-		if err := t.Transition(txn.StateStarted); err != nil {
-			t.DecisionVia = prevVia
+	out, err := childStep(t, childEvent{restart: msg.Kind == proto.KindXRestart, epoch: msg.Epoch,
+		decision: msg.Decision, via: msg.Via, err: msg.Error, code: msg.Code})
+	if err != nil {
+		undo()
+		if !errors.Is(err, errXMalformed) {
 			return err
 		}
-		txnPath := c.txnPath(t.ID)
-		r.staged[msg.TxnPath] = true
-		r.stage(
-			append(c.noticeRemoveOps(itemPath),
-				store.SetOp(txnPath, t.Encode(), stat.Version),
-				c.phyQ.PutOp(proto.PhyMsg{TxnPath: txnPath}.Encode())),
-			func() {
-				countVia()
-				delete(c.prepared, t.ID)
-				c.inFlight[t.ID] = t
-			},
-			func() {
-				if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateStarted {
-					t.History = t.History[:n-1]
-				}
-				t.State = txn.StatePrepared
-				t.DecisionVia = prevVia
-			},
-		)
+		c.cfg.Logf("controller %s: %v", c.cfg.Name, err)
+	}
+	if !out.write {
+		r.stage(notice, nil, nil)
 		return nil
 	}
-	errStr, code := msg.Error, msg.Code
-	if errStr == "" {
-		errStr = "cross-shard transaction aborted"
+	path := c.txnPath(t.ID)
+	ops := append(notice, store.SetOp(path, t.Encode(), stat.Version))
+	if out.execute {
+		ops = append(ops, c.phyQ.PutOp(proto.PhyMsg{TxnPath: path}.Encode()))
 	}
-	if code == "" {
-		code = string(trerr.XShardPrepareFailed)
-	}
-	t.Error, t.Code = errStr, code
-	if err := t.Transition(txn.StateAborted); err != nil {
-		t.Error, t.Code, t.DecisionVia = "", "", prevVia
-		return err
-	}
-	r.staged[msg.TxnPath] = true
-	r.stage(
-		append(c.noticeRemoveOps(itemPath),
-			store.SetOp(c.txnPath(t.ID), t.Encode(), -1)),
-		func() {
-			countVia()
-			c.rollbackTimed(t.ID, t.Log)
-			c.locks.ReleaseAll(t.ID)
-			delete(c.prepared, t.ID)
+	r.staged[path] = true
+	r.stage(ops, func() {
+		if out.piggy {
+			c.met.xPiggy.Inc()
+		}
+		delete(c.prepared, t.ID)
+		if out.execute {
+			c.inFlight[t.ID] = t
+			return
+		}
+		c.rollbackTimed(t.ID, out.rollback)
+		c.locks.ReleaseAll(t.ID)
+		// The freed locks may unblock deferred work this round's
+		// scheduling pass already skipped.
+		c.resched = true
+		if out.requeue {
+			c.todo = append(c.todo, t)
+		}
+		if out.done {
 			c.countStage(&c.stats.Aborted, "aborted")
-			// The freed locks may unblock deferred work this round's
-			// scheduling pass already skipped.
-			c.resched = true
-			c.xSendChildDone(t)
-		},
-		func() {
-			if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateAborted {
-				t.History = t.History[:n-1]
-			}
-			t.State = txn.StatePrepared
-			t.Error, t.Code, t.DecisionVia = "", "", prevVia
-		},
-	)
-	return nil
-}
-
-// xPromotePrepared moves a recovered prepared child into physical
-// execution: started-state write and phyQ enqueue in one Multi. On
-// failure the transition is unwound in memory.
-func (c *Controller) xPromotePrepared(t *txn.Txn) error {
-	if err := t.Transition(txn.StateStarted); err != nil {
-		return err
-	}
-	txnPath := c.txnPath(t.ID)
-	if err := c.cli.Multi(
-		store.SetOp(txnPath, t.Encode(), -1),
-		c.phyQ.PutOp(proto.PhyMsg{TxnPath: txnPath}.Encode()),
-	); err != nil {
-		if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateStarted {
-			t.History = t.History[:n-1]
+			c.xSendReport(proto.KindXChildDone, t)
 		}
-		t.State = txn.StatePrepared
-		return err
-	}
-	delete(c.prepared, t.ID)
-	c.inFlight[t.ID] = t
-	return nil
-}
-
-// xAbortPrepared aborts a recovered prepared child: the terminal state
-// is persisted first, and only then are the logical rollback and lock
-// release applied — the same persist-before-rollback discipline as
-// cleanup. The coordinator is notified afterwards.
-func (c *Controller) xAbortPrepared(t *txn.Txn, errStr, code string) error {
-	t.Error, t.Code = errStr, code
-	if err := t.Transition(txn.StateAborted); err != nil {
-		return err
-	}
-	if err := c.cli.Set(c.txnPath(t.ID), t.Encode(), -1); err != nil {
-		if n := len(t.History); n > 0 && t.History[n-1].State == txn.StateAborted {
-			t.History = t.History[:n-1]
-		}
-		t.State = txn.StatePrepared
-		t.Error, t.Code = "", ""
-		return err
-	}
-	c.rollbackTimed(t.ID, t.Log)
-	c.locks.ReleaseAll(t.ID)
-	delete(c.prepared, t.ID)
-	c.countStage(&c.stats.Aborted, "aborted")
-	c.xSendChildDone(t)
+	}, undo)
 	return nil
 }
 
 // --- Recovery ---------------------------------------------------------
 
-// xResolveInDoubt resolves one recovered prepared child by consulting
-// the coordinator record — the §2.3 recovery protocol extended across
-// shards. Commit decisions promote the child into phyQ (it was never
-// enqueued: prepared children enter phyQ only via promotion, so
-// execution stays exactly-once across the failover); abort decisions
-// roll it back; an undecided parent gets the vote re-sent and keeps the
-// child prepared, locks held, until the coordinator decides.
-func (c *Controller) xResolveInDoubt(t *txn.Txn) {
-	c.met.xInDoubt.Inc()
+// stageXResolve resolves one recovered prepared child against its
+// coordinator's record — the §2.3 recovery protocol extended across
+// shards — staging the outcome into the recovery round. A commit
+// decision promotes the child into phyQ (it was never enqueued: prepared
+// children enter phyQ only by promotion, so execution stays exactly-once
+// across the failover); an abort decision rolls it back; a ledger that
+// has voided this attempt restarts it. Undecided, the child stays
+// prepared, locks held, and votes again.
+func (c *Controller) stageXResolve(r *round, t *txn.Txn) {
+	r.stage(nil, c.met.xInDoubt.Inc, nil)
 	coord, parentLocal, ok := c.cfg.XShard.Router.ResolveID(t.Parent)
 	if !ok {
 		c.cfg.Logf("controller %s: child %s has malformed parent id %q", c.cfg.Name, t.ID, t.Parent)
@@ -1460,109 +984,52 @@ func (c *Controller) xResolveInDoubt(t *txn.Txn) {
 		c.cfg.Logf("controller %s: resolve in-doubt %s: %v", c.cfg.Name, t.ID, err)
 		return
 	}
-	cli := pr.cli
-	data, _, err := cli.Get(proto.TxnsPath + "/" + parentLocal)
-	if errors.Is(err, store.ErrNoNode) {
+	path := c.txnPath(t.ID)
+	data, _, err := pr.cli.Get(proto.TxnsPath + "/" + parentLocal)
+	var msg proto.InputMsg
+	switch {
+	case errors.Is(err, store.ErrNoNode):
 		// A prepared child always has a coordinator record (the parent is
 		// created before any child and outlives them all); a missing one
 		// is unreachable state — abort rather than hold locks forever.
 		c.cfg.Logf("controller %s: in-doubt child %s has no coordinator record %s; aborting",
 			c.cfg.Name, t.ID, t.Parent)
-		if aerr := c.xAbortPrepared(t, "coordinator record missing", string(trerr.XShardPrepareFailed)); aerr != nil {
-			c.cfg.Logf("controller %s: abort in-doubt %s: %v", c.cfg.Name, t.ID, aerr)
-		}
-		return
-	}
-	if err != nil {
+		msg = proto.InputMsg{Kind: proto.KindXDecide, TxnPath: path, Decision: txn.DecisionAbort,
+			Error: "coordinator record missing", Code: string(trerr.XShardPrepareFailed)}
+	case err != nil:
 		// Coordinator shard unreachable: stay prepared, re-vote so a
 		// recovered coordinator sees us, and let its deadline decide.
 		c.cfg.Logf("controller %s: resolve in-doubt %s: %v", c.cfg.Name, t.ID, err)
-		c.xSendVote(t)
+		r.stage(nil, func() { c.xSendReport(proto.KindXVote, t) }, nil)
 		return
-	}
-	parent, err := txn.Decode(data)
-	if err != nil {
-		c.cfg.Logf("controller %s: decode coordinator record for %s: %v", c.cfg.Name, t.ID, err)
-		return
-	}
-	switch parent.Decision {
-	case txn.DecisionCommit:
-		if err := c.xPromotePrepared(t); err != nil {
-			c.cfg.Logf("controller %s: promote in-doubt %s: %v", c.cfg.Name, t.ID, err)
-		}
-	case txn.DecisionAbort:
-		errStr, code := parent.Error, parent.Code
-		if errStr == "" {
-			errStr = "cross-shard transaction aborted"
-		}
-		if code == "" {
-			code = string(trerr.XShardPrepareFailed)
-		}
-		if err := c.xAbortPrepared(t, errStr, code); err != nil {
-			c.cfg.Logf("controller %s: abort in-doubt %s: %v", c.cfg.Name, t.ID, err)
-		}
 	default:
-		if _, k, ok := shard.ParseChildID(t.ID); ok && k < len(parent.Children) &&
-			parent.Children[k].Epoch > t.Epoch {
-			// Wound-wait voided this prepare and the old leader died
-			// before restarting it: restart it now.
-			if err := c.xRestartPrepared(t, parent.Children[k].Epoch); err != nil {
-				c.cfg.Logf("controller %s: restart in-doubt %s: %v", c.cfg.Name, t.ID, err)
-			}
+		parent, err := txn.Decode(data)
+		if err != nil {
+			c.cfg.Logf("controller %s: decode coordinator record for %s: %v", c.cfg.Name, t.ID, err)
 			return
 		}
-		// Undecided: hold the prepare (locks and all) and re-vote — the
-		// old leader's vote may never have left this shard — and re-arm
-		// the decision watch (the old leader's died with it); the
-		// coordinator skips the eager decide notice assuming a watch
-		// exists.
-		c.xSendVote(t)
-		c.xWatchDecision(t)
-	}
-}
-
-// xRecoverParent resumes coordination of a non-terminal parent after a
-// leader change: re-sending prepares that may never have landed,
-// syncing the ledger from direct child reads, (re)recording the
-// decision when complete, re-delivering it, and re-arming the deadline.
-// Failures are logged, never fatal to recovery — the armed deadline
-// retries everything.
-func (c *Controller) xRecoverParent(rec *txn.Txn) {
-	path := c.txnPath(rec.ID)
-	if rec.State == txn.StateInitialized {
-		// The old leader consumed (or never saw) the submit notice; a
-		// pending one becomes a harmless duplicate.
-		if err := rec.Transition(txn.StateAccepted); err != nil {
-			c.cfg.Logf("controller %s: recover parent %s: %v", c.cfg.Name, rec.ID, err)
+		_, k, ok := shard.ParseChildID(t.ID)
+		switch {
+		case parent.Decision != "":
+			msg = xDecideMsg(parent, t.ID, "")
+		case ok && k < len(parent.Children) && parent.Children[k].Epoch > t.Epoch:
+			// Wound-wait voided this prepare and the old leader died before
+			// restarting it.
+			msg = proto.InputMsg{Kind: proto.KindXRestart, TxnPath: path, Epoch: parent.Children[k].Epoch}
+		default:
+			// Undecided: re-vote — the old leader's vote may never have
+			// left this shard — and re-arm the decision watch, which died
+			// with the old leader; the coordinator skips the eager decide
+			// notice assuming a watch exists.
+			r.stage(nil, func() {
+				c.xSendReport(proto.KindXVote, t)
+				c.xWatchDecision(t)
+			}, nil)
 			return
 		}
-		if err := c.cli.Set(path, rec.Encode(), -1); err != nil {
-			c.cfg.Logf("controller %s: recover parent %s: %v", c.cfg.Name, rec.ID, err)
-			return
-		}
-		c.countStage(&c.stats.Accepted, "accepted")
 	}
-	if rec.State.Terminal() {
-		return
-	}
-	changed := c.xSyncLedger(rec)
-	if rec.State == txn.StateAccepted {
-		// Re-send prepares that may never have landed; idempotent.
-		for k := range rec.Children {
-			if rec.Children[k].State != "" {
-				continue
-			}
-			c.xSendPrepare(rec, k)
-		}
-	}
-	err := c.xAdvanceParent(rec, changed, false, func(changed bool) error {
-		if !changed {
-			return nil
-		}
-		return c.cli.Set(path, rec.Encode(), -1)
-	})
-	if err != nil {
-		c.cfg.Logf("controller %s: resume parent %s: %v", c.cfg.Name, rec.ID, err)
+	if err := c.stageXChild(r, msg, ""); err != nil {
+		c.cfg.Logf("controller %s: resolve in-doubt %s: %v", c.cfg.Name, t.ID, err)
 	}
 }
 
@@ -1617,11 +1084,13 @@ func (c *Controller) xOrderChildren() {
 // it: void its prepare here and requeue it behind the older one.
 // Holders that are merely in-flight (already executing) finish on their
 // own; only prepared holders — parked awaiting a decision — can
-// deadlock.
+// deadlock. A holder whose decision or restart this round has staged
+// is no longer prepared in memory: its locks go once the round lands,
+// and a wound would void the attempt its restart is about to start.
 func (c *Controller) xMaybeWound(t *txn.Txn, reqs []lock.Request) {
 	for _, conflict := range c.locks.Conflicts(t.ID, reqs) {
 		victim, ok := c.prepared[conflict.Holder]
-		if !ok || !shard.PrepareLess(t.ID, conflict.Holder) {
+		if !ok || victim.State != txn.StatePrepared || !shard.PrepareLess(t.ID, conflict.Holder) {
 			continue
 		}
 		c.xWound(victim)
@@ -1636,7 +1105,7 @@ func (c *Controller) xMaybeWound(t *txn.Txn, reqs []lock.Request) {
 // parent record bumps the child's ledger epoch and clears its vote,
 // given up if the parent has a decision (which frees the victim's locks
 // anyway) or the attempt is already voided. Only once that write is
-// durable does this shard's leader void the prepare (xRestartPrepared),
+// durable does this shard's leader void the prepare (a restart event),
 // so the coordinator can never decide commit on a vote whose locks were
 // released. A victim whose attempt the ledger has already voided gets
 // its restart sent again, so a restart lost to a failed write is
@@ -1699,8 +1168,8 @@ func (c *Controller) xWound(victim *txn.Txn) {
 			if ref.Epoch > epoch {
 				// An earlier wound voided this attempt, but its restart
 				// never took effect here (lost with a failed write): send
-				// it again. xRestart ignores an epoch the child has
-				// already reached.
+				// it again. A restart at an epoch the child has
+				// already reached does nothing.
 				c.enqueueLocal(proto.InputMsg{Kind: proto.KindXRestart, TxnPath: c.txnPath(id), Epoch: ref.Epoch})
 				return
 			}
@@ -1719,40 +1188,6 @@ func (c *Controller) xWound(victim *txn.Txn) {
 			// re-read and re-check.
 		}
 	}()
-}
-
-// xRestart applies a wound's durable vote revocation to the child it
-// voided, unless the child has left prepared meanwhile (a decision
-// reached it first) or already runs at that epoch.
-func (c *Controller) xRestart(msg proto.InputMsg) error {
-	t, ok := c.prepared[strings.TrimPrefix(msg.TxnPath, proto.TxnsPath+"/")]
-	if !ok || msg.Epoch <= t.Epoch {
-		return nil
-	}
-	return c.xRestartPrepared(t, msg.Epoch)
-}
-
-// xRestartPrepared voids a prepared child's prepare once its
-// coordinator's ledger counts a later epoch: the accepted record is
-// persisted first, then the simulation is rolled back, the locks are
-// released, and the child rejoins todoQ for a fresh prepare whose vote
-// carries the new epoch — the persist-before-rollback discipline of
-// xAbortPrepared.
-func (c *Controller) xRestartPrepared(t *txn.Txn, epoch int) error {
-	log, history, prev := t.Log, t.History, t.Epoch
-	if err := t.Restart(epoch); err != nil {
-		return err
-	}
-	if err := c.cli.Set(c.txnPath(t.ID), t.Encode(), -1); err != nil {
-		t.State, t.Log, t.History, t.Epoch = txn.StatePrepared, log, history, prev
-		return err
-	}
-	c.rollbackTimed(t.ID, log)
-	c.locks.ReleaseAll(t.ID)
-	delete(c.prepared, t.ID)
-	c.todo = append(c.todo, t)
-	c.resched = true
-	return nil
 }
 
 // gcReapable guards the terminal-record sweep against breaking 2PC

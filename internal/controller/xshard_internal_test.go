@@ -39,38 +39,6 @@ func newXController(t *testing.T) *Controller {
 	return c
 }
 
-// TestXVoteCountsOnlyCurrentEpoch: a yes-vote from a prepare attempt
-// wound-wait voided (an older epoch than the ledger's) is ignored, the
-// current attempt's yes counts, and a no-vote counts whatever its epoch
-// — an aborted child is final.
-func TestXVoteCountsOnlyCurrentEpoch(t *testing.T) {
-	c := newXController(t)
-	rec := &txn.Txn{ID: "t-1", State: txn.StateAccepted, Children: []txn.ChildRef{
-		{ID: "s0-t-1.c0", Shard: 0, Epoch: 1},
-		{ID: "s0-t-1.c1", Shard: 1, Epoch: 3},
-	}}
-	vote := func(k, epoch int, outcome txn.State) xEffects {
-		t.Helper()
-		eff, ok, err := c.xApplyVote(rec, proto.InputMsg{
-			Kind: proto.KindXVote, ChildIndex: k, Outcome: string(outcome), Epoch: epoch,
-		})
-		if err != nil || !ok {
-			t.Fatalf("vote %d@%d %s: ok=%v err=%v", k, epoch, outcome, ok, err)
-		}
-		return eff
-	}
-	if eff := vote(0, 0, txn.StatePrepared); eff.changed || rec.Children[0].State != "" {
-		t.Fatalf("voided attempt's yes counted: %+v, ledger %+v", eff, rec.Children[0])
-	}
-	if eff := vote(0, 1, txn.StatePrepared); !eff.changed || rec.Children[0].State != txn.StatePrepared {
-		t.Fatalf("current attempt's yes not counted: %+v, ledger %+v", eff, rec.Children[0])
-	}
-	eff := vote(1, 0, txn.StateAborted)
-	if !eff.decided || rec.Decision != txn.DecisionAbort || rec.Children[1].State != txn.StateAborted {
-		t.Fatalf("no-vote not final: %+v, decision %q, ledger %+v", eff, rec.Decision, rec.Children[1])
-	}
-}
-
 // TestXRestartVoidsPrepare: a restart at a later epoch persists the
 // child as accepted at that epoch, rolls its simulation back, releases
 // its locks, and requeues it; a restart at an epoch the child already
@@ -84,7 +52,7 @@ func TestXRestartVoidsPrepare(t *testing.T) {
 
 	restart := func(epoch int) {
 		t.Helper()
-		if err := c.xRestart(proto.InputMsg{Kind: proto.KindXRestart, TxnPath: path, Epoch: epoch}); err != nil {
+		if err := restartChild(c, proto.InputMsg{Kind: proto.KindXRestart, TxnPath: path, Epoch: epoch}); err != nil {
 			t.Fatalf("restart at epoch %d: %v", epoch, err)
 		}
 	}
@@ -109,18 +77,24 @@ func TestXRestartVoidsPrepare(t *testing.T) {
 func TestXWoundResendsLostRestart(t *testing.T) {
 	c := newXController(t)
 	child, path := prepareChild(t, c)
-	// The child's record is not in the store yet, so the restart's Set
-	// fails (ErrNoNode) and the message is lost, as after a transient
-	// store error.
-	err := c.xRestart(proto.InputMsg{Kind: proto.KindXRestart, TxnPath: path, Epoch: 1})
-	if err == nil {
+	prepared := child.Encode()
+	if _, err := c.cli.Create(path, prepared, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The record's version moves under the staged restart, so its round
+	// fails, and the message is lost, as after a transient store error.
+	r := newRound()
+	if err := c.stageXChild(r, proto.InputMsg{Kind: proto.KindXRestart, TxnPath: path, Epoch: 1}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.cli.Set(path, prepared, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.flushRound(r); err == nil {
 		t.Fatal("restart with a failing write reported success")
 	}
 	if child.State != txn.StatePrepared || child.Epoch != 0 || c.locks.LockCount() == 0 {
 		t.Fatalf("failed restart acted: %s epoch %d, %d locks", child.State, child.Epoch, c.locks.LockCount())
-	}
-	if _, err := c.cli.Create(path, child.Encode(), 0); err != nil {
-		t.Fatal(err)
 	}
 	// The first wound's CAS already moved the ledger entry to epoch 1.
 	parent := &txn.Txn{ID: "t-1", State: txn.StateAccepted, Children: []txn.ChildRef{
@@ -143,7 +117,7 @@ func TestXWoundResendsLostRestart(t *testing.T) {
 		if msg.Kind != proto.KindXRestart || msg.Epoch != 1 {
 			t.Fatalf("wound sent %s at epoch %d, want a restart at epoch 1", msg.Kind, msg.Epoch)
 		}
-		if err := c.xRestart(msg); err != nil {
+		if err := restartChild(c, msg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,6 +177,16 @@ func TestXDeadlineTimerStops(t *testing.T) {
 	if n := c.XDeadlinesArmed(); n != 0 {
 		t.Fatalf("%d deadlines armed after the last fired", n)
 	}
+}
+
+// restartChild runs a restart message through its executor in an event
+// round of its own.
+func restartChild(c *Controller, msg proto.InputMsg) error {
+	r := newRound()
+	if err := c.stageXChild(r, msg, ""); err != nil {
+		return err
+	}
+	return c.flushRound(r)
 }
 
 // prepareChild leaves child s0-t-1.c1 prepared in c's memory: its

@@ -115,6 +115,18 @@ func (r *Router) QualifyID(s int, local string) string {
 	return FormatID(s, local)
 }
 
+// Requalify returns QualifyID(s, local) for an id ResolveID split into
+// s and local, reusing id itself when it is in that form already, so the
+// common lookup allocates nothing. An id with a non-canonical shard
+// prefix ("s01-", "s+1-") is rebuilt.
+func (r *Router) Requalify(id string, s int, local string) string {
+	prefix, ok := strings.CutSuffix(id, local)
+	if ok && (r.m.shards == 1 && prefix == "" || r.m.shards > 1 && prefix == idPrefix+strconv.Itoa(s)+"-") {
+		return id
+	}
+	return r.QualifyID(s, local)
+}
+
 // ResolveID inverts QualifyID: the shard owning a platform id and the
 // id local to it. ok is false for an id of a multi-shard map without a
 // well-formed "s<shard>-" prefix (see ParseID); on a one-shard map

@@ -64,10 +64,9 @@ func readOp(b []byte) (Op, []byte, error) {
 	b = b[1:]
 	var blob []byte
 	var err error
-	if blob, b, err = readBlob(b); err != nil {
+	if op.Path, b, err = readString(b); err != nil {
 		return op, nil, err
 	}
-	op.Path = string(blob)
 	if blob, b, err = readBlob(b); err != nil {
 		return op, nil, err
 	}
@@ -87,10 +86,9 @@ func readOp(b []byte) (Op, []byte, error) {
 	if op.session, b, err = readVarint(b); err != nil {
 		return op, nil, err
 	}
-	if blob, b, err = readBlob(b); err != nil {
+	if op.resolvedName, b, err = readString(b); err != nil {
 		return op, nil, err
 	}
-	op.resolvedName = string(blob)
 	if u, b, err = readUvarint(b); err != nil {
 		return op, nil, err
 	}
@@ -241,11 +239,10 @@ func decodeTreeSnapshot(b []byte) (*tree, int64, error) {
 }
 
 func readNodeInto(t *tree, b []byte) ([]byte, error) {
-	pathB, b, err := readBlob(b)
+	path, b, err := readString(b)
 	if err != nil {
 		return nil, err
 	}
-	path := string(pathB)
 	data, b, err := readBlob(b)
 	if err != nil {
 		return nil, err
@@ -315,6 +312,19 @@ func readBlob(b []byte) ([]byte, []byte, error) {
 	blob := make([]byte, n)
 	copy(blob, b[:n])
 	return blob, b[n:], nil
+}
+
+// readString reads a length-prefixed string straight from b: the
+// conversion is its one copy.
+func readString(b []byte) (string, []byte, error) {
+	n, b, err := readUvarint(b)
+	if err != nil {
+		return "", nil, err
+	}
+	if n > uint64(len(b)) {
+		return "", nil, errTruncated
+	}
+	return string(b[:n]), b[n:], nil
 }
 
 func readUvarint(b []byte) (uint64, []byte, error) {

@@ -28,3 +28,50 @@ func BenchmarkClientLocate(b *testing.B) {
 		p.Stop()
 	}
 }
+
+// TestClientLocateAllocs: resolving an id already in its canonical
+// public form reuses it, so the lookup every Get, Wait, WatchTxn and
+// Signal makes allocates nothing, at one shard and at two.
+func TestClientLocateAllocs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		p, err := New(Config{Schema: NewSchema(), Bootstrap: NewTree(), Shards: shards, StoreReplicas: 1, Controllers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := p.Client()
+		id := c.router.QualifyID(shards-1, "t-s4c00000001")
+		var public string
+		n := testing.AllocsPerRun(100, func() {
+			if _, _, public, err = c.locate(id); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 || public != id {
+			t.Errorf("%d shards: locate(%q) = %q with %v allocs, want itself with 0", shards, id, public, n)
+		}
+		c.Close()
+		p.Stop()
+	}
+}
+
+// TestClientLocateCanonicalizes: an id whose shard prefix is spelled
+// other than canonically still resolves, to the canonical public id.
+func TestClientLocateCanonicalizes(t *testing.T) {
+	p, err := New(Config{Schema: NewSchema(), Bootstrap: NewTree(), Shards: 2, StoreReplicas: 1, Controllers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.Client()
+	defer p.Stop()
+	defer c.Close()
+	for _, id := range []string{"s01-t-s4c00000001", "s+1-t-s4c00000001", "s1-t-s4c00000001"} {
+		sub, local, public, err := c.locate(id)
+		if err != nil {
+			t.Fatalf("locate(%q): %v", id, err)
+		}
+		if sub != c.subs[1] || local != "t-s4c00000001" || public != "s1-t-s4c00000001" {
+			t.Fatalf("locate(%q) = shard client %p, %q, %q; want shard 1's, t-s4c00000001, s1-t-s4c00000001",
+				id, sub, local, public)
+		}
+	}
+}

@@ -1055,7 +1055,7 @@ func (c *Client) locate(id string) (sub *shardClient, local, public string, err 
 			"tropic: transaction %q not found (sharded ids carry an s<shard>- prefix)", parentID).With("id", id)
 	}
 	if !child {
-		return c.subs[s], local, c.router.QualifyID(s, local), nil
+		return c.subs[s], local, c.router.Requalify(id, s, local), nil
 	}
 	prec, _, err := c.subs[s].getAt(local, parentID, -1)
 	if err != nil {
