@@ -636,12 +636,15 @@ func (c *Controller) handleLocal(r *round) error {
 }
 
 // noticeRemoveOps returns the notice-consumption op, or nothing for a
-// locally-delivered message (which has no store item to consume).
+// locally-delivered message (which has no store item to consume). The
+// slice has room for the ops a staged notice usually commits with — the
+// record write and one more (a phyQ enqueue, a child's create) — so
+// appending them does not copy it.
 func (c *Controller) noticeRemoveOps(itemPath string) []store.Op {
 	if itemPath == "" {
 		return nil
 	}
-	return []store.Op{c.inputQ.RemoveOp(itemPath)}
+	return append(make([]store.Op, 0, 3), c.inputQ.RemoveOp(itemPath))
 }
 
 // loadStaged reads the record a message names for staging into the
@@ -795,12 +798,12 @@ func (r *round) stage(ops []store.Op, after, undo func()) {
 }
 
 // handleRound processes one drained batch of input messages into the
-// round. Submit, result, vote, child-done, deadline, and decide notices
-// are staged for the grouped commit; signal and reconciliation messages
-// (rare, and with their own write patterns) are handled directly after
-// flushing whatever is staged, preserving queue order. The returned
-// error, if any, is the first retryable failure — session and quorum
-// losses, and a failed flush, end the batch at once.
+// round. Submit, result, signal, vote, child-done, deadline, and decide
+// notices are staged for the grouped commit; reconciliation requests
+// (rare, and running the reconciler against the model as it stands) are
+// served directly after flushing whatever is staged, preserving queue
+// order. The returned error, if any, is the first retryable failure —
+// session and quorum losses, and a failed flush, end the batch at once.
 func (c *Controller) handleRound(r *round, items []queue.Item) error {
 	var firstErr error
 	for _, it := range items {
@@ -815,17 +818,23 @@ func (c *Controller) handleRound(r *round, items []queue.Item) error {
 			err = c.stageAccept(r, msg, it.Path)
 		case proto.KindResult:
 			err = c.stageCleanup(r, msg, it.Path)
+		case proto.KindSignal:
+			err = c.stageSignal(r, msg, it.Path)
 		case proto.KindXVote, proto.KindXChildDone, proto.KindXTimeout:
 			err = c.stageXParentMsg(r, msg, it.Path)
 		case proto.KindXDecide:
 			err = c.stageXChild(r, msg, it.Path)
-		default:
-			// Flush staged work first so this item observes (and its own
-			// writes serialize after) everything ahead of it in the queue.
+		case proto.KindReload, proto.KindRepair:
+			// Flush staged work first so the reconciler observes (and its
+			// own writes serialize after) everything ahead of it in the
+			// queue.
 			if ferr := c.flushRound(r); ferr != nil {
 				return ferr
 			}
-			err = c.handle(msg, it.Path)
+			err = c.reconcile(msg, it.Path)
+		default:
+			r.stage([]store.Op{c.inputQ.RemoveOp(it.Path)}, nil, nil)
+			err = fmt.Errorf("unknown input message kind %q", msg.Kind)
 		}
 		if err != nil {
 			if errFatal(err) {
@@ -996,47 +1005,29 @@ const (
 // failed.
 const recoveryAttempts = 3
 
-// handle processes the input messages that are not staged into a
-// round: operator signals and reconciliation requests.
-func (c *Controller) handle(msg proto.InputMsg, itemPath string) error {
-	switch msg.Kind {
-	case proto.KindSignal:
-		if err := c.signal(msg.TxnPath, txn.Signal(msg.Signal)); err != nil {
-			// A signal for a record that does not exist can never
-			// succeed; drop it instead of retrying forever at the head
-			// of the queue.
-			if !errors.Is(err, store.ErrNoNode) {
-				return err
-			}
-			c.cfg.Logf("controller %s: dropping signal for missing record %s", c.cfg.Name, msg.TxnPath)
-		}
-		return c.inputQ.Remove(itemPath)
-	case proto.KindReload, proto.KindRepair:
-		var err error
-		if c.cfg.Reconciler == nil {
-			err = trerr.Newf(trerr.ReconcileUnsupported,
-				"%s %s: no reconciler configured", msg.Kind, msg.Target)
-		} else if msg.Kind == proto.KindReload {
-			err = c.cfg.Reconciler.Reload(c, msg.Target)
-		} else {
-			err = c.cfg.Reconciler.Repair(c, msg.Target)
-		}
-		c.reply(msg, err)
-		if rerr := c.inputQ.Remove(itemPath); rerr != nil {
-			return rerr
-		}
-		// The request itself is complete even if reconciliation was
-		// refused; the refusal went to the reply node.
-		if err != nil {
-			c.cfg.Logf("controller %s: %s %s: %v", c.cfg.Name, msg.Kind, msg.Target, err)
-		}
-		return nil
-	default:
-		if err := c.inputQ.Remove(itemPath); err != nil {
-			return err
-		}
-		return fmt.Errorf("unknown input message kind %q", msg.Kind)
+// reconcile serves a reload or repair request (§4), the one input that
+// is not staged into a round: the reconciler reads and writes the model
+// and the devices itself.
+func (c *Controller) reconcile(msg proto.InputMsg, itemPath string) error {
+	var err error
+	if c.cfg.Reconciler == nil {
+		err = trerr.Newf(trerr.ReconcileUnsupported,
+			"%s %s: no reconciler configured", msg.Kind, msg.Target)
+	} else if msg.Kind == proto.KindReload {
+		err = c.cfg.Reconciler.Reload(c, msg.Target)
+	} else {
+		err = c.cfg.Reconciler.Repair(c, msg.Target)
 	}
+	c.reply(msg, err)
+	if rerr := c.inputQ.Remove(itemPath); rerr != nil {
+		return rerr
+	}
+	// The request itself is complete even if reconciliation was refused;
+	// the refusal went to the reply node.
+	if err != nil {
+		c.cfg.Logf("controller %s: %s %s: %v", c.cfg.Name, msg.Kind, msg.Target, err)
+	}
+	return nil
 }
 
 // reply delivers a request's outcome to its reply node, if any.
@@ -1064,42 +1055,43 @@ func (c *Controller) reply(msg proto.InputMsg, err error) {
 // it validates the submitted record now but defers both the persistent
 // transition (staged into the round's grouped Multi, atomically with
 // consuming the submit notice) and the accepted count (run only after
-// the group commits).
+// the group commits). A cross-shard parent is accepted by its step
+// (parentStep's accept event) instead: it never enters todoQ.
 func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) error {
 	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
 	if !ok {
 		return err
 	}
-	if rec.State != txn.StateInitialized {
+	notice := c.noticeRemoveOps(itemPath)
+	switch {
+	case rec.State != txn.StateInitialized:
 		// Duplicate submit notice (e.g. the record was already accepted
 		// by recovery); drop it.
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil, nil)
+		r.stage(notice, nil, nil)
 		return nil
+	case rec.IsParent():
+		return c.stageXParent(r, rec, stat, parentEvent{kind: evAccept}, notice)
 	}
-	if rec.IsParent() {
-		// A cross-shard parent: its accepted write rides this round's
-		// grouped Multi; the prepare fan-out (writes to OTHER shards'
-		// stores, which cannot join this Multi) runs post-flush.
-		return c.stageXAcceptParent(r, rec, stat, msg, itemPath)
-	}
+	return c.stageAcceptTxn(r, rec, msg.TxnPath, stat, notice)
+}
+
+// stageAcceptTxn stages the accept of initialized record rec, read from
+// path at stat, together with notice: the accepted write at that
+// version, and the count once the round is durable. Submit notices and
+// recovery's re-accepts share it.
+func (c *Controller) stageAcceptTxn(r *round, rec *txn.Txn, path string, stat store.Stat, notice []store.Op) error {
 	if err := rec.Transition(txn.StateAccepted); err != nil {
 		return err
 	}
-	r.staged[msg.TxnPath] = true
+	r.staged[path] = true
 	// The todoQ append is optimistic — this round's own scheduling pass
 	// may admit the transaction, putting accept and admission in the
 	// same grouped commit. flushRound takes the append back if the group
 	// fails.
 	c.todo = append(c.todo, rec)
 	r.accepted = append(r.accepted, rec)
-	r.stage(
-		[]store.Op{
-			c.inputQ.RemoveOp(itemPath),
-			store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
-		},
-		func() { c.countStage(&c.stats.Accepted, "accepted") },
-		nil,
-	)
+	r.stage(append(notice, store.SetOp(path, rec.Encode(), stat.Version)),
+		func() { c.countStage(&c.stats.Accepted, "accepted") }, nil)
 	return nil
 }
 
@@ -1130,13 +1122,15 @@ func (c *Controller) scheduleWalk(r *round) {
 	i := 0
 	for i < len(c.todo) {
 		t := c.todo[i]
-		if stalled && !t.IsChild() {
-			i++
-			continue
-		}
 		if t.Signal == txn.SignalTerm || t.Signal == txn.SignalKill {
+			// Even behind a stalled head: a signalled transaction needs no
+			// locks, so its abort never waits for the head to run.
 			c.todo = append(c.todo[:i], c.todo[i+1:]...)
 			c.abortQueued(t, trerr.New(trerr.TxnTerminated, "terminated by operator signal"), r)
+			continue
+		}
+		if stalled && !t.IsChild() {
+			i++
 			continue
 		}
 		switch c.trySchedule(t, r) {
@@ -1342,10 +1336,7 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 	if err := rec.Transition(outcome); err != nil {
 		return err
 	}
-	ops := []store.Op{
-		c.inputQ.RemoveOp(itemPath),
-		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
-	}
+	ops := append(c.noticeRemoveOps(itemPath), store.SetOp(msg.TxnPath, rec.Encode(), stat.Version))
 	if outcome == txn.StateCommitted {
 		ops = append(ops, store.CreateOp(proto.CommitLogPrefix,
 			proto.CommitLogEntry{TxnPath: msg.TxnPath}.Encode(), store.FlagSequence))
@@ -1388,59 +1379,67 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 		}
 		return nil
 	}
-	// Aborted/failed outcomes roll the logical layer back, which must
-	// not happen before the terminal state is persisted; their lock
-	// releases therefore land post-flush, and the round schedules once
-	// more afterwards (r.cleanups) so freed locks are claimable without
-	// waiting for another input event.
 	var marks []string
 	if outcome == txn.StateFailed {
 		// The failed state and the marks that deny further transactions
 		// on the diverged paths (§4) commit together: a leader crash can
 		// never leave one durable without the other.
 		marks = c.loggedPaths(t.Log)
-		for _, p := range marks {
-			zpath := inconsistentNode(p)
-			if r.staged[zpath] {
-				continue
-			}
-			marked, _, err := c.cli.Exists(zpath)
-			if err != nil {
-				return err
-			}
-			if !marked {
-				// A Create of an existing mark would fail the whole round.
-				r.staged[zpath] = true
-				ops = append(ops, store.CreateOp(zpath, nil, 0))
-			}
+	}
+	return c.stageUnwind(r, t, rec, ops, marks)
+}
+
+// stageUnwind stages the end of in-flight transaction t as aborted or
+// failed: ops (its terminal write rec, and the notice's consumption)
+// together with the inconsistency marks of the model paths in marks.
+// The logical rollback must not happen before the terminal state is
+// persisted, so it — with the marks in the logical tree, the count and
+// the lock release — runs once the round is durable (finishCleanup),
+// and the round schedules once more afterwards (r.cleanups) so freed
+// locks are claimable without waiting for another input event.
+func (c *Controller) stageUnwind(r *round, t, rec *txn.Txn, ops []store.Op, marks []string) error {
+	for _, p := range marks {
+		zpath := inconsistentNode(p)
+		if r.staged[zpath] {
+			continue
+		}
+		marked, _, err := c.cli.Exists(zpath)
+		if err != nil {
+			return err
+		}
+		if !marked {
+			// A Create of an existing mark would fail the whole round.
+			r.staged[zpath] = true
+			ops = append(ops, store.CreateOp(zpath, nil, 0))
 		}
 	}
 	r.cleanups++
-	r.stage(ops, func() { c.finishCleanup(t, rec, outcome, marks) }, nil)
+	r.stage(ops, func() { c.finishCleanup(t, rec, marks) }, nil)
 	return nil
 }
 
 // finishCleanup applies the in-memory half of a persisted terminal
-// transition (Figure 2, ⑤A/⑤B) for an aborted or failed transaction;
-// marks are the paths a failure marked inconsistent in the same commit.
-func (c *Controller) finishCleanup(t, rec *txn.Txn, outcome txn.State, marks []string) {
+// transition (Figure 2, ⑤B) for an aborted or failed transaction: the
+// logical rollback, the inconsistency marks committed with the record
+// (marks), the count, and the lock release.
+func (c *Controller) finishCleanup(t, rec *txn.Txn, marks []string) {
 	delete(c.inFlight, rec.ID)
 	// A cross-shard child's terminal outcome feeds the coordinator's
 	// ledger (the parent finalizes when every child has reported).
 	if rec.IsChild() {
 		defer c.xSendReport(proto.KindXChildDone, rec)
 	}
-	// The physical execution failed; roll the logical layer back too.
 	c.rollbackTimed(t.ID, t.Log)
-	if outcome == txn.StateFailed {
-		// Undo failed partway: the physical layer is only partially rolled
-		// back — a cross-layer inconsistency. Further transactions on the
-		// written paths are denied until reconciliation (§4).
-		for _, p := range marks {
-			if n, err := c.ltree.Get(p); err == nil {
-				n.Inconsistent = true
-			}
+	// The physical layer may not match the rolled-back logical one (an
+	// undo failed partway, or a KILL left the worker running): further
+	// transactions on the written paths are denied until reconciliation
+	// (§4).
+	for _, p := range marks {
+		if n, err := c.ltree.Get(p); err == nil {
+			n.Inconsistent = true
 		}
+	}
+	if rec.State == txn.StateFailed {
 		c.countStage(&c.stats.Failed, "failed")
 	} else {
 		c.countStage(&c.stats.Aborted, "aborted")
@@ -1448,87 +1447,66 @@ func (c *Controller) finishCleanup(t, rec *txn.Txn, outcome txn.State, marks []s
 	c.locks.ReleaseAll(rec.ID)
 }
 
-// signal applies a TERM/KILL operator signal (§4).
-func (c *Controller) signal(txnPath string, sig txn.Signal) error {
-	rec, _, err := c.loadTxn(txnPath)
-	if err != nil {
+// stageSignal applies a TERM or KILL operator signal (§4) to the record
+// it names, staging every write into the round with the notice's
+// consumption:
+//
+//   - a queued transaction persists the signal, at the version read, and
+//     its todoQ copy is marked so this round's scheduling pass aborts it
+//     before simulation, in the same Multi; the persisted signal covers a
+//     record whose submit notice is still queued, and a failover;
+//   - TERM on a started transaction persists the signal; its worker stops
+//     and rolls back, and its aborted result is cleaned up as usual;
+//   - KILL on a started transaction aborts it in the logical layer only,
+//     as a cleanup with outcome aborted: the worker may still be
+//     executing, so the paths its log writes are marked inconsistent in
+//     the same commit, for repair to reconcile.
+//
+// Parents, terminal records, and prepared or started cross-shard children
+// are left alone: a child past its vote may not abort unilaterally (the
+// client refuses such signals; one racing past that check is dropped
+// here, and the 2PC decision resolves the child either way).
+func (c *Controller) stageSignal(r *round, msg proto.InputMsg, itemPath string) error {
+	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
+	if !ok {
 		return err
 	}
+	sig := txn.Signal(msg.Signal)
+	ops := c.noticeRemoveOps(itemPath)
+	path := msg.TxnPath
 	switch {
-	case rec.State.Terminal():
-		return nil
-	case rec.State == txn.StatePrepared:
-		// A prepared cross-shard child voted yes and may not abort
-		// unilaterally; the client rejects these signals synchronously,
-		// and one racing past that check (prepare landed in between) is
-		// dropped here — the 2PC decision resolves the child either way.
-		c.cfg.Logf("controller %s: dropping %s signal for prepared child %s", c.cfg.Name, sig, rec.ID)
-		return nil
-	case rec.State == txn.StateInitialized || rec.State == txn.StateAccepted:
-		// Not started yet: mark the in-memory copy so schedule() aborts
-		// it before simulation.
-		for _, t := range c.todo {
-			if t.ID == rec.ID {
-				t.Signal = sig
-				return nil
+	case rec.IsParent(), rec.State.Terminal():
+		// Nothing to stop.
+	case rec.State == txn.StatePrepared, rec.IsChild() && rec.State == txn.StateStarted:
+		c.cfg.Logf("controller %s: dropping %s signal for %s cross-shard child %s", c.cfg.Name, sig, rec.State, rec.ID)
+	case rec.State == txn.StateStarted && sig == txn.SignalKill:
+		t, running := c.inFlight[rec.ID]
+		if !running {
+			break
+		}
+		rec.Signal, rec.Error, rec.Code = sig, "killed by operator", string(trerr.TxnTerminated)
+		if err := rec.Transition(txn.StateAborted); err != nil {
+			return err
+		}
+		r.staged[path] = true
+		return c.stageUnwind(r, t, rec, append(ops, store.SetOp(path, rec.Encode(), stat.Version)), c.loggedPaths(t.Log))
+	default:
+		rec.Signal = sig
+		r.staged[path] = true
+		var undo func()
+		for _, q := range c.todo {
+			if q.ID == rec.ID {
+				prev := q.Signal
+				q.Signal = sig
+				undo = func() { q.Signal = prev }
+				break
 			}
 		}
-		// Not in todo yet (still in inputQ): persist the signal so
-		// accept() sees it. The record's Signal field rides along.
-		return c.updateTxn(txnPath, func(r *txn.Txn) error {
-			r.Signal = sig
-			return nil
-		})
-	case rec.State == txn.StateStarted:
-		if rec.IsChild() {
-			// Past the commit decision a cross-shard child MUST commit —
-			// honoring a TERM/KILL here would abort one participant while
-			// its siblings commit, silently breaking the transaction's
-			// atomicity. The client rejects these synchronously; drop the
-			// racer.
-			c.cfg.Logf("controller %s: dropping %s signal for executing cross-shard child %s",
-				c.cfg.Name, sig, rec.ID)
-			return nil
-		}
-		if sig == txn.SignalTerm {
-			// Graceful: ask the worker to stop and roll back; cleanup
-			// happens when its aborted result arrives.
-			return c.updateTxn(txnPath, func(r *txn.Txn) error {
-				r.Signal = txn.SignalTerm
-				return nil
-			})
-		}
-		// KILL: abort immediately in the logical layer only. The
-		// worker may still be executing; any divergence is reconciled
-		// by repair later (§4).
-		t, tracked := c.inFlight[rec.ID]
-		if !tracked {
-			return nil
-		}
-		delete(c.inFlight, rec.ID)
-		c.rollbackTimed(t.ID, t.Log)
-		c.markInconsistentFromLog(t.Log)
-		c.locks.ReleaseAll(rec.ID)
-		c.countStage(&c.stats.Aborted, "aborted")
-		return c.updateTxn(txnPath, func(r *txn.Txn) error {
-			r.Signal = txn.SignalKill
-			if r.State.Terminal() {
-				return nil
-			}
-			r.Error = "killed by operator"
-			r.Code = string(trerr.TxnTerminated)
-			return r.Transition(txn.StateAborted)
-		})
+		r.stage(append(ops, store.SetOp(path, rec.Encode(), stat.Version)), nil, undo)
+		return nil
 	}
+	r.stage(ops, nil, nil)
 	return nil
-}
-
-// markInconsistentFromLog flags every path written by an execution log
-// as inconsistent, in memory and persistently.
-func (c *Controller) markInconsistentFromLog(records []txn.LogRecord) {
-	for _, p := range c.loggedPaths(records) {
-		c.MarkInconsistent(p)
-	}
 }
 
 // loggedPaths lists, once each, the model paths an execution log wrote.
@@ -1589,18 +1567,6 @@ func (c *Controller) ClearUnusable(path string) {
 	zpath := proto.UnusablePath + "/" + proto.EncodePath(path)
 	if err := c.cli.Delete(zpath, -1); err != nil && !errors.Is(err, store.ErrNoNode) {
 		c.cfg.Logf("controller %s: clear unusable %s: %v", c.cfg.Name, path, err)
-	}
-}
-
-// MarkInconsistent flags a model path as diverged between layers. The
-// mark denies transactions on the node and its descendants until a
-// reload/repair clears it.
-func (c *Controller) MarkInconsistent(path string) {
-	if n, err := c.ltree.Get(path); err == nil {
-		n.Inconsistent = true
-	}
-	if _, err := c.cli.Create(inconsistentNode(path), nil, 0); err != nil && !errors.Is(err, store.ErrNodeExists) {
-		c.cfg.Logf("controller %s: persist inconsistent %s: %v", c.cfg.Name, path, err)
 	}
 }
 
@@ -1735,8 +1701,8 @@ func (c *Controller) gcIdempotencyClaims() {
 // recover rebuilds the leader's in-memory state from persistent storage:
 // logical tree = snapshot + commit-log replay + re-simulation of
 // in-flight transactions; lock table = write sets of in-flight
-// transactions; todoQ = accepted (and orphaned initialized) records in
-// submission order.
+// transactions; todoQ = accepted records in store order, then the
+// initialized ones the first recovery round re-accepts.
 func (c *Controller) recover() error {
 	c.locks = lock.NewManager()
 	c.inFlight = make(map[string]*txn.Txn)
@@ -1815,41 +1781,33 @@ func (c *Controller) recover() error {
 	if err != nil {
 		return err
 	}
-	var xParents []string
+	// pending are the records every recovery round re-reads and stages:
+	// initialized records, re-accepted (a coordinator-local child has no
+	// submit notice; a still-pending notice becomes a harmless
+	// duplicate), and open cross-shard parents, resumed — they never
+	// enter todoQ.
+	var pending []string
 	var xInDoubt []*txn.Txn
 	for _, id := range ids {
-		path := proto.TxnsPath + "/" + id
-		rec, _, err := c.loadTxn(path)
+		rec, _, err := c.loadTxn(proto.TxnsPath + "/" + id)
 		if err != nil {
 			if errors.Is(err, store.ErrNoNode) {
 				continue
 			}
 			return err
 		}
-		if rec.IsParent() {
-			// Cross-shard parents never enter todoQ; the coordinator
-			// resumes them once local state is rebuilt.
-			if !rec.State.Terminal() {
-				xParents = append(xParents, id)
-			}
-			continue
-		}
-		switch rec.State {
-		case txn.StateInitialized:
-			// The old leader may have consumed the submit notice without
-			// accepting; re-accept directly. A still-pending submit
-			// notice becomes a harmless duplicate.
-			if err := rec.Transition(txn.StateAccepted); err == nil {
-				if err := c.cli.Set(path, rec.Encode(), -1); err != nil {
-					return err
-				}
-				c.countStage(&c.stats.Accepted, "accepted")
-				c.todo = append(c.todo, rec)
-			}
-		case txn.StateAccepted, txn.StateDeferred:
+		switch {
+		case rec.State.Terminal():
+		case rec.IsParent():
+			pending = append(pending, id)
+			// The deadline is a backstop should every recovery round fail.
+			c.xArmTimeout(id)
+		case rec.State == txn.StateInitialized:
+			pending = append(pending, id)
+		case rec.State == txn.StateAccepted || rec.State == txn.StateDeferred:
 			rec.State = txn.StateAccepted
 			c.todo = append(c.todo, rec)
-		case txn.StateStarted, txn.StatePrepared:
+		case rec.State == txn.StateStarted || rec.State == txn.StatePrepared:
 			// Re-apply the simulated effects and re-take the locks. A
 			// started transaction's worker will (or already did) deliver a
 			// result notice; a prepared cross-shard child is in doubt until
@@ -1869,18 +1827,14 @@ func (c *Controller) recover() error {
 			xInDoubt = append(xInDoubt, rec)
 		}
 	}
-	// Resolve in-doubt prepares against their coordinator records and
-	// resume coordination of local parents in the round that also carries
-	// the first scheduling pass, every write staged at the version it was
-	// read at. A round that fails (a wound's CAS on a parent landed in
-	// between) re-runs against fresh records; locks released by its
-	// aborts are claimed by the owed scheduling pass (resched). Each
-	// parent's deadline is armed first, a backstop should every attempt
-	// fail. The cross-shard sends of the round go out when recovery ends.
+	// Resolve in-doubt prepares against their coordinator records, and
+	// stage the pending records, in the round that also carries the first
+	// scheduling pass, every write at the version it was read at. A round
+	// that fails (a wound's CAS on a parent landed in between) re-runs
+	// against fresh records; locks released by its aborts are claimed by
+	// the owed scheduling pass (resched). The cross-shard sends of the
+	// round go out when recovery ends.
 	defer c.xFlushPeerSends()
-	for _, id := range xParents {
-		c.xArmTimeout(id)
-	}
 	for attempt := 1; ; attempt++ {
 		r := newRound()
 		for _, t := range xInDoubt {
@@ -1888,13 +1842,18 @@ func (c *Controller) recover() error {
 				c.stageXResolve(r, t)
 			}
 		}
-		for _, id := range xParents {
-			rec, stat, err := c.loadTxn(c.txnPath(id))
-			if err == nil {
+		for _, id := range pending {
+			path := c.txnPath(id)
+			rec, stat, err := c.loadTxn(path)
+			switch {
+			case err != nil:
+			case rec.IsParent():
 				err = c.stageXParent(r, rec, stat, parentEvent{kind: evResume, seen: c.xReadChildren(rec)}, nil)
+			case rec.State == txn.StateInitialized:
+				err = c.stageAcceptTxn(r, rec, path, stat, nil)
 			}
 			if err != nil {
-				c.cfg.Logf("controller %s: resume parent %s: %v", c.cfg.Name, id, err)
+				c.cfg.Logf("controller %s: recover %s: %v", c.cfg.Name, id, err)
 			}
 		}
 		c.scheduleInto(r)
@@ -1937,29 +1896,6 @@ func (c *Controller) loadTxn(path string) (*txn.Txn, store.Stat, error) {
 	// submitters don't need a second write after sequence allocation.
 	rec.ID = path[strings.LastIndexByte(path, '/')+1:]
 	return rec, stat, nil
-}
-
-// updateTxn applies a mutation to a transaction record with
-// compare-and-set retry, so concurrent controller/worker updates never
-// lose writes.
-func (c *Controller) updateTxn(path string, mutate func(*txn.Txn) error) error {
-	for i := 0; i < 64; i++ {
-		rec, stat, err := c.loadTxn(path)
-		if err != nil {
-			return err
-		}
-		if err := mutate(rec); err != nil {
-			return err
-		}
-		err = c.cli.Set(path, rec.Encode(), stat.Version)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, store.ErrBadVersion) {
-			return err
-		}
-	}
-	return fmt.Errorf("controller: update %s: too many CAS conflicts", path)
 }
 
 // LogicalTree exposes the leader's logical model for reconciliation and

@@ -20,8 +20,16 @@ import (
 func newRoundController(t *testing.T) *Controller {
 	t.Helper()
 	ens := store.NewEnsemble(store.Config{Replicas: 1, SessionTimeout: 200 * time.Millisecond})
+	t.Cleanup(func() { ens.Close() })
+	return roundControllerOn(t, ens, "r0")
+}
+
+// roundControllerOn is newRoundController over an existing ensemble: a
+// second one recovers the state a first one left, as a new leader does.
+func roundControllerOn(t *testing.T, ens *store.Ensemble, name string) *Controller {
+	t.Helper()
 	c, err := New(Config{
-		Name:      "r0",
+		Name:      name,
 		Ensemble:  ens,
 		Schema:    ctxSchema(),
 		Bootstrap: ctxTree(),
@@ -35,10 +43,7 @@ func newRoundController(t *testing.T) *Controller {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		c.Close()
-		ens.Close()
-	})
+	t.Cleanup(c.Close)
 	if err := c.recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +89,20 @@ func runRounds(t *testing.T, c *Controller) {
 		}
 	}
 	t.Fatal("rounds never drained the input")
+}
+
+// bumpVersion rewrites the node at path unchanged, moving its version
+// under any write staged at the old one, so the round carrying that
+// write fails its flush.
+func bumpVersion(t *testing.T, cli *store.Client, path string) {
+	t.Helper()
+	data, _, err := cli.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Set(path, data, -1); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func loadRecord(t *testing.T, c *Controller, path string) (*txn.Txn, store.Stat) {
@@ -142,14 +161,7 @@ func TestFailedFlushReRunsRound(t *testing.T) {
 	if len(r.admitted) != 2 || len(c.todo) != 1 {
 		t.Fatalf("round staged %d admissions and deferred %d, want 2 and 1", len(r.admitted), len(c.todo))
 	}
-	// Move p1's version under its staged accept.
-	data, _, err := c.cli.Get(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.cli.Set(p1, data, -1); err != nil {
-		t.Fatal(err)
-	}
+	bumpVersion(t, c.cli, p1) // under its staged accept
 
 	if err := c.flushRound(r); !errors.Is(err, store.ErrBadVersion) {
 		t.Fatalf("flush err = %v, want ErrBadVersion", err)
@@ -242,10 +254,7 @@ func TestFailedDecideFlushCountsPiggybackOnce(t *testing.T) {
 	if err := c.handleLocal(r); err != nil {
 		t.Fatal(err)
 	}
-	// Move the record's version under the staged promotion.
-	if err := c.cli.Set(path, prepared, -1); err != nil {
-		t.Fatal(err)
-	}
+	bumpVersion(t, c.cli, path) // under the staged promotion
 	if err := c.flushRound(r); !errors.Is(err, store.ErrBadVersion) {
 		t.Fatalf("flush err = %v, want ErrBadVersion", err)
 	}

@@ -35,7 +35,14 @@ const (
 	evDeadline
 	// evResume: a new leader picks the parent up after a failover.
 	evResume
+	// evAccept: the parent's submit notice. A duplicate, for a parent
+	// past initialized, changes nothing.
+	evAccept
 )
+
+// report reports whether k is a child's report (a vote or a child-done)
+// rather than an event that looks at the whole ledger.
+func (k parentEventKind) report() bool { return k == evVote || k == evChildDone }
 
 // parentEvent is one input to parentStep.
 type parentEvent struct {
@@ -66,7 +73,8 @@ type childRead struct {
 type parentOut struct {
 	// write: the record changed and must be persisted.
 	write bool
-	// accepted: a resume accepted a parent found initialized.
+	// accepted: an accept, or a resume of a parent found initialized,
+	// accepted it.
 	accepted bool
 	// firstVote: the vote is its child's first word, one prepare round
 	// trip.
@@ -76,7 +84,8 @@ type parentOut struct {
 	decided, indoubt bool
 	// finalized: the parent reached its terminal state.
 	finalized bool
-	// prepare lists the children whose prepare a resume sends again.
+	// prepare lists the unvoted children an accept or a resume sends a
+	// prepare to.
 	prepare []int
 	// deliver lists the children the decision goes to. eager marks the
 	// first fan-out of a vote's decision, which skips remote children:
@@ -88,11 +97,13 @@ type parentOut struct {
 }
 
 // parentStep applies one event to parent rec in place. A vote or
-// child-done fills its ledger entry; a deadline or a resume first syncs
-// the ledger with the children's own records. The parent then decides
-// once every child has voted — or at the deadline, whatever is missing
-// — and finalizes once every child is terminal. A terminal parent never
-// changes, but a late yes-vote still gets the abort it missed.
+// child-done fills its ledger entry; an accept or a resume accepts an
+// initialized parent and prepares its unvoted children; a deadline or a
+// resume first syncs the ledger with the children's own records. The
+// parent then decides once every child has voted — or at the deadline,
+// whatever is missing — and finalizes once every child is terminal. A
+// terminal parent never changes, but a late yes-vote still gets the
+// abort it missed.
 func parentStep(rec *txn.Txn, ev parentEvent) (parentOut, error) {
 	var out parentOut
 	switch ev.kind {
@@ -120,13 +131,13 @@ func parentStep(rec *txn.Txn, ev parentEvent) (parentOut, error) {
 			ref.State, ref.Error, ref.Code = ev.state, ev.err, ev.code
 			out.write = true
 		}
-	case evDeadline, evResume:
-		if rec.State.Terminal() {
+	default:
+		if rec.State.Terminal() || ev.kind == evAccept && rec.State != txn.StateInitialized {
 			return out, nil
 		}
-		if ev.kind == evResume && rec.State == txn.StateInitialized {
-			// The old leader consumed (or never saw) the submit notice; a
-			// pending one becomes a harmless duplicate.
+		if ev.kind != evDeadline && rec.State == txn.StateInitialized {
+			// An accept; or a resume, whose old leader never saw the submit
+			// notice (a pending one becomes a harmless duplicate).
 			if err := rec.Transition(txn.StateAccepted); err != nil {
 				return out, err
 			}
@@ -135,9 +146,9 @@ func parentStep(rec *txn.Txn, ev parentEvent) (parentOut, error) {
 		if syncLedger(rec, ev.seen) {
 			out.write = true
 		}
-		if ev.kind == evResume && rec.State == txn.StateAccepted {
-			// Prepares that may never have landed; sending one again is
-			// idempotent.
+		if ev.kind != evDeadline && rec.State == txn.StateAccepted {
+			// An accept's prepares go out for the first time; a resume's
+			// may never have landed, and sending one again is idempotent.
 			for k, ref := range rec.Children {
 				if ref.State == "" {
 					out.prepare = append(out.prepare, k)
@@ -161,7 +172,7 @@ func parentStep(rec *txn.Txn, ev parentEvent) (parentOut, error) {
 	switch {
 	case out.decided && ev.kind == evVote:
 		out.deliver, out.eager = xPreparedChildren(rec), true
-	case ev.kind == evDeadline || ev.kind == evResume:
+	case !ev.kind.report():
 		// Re-delivery to every child the ledger still shows prepared;
 		// never eager, so it reaches participants whose watch died with a
 		// crash.
@@ -174,7 +185,7 @@ func parentStep(rec *txn.Txn, ev parentEvent) (parentOut, error) {
 		// fired before the decision landed.
 		out.deliver = []int{ev.child}
 	}
-	out.rearm = !rec.State.Terminal() && (out.decided || ev.kind == evDeadline || ev.kind == evResume)
+	out.rearm = !rec.State.Terminal() && (out.decided || !ev.kind.report())
 	return out, nil
 }
 

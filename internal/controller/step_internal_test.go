@@ -103,7 +103,7 @@ func stepParent(state txn.State, decision string, ledger []entry) *txn.Txn {
 // stepEvents lists every event applied to a parent over the ledger: from
 // each child a yes at the current and at a voided attempt, a no, and
 // each terminal outcome; then the deadline and the resume with the
-// children's records as they are.
+// children's records as they are, and the accept.
 func stepEvents(ledger []entry) []parentEvent {
 	var evs []parentEvent
 	seen := make([]childRead, len(ledger))
@@ -118,7 +118,8 @@ func stepEvents(ledger []entry) []parentEvent {
 			evs = append(evs, parentEvent{kind: evChildDone, child: k, state: s})
 		}
 	}
-	return append(evs, parentEvent{kind: evDeadline, seen: seen}, parentEvent{kind: evResume, seen: seen})
+	return append(evs, parentEvent{kind: evDeadline, seen: seen}, parentEvent{kind: evResume, seen: seen},
+		parentEvent{kind: evAccept})
 }
 
 func allEntries(rec *txn.Txn, s txn.State) bool {
@@ -135,13 +136,16 @@ func allEntries(rec *txn.Txn, s txn.State) bool {
 // commit rules on each step: the decision is commit iff every entry is
 // prepared at the current attempt; a parent is decided at most once; it
 // finalizes committed iff every child committed; a terminal parent never
-// changes; a yes at a voided attempt changes nothing; and the step asks
-// for a write iff it changed the record.
+// changes; a yes at a voided attempt changes nothing; only an accept or
+// a resume accepts, and only an initialized parent, sending prepares to
+// unvoted children only; an accept of a parent past initialized changes
+// nothing; and the step asks for a write iff it changed the record.
 func TestXParentStepTable(t *testing.T) {
 	parents := []struct {
 		state    txn.State
 		decision string
 	}{
+		{txn.StateInitialized, ""},
 		{txn.StateAccepted, ""},
 		{txn.StateDeciding, txn.DecisionCommit},
 		{txn.StateDeciding, txn.DecisionAbort},
@@ -183,6 +187,31 @@ func checkParentStep(t *testing.T, name string, state txn.State, decision string
 	}
 	if state.Terminal() && (changed || out.decided || out.finalized || out.rearm || len(out.prepare) > 0) {
 		t.Fatalf("%s: a terminal parent changed: %+v", name, out)
+	}
+	opens := ev.kind == evAccept || ev.kind == evResume
+	if out.accepted != (opens && state == txn.StateInitialized) {
+		t.Fatalf("%s: accepted=%v out of %s", name, out.accepted, state)
+	}
+	if ev.kind == evAccept && state != txn.StateInitialized && (changed || !reflect.DeepEqual(out, parentOut{})) {
+		t.Fatalf("%s: an accept of a %s parent acted: %+v", name, state, out)
+	}
+	if len(out.prepare) > 0 && !opens {
+		t.Fatalf("%s: prepares sent on a %v event", name, ev.kind)
+	}
+	unvoted := 0
+	for _, ref := range rec.Children {
+		if ref.State == "" {
+			unvoted++
+		}
+	}
+	for _, k := range out.prepare {
+		if rec.Children[k].State != "" {
+			t.Fatalf("%s: prepare to child %d, %q in the ledger", name, k, rec.Children[k].State)
+		}
+	}
+	if opens && (state == txn.StateInitialized || state == txn.StateAccepted && ev.kind == evResume) &&
+		len(out.prepare) != unvoted {
+		t.Fatalf("%s: prepares to %v with %d children unvoted", name, out.prepare, unvoted)
 	}
 	if decision != "" && (out.decided || rec.Decision != decision) {
 		t.Fatalf("%s: decided twice: %q -> %q", name, decision, rec.Decision)

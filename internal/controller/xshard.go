@@ -32,10 +32,12 @@ package controller
 // strand locks on the survivors.
 //
 // Every parent and child transition is one step function (step.go):
-// parentStep for votes, child-dones, deadlines and resumes, childStep
-// for commit, abort and restart. Their executors (stageXParent,
-// stageXChild) stage the record write into the leader's event round, so
-// message handling and recovery write through the same grouped flush.
+// parentStep for accepts, votes, child-dones, deadlines and resumes,
+// childStep for commit, abort and restart. Their executors
+// (stageXParent, stageXChild) stage the record write into the leader's
+// event round, so message handling and recovery write through the same
+// grouped flush. The one 2PC record write outside it is a wound's CAS on
+// the coordinator's ledger (xWound), which another shard's leader makes.
 //
 // Lock waits between children cannot deadlock: every participant
 // prepares children in one global order (shard.PrepareLess), and a child
@@ -181,8 +183,7 @@ func (c *Controller) xClosePeers() {
 // xEnqueue appends one inputQ item on the given session (a peer shard's
 // queue, or this shard's own for self-addressed deadline checks).
 func xEnqueue(cli *store.Client, msg proto.InputMsg) error {
-	_, err := cli.Create(proto.InputQPath+"/"+queue.ItemPrefix, msg.Encode(), store.FlagSequence)
-	return err
+	return cli.Multi(queue.ItemOp(proto.InputQPath, msg.Encode()))
 }
 
 // peerSend is one staged cross-shard send: the ops of one logical
@@ -218,8 +219,7 @@ func (c *Controller) xPeerSend(i int, what string, onErr func(cli *store.Client,
 // xSendMsg stages one inputQ item for shard i (the common peerSend
 // shape: votes, child-dones, decisions).
 func (c *Controller) xSendMsg(i int, msg proto.InputMsg, what string) {
-	c.xPeerSend(i, what, nil,
-		store.CreateOp(proto.InputQPath+"/"+queue.ItemPrefix, msg.Encode(), store.FlagSequence))
+	c.xPeerSend(i, what, nil, queue.ItemOp(proto.InputQPath, msg.Encode()))
 }
 
 // xFlushPeerSends commits every send staged during the round, one
@@ -261,72 +261,6 @@ func (c *Controller) xFlushPeerSends() {
 }
 
 // --- Coordinator ------------------------------------------------------
-
-// stageXAcceptParent accepts a cross-shard parent submission and starts
-// the prepare phase: the accepted transition and notice consumption ride
-// the round's grouped Multi, and the prepare fan-out (cross-store writes
-// that cannot join this shard's Multi) and the vote-collection deadline
-// follow once the flush lands.
-func (c *Controller) stageXAcceptParent(r *round, rec *txn.Txn, stat store.Stat, msg proto.InputMsg, itemPath string) error {
-	if err := rec.Transition(txn.StateAccepted); err != nil {
-		return err
-	}
-	r.staged[msg.TxnPath] = true
-	ops := []store.Op{
-		c.inputQ.RemoveOp(itemPath),
-		store.SetOp(msg.TxnPath, rec.Encode(), stat.Version),
-	}
-	var localKid *txn.Txn
-	for k, ref := range rec.Children {
-		if ref.Shard != c.cfg.XShard.Self {
-			continue
-		}
-		// Coordinator-local coalescing: the child this shard owns skips
-		// the cross-store prepare round entirely — its record rides the
-		// SAME grouped Multi as the parent's accept, and it joins todoQ
-		// post-flush so this round's own scheduling pass can prepare it. A
-		// 2-shard transaction thus pays one remote prepare, not two.
-		localKid = c.xBuildChild(rec, k)
-		localKid.ID = ref.ID
-		ops = append(ops, store.CreateOp(proto.TxnsPath+"/"+ref.ID, localKid.Encode(), 0))
-		break
-	}
-	r.stage(ops,
-		func() {
-			c.countStage(&c.stats.Accepted, "accepted")
-			if localKid != nil {
-				// The durable record says initialized — recovery re-accepts
-				// initialized records, so a crash here loses nothing. In
-				// memory it is accepted directly; no submit notice exists.
-				if err := localKid.Transition(txn.StateAccepted); err == nil {
-					c.todo = append(c.todo, localKid)
-					c.resched = true
-					c.met.xLocalKids.Inc()
-					c.countStage(&c.stats.Accepted, "accepted")
-				}
-			}
-			c.xStartPrepares(rec)
-		},
-		nil,
-	)
-	return nil
-}
-
-// xStartPrepares fans the prepare phase out to every remote participant
-// and arms the vote-collection deadline. Called with the parent's
-// accepted state already durable; the coordinator-local child was
-// created in the same write (stageXAcceptParent).
-func (c *Controller) xStartPrepares(rec *txn.Txn) {
-	c.xClockStart(rec.ID)
-	for k := range rec.Children {
-		if rec.Children[k].Shard == c.cfg.XShard.Self {
-			continue
-		}
-		c.xSendPrepare(rec, k)
-	}
-	c.xHook(XEventPrepareSent, rec.ID)
-	c.xArmTimeout(rec.ID)
-}
 
 // xBuildChild materializes the k'th child record of a parent: the full
 // procedure invocation (every child keeps a whole-transaction view and
@@ -373,7 +307,7 @@ func (c *Controller) xSendPrepare(parent *txn.Txn, k int) {
 			}
 		},
 		store.CreateOp(childPath, c.xBuildChild(parent, k).Encode(), 0),
-		store.CreateOp(proto.InputQPath+"/"+queue.ItemPrefix, notice.Encode(), store.FlagSequence),
+		queue.ItemOp(proto.InputQPath, notice.Encode()),
 	)
 }
 
@@ -655,10 +589,12 @@ func (c *Controller) stageXParentMsg(r *round, msg proto.InputMsg, itemPath stri
 // stat, and stages the record write — at that version, so a write that
 // raced it (a wound's CAS) fails the round, which re-runs against the
 // fresh record — into the round together with notice, the ops consuming
-// the event's notice. A decision bound for a coordinator-local prepared
-// child rides the same round ("inline"), so the durable decision and the
-// child's promotion (or abort) commit in one Multi. The rest — counters,
-// sends, the next deadline — runs once the round is durable.
+// the event's notice. An accept creates the coordinator-local child in
+// the same Multi, skipping its cross-store prepare round; a decision
+// bound for a coordinator-local prepared child rides the same round
+// ("inline"), so the durable decision and the child's promotion (or
+// abort) commit in one Multi. The rest — counters, sends, the next
+// deadline — runs once the round is durable.
 func (c *Controller) stageXParent(r *round, rec *txn.Txn, stat store.Stat, ev parentEvent, notice []store.Op) error {
 	out, err := parentStep(rec, ev)
 	if errors.Is(err, errXMalformed) {
@@ -692,9 +628,36 @@ func (c *Controller) stageXParent(r *round, rec *txn.Txn, stat store.Stat, ev pa
 		r.staged[path] = true
 		ops = append(ops, store.SetOp(path, rec.Encode(), stat.Version))
 	}
+	// An accept coalesces the coordinator-local child: its record rides
+	// the parent's accepted write, so a 2-shard transaction pays one
+	// remote prepare, not two. A resume sends the prepare instead, as the
+	// child may exist already.
+	accept := ev.kind == evAccept && out.accepted
+	local := -1
+	var kid *txn.Txn
+	for _, k := range out.prepare {
+		if ref := rec.Children[k]; accept && ref.Shard == c.cfg.XShard.Self {
+			local, kid = k, c.xBuildChild(rec, k)
+			kid.ID = ref.ID
+			ops = append(ops, store.CreateOp(c.txnPath(ref.ID), kid.Encode(), 0))
+			break
+		}
+	}
 	r.stage(ops, func() {
 		if out.accepted {
 			c.countStage(&c.stats.Accepted, "accepted")
+		}
+		if kid != nil {
+			// The durable record says initialized — recovery re-accepts
+			// initialized records, so a crash here loses nothing. In
+			// memory it is accepted directly (no submit notice exists) and
+			// prepared by the round's post-flush scheduling pass.
+			if err := kid.Transition(txn.StateAccepted); err == nil {
+				c.todo = append(c.todo, kid)
+				c.resched = true
+				c.met.xLocalKids.Inc()
+				c.countStage(&c.stats.Accepted, "accepted")
+			}
 		}
 		if out.firstVote {
 			c.xClockVote(rec.ID)
@@ -709,8 +672,16 @@ func (c *Controller) stageXParent(r *round, rec *txn.Txn, stat store.Stat, ev pa
 			c.xClockDecided(rec.ID)
 			c.xHook(XEventDecided, rec.ID)
 		}
+		if accept {
+			c.xClockStart(rec.ID)
+		}
 		for _, k := range out.prepare {
-			c.xSendPrepare(rec, k)
+			if k != local {
+				c.xSendPrepare(rec, k)
+			}
+		}
+		if accept {
+			c.xHook(XEventPrepareSent, rec.ID)
 		}
 		for _, k := range later {
 			c.xSendDecide(rec, k)

@@ -87,9 +87,7 @@ func TestXWoundResendsLostRestart(t *testing.T) {
 	if err := c.stageXChild(r, proto.InputMsg{Kind: proto.KindXRestart, TxnPath: path, Epoch: 1}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.cli.Set(path, prepared, -1); err != nil {
-		t.Fatal(err)
-	}
+	bumpVersion(t, c.cli, path)
 	if err := c.flushRound(r); err == nil {
 		t.Fatal("restart with a failing write reported success")
 	}

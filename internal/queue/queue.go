@@ -52,8 +52,13 @@ func New(cli *store.Client, path string) (*Queue, error) {
 // PutOp returns the store operation that appends an item, for inclusion
 // in an atomic Multi batch (e.g. enqueue to phyQ and update transaction
 // state in one commit).
-func (q *Queue) PutOp(data []byte) store.Op {
-	return store.CreateOp(q.path+"/"+itemPrefix, data, store.FlagSequence)
+func (q *Queue) PutOp(data []byte) store.Op { return ItemOp(q.path, data) }
+
+// ItemOp returns the store operation that appends an item to the queue
+// rooted at dir, for writers that hold no Queue on it: a client's submit
+// batch, or a controller's send to a peer shard's inputQ.
+func ItemOp(dir string, data []byte) store.Op {
+	return store.CreateOp(dir+"/"+itemPrefix, data, store.FlagSequence)
 }
 
 // TakeBatch blocks until at least one item is available and claims up to

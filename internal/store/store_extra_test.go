@@ -314,8 +314,8 @@ func TestTreeOracleProperty(t *testing.T) {
 }
 
 func TestVersionCASLoop(t *testing.T) {
-	// The updateTxn CAS pattern: concurrent writers using version CAS
-	// never lose an increment.
+	// The read-modify-CAS pattern a wound's ledger write retries:
+	// concurrent writers using version CAS never lose an increment.
 	e := newTestEnsemble(t)
 	setup := e.Connect()
 	mustCreate(t, setup, "/n", "0")

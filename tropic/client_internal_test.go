@@ -3,6 +3,10 @@ package tropic
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/proto"
+	"repro/internal/shard"
+	"repro/internal/txn"
 )
 
 // BenchmarkClientLocate times the routing step every id-taking call
@@ -73,5 +77,37 @@ func TestClientLocateCanonicalizes(t *testing.T) {
 			t.Fatalf("locate(%q) = shard client %p, %q, %q; want shard 1's, t-s4c00000001, s1-t-s4c00000001",
 				id, sub, local, public)
 		}
+	}
+}
+
+// TestRefreshChildrenSkipsVoidedAttempt: the overlay Get and Wait lay
+// over a parent's ledger shows a child's live state only at the prepare
+// attempt its entry counts. A child still prepared at an attempt
+// wound-wait voided leaves its entry unvoted, as the coordinator counts
+// it; a child at the counted attempt shows through.
+func TestRefreshChildrenSkipsVoidedAttempt(t *testing.T) {
+	p, err := New(Config{Schema: NewSchema(), Bootstrap: NewTree(), Shards: 2, StoreReplicas: 1, Controllers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.Client()
+	defer p.Stop()
+	defer c.Close()
+	const parent = "s0-t-x4c00000001"
+	rec := &Txn{ID: parent, State: txn.StateAccepted}
+	for k, childEpoch := range []int{1, 0} {
+		ref := txn.ChildRef{ID: shard.ChildID(parent, k), Shard: k, Epoch: 1}
+		rec.Children = append(rec.Children, ref)
+		child := &txn.Txn{Proc: "p", State: txn.StatePrepared, Epoch: childEpoch, Parent: parent}
+		if _, err := c.subs[k].cli.Create(proto.TxnsPath+"/"+ref.ID, child.Encode(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.refreshChildren(rec)
+	if got := rec.Children[0].State; got != txn.StatePrepared {
+		t.Errorf("child at the counted attempt shows %q, want prepared", got)
+	}
+	if got := rec.Children[1].State; got != "" {
+		t.Errorf("child prepared at a voided attempt shows %q, want unvoted", got)
 	}
 }

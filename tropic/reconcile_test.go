@@ -261,12 +261,13 @@ func TestReconcileBusyUnderInFlightTransaction(t *testing.T) {
 	}
 }
 
-// TestTermSignalQueuedTransaction: TERM aborts a transaction that has
-// not started, with no device activity.
+// TestTermSignalStartedTransaction: TERM on an executing transaction
+// stops its worker, which rolls the devices back; both layers end clean.
 func TestTermSignalStartedTransaction(t *testing.T) {
 	p, cloud := newTCloud(t, tcloud.Topology{ComputeHosts: 2})
 	inj := device.NewInjector(1)
-	// Stall the 3rd action so the TERM lands mid-execution.
+	// Stall the 3rd action so the transaction is still executing when
+	// the TERM lands.
 	inj.Add(device.FaultRule{Action: "importImage", Delay: 500 * time.Millisecond})
 	cloud.SetFaultInjector(inj)
 
@@ -280,7 +281,7 @@ func TestTermSignalStartedTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let it start executing
+	waitStarted(t, c, id)
 	if err := c.Signal(id, tropic.SignalTerm); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,12 @@ func TestKillSignalLeavesInconsistencyForRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // mid-execution
+	// Mid-execution: the worker has run the three actions before the
+	// stalled createVM.
+	waitStarted(t, c, id)
+	if !eventually(5*time.Second, func() bool { return p.WorkerStats().Actions >= 3 }) {
+		t.Fatal("worker never reached createVM")
+	}
 	if err := c.Signal(id, tropic.SignalKill); err != nil {
 		t.Fatal(err)
 	}
@@ -334,21 +340,18 @@ func TestKillSignalLeavesInconsistencyForRepair(t *testing.T) {
 	if rec.State != tropic.StateAborted {
 		t.Fatalf("state = %s, want aborted (KILL)", rec.State)
 	}
-	// Logical layer rolled back instantly.
-	if p.Leader().LogicalTree().Exists(tcloud.ComputeHostPath(0) + "/vm1") {
+	// Logical layer rolled back as soon as the abort is durable: the
+	// leader rolls back, then releases the locks.
+	if settledTree(t, p).Exists(tcloud.ComputeHostPath(0) + "/vm1") {
 		t.Fatal("logical layer kept vm1 after KILL")
 	}
 	// Wait for the worker to finish the stalled physical execution,
 	// which proceeds to completion behind the kill.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := cloud.VMInfo(tcloud.ComputeHostName(0), "vm1"); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker never finished physical execution")
-		}
-		time.Sleep(20 * time.Millisecond)
+	if !eventually(5*time.Second, func() bool {
+		_, ok := cloud.VMInfo(tcloud.ComputeHostName(0), "vm1")
+		return ok
+	}) {
+		t.Fatal("worker never finished physical execution")
 	}
 	inj.Clear()
 	// Cross-layer divergence now exists; repair removes the orphan VM.
@@ -370,6 +373,8 @@ func TestKillSignalLeavesInconsistencyForRepair(t *testing.T) {
 	}
 }
 
+// TestTermSignalQueuedTransaction: TERM aborts a transaction that has
+// not started, with no device activity.
 func TestTermSignalQueuedTransaction(t *testing.T) {
 	p, cloud := newTCloud(t, tcloud.Topology{ComputeHosts: 1})
 	inj := device.NewInjector(1)
@@ -388,13 +393,16 @@ func TestTermSignalQueuedTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	waitStarted(t, c, id1)
 	id2, err := c.Submit(tcloud.ProcSpawnVM,
 		tcloud.StorageHostPath(0), tcloud.ComputeHostPath(0), "vm2", "1024")
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // id2 accepted, deferred behind id1
+	// id2 accepted, deferred behind id1.
+	if !eventually(5*time.Second, func() bool { return p.ControllerStats().Deferrals > 0 }) {
+		t.Fatal("the second transaction never deferred")
+	}
 	if err := c.Signal(id2, tropic.SignalTerm); err != nil {
 		t.Fatal(err)
 	}

@@ -1070,8 +1070,11 @@ func (c *Client) locate(id string) (sub *shardClient, local, public string, err 
 
 // refreshChildren overlays a parent record's ledger with each child's
 // live state, so Get/Wait callers see cross-shard progress without
-// waiting for the coordinator's next ledger write. Best-effort: a child
-// read failure leaves the coordinator's last known entry.
+// waiting for the coordinator's next ledger write. Only a child at the
+// prepare attempt its entry counts is overlaid (the rule the
+// coordinator's ledger sync follows): a child still prepared at an
+// attempt wound-wait voided holds no vote. Best-effort: a child read
+// failure leaves the coordinator's last known entry.
 func (c *Client) refreshChildren(rec *Txn) {
 	for k := range rec.Children {
 		ref := &rec.Children[k]
@@ -1079,7 +1082,7 @@ func (c *Client) refreshChildren(rec *Txn) {
 			continue
 		}
 		child, _, err := c.subs[ref.Shard].getAt(ref.ID, ref.ID, -1)
-		if err != nil {
+		if err != nil || child.Epoch != ref.Epoch {
 			continue
 		}
 		ref.State, ref.Error, ref.Code = child.State, child.Error, child.Code
@@ -1175,8 +1178,7 @@ func (sc *shardClient) submit(proc string, args []string) (string, error) {
 func submitOps(path string, rec *txn.Txn) []store.Op {
 	return []store.Op{
 		store.CreateOp(path, rec.Encode(), 0),
-		store.CreateOp(proto.InputQPath+"/item-",
-			proto.InputMsg{Kind: proto.KindSubmit, TxnPath: path}.Encode(), store.FlagSequence),
+		queue.ItemOp(proto.InputQPath, proto.InputMsg{Kind: proto.KindSubmit, TxnPath: path}.Encode()),
 	}
 }
 
@@ -1429,9 +1431,8 @@ func (c *Client) reconcileRequest(ctx context.Context, kind proto.MsgKind, targe
 		return err
 	}
 	defer watch.Close()
-	_, err = cli.Create(proto.InputQPath+"/item-",
-		proto.InputMsg{Kind: kind, Target: target, Reply: replyPath}.Encode(), store.FlagSequence)
-	if err != nil {
+	if err := cli.Multi(queue.ItemOp(proto.InputQPath,
+		proto.InputMsg{Kind: kind, Target: target, Reply: replyPath}.Encode())); err != nil {
 		return err
 	}
 	select {
@@ -1498,11 +1499,9 @@ func (c *Client) Signal(id string, sig txn.Signal) error {
 		return trerr.Newf(trerr.TxnInvalidSignal,
 			"tropic: signal %s: cross-shard child is %s and cannot abort unilaterally", id, rec.State).With("id", id)
 	}
-	_, err = sub.cli.Create(proto.InputQPath+"/item-",
-		proto.InputMsg{
-			Kind:    proto.KindSignal,
-			TxnPath: proto.TxnsPath + "/" + local,
-			Signal:  string(sig),
-		}.Encode(), store.FlagSequence)
-	return err
+	return sub.cli.Multi(queue.ItemOp(proto.InputQPath, proto.InputMsg{
+		Kind:    proto.KindSignal,
+		TxnPath: proto.TxnsPath + "/" + local,
+		Signal:  string(sig),
+	}.Encode()))
 }

@@ -50,17 +50,50 @@ func newTCloud(t *testing.T, tp tcloud.Topology) (*tropic.Platform, *device.Clou
 // caller's tree reads after the rollback's writes.
 func settledTree(t *testing.T, p *tropic.Platform) *tropic.Tree {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	var tree *tropic.Tree
+	if !eventually(10*time.Second, func() bool {
 		lead := p.Leader()
-		if lead != nil && lead.LockManager().LockCount() == 0 {
-			return lead.LogicalTree()
+		if lead == nil || lead.LockManager().LockCount() != 0 {
+			return false
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader never released its locks")
-		}
-		time.Sleep(time.Millisecond)
+		tree = lead.LogicalTree()
+		return true
+	}) {
+		t.Fatal("leader never released its locks")
 	}
+	return tree
+}
+
+// eventually polls cond every millisecond until it holds or timeout
+// passes, and reports whether it held.
+func eventually(timeout time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		<-tick.C
+	}
+	return true
+}
+
+// waitStarted blocks until the record of transaction id says started.
+func waitStarted(t *testing.T, c *tropic.Client, id string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	recs, err := c.WatchTxn(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rec := range recs {
+		if rec.State == tropic.StateStarted {
+			return
+		}
+	}
+	t.Fatalf("%s never started", id)
 }
 
 func TestSpawnVMCommits(t *testing.T) {
