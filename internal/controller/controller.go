@@ -168,6 +168,10 @@ type ctrlInstruments struct {
 	xPiggy     *metrics.Counter         // decisions delivered without a decide-notice round trip
 	xWounds    *metrics.Counter         // prepares voided and restarted by wound-wait
 	xPeerBatch *metrics.BucketHistogram // store ops per per-peer fan-out Multi
+
+	// Record loads (loadTxn): served from the held copy, or decoded from
+	// the store because another writer moved the record or none is held.
+	loadsHeld, loadsStore *metrics.Counter
 }
 
 // mark bumps the exported per-stage counter for this shard.
@@ -175,6 +179,9 @@ func (m *ctrlInstruments) mark(stage string) { m.stages.With(m.shard, stage).Inc
 
 // newCtrlInstruments resolves the controller's series in reg.
 func newCtrlInstruments(reg *metrics.Registry, shard string) ctrlInstruments {
+	loads := reg.CounterVec("tropic_controller_record_loads_total",
+		"Transaction-record loads of the lead controller by source: held (the copy its last flushed write left, still current) or store (decoded, because another writer moved the record or none was held).",
+		"shard", "source")
 	return ctrlInstruments{
 		shard: shard,
 		rounds: reg.CounterVec("tropic_controller_rounds_total",
@@ -212,6 +219,8 @@ func newCtrlInstruments(reg *metrics.Registry, shard string) ctrlInstruments {
 		xPeerBatch: reg.HistogramVec("tropic_xshard_peer_batch_ops",
 			"Store operations carried by one per-peer cross-shard fan-out Multi.",
 			metrics.DefSizeBuckets, "shard").With(shard),
+		loadsHeld:  loads.With(shard, "held"),
+		loadsStore: loads.With(shard, "store"),
 	}
 }
 
@@ -243,6 +252,12 @@ type Controller struct {
 	// locks awaiting the coordinator's 2PC decision. Like inFlight, it
 	// is leader-only state rebuilt by recover().
 	prepared map[string]*txn.Txn
+	// held maps the path of each non-terminal record the leader owns —
+	// queued, in flight, prepared, or a parent it coordinates — to its
+	// held copy (the object those sets share) and the store version its
+	// last flushed write produced, so a load decodes only what another
+	// writer changed (loadTxn). Rebuilt empty by recover().
+	held map[string]heldRec
 
 	stats     Stats
 	met       ctrlInstruments
@@ -384,8 +399,10 @@ func (c *Controller) Run(ctx context.Context) error {
 		return err
 	}
 	c.cfg.Logf("controller %s: elected leader", c.cfg.Name)
-	// Prepare deadlines (recovery arms some) live only while leading.
+	// Prepare deadlines (recovery arms some) and held copies live only
+	// while leading.
 	defer c.xStopDeadlines()
+	defer func() { c.held = nil }()
 	if err := c.recover(); err != nil {
 		return fmt.Errorf("controller %s: recover: %w", c.cfg.Name, err)
 	}
@@ -647,25 +664,26 @@ func (c *Controller) noticeRemoveOps(itemPath string) []store.Op {
 	return append(make([]store.Op, 0, 3), c.inputQ.RemoveOp(itemPath))
 }
 
-// loadStaged reads the record a message names for staging into the
-// round. ok=false when there is nothing to stage: the round already has
-// a write to the record staged — the message waits for the next round
-// (a local one is queued again, a store item just stays queued), so the
-// grouped Multi never carries a stale version — or the record is gone
-// and the notice is consumed.
-func (c *Controller) loadStaged(r *round, msg proto.InputMsg, itemPath string) (rec *txn.Txn, stat store.Stat, ok bool, err error) {
+// loadStaged loads the record a message names for staging into the
+// round (loadTxn: the held copy, unless another writer moved it).
+// ok=false when there is nothing to stage: the round already has a write
+// to the record staged — the message waits for the next round (a local
+// one is queued again, a store item just stays queued), so the grouped
+// Multi never carries a stale version — or the record is gone and the
+// notice is consumed.
+func (c *Controller) loadStaged(r *round, msg proto.InputMsg, itemPath string) (rec *txn.Txn, ok bool, err error) {
 	if r.staged[msg.TxnPath] {
 		if itemPath == "" {
 			c.enqueueLocal(msg)
 		}
-		return nil, stat, false, nil
+		return nil, false, nil
 	}
-	rec, stat, err = c.loadTxn(msg.TxnPath)
+	rec, err = c.loadTxn(msg.TxnPath)
 	if errors.Is(err, store.ErrNoNode) {
 		r.stage(c.noticeRemoveOps(itemPath), nil, nil)
-		return nil, stat, false, nil
+		return nil, false, nil
 	}
-	return rec, stat, err == nil, err
+	return rec, err == nil, err
 }
 
 // processRound handles one drained batch end to end: the items' staged
@@ -762,6 +780,10 @@ type round struct {
 	// message touching the same record defers to the next round instead
 	// of poisoning the grouped Multi with a stale version.
 	staged map[string]bool
+	// writes maps each record path written this round to the record and
+	// the version its last staged write produces: the held copy once the
+	// round is durable.
+	writes map[string]heldRec
 	// locals are the local messages whose writes are staged in ops;
 	// queued again if the flush fails (store items need no such care:
 	// their removal was in the failed Multi, so they are still queued).
@@ -785,7 +807,9 @@ type round struct {
 	cleanups int
 }
 
-func newRound() *round { return &round{staged: make(map[string]bool)} }
+func newRound() *round {
+	return &round{staged: make(map[string]bool), writes: make(map[string]heldRec)}
+}
 
 func (r *round) stage(ops []store.Op, after, undo func()) {
 	r.ops = append(r.ops, ops...)
@@ -854,17 +878,19 @@ func errFatal(err error) bool {
 	return errors.Is(err, store.ErrSessionExpired) || errors.Is(err, store.ErrNoQuorum)
 }
 
-// flushRound group-commits everything staged. On success the deferred
-// in-memory effects run in staging order (matching what sequential
-// per-item processing would have done). On a validation failure (e.g. a
-// record's version moved under a staged write) the round is unwound —
-// staged admissions roll their simulations, locks, and transitions back,
-// staged aborts and optimistic todoQ appends are taken back, the undo
-// list reverts the rest — its local messages are queued again, and the
-// error is returned: the round is re-run against fresh state, its store
-// items still at the head of inputQ. The owed scheduling pass (resched)
-// makes sure the unwound admissions are retried even when no input
-// arrives.
+// flushRound group-commits everything staged. On success the written
+// records become the held copies at the versions their writes produced
+// (terminal ones leave the table), and the deferred in-memory effects
+// run in staging order (matching what sequential per-item processing
+// would have done). On a validation failure (e.g. a record's version
+// moved under a staged write) the round is unwound — staged admissions
+// roll their simulations, locks, and transitions back, staged aborts and
+// optimistic todoQ appends are taken back, the undo list reverts the
+// rest, and the written paths leave the table, so the re-run decodes
+// them afresh — its local messages are queued again, and the error is
+// returned: the round is re-run against fresh state, its store items
+// still at the head of inputQ. The owed scheduling pass (resched) makes
+// sure the unwound admissions are retried even when no input arrives.
 func (c *Controller) flushRound(r *round) error {
 	if len(r.ops) == 0 {
 		// Nothing to write: the staged effects (a re-sent vote, a
@@ -875,14 +901,23 @@ func (c *Controller) flushRound(r *round) error {
 		r.after = nil
 		return nil
 	}
-	ops, after, undo, locals := r.ops, r.after, r.undo, r.locals
+	ops, after, undo, locals, writes := r.ops, r.after, r.undo, r.locals, r.writes
 	accepted, admitted, aborted := r.accepted, r.admitted, r.aborted
-	*r = round{staged: make(map[string]bool), cleanups: r.cleanups}
+	cleanups := r.cleanups
+	*r = *newRound()
+	r.cleanups = cleanups
 
 	start := time.Now()
 	err := c.cli.Multi(ops...)
 	c.noteFlush(len(ops), time.Since(start))
 	if err == nil {
+		for path, w := range writes {
+			if w.rec.State.Terminal() {
+				delete(c.held, path)
+			} else {
+				c.held[path] = w
+			}
+		}
 		for _, f := range after {
 			f()
 		}
@@ -902,13 +937,13 @@ func (c *Controller) flushRound(r *round) error {
 	for _, t := range accepted {
 		acceptedSet[t] = true
 	}
-	var requeue []*txn.Txn
+	var requeue, broken []*txn.Txn
 	for i := len(admitted) - 1; i >= 0; i-- {
 		t := admitted[i]
 		if rbErr := rollbackLog(c.ltree, c.cfg.Schema, t.Log); rbErr != nil {
 			c.cfg.Logf("controller %s: unwind %s: %v", c.cfg.Name, t.ID, rbErr)
 			c.locks.ReleaseAll(t.ID)
-			c.abortQueued(t, err, nil)
+			broken = append(broken, t)
 			continue
 		}
 		c.locks.ReleaseAll(t.ID)
@@ -951,10 +986,24 @@ func (c *Controller) flushRound(r *round) error {
 	for i := len(undo) - 1; i >= 0; i-- {
 		undo[i]()
 	}
+	for path := range writes {
+		delete(c.held, path)
+	}
 	for _, msg := range locals {
 		c.enqueueLocal(msg)
 	}
 	c.resched = true
+	// An admission whose simulation would not roll back cannot be
+	// retried: it aborts, in a round of its own.
+	if len(broken) > 0 {
+		br := newRound()
+		for _, t := range broken {
+			c.abortQueued(t, err, br)
+		}
+		if berr := c.flushRound(br); berr != nil {
+			c.cfg.Logf("controller %s: abort unwound admissions: %v", c.cfg.Name, berr)
+		}
+	}
 	return err
 }
 
@@ -971,7 +1020,7 @@ func (c *Controller) scheduleInto(r *round) {
 		return
 	}
 	for _, t := range pending {
-		r.ops = append(r.ops, c.admissionOps(t)...)
+		r.ops = append(r.ops, c.admissionOps(r, t)...)
 	}
 	var voted map[*txn.Txn]bool
 	r.after = append(r.after, func() {
@@ -1058,7 +1107,7 @@ func (c *Controller) reply(msg proto.InputMsg, err error) {
 // the group commits). A cross-shard parent is accepted by its step
 // (parentStep's accept event) instead: it never enters todoQ.
 func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) error {
-	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
+	rec, ok, err := c.loadStaged(r, msg, itemPath)
 	if !ok {
 		return err
 	}
@@ -1070,27 +1119,25 @@ func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) 
 		r.stage(notice, nil, nil)
 		return nil
 	case rec.IsParent():
-		return c.stageXParent(r, rec, stat, parentEvent{kind: evAccept}, notice)
+		return c.stageXParent(r, rec, parentEvent{kind: evAccept}, notice)
 	}
-	return c.stageAcceptTxn(r, rec, msg.TxnPath, stat, notice)
+	return c.stageAcceptTxn(r, rec, msg.TxnPath, notice)
 }
 
-// stageAcceptTxn stages the accept of initialized record rec, read from
-// path at stat, together with notice: the accepted write at that
-// version, and the count once the round is durable. Submit notices and
-// recovery's re-accepts share it.
-func (c *Controller) stageAcceptTxn(r *round, rec *txn.Txn, path string, stat store.Stat, notice []store.Op) error {
+// stageAcceptTxn stages the accept of initialized record rec, held at
+// path, together with notice: the accepted write, and the count once the
+// round is durable. Submit notices and recovery's re-accepts share it.
+func (c *Controller) stageAcceptTxn(r *round, rec *txn.Txn, path string, notice []store.Op) error {
 	if err := rec.Transition(txn.StateAccepted); err != nil {
 		return err
 	}
-	r.staged[path] = true
 	// The todoQ append is optimistic — this round's own scheduling pass
 	// may admit the transaction, putting accept and admission in the
 	// same grouped commit. flushRound takes the append back if the group
 	// fails.
 	c.todo = append(c.todo, rec)
 	r.accepted = append(r.accepted, rec)
-	r.stage(append(notice, store.SetOp(path, rec.Encode(), stat.Version)),
+	r.stage(append(notice, c.recordOp(r, path, rec)),
 		func() { c.countStage(&c.stats.Accepted, "accepted") }, nil)
 	return nil
 }
@@ -1138,7 +1185,6 @@ func (c *Controller) scheduleWalk(r *round) {
 			c.todo = append(c.todo[:i], c.todo[i+1:]...)
 		case outcomeConflict:
 			c.countStage(&c.stats.Deferrals, "deferred")
-			t.State = txn.StateDeferred // in-memory only; persisted as accepted
 			if c.cfg.Policy == ScheduleFIFO {
 				// FIFO holds single-shard work behind the deferred head,
 				// but not cross-shard children: another shard waits on
@@ -1220,9 +1266,9 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 // admission: the started-state record write and the phyQ enqueue. A
 // prepared cross-shard child persists only its record: it enters phyQ
 // at decision time, not now.
-func (c *Controller) admissionOps(t *txn.Txn) []store.Op {
+func (c *Controller) admissionOps(r *round, t *txn.Txn) []store.Op {
 	txnPath := c.txnPath(t.ID)
-	ops := []store.Op{store.SetOp(txnPath, t.Encode(), -1)}
+	ops := []store.Op{c.recordOp(r, txnPath, t)}
 	if t.State != txn.StatePrepared {
 		ops = append(ops, c.phyQ.PutOp(proto.PhyMsg{TxnPath: txnPath}.Encode()))
 	}
@@ -1266,10 +1312,9 @@ func (c *Controller) rollbackTimed(id string, records []txn.LogRecord) {
 
 // abortQueued marks a not-yet-started transaction aborted and persists
 // the terminal state (③A), recording the failure's taxonomy code
-// alongside its message. The terminal write is STAGED into the round —
-// appended after any same-round accept write on the record, so the
-// grouped flush's version checks stay intact. A nil round (a failed
-// flush whose admission could not be unwound) commits it on its own.
+// alongside its message. The terminal write is staged into the round,
+// after any same-round accept write on the record, at the version that
+// write produces.
 func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 	t.Error = reason.Error()
 	t.Code = string(trerr.CodeOf(reason))
@@ -1279,27 +1324,18 @@ func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 		c.cfg.Logf("controller %s: abort %s: %v", c.cfg.Name, t.ID, err)
 		return
 	}
-	path := c.txnPath(t.ID)
-	count := func() {
+	// A failed flush reverts the transaction to accepted and requeues it
+	// (see flushRound) because the abort verdict may describe unwound
+	// state.
+	r.stage([]store.Op{c.recordOp(r, c.txnPath(t.ID), t)}, func() {
 		c.countStage(&c.stats.Aborted, "aborted")
 		// A cross-shard child aborted before it could prepare is a NO
 		// vote; it goes out only after the terminal state is durable.
 		if t.IsChild() {
 			c.xSendReport(proto.KindXVote, t)
 		}
-	}
-	if r != nil {
-		// A failed flush reverts the transaction to accepted and requeues
-		// it (see flushRound) because the abort verdict may describe
-		// unwound state.
-		r.stage([]store.Op{store.SetOp(path, t.Encode(), -1)}, count, nil)
-		r.aborted = append(r.aborted, t)
-		return
-	}
-	if err := c.cli.Set(path, t.Encode(), -1); err != nil {
-		c.cfg.Logf("controller %s: persist abort %s: %v", c.cfg.Name, t.ID, err)
-	}
-	count()
+	}, nil)
+	r.aborted = append(r.aborted, t)
 }
 
 // stageCleanup finishes a transaction whose physical execution
@@ -1310,7 +1346,7 @@ func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 // — run only after the group commits, so a failed flush never rolls the
 // logical layer back for a transaction whose record still says started.
 func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string) error {
-	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
+	rec, ok, err := c.loadStaged(r, msg, itemPath)
 	if !ok {
 		return err
 	}
@@ -1330,18 +1366,15 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 		return fmt.Errorf("result notice for %s with outcome %q", rec.ID, msg.Outcome)
 	}
 
-	rec.Error = msg.Error
-	rec.Code = msg.Code
-	rec.UndoneThrough = msg.UndoneThrough
 	if err := rec.Transition(outcome); err != nil {
 		return err
 	}
-	ops := append(c.noticeRemoveOps(itemPath), store.SetOp(msg.TxnPath, rec.Encode(), stat.Version))
+	rec.Error, rec.Code, rec.UndoneThrough = msg.Error, msg.Code, msg.UndoneThrough
+	ops := append(c.noticeRemoveOps(itemPath), c.recordOp(r, msg.TxnPath, rec))
 	if outcome == txn.StateCommitted {
 		ops = append(ops, store.CreateOp(proto.CommitLogPrefix,
 			proto.CommitLogEntry{TxnPath: msg.TxnPath}.Encode(), store.FlagSequence))
 	}
-	r.staged[msg.TxnPath] = true
 	if outcome == txn.StateCommitted {
 		// Early lock handoff (⑤A): a committed transaction's logical
 		// effects are already final in ltree and its physical execution
@@ -1467,7 +1500,7 @@ func (c *Controller) finishCleanup(t, rec *txn.Txn, marks []string) {
 // client refuses such signals; one racing past that check is dropped
 // here, and the 2PC decision resolves the child either way).
 func (c *Controller) stageSignal(r *round, msg proto.InputMsg, itemPath string) error {
-	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
+	rec, ok, err := c.loadStaged(r, msg, itemPath)
 	if !ok {
 		return err
 	}
@@ -1484,25 +1517,25 @@ func (c *Controller) stageSignal(r *round, msg proto.InputMsg, itemPath string) 
 		if !running {
 			break
 		}
-		rec.Signal, rec.Error, rec.Code = sig, "killed by operator", string(trerr.TxnTerminated)
 		if err := rec.Transition(txn.StateAborted); err != nil {
 			return err
 		}
-		r.staged[path] = true
-		return c.stageUnwind(r, t, rec, append(ops, store.SetOp(path, rec.Encode(), stat.Version)), c.loggedPaths(t.Log))
+		rec.Signal, rec.Error, rec.Code = sig, "killed by operator", string(trerr.TxnTerminated)
+		return c.stageUnwind(r, t, rec, append(ops, c.recordOp(r, path, rec)), c.loggedPaths(t.Log))
 	default:
-		rec.Signal = sig
-		r.staged[path] = true
-		var undo func()
-		for _, q := range c.todo {
-			if q.ID == rec.ID {
-				prev := q.Signal
-				q.Signal = sig
-				undo = func() { q.Signal = prev }
+		// The queued copy is marked for this round's scheduling pass. It
+		// is rec, the held copy, unless a failed flush made the load
+		// decode.
+		q := rec
+		for _, t := range c.todo {
+			if t.ID == rec.ID {
+				q = t
 				break
 			}
 		}
-		r.stage(append(ops, store.SetOp(path, rec.Encode(), stat.Version)), nil, undo)
+		prev, qprev := rec.Signal, q.Signal
+		rec.Signal, q.Signal = sig, sig
+		r.stage(append(ops, c.recordOp(r, path, rec)), nil, func() { rec.Signal, q.Signal = prev, qprev })
 		return nil
 	}
 	r.stage(ops, nil, nil)
@@ -1638,7 +1671,7 @@ func (c *Controller) gcTxnRecords() error {
 	}
 	var terminal []string
 	for _, id := range ids {
-		rec, _, err := c.loadTxn(proto.TxnsPath + "/" + id)
+		rec, err := c.loadTxn(proto.TxnsPath + "/" + id)
 		if err != nil {
 			if errors.Is(err, store.ErrNoNode) {
 				continue
@@ -1707,6 +1740,7 @@ func (c *Controller) recover() error {
 	c.locks = lock.NewManager()
 	c.inFlight = make(map[string]*txn.Txn)
 	c.prepared = make(map[string]*txn.Txn)
+	c.held = make(map[string]heldRec)
 	c.todo = nil
 
 	// 1. Base snapshot.
@@ -1747,7 +1781,7 @@ func (c *Controller) recover() error {
 		if err != nil {
 			return err
 		}
-		rec, _, err := c.loadTxn(entry.TxnPath)
+		rec, err := c.loadTxn(entry.TxnPath)
 		if err != nil {
 			return err
 		}
@@ -1789,7 +1823,7 @@ func (c *Controller) recover() error {
 	var pending []string
 	var xInDoubt []*txn.Txn
 	for _, id := range ids {
-		rec, _, err := c.loadTxn(proto.TxnsPath + "/" + id)
+		rec, err := c.loadTxn(proto.TxnsPath + "/" + id)
 		if err != nil {
 			if errors.Is(err, store.ErrNoNode) {
 				continue
@@ -1805,7 +1839,6 @@ func (c *Controller) recover() error {
 		case rec.State == txn.StateInitialized:
 			pending = append(pending, id)
 		case rec.State == txn.StateAccepted || rec.State == txn.StateDeferred:
-			rec.State = txn.StateAccepted
 			c.todo = append(c.todo, rec)
 		case rec.State == txn.StateStarted || rec.State == txn.StatePrepared:
 			// Re-apply the simulated effects and re-take the locks. A
@@ -1844,13 +1877,13 @@ func (c *Controller) recover() error {
 		}
 		for _, id := range pending {
 			path := c.txnPath(id)
-			rec, stat, err := c.loadTxn(path)
+			rec, err := c.loadTxn(path)
 			switch {
 			case err != nil:
 			case rec.IsParent():
-				err = c.stageXParent(r, rec, stat, parentEvent{kind: evResume, seen: c.xReadChildren(rec)}, nil)
+				err = c.stageXParent(r, rec, parentEvent{kind: evResume, seen: c.xReadChildren(rec)}, nil)
 			case rec.State == txn.StateInitialized:
-				err = c.stageAcceptTxn(r, rec, path, stat, nil)
+				err = c.stageAcceptTxn(r, rec, path, nil)
 			}
 			if err != nil {
 				c.cfg.Logf("controller %s: recover %s: %v", c.cfg.Name, id, err)
@@ -1883,19 +1916,66 @@ func (c *Controller) txnPath(id string) string {
 	return proto.TxnsPath + "/" + id
 }
 
-func (c *Controller) loadTxn(path string) (*txn.Txn, store.Stat, error) {
+// heldRec is the leader's held copy of one record it owns: the record,
+// and the store version its last flushed write produced. At every round
+// boundary Encode(rec) is what the store holds at that version: the
+// leader goroutine, the copy's one owner, changes it only to stage a
+// write (recordOp) or undoes the change, and a failed flush drops it.
+type heldRec struct {
+	rec *txn.Txn
+	ver int32
+}
+
+// loadTxn loads the record at path. Its stat decides the source: while
+// the version is the one the leader's last flushed write produced, the
+// held copy is the record and nothing is decoded. Otherwise — another
+// writer moved it (a wound's CAS on a parent's ledger), or nothing is
+// held (a submitted record, recovery, a failed flush) — the record is
+// decoded and, unless terminal, becomes the held copy.
+func (c *Controller) loadTxn(path string) (*txn.Txn, error) {
 	data, stat, err := c.cli.Get(path)
 	if err != nil {
-		return nil, stat, err
+		return nil, err
 	}
+	if h, ok := c.held[path]; ok && h.ver == stat.Version {
+		c.met.loadsHeld.Inc()
+		return h.rec, nil
+	}
+	c.met.loadsStore.Inc()
 	rec, err := txn.Decode(data)
 	if err != nil {
-		return nil, stat, err
+		return nil, err
 	}
 	// The record's identity is its store node name; fill it in so
 	// submitters don't need a second write after sequence allocation.
 	rec.ID = path[strings.LastIndexByte(path, '/')+1:]
-	return rec, stat, nil
+	if rec.State.Terminal() {
+		delete(c.held, path)
+	} else {
+		c.held[path] = heldRec{rec: rec, ver: stat.Version}
+	}
+	return rec, nil
+}
+
+// recordOp stages rec's write to its record at path into the round and
+// returns the op. The write expects the version of the round's previous
+// write there, else the held version, so it fails the round if another
+// writer got in between; a record no longer held (a failed flush dropped
+// it) is loaded first. rec becomes the held copy once the round is
+// durable.
+func (c *Controller) recordOp(r *round, path string, rec *txn.Txn) store.Op {
+	w, ok := r.writes[path]
+	if !ok {
+		if _, held := c.held[path]; !held {
+			if _, err := c.loadTxn(path); err != nil {
+				c.cfg.Logf("controller %s: reload %s: %v", c.cfg.Name, path, err)
+			}
+		}
+		w = c.held[path]
+	}
+	r.staged[path] = true
+	r.writes[path] = heldRec{rec: rec, ver: w.ver + 1}
+	return store.SetOp(path, rec.Encode(), w.ver)
 }
 
 // LogicalTree exposes the leader's logical model for reconciliation and

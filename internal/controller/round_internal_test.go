@@ -105,9 +105,15 @@ func bumpVersion(t *testing.T, cli *store.Client, path string) {
 	}
 }
 
+// loadRecord decodes the record the store holds at path, bypassing the
+// controller's held copies.
 func loadRecord(t *testing.T, c *Controller, path string) (*txn.Txn, store.Stat) {
 	t.Helper()
-	rec, stat, err := c.loadTxn(path)
+	data, stat, err := c.cli.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := txn.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -334,11 +334,11 @@ func TestXChildStepTable(t *testing.T) {
 }
 
 // TestXResumeKeepsWoundEpoch: recovery resumes a parent from the copy its
-// record scan read. A wound's CAS landing in between — entry 1 moved to
+// record scan holds. A wound's CAS landing in between — entry 1 moved to
 // attempt 1 with its yes cleared — must survive the resume: the resume's
-// write carries the scanned version, so its round fails instead of
-// writing the voided yes back and deciding commit on it, and the re-run
-// against the fresh record decides nothing.
+// write carries the held version, so its round fails instead of writing
+// the voided yes back and deciding commit on it, and the re-run against
+// the fresh record decides nothing.
 func TestXResumeKeepsWoundEpoch(t *testing.T) {
 	c := newXController(t)
 	path := proto.TxnsPath + "/t-1"
@@ -349,15 +349,18 @@ func TestXResumeKeepsWoundEpoch(t *testing.T) {
 	if _, err := c.cli.Create(path, parent.Encode(), 0); err != nil {
 		t.Fatal(err)
 	}
-	stale, stat := loadRecord(t, c, path)
+	stale, err := c.loadTxn(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parent.Children[1].Epoch, parent.Children[1].State = 1, ""
-	if err := c.cli.Set(path, parent.Encode(), stat.Version); err != nil {
+	if err := c.cli.Set(path, parent.Encode(), 0); err != nil {
 		t.Fatal(err)
 	}
 
-	resume := func(rec *txn.Txn, stat store.Stat) error {
+	resume := func(rec *txn.Txn) error {
 		r := newRound()
-		if err := c.stageXParent(r, rec, stat, parentEvent{kind: evResume, seen: c.xReadChildren(rec)}, nil); err != nil {
+		if err := c.stageXParent(r, rec, parentEvent{kind: evResume, seen: c.xReadChildren(rec)}, nil); err != nil {
 			t.Fatal(err)
 		}
 		return c.flushRound(r)
@@ -370,11 +373,15 @@ func TestXResumeKeepsWoundEpoch(t *testing.T) {
 				when, ref.State, ref.Epoch, got.Decision)
 		}
 	}
-	if err := resume(stale, stat); !errors.Is(err, store.ErrBadVersion) {
+	if err := resume(stale); !errors.Is(err, store.ErrBadVersion) {
 		t.Fatalf("resume from the stale copy: err %v, want ErrBadVersion", err)
 	}
 	check("after the stale resume")
-	if err := resume(loadRecord(t, c, path)); err != nil {
+	fresh, err := c.loadTxn(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resume(fresh); err != nil {
 		t.Fatal(err)
 	}
 	check("after the re-run")

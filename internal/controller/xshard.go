@@ -344,7 +344,7 @@ func (c *Controller) xArmTimeout(parentID string) {
 		case errors.Is(err, store.ErrNoNode):
 			return // record already reaped: long terminal
 		case err == nil:
-			if rec, derr := txn.Decode(data); derr == nil && rec.State.Terminal() {
+			if st, derr := txn.DecodeState(data); derr == nil && st.Terminal() {
 				return
 			}
 		}
@@ -509,19 +509,23 @@ func (c *Controller) xWatchDecision(t *txn.Txn) {
 			if err != nil {
 				return
 			}
+			// Most changes are other votes landing: only a decided parent
+			// is decoded in full.
 			data, _, gerr := cli.Get(parentPath)
 			if gerr != nil {
 				w.Close()
 				return
 			}
-			parent, derr := txn.Decode(data)
+			dec, derr := txn.DecodeDecision(data)
 			if derr != nil {
 				w.Close()
 				return
 			}
-			if parent.Decision != "" {
+			if dec != "" {
 				w.Close()
-				c.enqueueLocal(xDecideMsg(parent, id, "ack"))
+				if parent, err := txn.Decode(data); err == nil {
+					c.enqueueLocal(xDecideMsg(parent, id, "ack"))
+				}
 				return
 			}
 			select {
@@ -565,7 +569,7 @@ func (c *Controller) xCountParent(rec *txn.Txn) {
 // parent this round stays queued for the next drain (the discipline
 // shared with stageAccept).
 func (c *Controller) stageXParentMsg(r *round, msg proto.InputMsg, itemPath string) error {
-	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
+	rec, ok, err := c.loadStaged(r, msg, itemPath)
 	if !ok {
 		return err
 	}
@@ -582,20 +586,23 @@ func (c *Controller) stageXParentMsg(r *round, msg proto.InputMsg, itemPath stri
 	case proto.KindXTimeout:
 		ev = parentEvent{kind: evDeadline, seen: c.xReadChildren(rec)}
 	}
-	return c.stageXParent(r, rec, stat, ev, notice)
+	return c.stageXParent(r, rec, ev, notice)
 }
 
-// stageXParent is parentStep's executor. It applies ev to rec, read at
-// stat, and stages the record write — at that version, so a write that
-// raced it (a wound's CAS) fails the round, which re-runs against the
-// fresh record — into the round together with notice, the ops consuming
-// the event's notice. An accept creates the coordinator-local child in
-// the same Multi, skipping its cross-store prepare round; a decision
-// bound for a coordinator-local prepared child rides the same round
-// ("inline"), so the durable decision and the child's promotion (or
-// abort) commit in one Multi. The rest — counters, sends, the next
-// deadline — runs once the round is durable.
-func (c *Controller) stageXParent(r *round, rec *txn.Txn, stat store.Stat, ev parentEvent, notice []store.Op) error {
+// stageXParent is parentStep's executor. It applies ev to rec, the held
+// copy, and stages the record write — at the held version, so a write
+// that raced it (a wound's CAS) fails the round, which re-runs against
+// the fresh record — into the round together with notice, the ops
+// consuming the event's notice. A step that fails drops the copy it
+// changed from the table. An accept creates the coordinator-local child,
+// already accepted, in the same Multi, skipping its cross-store prepare
+// round and its accept's decode; a decision bound for a
+// coordinator-local prepared child rides the same round ("inline"), so
+// the durable decision and the child's promotion (or abort) commit in
+// one Multi. The rest — counters, sends, the next deadline — runs once
+// the round is durable.
+func (c *Controller) stageXParent(r *round, rec *txn.Txn, ev parentEvent, notice []store.Op) error {
+	path := c.txnPath(rec.ID)
 	out, err := parentStep(rec, ev)
 	if errors.Is(err, errXMalformed) {
 		c.cfg.Logf("controller %s: %v", c.cfg.Name, err)
@@ -603,6 +610,7 @@ func (c *Controller) stageXParent(r *round, rec *txn.Txn, stat store.Stat, ev pa
 		return nil
 	}
 	if err != nil {
+		delete(c.held, path)
 		return err
 	}
 	var inline, later []int
@@ -624,9 +632,7 @@ func (c *Controller) stageXParent(r *round, rec *txn.Txn, stat store.Stat, ev pa
 	}
 	ops := notice
 	if out.write {
-		path := c.txnPath(rec.ID)
-		r.staged[path] = true
-		ops = append(ops, store.SetOp(path, rec.Encode(), stat.Version))
+		ops = append(ops, c.recordOp(r, path, rec))
 	}
 	// An accept coalesces the coordinator-local child: its record rides
 	// the parent's accepted write, so a 2-shard transaction pays one
@@ -639,7 +645,11 @@ func (c *Controller) stageXParent(r *round, rec *txn.Txn, stat store.Stat, ev pa
 		if ref := rec.Children[k]; accept && ref.Shard == c.cfg.XShard.Self {
 			local, kid = k, c.xBuildChild(rec, k)
 			kid.ID = ref.ID
-			ops = append(ops, store.CreateOp(c.txnPath(ref.ID), kid.Encode(), 0))
+			_ = kid.Transition(txn.StateAccepted) // a fresh record: cannot fail
+			kidPath := c.txnPath(ref.ID)
+			r.staged[kidPath] = true
+			r.writes[kidPath] = heldRec{rec: kid}
+			ops = append(ops, store.CreateOp(kidPath, kid.Encode(), 0))
 			break
 		}
 	}
@@ -648,16 +658,13 @@ func (c *Controller) stageXParent(r *round, rec *txn.Txn, stat store.Stat, ev pa
 			c.countStage(&c.stats.Accepted, "accepted")
 		}
 		if kid != nil {
-			// The durable record says initialized — recovery re-accepts
-			// initialized records, so a crash here loses nothing. In
-			// memory it is accepted directly (no submit notice exists) and
-			// prepared by the round's post-flush scheduling pass.
-			if err := kid.Transition(txn.StateAccepted); err == nil {
-				c.todo = append(c.todo, kid)
-				c.resched = true
-				c.met.xLocalKids.Inc()
-				c.countStage(&c.stats.Accepted, "accepted")
-			}
+			// No submit notice exists: the round's post-flush scheduling
+			// pass prepares it, and recovery queues it like any accepted
+			// record.
+			c.todo = append(c.todo, kid)
+			c.resched = true
+			c.met.xLocalKids.Inc()
+			c.countStage(&c.stats.Accepted, "accepted")
 		}
 		if out.firstVote {
 			c.xClockVote(rec.ID)
@@ -830,12 +837,12 @@ func (c *Controller) stageXLocalVote(r *round, t *txn.Txn) bool {
 	if !ok || coord != c.cfg.XShard.Self || r.staged[parentPath] {
 		return false
 	}
-	rec, stat, err := c.loadTxn(parentPath)
+	rec, err := c.loadTxn(parentPath)
 	if err != nil {
 		return false
 	}
 	ev := parentEvent{kind: evVote, child: k, state: t.State, epoch: t.Epoch}
-	return c.stageXParent(r, rec, stat, ev, nil) == nil
+	return c.stageXParent(r, rec, ev, nil) == nil
 }
 
 // stageXChildDoneLocal stages a terminal local child's child-done
@@ -869,7 +876,7 @@ func (c *Controller) stageXChildDoneLocal(r *round, t *txn.Txn) bool {
 // untracked in memory can only mean a bug in recovery, and refusing to
 // act blind keeps the store consistent.
 func (c *Controller) stageXChild(r *round, msg proto.InputMsg, itemPath string) error {
-	rec, stat, ok, err := c.loadStaged(r, msg, itemPath)
+	rec, ok, err := c.loadStaged(r, msg, itemPath)
 	if !ok {
 		return err
 	}
@@ -903,11 +910,10 @@ func (c *Controller) stageXChild(r *round, msg proto.InputMsg, itemPath string) 
 		return nil
 	}
 	path := c.txnPath(t.ID)
-	ops := append(notice, store.SetOp(path, t.Encode(), stat.Version))
+	ops := append(notice, c.recordOp(r, path, t))
 	if out.execute {
 		ops = append(ops, c.phyQ.PutOp(proto.PhyMsg{TxnPath: path}.Encode()))
 	}
-	r.staged[path] = true
 	r.stage(ops, func() {
 		if out.piggy {
 			c.met.xPiggy.Inc()

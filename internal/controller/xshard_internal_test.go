@@ -36,6 +36,7 @@ func newXController(t *testing.T) *Controller {
 	c.ltree = ctxTree()
 	c.locks = lock.NewManager()
 	c.prepared = make(map[string]*txn.Txn)
+	c.held = make(map[string]heldRec)
 	return c
 }
 

@@ -128,22 +128,26 @@ func NewTree() *Tree {
 
 // SplitPath validates a model path and returns its components.
 func SplitPath(path string) ([]string, error) {
-	if path == "" || path[0] != '/' {
-		return nil, fmt.Errorf("model: path %q must start with '/'", path)
+	if err := checkPath(path); err != nil || path == "/" {
+		return nil, err
 	}
-	if path == "/" {
-		return nil, nil
+	return strings.Split(path[1:], "/"), nil
+}
+
+// checkPath validates a model path: it starts with '/' and, unless it is
+// the root "/", has no trailing '/' and no empty component.
+func checkPath(path string) error {
+	switch {
+	case path == "" || path[0] != '/':
+		return fmt.Errorf("model: path %q must start with '/'", path)
+	case path == "/":
+		return nil
+	case strings.HasSuffix(path, "/"):
+		return fmt.Errorf("model: path %q must not end with '/'", path)
+	case strings.Contains(path, "//"):
+		return fmt.Errorf("model: path %q has empty component", path)
 	}
-	if strings.HasSuffix(path, "/") {
-		return nil, fmt.Errorf("model: path %q must not end with '/'", path)
-	}
-	parts := strings.Split(path[1:], "/")
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("model: path %q has empty component", path)
-		}
-	}
-	return parts, nil
+	return nil
 }
 
 // ParentPath returns the parent of a validated path ("/" for top-level).
@@ -175,15 +179,17 @@ func Join(path, name string) string {
 	return path + "/" + name
 }
 
-// Get returns the node at path, or an error naming the missing path.
+// Get returns the node at path, or an error naming the missing path. It
+// walks the path in place, so a hit allocates nothing.
 func (t *Tree) Get(path string) (*Node, error) {
-	parts, err := SplitPath(path)
-	if err != nil {
+	if err := checkPath(path); err != nil {
 		return nil, err
 	}
 	n := t.Root
-	for _, p := range parts {
-		child, ok := n.Children[p]
+	for rest, more := path[1:], path != "/"; more; {
+		var name string
+		name, rest, more = strings.Cut(rest, "/")
+		child, ok := n.Children[name]
 		if !ok {
 			return nil, fmt.Errorf("model: no node at %s", path)
 		}

@@ -65,6 +65,39 @@ func TestPathHelpers(t *testing.T) {
 	}
 }
 
+// TestTreeGetAllocs: Get walks the path in place, so a hit allocates
+// nothing, and a malformed path or a miss gets the error it always did.
+func TestTreeGetAllocs(t *testing.T) {
+	tr := NewTree()
+	for _, p := range []string{"/vmRoot", "/vmRoot/host1", "/vmRoot/host1/vm3"} {
+		if _, err := tr.Create(p, "x", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/", "/vmRoot", "/vmRoot/host1/vm3"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := tr.Get(p); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Get(%q) hit: %.0f allocs, want 0", p, n)
+		}
+	}
+	for p, want := range map[string]string{
+		"":                    `model: path "" must start with '/'`,
+		"vmRoot":              `model: path "vmRoot" must start with '/'`,
+		"/vmRoot/":            `model: path "/vmRoot/" must not end with '/'`,
+		"//":                  `model: path "//" must not end with '/'`,
+		"/nope//vm3":          `model: path "/nope//vm3" has empty component`,
+		"/vmRoot/host2":       "model: no node at /vmRoot/host2",
+		"/vmRoot/host1/vm3/x": "model: no node at /vmRoot/host1/vm3/x",
+	} {
+		if _, err := tr.Get(p); err == nil || err.Error() != want {
+			t.Errorf("Get(%q) = %v, want %s", p, err, want)
+		}
+	}
+}
+
 func TestBadPaths(t *testing.T) {
 	for _, p := range []string{"", "a", "/a/", "//x", "/a//b"} {
 		if _, err := SplitPath(p); err == nil {

@@ -158,7 +158,8 @@ func (c *Client) noteWriteLocked() {
 func (c *Client) LastWriteZxid() int64 { return c.lastWrite.Load() }
 
 // Create creates a znode and returns its final path (which differs from
-// the requested path for sequence nodes).
+// the requested path for sequence nodes). The store owns data from the
+// call on (see Op).
 func (c *Client) Create(path string, data []byte, flags int) (string, error) {
 	e := c.ens
 	e.mu.Lock()
@@ -179,6 +180,7 @@ func (c *Client) Create(path string, data []byte, flags int) (string, error) {
 }
 
 // Set updates a znode's data. version -1 skips the compare-and-set check.
+// The store owns data from the call on (see Op).
 func (c *Client) Set(path string, data []byte, version int32) error {
 	e := c.ens
 	e.mu.Lock()
@@ -209,7 +211,8 @@ func (c *Client) Delete(path string, version int32) error {
 }
 
 // Multi atomically applies a batch of write operations: either all apply
-// in order or none do.
+// in order or none do. The store owns each op's Data from the call on,
+// whether or not the batch applies (see Op).
 func (c *Client) Multi(ops ...Op) error {
 	e := c.ens
 	e.mu.Lock()

@@ -73,7 +73,11 @@ const (
 	opMulti
 )
 
-// Op is a single write in a Multi batch.
+// Op is a single write in a Multi batch. The store takes ownership of
+// Data once the op is handed to a write (Create, Set, Multi, MultiAll,
+// or a Batcher): an applied op installs Data itself as the node's
+// contents, shared by every replica and handed out uncopied by reads,
+// so the caller must not modify it afterwards.
 type Op struct {
 	kind    opKind
 	Path    string
@@ -579,9 +583,9 @@ func validateOp(t *tree, op Op) (Op, error) {
 
 // applyOp applies a validated, resolved op to a tree. When fired is
 // non-nil, watch events triggered by the mutation are recorded in it.
-// Applied data is never modified in place: a create or set installs its
-// own copy of op.Data, which is what lets reads return it without a
-// copy.
+// Applied data is never modified in place: a create or set installs
+// op.Data itself, which the store owns from the write on (see Op), and
+// that is what lets reads return it without a copy.
 func applyOp(t *tree, op Op, zxid int64, fired *firedWatches) {
 	switch op.kind {
 	case opCreate:
@@ -593,7 +597,7 @@ func applyOp(t *tree, op Op, zxid int64, fired *firedWatches) {
 			parent.seqCounter++
 		}
 		n := newZnode(op.resolvedName)
-		n.data = append([]byte(nil), op.Data...)
+		n.data = op.Data
 		n.czxid, n.mzxid = zxid, zxid
 		n.ephemeralOwner = op.session
 		parent.addChild(n)
@@ -607,7 +611,7 @@ func applyOp(t *tree, op Op, zxid int64, fired *firedWatches) {
 		if err != nil {
 			return
 		}
-		n.data = append([]byte(nil), op.Data...)
+		n.data = op.Data
 		n.version++
 		n.mzxid = zxid
 		if fired != nil {

@@ -276,9 +276,7 @@ func DecodeState(data []byte) (State, error) {
 	d.span()
 	d.span()
 	d.span()
-	for n := d.count(minString); n > 0; n-- {
-		d.span()
-	}
+	d.skipStrs()
 	var st State
 	switch i := d.uvarint(); {
 	case d.err != nil:
@@ -293,6 +291,69 @@ func DecodeState(data []byte) (State, error) {
 		return "", fmt.Errorf("txn: decode state: %w", d.err)
 	}
 	return st, nil
+}
+
+// DecodeDecision extracts only the 2PC decision of a stored record. A
+// participant's decision watch reads its coordinator's parent on every
+// change and needs the full record only once it is decided, so this
+// skips every field before Decision in place; for the empty, commit and
+// abort decisions it allocates nothing.
+func DecodeDecision(data []byte) (string, error) {
+	if err := checkFormat(data); err != nil {
+		return "", fmt.Errorf("txn: decode decision: %w", err)
+	}
+	d := decoder{b: data, off: 1}
+	// Signal, ID, Proc, Args, State.
+	d.span()
+	d.span()
+	d.span()
+	d.skipStrs()
+	d.skipState()
+	for n := d.count(minLogRecord); n > 0; n-- {
+		d.varint()
+		d.span()
+		d.span()
+		d.skipStrs()
+		d.span()
+		d.skipStrs()
+		d.span()
+		d.bool()
+	}
+	// UndoneThrough, Error, Code, SubmittedAt, CompletedAt.
+	d.varint()
+	d.span()
+	d.span()
+	d.time()
+	d.time()
+	for n := d.count(minStateStamp); n > 0; n-- {
+		d.skipState()
+		d.time()
+	}
+	d.span() // Parent
+	for n := d.count(minInt); n > 0; n-- {
+		d.varint()
+	}
+	for n := d.count(minChildRef); n > 0; n-- {
+		d.span()
+		d.varint()
+		d.skipState()
+		d.span()
+		d.span()
+		d.varint()
+	}
+	raw := d.bytes()
+	if d.err != nil {
+		return "", fmt.Errorf("txn: decode decision: %w", d.err)
+	}
+	switch string(raw) {
+	case "":
+		return "", nil
+	case DecisionCommit:
+		return DecisionCommit, nil
+	case DecisionAbort:
+		return DecisionAbort, nil
+	}
+	return string(raw), nil
 }
 
 // decoder reads b from off. The first error sticks: later reads return
@@ -385,6 +446,23 @@ func (d *decoder) strs() []string {
 		ss[i] = d.str()
 	}
 	return ss
+}
+
+// skipStrs skips a string slice without allocating.
+func (d *decoder) skipStrs() {
+	for n := d.count(minString); n > 0; n-- {
+		d.span()
+	}
+}
+
+// skipState skips a state without allocating.
+func (d *decoder) skipState() {
+	switch i := d.uvarint(); {
+	case i == uint64(len(stateCodes)):
+		d.span()
+	case i > uint64(len(stateCodes)) && d.err == nil:
+		d.err = fmt.Errorf("unknown state code %d", i)
+	}
 }
 
 func (d *decoder) state() State {

@@ -203,6 +203,10 @@ func TestCodecRoundTrip(t *testing.T) {
 			if err != nil || st != got.State {
 				t.Errorf("DecodeState = %q, %v; Decode().State = %q", st, err, got.State)
 			}
+			dec, err := DecodeDecision(b)
+			if err != nil || dec != got.Decision {
+				t.Errorf("DecodeDecision = %q, %v; Decode().Decision = %q", dec, err, got.Decision)
+			}
 			if again := got.Encode(); !bytes.Equal(again, b) {
 				t.Errorf("re-encoding differs:\n%x\n%x", again, b)
 			}
@@ -229,6 +233,25 @@ func TestDecodeStateAllocatesNothing(t *testing.T) {
 	}
 	if _, err := DecodeState(b[:3]); err == nil {
 		t.Error("DecodeState of a 3-byte prefix succeeded")
+	}
+}
+
+// TestDecodeDecisionAllocatesNothing: reading the decision of a parent
+// record with a history and a ledger allocates nothing, undecided or
+// decided.
+func TestDecodeDecisionAllocatesNothing(t *testing.T) {
+	for _, c := range codecCases() {
+		b := c.rec.Encode()
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeDecision(b); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: DecodeDecision allocates %.0f times per record", c.name, n)
+		}
+		if _, err := DecodeDecision(b[:3]); err == nil {
+			t.Errorf("%s: DecodeDecision of a 3-byte prefix succeeded", c.name)
+		}
 	}
 }
 
@@ -325,6 +348,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if st, err := DecodeState(data); err != nil || st != rec.State {
 			t.Fatalf("DecodeState = %q, %v; Decode().State = %q", st, err, rec.State)
+		}
+		if dec, err := DecodeDecision(data); err != nil || dec != rec.Decision {
+			t.Fatalf("DecodeDecision = %q, %v; Decode().Decision = %q", dec, err, rec.Decision)
 		}
 		again, err := Decode(rec.Encode())
 		if err != nil {
