@@ -296,6 +296,12 @@ type Controller struct {
 	// through that peer's batcher.
 	resched   bool
 	peerSends map[int][]peerSend
+	// round is the event round every processRound stages into, and sim
+	// the context every scheduling attempt simulates in: both keep
+	// their storage from one use to the next (docs/pipeline.md,
+	// "Scheduling scratch state").
+	round *round
+	sim   *Ctx
 
 	// wmu guards wounding, the set of prepared children with a
 	// wound-wait vote revocation in flight (dedup across scheduling
@@ -363,6 +369,8 @@ func New(cfg Config) (*Controller, error) {
 		cand:      cand,
 		met:       newCtrlInstruments(reg, label),
 		localWake: make(chan struct{}, 1),
+		round:     newRound(),
+		sim:       newCtx(nil, cfg.Schema, nil),
 	}
 	if cfg.Bootstrap != nil {
 		if err := c.writeBootstrapSnapshot(cfg.Bootstrap); err != nil {
@@ -694,7 +702,8 @@ func (c *Controller) loadStaged(r *round, msg proto.InputMsg, itemPath string) (
 // shard sends triggered anywhere in the round are collected per peer
 // shard and flushed as one Multi per peer on the way out.
 func (c *Controller) processRound(items []queue.Item) error {
-	r := newRound()
+	r := c.round
+	r.reset() // a round a fatal error ended may still hold what it staged
 	c.resched = false
 	defer c.xFlushPeerSends()
 	err := c.handleLocal(r)
@@ -811,6 +820,24 @@ func newRound() *round {
 	return &round{staged: make(map[string]bool), writes: make(map[string]heldRec)}
 }
 
+// reset empties r for the next round, keeping its storage. The slices
+// are cleared first so a finished round's records, ops and closures are
+// not kept alive by the storage.
+func (r *round) reset() {
+	clear(r.ops)
+	clear(r.after)
+	clear(r.undo)
+	clear(r.locals)
+	clear(r.accepted)
+	clear(r.admitted)
+	clear(r.aborted)
+	r.ops, r.after, r.undo, r.locals = r.ops[:0], r.after[:0], r.undo[:0], r.locals[:0]
+	r.accepted, r.admitted, r.aborted = r.accepted[:0], r.admitted[:0], r.aborted[:0]
+	clear(r.staged)
+	clear(r.writes)
+	r.cleanups = 0
+}
+
 func (r *round) stage(ops []store.Op, after, undo func()) {
 	r.ops = append(r.ops, ops...)
 	if after != nil {
@@ -892,20 +919,25 @@ func errFatal(err error) bool {
 // still at the head of inputQ. The owed scheduling pass (resched) makes
 // sure the unwound admissions are retried even when no input arrives.
 func (c *Controller) flushRound(r *round) error {
+	// The flush is done with the round's storage once it returns — the
+	// store keeps no reference to the ops (a Multi validates them into a
+	// slice of its own), and the post-flush effects and unwinds have run
+	// — so the emptied round is reused. The cleanup count survives for
+	// processRound's post-flush scheduling pass.
+	defer func(cleanups int) {
+		r.reset()
+		r.cleanups = cleanups
+	}(r.cleanups)
 	if len(r.ops) == 0 {
 		// Nothing to write: the staged effects (a re-sent vote, a
 		// redelivered decision) are durable as they stand.
 		for _, f := range r.after {
 			f()
 		}
-		r.after = nil
 		return nil
 	}
 	ops, after, undo, locals, writes := r.ops, r.after, r.undo, r.locals, r.writes
 	accepted, admitted, aborted := r.accepted, r.admitted, r.aborted
-	cleanups := r.cleanups
-	*r = *newRound()
-	r.cleanups = cleanups
 
 	start := time.Now()
 	err := c.cli.Multi(ops...)
@@ -1207,7 +1239,8 @@ func (c *Controller) TodoDepth() int64 { return c.todoDepth.Load() }
 func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 	t.State = txn.StateAccepted
 	t.Log = nil
-	cctx := newCtx(c.ltree, c.cfg.Schema, t)
+	cctx := c.sim
+	cctx.reset(c.ltree, t)
 	proc, ok := c.cfg.Procedures[t.Proc]
 	var simErr error
 	if !ok {
@@ -1218,7 +1251,7 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 	atomic.AddInt64(&c.stats.ConstraintNanos, cctx.constraintNanos)
 	if simErr != nil {
 		// Roll back whatever the simulation applied, then abort (③A).
-		c.rollbackTimed(t.ID, t.Log)
+		c.rollbackTimed(t.ID, cctx.log)
 		if errors.Is(simErr, ErrConstraint) {
 			c.countStage(&c.stats.Violations, "violation")
 		}
@@ -1232,7 +1265,7 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 		// the global prepare order wounds the holder — otherwise two
 		// shards holding each other's locks in reversed orders would both
 		// sit out the prepare deadline.
-		c.rollbackTimed(t.ID, t.Log)
+		c.rollbackTimed(t.ID, cctx.log)
 		if t.IsChild() {
 			c.xMaybeWound(t, reqs)
 		}
@@ -1248,6 +1281,10 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 	// A cross-shard CHILD stops at prepared instead: simulation and
 	// locks are its yes-vote, and it enters phyQ only when the
 	// coordinator's commit decision arrives.
+	//
+	// The record keeps a copy of the log: cctx.log is the next attempt's
+	// scratch, and a held record must never alias it.
+	t.Log = cctx.copyLog()
 	next := txn.StateStarted
 	if t.IsChild() {
 		c.xMarkForeign(t)

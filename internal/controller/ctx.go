@@ -37,7 +37,11 @@ var ErrAbort = trerr.New(trerr.TxnProcedureAbort, "aborted by procedure")
 
 // Ctx is the execution context a stored procedure runs in. It tracks
 // the reads and writes of the simulation so the scheduler can derive
-// lock requests, and records the execution log (Table 1).
+// lock requests, and records the execution log (Table 1). The lead
+// controller keeps one Ctx and resets it for every scheduling attempt,
+// so its maps and slices are scratch storage: log, touched and reqs are
+// valid until the next reset, and whatever outlives the attempt is
+// copied out of them.
 type Ctx struct {
 	tree   *model.Tree
 	schema *model.Schema
@@ -45,6 +49,11 @@ type Ctx struct {
 
 	reads  map[string]bool
 	writes map[string]bool
+	// log is the execution log of the simulation so far.
+	log []txn.LogRecord
+	// touched is Do's write set; reqs is lockRequests' result.
+	touched []string
+	reqs    []lock.Request
 
 	// constraintNanos measures time spent in constraint checks, the
 	// §6.2 per-transaction safety overhead.
@@ -59,6 +68,27 @@ func newCtx(tree *model.Tree, schema *model.Schema, rec *txn.Txn) *Ctx {
 		reads:  make(map[string]bool),
 		writes: make(map[string]bool),
 	}
+}
+
+// reset readies c to simulate rec against tree, keeping its storage.
+func (c *Ctx) reset(tree *model.Tree, rec *txn.Txn) {
+	c.tree, c.rec = tree, rec
+	clear(c.reads)
+	clear(c.writes)
+	clear(c.log)
+	c.log = c.log[:0]
+	c.constraintNanos = 0
+}
+
+// copyLog returns the execution log in a slice of its own, exactly
+// sized: the record keeps it, while c.log is reused.
+func (c *Ctx) copyLog() []txn.LogRecord {
+	if len(c.log) == 0 {
+		return nil
+	}
+	out := make([]txn.LogRecord, len(c.log))
+	copy(out, c.log)
+	return out
 }
 
 // Args returns the transaction's arguments.
@@ -112,7 +142,11 @@ func (c *Ctx) checkUsable(path string, n *model.Node) error {
 	if n.Unusable {
 		return fmt.Errorf("%w: node %s is marked unusable", ErrAbort, path)
 	}
-	for _, anc := range model.Ancestors(path) {
+	for i := 1; i < len(path); i++ {
+		if path[i] != '/' {
+			continue
+		}
+		anc := path[:i]
 		an, err := c.tree.Get(anc)
 		if err != nil {
 			continue
@@ -143,7 +177,8 @@ func (c *Ctx) Do(path, action string, args ...string) error {
 	if err != nil {
 		return err
 	}
-	touched := touchedPaths(def, path, args)
+	c.touched = appendTouched(c.touched[:0], def, path, args)
+	touched := c.touched
 	for _, p := range touched[1:] { // [0] is path itself, already checked
 		if tn, err := c.tree.Get(p); err == nil {
 			if err := c.checkUsable(p, tn); err != nil {
@@ -167,8 +202,8 @@ func (c *Ctx) Do(path, action string, args ...string) error {
 	// Record the action as soon as it applied: if the constraint check
 	// below fails, the scheduler rolls back *via this log*, so the
 	// mutation must already be in it.
-	c.rec.Log = append(c.rec.Log, txn.LogRecord{
-		Seq:      len(c.rec.Log) + 1,
+	c.log = append(c.log, txn.LogRecord{
+		Seq:      len(c.log) + 1,
 		Path:     path,
 		Action:   action,
 		Args:     append([]string(nil), args...),
@@ -190,22 +225,22 @@ func (c *Ctx) Do(path, action string, args ...string) error {
 	return nil
 }
 
-// touchedPaths returns the action's write set: its target path plus any
-// extra paths the definition declares (always with path first).
-func touchedPaths(def *model.ActionDef, path string, args []string) []string {
-	out := []string{path}
+// appendTouched appends the action's write set to dst: its target path
+// plus any extra paths the definition declares (always with path first).
+func appendTouched(dst []string, def *model.ActionDef, path string, args []string) []string {
+	dst = append(dst, path)
 	if def.Touches != nil {
-		out = append(out, def.Touches(path, args)...)
+		dst = append(dst, def.Touches(path, args)...)
 	}
-	return out
+	return dst
 }
 
 // lockRequests derives the transaction's lock set per §3.1.3: W on every
 // written object, R on every queried object, and R on the highest
 // constrained ancestor of each write (ancestor intention locks are added
-// by the lock manager itself).
+// by the lock manager itself). The result is valid until the next reset.
 func (c *Ctx) lockRequests() []lock.Request {
-	var reqs []lock.Request
+	reqs := c.reqs[:0]
 	for p := range c.writes {
 		reqs = append(reqs, lock.Request{Path: p, Mode: lock.W})
 		if hca := c.schema.HighestConstrainedAncestor(c.tree, p); hca != "" {
@@ -215,6 +250,7 @@ func (c *Ctx) lockRequests() []lock.Request {
 	for p := range c.reads {
 		reqs = append(reqs, lock.Request{Path: p, Mode: lock.R})
 	}
+	c.reqs = reqs
 	return reqs
 }
 
@@ -289,5 +325,5 @@ func touchedPathsRecord(def *model.ActionDef, r txn.LogRecord) []string {
 	if def == nil {
 		return []string{r.Path}
 	}
-	return touchedPaths(def, r.Path, r.Args)
+	return appendTouched(nil, def, r.Path, r.Args)
 }

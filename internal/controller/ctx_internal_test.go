@@ -91,10 +91,10 @@ func TestCtxDoRecordsLogAndWrites(t *testing.T) {
 	if n.GetString("item") != "apple" {
 		t.Fatal("simulate not applied")
 	}
-	if len(c.rec.Log) != 1 {
-		t.Fatalf("log = %v", c.rec.Log)
+	if len(c.log) != 1 {
+		t.Fatalf("log = %v", c.log)
 	}
-	r := c.rec.Log[0]
+	r := c.log[0]
 	if r.Undo != "take" || len(r.UndoArgs) != 1 || r.UndoArgs[0] != "pear" {
 		t.Fatalf("undo = %s %v, want take [pear] (pre-state)", r.Undo, r.UndoArgs)
 	}
@@ -111,10 +111,10 @@ func TestCtxDoConstraintViolationStillLogged(t *testing.T) {
 	}
 	// The mutation is already applied and logged, so rollback can undo
 	// it.
-	if len(c.rec.Log) != 1 {
-		t.Fatalf("violating action not logged: %v", c.rec.Log)
+	if len(c.log) != 1 {
+		t.Fatalf("violating action not logged: %v", c.log)
 	}
-	if err := rollbackLog(c.tree, c.schema, c.rec.Log); err != nil {
+	if err := rollbackLog(c.tree, c.schema, c.log); err != nil {
 		t.Fatal(err)
 	}
 	n, _ := c.tree.Get("/b1")
@@ -220,7 +220,7 @@ func TestReplayLogReproducesEffects(t *testing.T) {
 	}
 	// Replay the log onto a fresh tree: same result.
 	fresh := ctxTree()
-	if err := replayLog(fresh, ctxSchema(), c.rec.Log); err != nil {
+	if err := replayLog(fresh, ctxSchema(), c.log); err != nil {
 		t.Fatal(err)
 	}
 	if !model.Equal(tree.Root, fresh.Root) {
@@ -233,7 +233,7 @@ func TestLockRequestsFromLogMatchesWrites(t *testing.T) {
 	if err := c.Do("/b1", "link", "/b2"); err != nil {
 		t.Fatal(err)
 	}
-	reqs := lockRequestsFromLog(tree, ctxSchema(), c.rec.Log)
+	reqs := lockRequestsFromLog(tree, ctxSchema(), c.log)
 	paths := map[string]bool{}
 	for _, r := range reqs {
 		if r.Mode == lock.W {

@@ -98,6 +98,47 @@ func TestHeldOneStoreLoadPerSpawn(t *testing.T) {
 	}
 }
 
+// TestHeldLogsOwnTheirStorage: every scheduling attempt simulates into
+// the controller's one scratch log, and an admitted record keeps a copy.
+// Two spawns admitted in one round and two more in the next (on the
+// locks the first two hand over) each hold their own log: no held copy
+// shares storage with the scratch or with another record, and every one
+// encodes to the bytes the store holds.
+func TestHeldLogsOwnTheirStorage(t *testing.T) {
+	c := newRoundController(t)
+	p1 := submitRecord(t, c, "put", "/b1", "apple")
+	p2 := submitRecord(t, c, "put", "/b2", "lime")
+	runRounds(t, c)
+	checkHeld(t, c)
+	result(t, c, p1, txn.StateCommitted)
+	result(t, c, p2, txn.StateCommitted)
+	p3 := submitRecord(t, c, "put", "/b1", "kiwi")
+	p4 := submitRecord(t, c, "put", "/b2", "fig")
+	runRounds(t, c)
+	checkHeld(t, c)
+	scratch := c.sim.log[:cap(c.sim.log)]
+	owner := map[*txn.LogRecord]string{}
+	for _, p := range []string{p3, p4} {
+		h, ok := c.held[p]
+		if !ok || h.rec.State != txn.StateStarted || len(h.rec.Log) != 1 || cap(h.rec.Log) != 1 {
+			t.Fatalf("%s held %v: %+v, want started with a log of exactly 1", p, ok, h.rec)
+		}
+		at := &h.rec.Log[0]
+		for i := range scratch {
+			if at == &scratch[i] {
+				t.Fatalf("%s's log aliases the scratch log", p)
+			}
+		}
+		if other, dup := owner[at]; dup {
+			t.Fatalf("%s and %s share a log", p, other)
+		}
+		owner[at] = p
+	}
+	if a, b := c.held[p3].rec.Log[0].Args[0], c.held[p4].rec.Log[0].Args[0]; a != "kiwi" || b != "fig" {
+		t.Fatalf("held logs put %q and %q, want kiwi and fig", a, b)
+	}
+}
+
 // TestHeldForeignWriteDecodes: a record another writer moved is decoded
 // again, and the write that follows goes out at the fresh version — for
 // a started transaction whose version moved, and for a parent whose

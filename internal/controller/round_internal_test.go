@@ -319,3 +319,71 @@ func TestFailedCleanupMarksCommitWithRecord(t *testing.T) {
 		t.Fatalf("%d locks held after the failure", n)
 	}
 }
+
+// TestFailedFlushAfterRoundReuse: the controller stages every round
+// into one reused round. After a flush succeeded in that storage, a round
+// that fails its flush unwinds exactly what it staged — the transaction
+// an earlier round admitted keeps its simulated effect, lock, held copy
+// and place in flight — and the round is empty again for the re-run,
+// which admits the failed round's transaction once.
+func TestFailedFlushAfterRoundReuse(t *testing.T) {
+	c := newRoundController(t)
+	p1 := submitRecord(t, c, "put", "/b1", "apple")
+	runRounds(t, c)
+	r := c.round
+	if len(r.ops) != 0 || len(r.after) != 0 || len(r.admitted) != 0 || len(r.writes) != 0 || cap(r.ops) == 0 {
+		t.Fatalf("flushed round holds %d ops (cap %d), %d effects, %d admissions, %d writes; want empty, storage kept",
+			len(r.ops), cap(r.ops), len(r.after), len(r.admitted), len(r.writes))
+	}
+
+	p2 := submitRecord(t, c, "put", "/b2", "lime")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	items, err := c.inputQ.TakeHeadBatch(ctx, c.batchMax())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.reset()
+	if err := c.handleRound(r, items); err != nil {
+		t.Fatal(err)
+	}
+	c.scheduleInto(r)
+	if len(r.admitted) != 1 || c.txnPath(r.admitted[0].ID) != p2 {
+		t.Fatalf("round admitted %v, want p2 alone", r.admitted)
+	}
+	bumpVersion(t, c.cli, p2) // under its staged accept
+	if err := c.flushRound(r); !errors.Is(err, store.ErrBadVersion) {
+		t.Fatalf("flush err = %v, want ErrBadVersion", err)
+	}
+	if len(r.ops) != 0 || len(r.undo) != 0 || len(r.accepted) != 0 || len(r.staged) != 0 {
+		t.Fatalf("failed round left %d ops, %d undos, %d accepts, %d staged paths", len(r.ops), len(r.undo),
+			len(r.accepted), len(r.staged))
+	}
+	checkHeld(t, c)
+	if _, ok := c.held[p1]; !ok || len(c.inFlight) != 1 || len(c.todo) != 0 {
+		t.Fatalf("after the failed round: p1 held %v, %d in flight, %d queued; want p1 alone in flight",
+			ok, len(c.inFlight), len(c.todo))
+	}
+	for p, want := range map[string]string{"/b1": "apple", "/b2": "plum"} {
+		if n, _ := c.ltree.Get(p); n.GetString("item") != want {
+			t.Fatalf("%s holds %q, want %q", p, n.GetString("item"), want)
+		}
+	}
+	if ce := c.locks.WouldConflict("probe", []lock.Request{{Path: "/b1", Mode: lock.W}}); ce == nil || c.txnPath(ce.Holder) != p1 {
+		t.Fatalf("/b1 lock after the failed round: %v, want held by p1", ce)
+	}
+	if ce := c.locks.WouldConflict("probe", []lock.Request{{Path: "/b2", Mode: lock.W}}); ce != nil {
+		t.Fatalf("/b2 still locked after the failed round: %v", ce)
+	}
+
+	runRounds(t, c)
+	checkHeld(t, c)
+	for p, want := range map[string]txn.State{p1: txn.StateStarted, p2: txn.StateStarted} {
+		if rec, _ := loadRecord(t, c, p); rec.State != want {
+			t.Fatalf("%s = %s, want %s", p, rec.State, want)
+		}
+	}
+	if st := c.Stats(); st.Accepted != 2 || len(c.inFlight) != 2 {
+		t.Fatalf("accepted %d with %d in flight, want 2 and 2", st.Accepted, len(c.inFlight))
+	}
+}

@@ -198,6 +198,7 @@ func prepareChild(t *testing.T, c *Controller) (*txn.Txn, string) {
 	if err := cctx.Do("/b1", "put", "apple"); err != nil {
 		t.Fatal(err)
 	}
+	child.Log = cctx.copyLog()
 	if err := c.locks.Acquire(child.ID, cctx.lockRequests()); err != nil {
 		t.Fatal(err)
 	}

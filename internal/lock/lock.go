@@ -15,11 +15,18 @@
 // lock is granted atomically or none are and the transaction is deferred
 // (requeued at the front of todoQ). Because transactions never wait
 // while holding locks, deadlock is impossible by construction.
+//
+// The table is flat: path → holders (owner, modes as a bitmask) and
+// owner → paths. Emptied slices are recycled and requests are expanded
+// into a scratch slice, so steady acquire/release allocates nothing.
 package lock
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -40,38 +47,38 @@ const (
 
 // String renders the mode like the paper ("R", "W", "IR", "IW").
 func (m Mode) String() string {
-	switch m {
-	case IR:
-		return "IR"
-	case IW:
-		return "IW"
-	case R:
-		return "R"
-	case W:
-		return "W"
-	default:
+	if m.bit() == 0 {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+	return [...]string{IR: "IR", IW: "IW", R: "R", W: "W"}[m]
 }
 
-// compatible reports whether two modes held by different transactions
-// can coexist on the same node.
+// bit returns m's bit in a mode set, 0 for a mode outside IR..W.
+func (m Mode) bit() uint8 {
+	if m < IR || m > W {
+		return 0
+	}
+	return 1 << m
+}
+
+// conflictsWith[m] is the set of modes another transaction may not hold
+// on a node while m is granted there:
 //
 //	   | IR | IW | R | W
 //	IR | ✓  | ✓  | ✓ | ✗
 //	IW | ✓  | ✓  | ✗ | ✗
 //	R  | ✓  | ✗  | ✓ | ✗
 //	W  | ✗  | ✗  | ✗ | ✗
-func compatible(a, b Mode) bool {
-	switch {
-	case a == W || b == W:
-		return false
-	case a == IW && b == R, a == R && b == IW:
-		return false
-	default:
-		return true
-	}
+var conflictsWith = [...]uint8{
+	IR: 1 << W,
+	IW: 1<<R | 1<<W,
+	R:  1<<IW | 1<<W,
+	W:  1<<IR | 1<<IW | 1<<R | 1<<W,
 }
+
+// compatible reports whether two modes held by different transactions
+// can coexist on the same node.
+func compatible(a, b Mode) bool { return conflictsWith[a]&b.bit() == 0 }
 
 // Request asks for one lock.
 type Request struct {
@@ -81,24 +88,29 @@ type Request struct {
 
 // holder records the modes one transaction holds on one node.
 type holder struct {
-	modes map[Mode]int // mode -> acquisition count (for idempotent re-requests)
+	owner string
+	modes uint8 // bit per Mode
 }
 
 // Manager tracks all locks. It is safe for concurrent use, though in
 // TROPIC only the lead controller calls it.
 type Manager struct {
 	mu sync.Mutex
-	// nodes maps path -> owner -> holder.
-	nodes map[string]map[string]*holder
-	// owned maps owner -> set of paths, for O(owned) release.
-	owned map[string]map[string]bool
+	// nodes maps path -> its holders, one entry per owner.
+	nodes map[string][]holder
+	// owned maps owner -> the paths it holds, each once.
+	owned map[string][]string
+	// Emptied slices kept for reuse, and the expansion scratch slice.
+	spareHolders [][]holder
+	sparePaths   [][]string
+	expanded     []Request
 }
 
 // NewManager creates an empty lock manager.
 func NewManager() *Manager {
 	return &Manager{
-		nodes: make(map[string]map[string]*holder),
-		owned: make(map[string]map[string]bool),
+		nodes: make(map[string][]holder),
+		owned: make(map[string][]string),
 	}
 }
 
@@ -121,58 +133,81 @@ func (e *ConflictError) Error() string {
 // modes, R or IW subsume IR, and {R, IW} is kept as a pair (the classic
 // SIX combination — a transaction that reads a subtree while writing
 // inside it must hold both so that neither concurrent readers of the
-// subtree nor concurrent writers below it are admitted).
+// subtree nor concurrent writers below it are admitted). The result is
+// sorted by path, then mode.
 func ExpandRequests(reqs []Request) []Request {
-	modes := make(map[string]map[Mode]bool)
-	add := func(path string, m Mode) {
-		set, ok := modes[path]
-		if !ok {
-			set = make(map[Mode]bool, 2)
-			modes[path] = set
-		}
-		set[m] = true
-	}
+	return expandInto(nil, reqs)
+}
+
+// expandInto is ExpandRequests appending into out[:0]: every request and
+// its ancestors' intents, sorted, then each path's run merged in place.
+func expandInto(out, reqs []Request) []Request {
+	out = out[:0]
 	for _, r := range reqs {
-		add(r.Path, r.Mode)
+		out = append(out, r)
 		intent := IR
 		if r.Mode == W || r.Mode == IW {
 			intent = IW
 		}
-		for _, anc := range ancestors(r.Path) {
-			add(anc, intent)
-		}
-	}
-	var out []Request
-	for p, set := range modes {
-		switch {
-		case set[W]:
-			out = append(out, Request{Path: p, Mode: W})
-		default:
-			if set[R] {
-				out = append(out, Request{Path: p, Mode: R})
-			}
-			if set[IW] {
-				out = append(out, Request{Path: p, Mode: IW})
-			}
-			if set[IR] && !set[R] && !set[IW] {
-				out = append(out, Request{Path: p, Mode: IR})
+		for i := 1; i < len(r.Path); i++ {
+			if r.Path[i] == '/' {
+				out = append(out, Request{Path: r.Path[:i], Mode: intent})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Path != out[j].Path {
-			return out[i].Path < out[j].Path
-		}
-		return out[i].Mode < out[j].Mode
+	slices.SortFunc(out, func(a, b Request) int {
+		return cmp.Or(strings.Compare(a.Path, b.Path), cmp.Compare(a.Mode, b.Mode))
 	})
-	return out
+	// A run emits at most as many requests as it has, so writing at n
+	// never overtakes the run being read.
+	n := 0
+	for i := 0; i < len(out); {
+		path, set := out[i].Path, uint8(0)
+		for ; i < len(out) && out[i].Path == path; i++ {
+			set |= out[i].Mode.bit()
+		}
+		if set&W.bit() != 0 {
+			set = W.bit()
+		} else if set != IR.bit() {
+			set &^= IR.bit()
+		}
+		for m := IR; m <= W; m++ {
+			if set&m.bit() != 0 {
+				out[n] = Request{Path: path, Mode: m}
+				n++
+			}
+		}
+	}
+	return out[:n]
 }
 
-func ancestors(path string) []string {
-	var out []string
-	for i := 1; i < len(path); i++ {
-		if path[i] == '/' {
-			out = append(out, path[:i])
+// conflicts expands reqs into the scratch slice and returns one
+// ConflictError per distinct (path, holder) pair that keeps owner from
+// the expanded locks, in request order, stopping after limit of them
+// (limit < 0: all). A transaction never conflicts with itself. The
+// caller holds mu.
+func (m *Manager) conflicts(owner string, reqs []Request, limit int) []*ConflictError {
+	m.expanded = expandInto(m.expanded, reqs)
+	var out []*ConflictError
+	for _, r := range m.expanded {
+	holders:
+		for _, h := range m.nodes[r.Path] {
+			clash := h.modes & conflictsWith[r.Mode]
+			if h.owner == owner || clash == 0 {
+				continue
+			}
+			// The expansion is sorted by path, so this path's earlier
+			// conflicts are the last ones in out.
+			for k := len(out) - 1; k >= 0 && out[k].Path == r.Path; k-- {
+				if out[k].Holder == h.owner {
+					continue holders
+				}
+			}
+			held := Mode(bits.TrailingZeros8(clash))
+			out = append(out, &ConflictError{Path: r.Path, Requested: r.Mode, Holder: h.owner, Held: held})
+			if len(out) == limit {
+				return out
+			}
 		}
 	}
 	return out
@@ -184,39 +219,34 @@ func ancestors(path string) []string {
 // owner already holds is permitted (a transaction never conflicts with
 // itself).
 func (m *Manager) Acquire(owner string, reqs []Request) error {
-	full := ExpandRequests(reqs)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, r := range full {
-		for other, h := range m.nodes[r.Path] {
-			if other == owner {
-				continue
-			}
-			for held := range h.modes {
-				if !compatible(r.Mode, held) {
-					return &ConflictError{Path: r.Path, Requested: r.Mode, Holder: other, Held: held}
-				}
-			}
-		}
+	if ces := m.conflicts(owner, reqs, 1); len(ces) > 0 {
+		return ces[0]
 	}
-	for _, r := range full {
-		byOwner, ok := m.nodes[r.Path]
-		if !ok {
-			byOwner = make(map[string]*holder)
-			m.nodes[r.Path] = byOwner
+	paths := m.owned[owner]
+grant:
+	for _, r := range m.expanded {
+		hs, ok := m.nodes[r.Path]
+		for i := range hs {
+			if hs[i].owner == owner {
+				hs[i].modes |= r.Mode.bit()
+				continue grant
+			}
 		}
-		h, ok := byOwner[owner]
-		if !ok {
-			h = &holder{modes: make(map[Mode]int)}
-			byOwner[owner] = h
+		if !ok && len(m.spareHolders) > 0 {
+			hs = m.spareHolders[len(m.spareHolders)-1]
+			m.spareHolders = m.spareHolders[:len(m.spareHolders)-1]
 		}
-		h.modes[r.Mode]++
-		paths, ok := m.owned[owner]
-		if !ok {
-			paths = make(map[string]bool)
-			m.owned[owner] = paths
+		m.nodes[r.Path] = append(hs, holder{owner: owner, modes: r.Mode.bit()})
+		if paths == nil && len(m.sparePaths) > 0 {
+			paths = m.sparePaths[len(m.sparePaths)-1]
+			m.sparePaths = m.sparePaths[:len(m.sparePaths)-1]
 		}
-		paths[r.Path] = true
+		paths = append(paths, r.Path)
+	}
+	if len(paths) > 0 {
+		m.owned[owner] = paths
 	}
 	return nil
 }
@@ -224,20 +254,10 @@ func (m *Manager) Acquire(owner string, reqs []Request) error {
 // WouldConflict reports whether Acquire would fail, without acquiring.
 // The controller uses this during simulation replay on recovery.
 func (m *Manager) WouldConflict(owner string, reqs []Request) *ConflictError {
-	full := ExpandRequests(reqs)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, r := range full {
-		for other, h := range m.nodes[r.Path] {
-			if other == owner {
-				continue
-			}
-			for held := range h.modes {
-				if !compatible(r.Mode, held) {
-					return &ConflictError{Path: r.Path, Requested: r.Mode, Holder: other, Held: held}
-				}
-			}
-		}
+	if ces := m.conflicts(owner, reqs, 1); len(ces) > 0 {
+		return ces[0]
 	}
 	return nil
 }
@@ -249,30 +269,9 @@ func (m *Manager) WouldConflict(owner string, reqs []Request) *ConflictError {
 // standing between a high-priority cross-shard child and its locks, not
 // just the first one found.
 func (m *Manager) Conflicts(owner string, reqs []Request) []*ConflictError {
-	full := ExpandRequests(reqs)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seen := make(map[string]bool)
-	var out []*ConflictError
-	for _, r := range full {
-		for other, h := range m.nodes[r.Path] {
-			if other == owner {
-				continue
-			}
-			for held := range h.modes {
-				if compatible(r.Mode, held) {
-					continue
-				}
-				key := r.Path + "\x00" + other
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				out = append(out, &ConflictError{Path: r.Path, Requested: r.Mode, Holder: other, Held: held})
-			}
-		}
-	}
-	return out
+	return m.conflicts(owner, reqs, -1)
 }
 
 // ReleaseAll frees every lock held by owner (transaction cleanup, step 5
@@ -280,14 +279,22 @@ func (m *Manager) Conflicts(owner string, reqs []Request) []*ConflictError {
 func (m *Manager) ReleaseAll(owner string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for path := range m.owned[owner] {
-		byOwner := m.nodes[path]
-		delete(byOwner, owner)
-		if len(byOwner) == 0 {
-			delete(m.nodes, path)
+	paths, ok := m.owned[owner]
+	if !ok {
+		return
+	}
+	for _, path := range paths {
+		hs := slices.DeleteFunc(m.nodes[path], func(h holder) bool { return h.owner == owner })
+		if len(hs) > 0 {
+			m.nodes[path] = hs
+			continue
 		}
+		delete(m.nodes, path)
+		m.spareHolders = append(m.spareHolders, hs)
 	}
 	delete(m.owned, owner)
+	clear(paths)
+	m.sparePaths = append(m.sparePaths, paths[:0])
 }
 
 // OwnerCount reports how many distinct transactions hold locks.
@@ -303,8 +310,8 @@ func (m *Manager) LockCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, byOwner := range m.nodes {
-		n += len(byOwner)
+	for _, hs := range m.nodes {
+		n += len(hs)
 	}
 	return n
 }
@@ -313,23 +320,16 @@ func (m *Manager) LockCount() int {
 func (m *Manager) Dump() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	paths := make([]string, 0, len(m.nodes))
-	for p := range m.nodes {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
 	var b strings.Builder
-	for _, p := range paths {
+	for _, p := range slices.Sorted(maps.Keys(m.nodes)) {
 		fmt.Fprintf(&b, "%s:", p)
-		owners := make([]string, 0, len(m.nodes[p]))
-		for o := range m.nodes[p] {
-			owners = append(owners, o)
-		}
-		sort.Strings(owners)
-		for _, o := range owners {
-			for mode, cnt := range m.nodes[p][o].modes {
-				if cnt > 0 {
-					fmt.Fprintf(&b, " %s=%s", o, mode)
+		hs := slices.SortedFunc(slices.Values(m.nodes[p]), func(a, b holder) int {
+			return strings.Compare(a.owner, b.owner)
+		})
+		for _, h := range hs {
+			for mode := IR; mode <= W; mode++ {
+				if h.modes&mode.bit() != 0 {
+					fmt.Fprintf(&b, " %s=%s", h.owner, mode)
 				}
 			}
 		}

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -216,16 +219,16 @@ func TestInvariantNoIncompatibleHolders(t *testing.T) {
 		// Verify invariant over the final table.
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		for _, byOwner := range m.nodes {
+		for _, hs := range m.nodes {
 			type hm struct {
 				owner string
 				mode  Mode
 			}
 			var all []hm
-			for o, h := range byOwner {
-				for mode, cnt := range h.modes {
-					if cnt > 0 {
-						all = append(all, hm{o, mode})
+			for _, h := range hs {
+				for mode := IR; mode <= W; mode++ {
+					if h.modes&mode.bit() != 0 {
+						all = append(all, hm{h.owner, mode})
 					}
 				}
 			}
@@ -267,5 +270,162 @@ func TestConcurrentAcquireRelease(t *testing.T) {
 	}
 	if m.LockCount() != 0 {
 		t.Fatalf("locks leaked: %s", m.Dump())
+	}
+}
+
+// expandReference is the map-based expansion the flat one replaced: a
+// mode set per path and ancestor, reduced per path, sorted.
+func expandReference(reqs []Request) []Request {
+	modes := make(map[string]map[Mode]bool)
+	add := func(path string, m Mode) {
+		if modes[path] == nil {
+			modes[path] = make(map[Mode]bool, 2)
+		}
+		modes[path][m] = true
+	}
+	for _, r := range reqs {
+		add(r.Path, r.Mode)
+		intent := IR
+		if r.Mode == W || r.Mode == IW {
+			intent = IW
+		}
+		for i := 1; i < len(r.Path); i++ {
+			if r.Path[i] == '/' {
+				add(r.Path[:i], intent)
+			}
+		}
+	}
+	var out []Request
+	for p, set := range modes {
+		switch {
+		case set[W]:
+			out = append(out, Request{Path: p, Mode: W})
+		default:
+			if set[R] {
+				out = append(out, Request{Path: p, Mode: R})
+			}
+			if set[IW] {
+				out = append(out, Request{Path: p, Mode: IW})
+			}
+			if set[IR] && !set[R] && !set[IW] {
+				out = append(out, Request{Path: p, Mode: IR})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Path != out[j].Path {
+			return out[i].Path < out[j].Path
+		}
+		return out[i].Mode < out[j].Mode
+	})
+	return out
+}
+
+// decodeRequests turns fuzz bytes into requests: each ';'-separated
+// field is a mode digit followed by a path, so out-of-range modes,
+// empty paths and doubled slashes all occur.
+func decodeRequests(data string) []Request {
+	var reqs []Request
+	for _, f := range strings.Split(data, ";") {
+		if f == "" {
+			continue
+		}
+		reqs = append(reqs, Request{Path: f[1:], Mode: Mode(int(f[0]) - '0')})
+	}
+	return reqs
+}
+
+// FuzzExpandRequests: the flat expansion yields the reference's requests
+// in the reference's order, for any input.
+func FuzzExpandRequests(f *testing.F) {
+	for _, seed := range []string{
+		"3/a/b/c",
+		"2/a/b;3/a/b/c",
+		"3/a;2/a;0/a",
+		"2/vmRoot/h1;3/vmRoot/h1/vm1;3/storageRoot/s1",
+		"0/a/b;1/a/c;2/a;9/a/d;7/e",
+		"3/a//b/;2;1/",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		reqs := decodeRequests(data)
+		got, want := ExpandRequests(reqs), expandReference(reqs)
+		if len(got) == 0 && len(want) == 0 {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ExpandRequests(%v)\n got %v\nwant %v", reqs, got, want)
+		}
+		m := NewManager()
+		m.mu.Lock()
+		scratch := m.conflicts("t", reqs, -1)
+		m.mu.Unlock()
+		if len(scratch) != 0 || !reflect.DeepEqual(m.expanded, got) {
+			t.Fatalf("scratch expansion %v, want %v", m.expanded, got)
+		}
+	})
+}
+
+// TestAcquireAllocs pins the allocations of a spawn-shaped admission (a
+// W on a storage host and a compute host, R on the constrained host) and
+// its release, once the table has settled: the scratch expansion and the
+// recycled holder and path slices leave only map upkeep.
+func TestAcquireAllocs(t *testing.T) {
+	m := NewManager()
+	// Three transactions in flight on other hosts share the roots.
+	for i := 0; i < 3; i++ {
+		if err := m.Acquire(fmt.Sprintf("bg%d", i), []Request{
+			{Path: fmt.Sprintf("/vmRoot/vmHost%05d", i), Mode: W},
+			{Path: fmt.Sprintf("/storageRoot/storageHost%04d", i), Mode: W},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs := []Request{
+		{Path: "/storageRoot/storageHost0009", Mode: W},
+		{Path: "/vmRoot/vmHost00009", Mode: W},
+		{Path: "/vmRoot/vmHost00009", Mode: R},
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := m.Acquire("t-9", reqs); err != nil {
+			t.Fatal(err)
+		}
+		m.ReleaseAll("t-9")
+	})
+	if allocs > 1 {
+		t.Fatalf("Acquire+ReleaseAll = %.1f allocs, want at most 1", allocs)
+	}
+	if m.OwnerCount() != 3 || m.LockCount() != 3*4 {
+		t.Fatalf("table after the run: %s", m.Dump())
+	}
+}
+
+// TestConflictsOnePerPathHolder: Conflicts reports each blocking holder
+// once per path, even where the request set asks two modes of that path
+// (SIX) and the holder blocks both, and lists every distinct holder.
+func TestConflictsOnePerPathHolder(t *testing.T) {
+	m := NewManager()
+	for _, o := range []string{"a", "b"} {
+		if err := m.Acquire(o, []Request{{Path: "/h/" + o, Mode: W}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Acquire("c", []Request{{Path: "/h", Mode: R}}); err == nil {
+		t.Fatal("R over written subtree granted")
+	}
+	// R on /h plus W below it asks {IW, R} on /h: a and b (IW holders)
+	// block the R; /h/a and /h/b block the W.
+	got := m.Conflicts("t", []Request{{Path: "/h", Mode: R}, {Path: "/h/a", Mode: W}, {Path: "/h/b", Mode: W}})
+	var pairs []string
+	for _, ce := range got {
+		pairs = append(pairs, fmt.Sprintf("%s@%s:%s/%s", ce.Holder, ce.Path, ce.Requested, ce.Held))
+	}
+	want := []string{"a@/h:R/IW", "b@/h:R/IW", "a@/h/a:W/W", "b@/h/b:W/W"}
+	if !reflect.DeepEqual(pairs, want) {
+		t.Fatalf("conflicts = %v, want %v", pairs, want)
+	}
+	if ce := m.WouldConflict("t", []Request{{Path: "/h", Mode: R}}); ce == nil || ce.Holder != "a" {
+		t.Fatalf("first conflict = %v, want holder a", ce)
 	}
 }

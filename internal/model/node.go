@@ -205,24 +205,21 @@ func (t *Tree) Exists(path string) bool {
 }
 
 // Create inserts a new node at path. The parent must exist and the name
-// must be free.
+// must be free. The path is validated and cut at its last '/' in place.
 func (t *Tree) Create(path, typ string, attrs map[string]any) (*Node, error) {
-	parts, err := SplitPath(path)
+	parent, name, err := t.parentOf(path, "create")
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("model: cannot create root")
-	}
-	parent, err := t.Get(ParentPath(path))
-	if err != nil {
-		return nil, fmt.Errorf("model: create %s: %w", path, err)
-	}
-	name := parts[len(parts)-1]
 	if _, exists := parent.Children[name]; exists {
 		return nil, fmt.Errorf("model: node %s already exists", path)
 	}
-	n := NewNode(name, typ)
+	n := &Node{
+		Name:     name,
+		Type:     typ,
+		Attrs:    make(map[string]any, len(attrs)),
+		Children: make(map[string]*Node),
+	}
 	for k, v := range attrs {
 		n.Attrs[k] = v
 	}
@@ -232,23 +229,31 @@ func (t *Tree) Create(path, typ string, attrs map[string]any) (*Node, error) {
 
 // Delete removes the node at path and its subtree.
 func (t *Tree) Delete(path string) error {
-	parts, err := SplitPath(path)
+	parent, name, err := t.parentOf(path, "delete")
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
-		return fmt.Errorf("model: cannot delete root")
-	}
-	parent, err := t.Get(ParentPath(path))
-	if err != nil {
-		return fmt.Errorf("model: delete %s: %w", path, err)
-	}
-	name := parts[len(parts)-1]
 	if _, ok := parent.Children[name]; !ok {
 		return fmt.Errorf("model: no node at %s", path)
 	}
 	delete(parent.Children, name)
 	return nil
+}
+
+// parentOf validates path for op (create or delete) and returns its
+// parent node and last segment.
+func (t *Tree) parentOf(path, op string) (*Node, string, error) {
+	if err := checkPath(path); err != nil {
+		return nil, "", err
+	}
+	if path == "/" {
+		return nil, "", fmt.Errorf("model: cannot %s root", op)
+	}
+	parent, err := t.Get(ParentPath(path))
+	if err != nil {
+		return nil, "", fmt.Errorf("model: %s %s: %w", op, path, err)
+	}
+	return parent, path[strings.LastIndexByte(path, '/')+1:], nil
 }
 
 // Clone deep-copies the whole tree.

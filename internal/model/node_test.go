@@ -65,6 +65,50 @@ func TestPathHelpers(t *testing.T) {
 	}
 }
 
+// TestTreeCreateAllocs: Create cuts the path in place and sizes the
+// new node's attributes up front, so one create costs the node and its
+// two maps; a rejected create or delete gets the error it always did.
+func TestTreeCreateAllocs(t *testing.T) {
+	tr := NewTree()
+	if _, err := tr.Create("/vmRoot", "x", nil); err != nil {
+		t.Fatal(err)
+	}
+	attrs := map[string]any{"image": "vm1-img", "memMB": int64(1024), "state": "stopped", "hypervisor": "xen"}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := tr.Create("/vmRoot/vm1", "vm", attrs); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Delete("/vmRoot/vm1"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 4 {
+		t.Errorf("Create+Delete: %.0f allocs, want at most 4", n)
+	}
+	for _, c := range []struct {
+		path, create, delete string
+	}{
+		{"", `model: path "" must start with '/'`, `model: path "" must start with '/'`},
+		{"/", "model: cannot create root", "model: cannot delete root"},
+		{"/vmRoot/", `model: path "/vmRoot/" must not end with '/'`, `model: path "/vmRoot/" must not end with '/'`},
+		{"/a//b", `model: path "/a//b" has empty component`, `model: path "/a//b" has empty component`},
+		{"/nope/vm", "model: create /nope/vm: model: no node at /nope", "model: delete /nope/vm: model: no node at /nope"},
+		{"/vmRoot", "model: node /vmRoot already exists", ""},
+		{"/vmRoot/vm9", "", "model: no node at /vmRoot/vm9"},
+	} {
+		if c.create != "" {
+			if _, err := tr.Create(c.path, "x", nil); err == nil || err.Error() != c.create {
+				t.Errorf("Create(%q) = %v, want %s", c.path, err, c.create)
+			}
+		}
+		if c.delete != "" {
+			if err := tr.Delete(c.path); err == nil || err.Error() != c.delete {
+				t.Errorf("Delete(%q) = %v, want %s", c.path, err, c.delete)
+			}
+		}
+	}
+}
+
 // TestTreeGetAllocs: Get walks the path in place, so a hit allocates
 // nothing, and a malformed path or a miss gets the error it always did.
 func TestTreeGetAllocs(t *testing.T) {

@@ -152,8 +152,11 @@ func (s *Schema) ActionFor(t *Tree, path, action string) (*Entity, *ActionDef, e
 //
 // If the mutation deleted the node, callers pass the parent path.
 func (s *Schema) CheckConstraints(t *Tree, path string) error {
-	paths := append(Ancestors(path), path)
-	for _, p := range paths {
+	for i := 1; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
+		p := path[:i] // each ancestor, then path itself
 		n, err := t.Get(p)
 		if err != nil {
 			continue // node vanished (deleted); ancestors still checked
@@ -177,7 +180,11 @@ func (s *Schema) CheckConstraints(t *Tree, path string) error {
 // so concurrent transactions cannot change descendant state that the
 // constraint check depended on.
 func (s *Schema) HighestConstrainedAncestor(t *Tree, path string) string {
-	for _, p := range append(Ancestors(path), path) {
+	for i := 1; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
+		p := path[:i] // each ancestor, then path itself
 		n, err := t.Get(p)
 		if err != nil {
 			continue

@@ -2,6 +2,7 @@ package tcloud
 
 import (
 	"strconv"
+	"strings"
 
 	"repro/internal/model"
 	"repro/internal/reconcile"
@@ -172,4 +173,15 @@ func nodeName(logical, physical *model.Node) string {
 		return logical.Name
 	}
 	return physical.Name
+}
+
+// importSet returns a host's imported images as a set.
+func importSet(host *model.Node) map[string]bool {
+	set := make(map[string]bool)
+	for _, s := range strings.Split(host.GetString("imports"), ",") {
+		if s != "" {
+			set[s] = true
+		}
+	}
+	return set
 }

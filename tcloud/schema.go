@@ -14,7 +14,6 @@ package tcloud
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -379,21 +378,35 @@ func setVMState(state string) func(*tropic.Tree, string, []string) error {
 	}
 }
 
-// editImports adds or removes an image from a host's canonical
-// comma-joined import set.
+// editImports adds or removes an image from a host's import list, the
+// canonical comma-joined, sorted set of its imported images (image names
+// hold no comma). It edits the string in place: the image is inserted at
+// its sorted position, or its entry is cut out, so the result is the
+// canonical form of the new set with one string allocation at most.
 func editImports(t *tropic.Tree, hostPath, image string, add bool) error {
 	host, err := t.Get(hostPath)
 	if err != nil {
 		return err
 	}
-	set := importSet(host)
+	// An imported empty name leaves a leading empty entry, which no
+	// lookup matches and the next edit drops.
+	list := strings.TrimPrefix(host.GetString("imports"), ",")
+	at, found := importAt(list, image)
+	var next string
 	if add {
-		if set[image] {
+		if found {
 			return fmt.Errorf("host %s already imported %q", hostPath, image)
 		}
-		set[image] = true
+		switch {
+		case list == "":
+			next = image
+		case at == len(list):
+			next = list + "," + image
+		default:
+			next = list[:at] + image + "," + list[at:]
+		}
 	} else {
-		if !set[image] {
+		if !found {
 			return fmt.Errorf("host %s has no import %q", hostPath, image)
 		}
 		for _, c := range host.Children {
@@ -401,29 +414,37 @@ func editImports(t *tropic.Tree, hostPath, image string, add bool) error {
 				return fmt.Errorf("import %q in use by VM %q", image, c.Name)
 			}
 		}
-		delete(set, image)
+		switch end := at + len(image); {
+		case at == 0 && end == len(list):
+			next = ""
+		case end == len(list):
+			next = list[:at-1]
+		default:
+			next = list[:at] + list[end+1:]
+		}
 	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	host.Attrs["imports"] = strings.Join(names, ",")
+	host.Attrs["imports"] = next
 	return nil
 }
 
-func importSet(host *tropic.Node) map[string]bool {
-	set := make(map[string]bool)
-	for _, s := range strings.Split(host.GetString("imports"), ",") {
-		if s != "" {
-			set[s] = true
+// importAt returns the byte offset of image's entry in the canonical
+// import list, or, when it has none, of the first entry sorting after it
+// (len(list) if no entry does).
+func importAt(list, image string) (at int, found bool) {
+	for off := 0; off < len(list); {
+		entry, _, _ := strings.Cut(list[off:], ",")
+		if entry >= image {
+			return off, entry == image
 		}
+		off += len(entry) + 1
 	}
-	return set
+	return len(list), false
 }
 
+// hasImport reports whether host has imported image.
 func hasImport(host *tropic.Node, image string) bool {
-	return importSet(host)[image]
+	_, found := importAt(strings.TrimPrefix(host.GetString("imports"), ","), image)
+	return found
 }
 
 // --- switch -----------------------------------------------------------

@@ -1,6 +1,9 @@
 package tcloud
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -346,6 +349,79 @@ func TestEveryActionHasUndo(t *testing.T) {
 			}
 			if _, ok := ent.Actions[def.Undo]; !ok {
 				t.Errorf("%s.%s declares undo %q which is not registered", entName, name, def.Undo)
+			}
+		}
+	}
+}
+
+// editImportsReference is the map+sort+join form of editImports: the
+// import list the edit leaves on host, or the error it returns.
+func editImportsReference(host *tropic.Node, hostPath, image string, add bool) (string, error) {
+	set := importSet(host)
+	if add {
+		if set[image] {
+			return "", fmt.Errorf("host %s already imported %q", hostPath, image)
+		}
+		set[image] = true
+	} else {
+		if !set[image] {
+			return "", fmt.Errorf("host %s has no import %q", hostPath, image)
+		}
+		for _, c := range host.Children {
+			if c.Type == TypeVM && c.GetString("image") == image {
+				return "", fmt.Errorf("import %q in use by VM %q", image, c.Name)
+			}
+		}
+		delete(set, image)
+	}
+	names := make([]string, 0, len(set))
+	for n := range set {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ","), nil
+}
+
+// TestEditImportsCanonical: random add/remove sequences — images that
+// prefix each other, the empty name, imports held by a VM — leave the
+// same import list and return the same errors as the map+sort+join
+// form, and hasImport agrees with the set.
+func TestEditImportsCanonical(t *testing.T) {
+	images := []string{"", "a", "a-img", "ab", "b", "b-img", "img", "imageTemplate", "z"}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		_, tree := smallModel(t)
+		hp := ComputeHostPath(0)
+		host, _ := tree.Get(hp)
+		used := map[string]bool{}
+		for i := 0; i < 200; i++ {
+			image, add := images[rng.Intn(len(images))], rng.Intn(2) == 0
+			if !used[image] && rng.Intn(20) == 0 {
+				// A VM using image, so removing its import is refused (one
+				// per image: which VM the error names is map order).
+				used[image] = true
+				vm := fmt.Sprintf("vm%d", i)
+				if _, err := tree.Create(hp+"/"+vm, TypeVM, map[string]any{"image": image}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := host.GetString("imports")
+			want, wantErr := editImportsReference(host, hp, image, add)
+			err := editImports(tree, hp, image, add)
+			got := host.GetString("imports")
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("seed %d: edit(%q, %q, add=%v) err = %v, want %v", seed, before, image, add, err, wantErr)
+			}
+			if wantErr != nil {
+				want = before
+			}
+			if got != want {
+				t.Fatalf("seed %d: edit(%q, %q, add=%v) = %q, want %q", seed, before, image, add, got, want)
+			}
+			for _, img := range images {
+				if hasImport(host, img) != importSet(host)[img] {
+					t.Fatalf("seed %d: hasImport(%q, %q) disagrees with the set", seed, got, img)
+				}
 			}
 		}
 	}
