@@ -39,10 +39,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/txn"
 	"repro/internal/worker"
 	"repro/tropic"
 	"repro/tropic/trerr"
@@ -279,7 +281,7 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setWatermark(w, z)
-	g.writeJSON(w, rec)
+	g.writeRendered(w, rec.AppendJSON)
 }
 
 func (g *Gateway) handleWait(w http.ResponseWriter, r *http.Request) {
@@ -301,7 +303,7 @@ func (g *Gateway) handleWait(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setWatermark(w, z)
-	g.writeJSON(w, rec)
+	g.writeRendered(w, rec.AppendJSON)
 }
 
 func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
@@ -344,7 +346,9 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setWatermark(w, z)
-	g.writeJSON(w, page)
+	g.writeRendered(w, func(b []byte) ([]byte, error) {
+		return txn.AppendPageJSON(b, page.Txns, page.NextCursor)
+	})
 }
 
 // --- Streaming (SSE) --------------------------------------------------
@@ -380,13 +384,20 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 	var last *tropic.Txn
 	for rec := range ch {
-		data, merr := json.Marshal(rec)
+		bp := bodyBufs.Get().(*[]byte)
+		b, merr := rec.AppendJSON(append((*bp)[:0], "event: state\ndata: "...))
 		if merr != nil {
+			bodyBufs.Put(bp)
 			g.cfg.Logf("api: watch %s: encode: %v", id, merr)
 			return
 		}
 		last = rec
-		fmt.Fprintf(w, "event: state\ndata: %s\n\n", data)
+		_, werr := w.Write(append(b, "\n\n"...))
+		putBody(bp, b)
+		if werr != nil {
+			// The client is gone; returning ends the subscription.
+			return
+		}
 		flusher.Flush()
 	}
 	if last != nil && last.State.Terminal() {
@@ -663,6 +674,44 @@ func (g *Gateway) writeError(w http.ResponseWriter, err error) {
 	if encErr := json.NewEncoder(w).Encode(errorBody{Error: te}); encErr != nil {
 		g.cfg.Logf("api: encode error response (%s): %v", te.Code, encErr)
 	}
+}
+
+// bodyBufs recycles the buffers record responses are rendered into.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// maxPooledBody bounds the buffers kept for reuse: a page of many
+// records renders into a buffer too large to keep around.
+const maxPooledBody = 64 << 10
+
+func putBody(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledBody {
+		*bp = b[:0]
+		bodyBufs.Put(bp)
+	}
+}
+
+// writeRendered writes a 200 response whose body render appends to a
+// pooled buffer: transaction records and pages, rendered by
+// internal/txn's codec, the only source of their JSON. The body is
+// written once, with its Content-Length and the newline json.Encoder
+// ends a value with, so it is the same as writeJSON's. A render that
+// fails (a time outside RFC 3339's years) becomes a 500 error.
+func (g *Gateway) writeRendered(w http.ResponseWriter, render func([]byte) ([]byte, error)) {
+	bp := bodyBufs.Get().(*[]byte)
+	b, err := render((*bp)[:0])
+	if err != nil {
+		bodyBufs.Put(bp)
+		g.writeError(w, trerr.Wrap(trerr.APIInternal, err, "encode response"))
+		return
+	}
+	b = append(b, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	if _, err := w.Write(b); err != nil {
+		g.cfg.Logf("api: write response: %v", err)
+	}
+	putBody(bp, b)
 }
 
 // writeJSON renders a 200 response, logging (not swallowing) encode

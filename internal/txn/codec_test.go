@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"runtime"
 	"strings"
@@ -385,6 +386,56 @@ func BenchmarkTxnCodec(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			if _, err := DecodeSignal(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkTxnJSON measures the gateway's JSON of the same record: the
+// codec next to encoding/json's reflection over the same struct tags.
+func BenchmarkTxnJSON(b *testing.B) {
+	rec := spawnRecord()
+	data, err := rec.AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("AppendJSON", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		buf := make([]byte, 0, 2*len(data))
+		for b.Loop() {
+			if buf, err = rec.AppendJSON(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("UnmarshalJSON", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			var t Txn
+			if err := t.UnmarshalJSON(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	ref := (*jsonRef)(rec)
+	b.Run("json.Marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			if _, err := json.Marshal(ref); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("json.Unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			var t jsonRef
+			if err := json.Unmarshal(data, &t); err != nil {
 				b.Fatal(err)
 			}
 		}

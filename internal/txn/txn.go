@@ -2,8 +2,9 @@
 // machine of Figure 2, the execution log of Table 1, and the binary codec
 // (codec.go) used to persist transaction records in the replicated
 // coordination store so that a new lead controller can restore in-flight
-// work after a failover (paper §2.3). The struct's JSON tags serve the
-// gateway's API bodies, not storage.
+// work after a failover (paper §2.3). The struct's JSON tags describe the
+// gateway's API bodies, which the JSON codec (json.go) writes and reads
+// by hand; storage does not use JSON.
 package txn
 
 import (

@@ -73,6 +73,9 @@ func registerStorageHost(s *tropic.Schema) {
 				return fmt.Errorf("cloneImage needs [template, clone], got %v", args)
 			}
 			template, clone := args[0], args[1]
+			if err := checkName("cloneImage", "image", clone); err != nil {
+				return err
+			}
 			tn, err := t.Get(path + "/" + template)
 			if err != nil {
 				return fmt.Errorf("cloneImage: no template %q on %s", template, path)
@@ -159,6 +162,9 @@ func registerVMHost(s *tropic.Schema) {
 			if len(args) < 1 {
 				return fmt.Errorf("importImage needs [image]")
 			}
+			if err := checkName("importImage", "image", args[0]); err != nil {
+				return err
+			}
 			return editImports(t, path, args[0], true)
 		},
 		Undo: "unimportImage",
@@ -180,6 +186,12 @@ func registerVMHost(s *tropic.Schema) {
 				return fmt.Errorf("createVM needs [name, image, memMB?]")
 			}
 			name, image := args[0], args[1]
+			if err := checkName("createVM", "VM", name); err != nil {
+				return err
+			}
+			if err := checkName("createVM", "image", image); err != nil {
+				return err
+			}
 			mem := int64(1024)
 			if len(args) >= 3 {
 				m, err := strconv.ParseInt(args[2], 10, 64)
@@ -378,9 +390,19 @@ func setVMState(state string) func(*tropic.Tree, string, []string) error {
 	}
 }
 
+// checkName rejects an image or VM name the model cannot hold: a comma
+// would split it into two entries of a host's comma-joined import list,
+// and a slash would make it a path of several nodes.
+func checkName(action, kind, name string) error {
+	if strings.ContainsAny(name, ",/") {
+		return fmt.Errorf("%s: %s name %q contains ',' or '/'", action, kind, name)
+	}
+	return nil
+}
+
 // editImports adds or removes an image from a host's import list, the
 // canonical comma-joined, sorted set of its imported images (image names
-// hold no comma). It edits the string in place: the image is inserted at
+// hold no comma: checkName). It edits the string in place: the image is inserted at
 // its sorted position, or its entry is cut out, so the result is the
 // canonical form of the new set with one string allocation at most.
 func editImports(t *tropic.Tree, hostPath, image string, add bool) error {

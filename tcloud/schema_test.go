@@ -166,6 +166,39 @@ func TestImportsCanonicalOrder(t *testing.T) {
 	}
 }
 
+// TestNamesWithCommaOrSlashRejected: a comma in an image name would
+// split it into two entries of the host's import list, which then never
+// matches it again, and a slash would make it a nested path; the actions
+// that name images and VMs refuse both, leaving the model untouched.
+func TestNamesWithCommaOrSlashRejected(t *testing.T) {
+	s, tree := smallModel(t)
+	sp, hp := StorageHostPath(0), ComputeHostPath(0)
+	mustSim(t, s, tree, sp, "cloneImage", TemplateImage, "ok-img")
+	mustSim(t, s, tree, sp, "exportImage", "ok-img")
+	mustSim(t, s, tree, hp, "importImage", "ok-img")
+	host, _ := tree.Get(hp)
+	for _, bad := range []string{"a,b-img", "a/b-img", ",", "/"} {
+		if err := sim(t, s, tree, sp, "cloneImage", TemplateImage, bad); err == nil {
+			t.Errorf("cloneImage %q succeeded", bad)
+		}
+		if err := sim(t, s, tree, hp, "importImage", bad); err == nil {
+			t.Errorf("importImage %q succeeded", bad)
+		}
+		if err := sim(t, s, tree, hp, "createVM", bad, "ok-img", "1024"); err == nil {
+			t.Errorf("createVM named %q succeeded", bad)
+		}
+		if err := sim(t, s, tree, hp, "createVM", "vm1", bad, "1024"); err == nil {
+			t.Errorf("createVM of image %q succeeded", bad)
+		}
+	}
+	if got := host.GetString("imports"); got != "ok-img" {
+		t.Errorf("imports = %q, want ok-img", got)
+	}
+	for _, c := range host.Children {
+		t.Errorf("host has child %q", c.Name)
+	}
+}
+
 func TestCreateVMRequiresImport(t *testing.T) {
 	s, tree := smallModel(t)
 	hp := ComputeHostPath(0)

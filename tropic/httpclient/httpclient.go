@@ -30,11 +30,13 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/txn"
 	"repro/tropic"
 	"repro/tropic/trerr"
 )
@@ -150,17 +152,44 @@ type errorBody struct {
 // doJSON performs one request and decodes a 2xx JSON response into out
 // (ignored when nil). Non-2xx responses decode into *trerr.Error.
 func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) error {
+	data, err := c.do(ctx, method, path, in)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("httpclient: %s: decode response: %w", path, err)
+	}
+	return nil
+}
+
+// getRecord fetches one transaction record (GET /v1/txn, /v1/wait) and
+// decodes it with the record codec.
+func (c *Client) getRecord(ctx context.Context, path string) (*tropic.Txn, error) {
+	data, err := c.do(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return nil, err
+	}
+	rec := new(tropic.Txn)
+	if err := rec.UnmarshalJSON(data); err != nil {
+		return nil, fmt.Errorf("httpclient: %s: decode response: %w", path, err)
+	}
+	return rec, nil
+}
+
+// do performs one request and returns the body of a 2xx response.
+// Non-2xx responses decode into *trerr.Error.
+func (c *Client) do(ctx context.Context, method, path string, in any) ([]byte, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("httpclient: encode %s request: %w", path, err)
+			return nil, fmt.Errorf("httpclient: encode %s request: %w", path, err)
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return fmt.Errorf("httpclient: %s: %w", path, err)
+		return nil, fmt.Errorf("httpclient: %s: %w", path, err)
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -170,24 +199,48 @@ func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) e
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("httpclient: %s: %w", path, err)
+		return nil, fmt.Errorf("httpclient: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
-		return fmt.Errorf("httpclient: %s: read response: %w", path, err)
+		return nil, fmt.Errorf("httpclient: %s: read response: %w", path, err)
 	}
 	if resp.StatusCode/100 != 2 {
-		return decodeError(path, resp.StatusCode, resp.Header, data)
+		return nil, decodeError(path, resp.StatusCode, resp.Header, data)
 	}
 	c.raiseZxid(resp.Header)
-	if out == nil {
-		return nil
+	return data, nil
+}
+
+// bodyUpfront is the most of a declared Content-Length readBody
+// allocates before the bytes arrive.
+const bodyUpfront = 32 << 10
+
+// readBody reads a response body whole, once, into one buffer sized
+// from its Content-Length. The buffer only grows past bodyUpfront as
+// bytes arrive, at most doubling, so a server that declares more than it
+// sends costs what it sent, not what it declared.
+func readBody(resp *http.Response) ([]byte, error) {
+	declared := resp.ContentLength
+	b := make([]byte, 0, max(0, min(declared, bodyUpfront)))
+	for {
+		n, err := resp.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			grow := max(len(b), 512)
+			if rest := declared - int64(len(b)); rest > 0 && rest < int64(grow) {
+				grow = int(rest)
+			}
+			b = slices.Grow(b, grow)
+		}
 	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("httpclient: %s: decode response: %w", path, err)
-	}
-	return nil
 }
 
 // decodeError turns a non-2xx gateway body back into a typed error. A
@@ -289,20 +342,14 @@ func (c *Client) Get(id string) (*tropic.Txn, error) {
 	}
 	ctx, cancel := c.reqCtx()
 	defer cancel()
-	var rec tropic.Txn
-	err := c.doJSON(ctx, http.MethodGet, "/v1/txn?id="+url.QueryEscape(id), nil, &rec)
-	if err != nil {
-		return nil, err
-	}
-	return &rec, nil
+	return c.getRecord(ctx, "/v1/txn?id="+url.QueryEscape(id))
 }
 
 // Wait blocks until the transaction is terminal. A client-side ctx
 // deadline maps to trerr.TxnWaitTimeout, matching the in-process
 // client (server-side wait timeouts arrive as the same code via 504).
 func (c *Client) Wait(ctx context.Context, id string) (*tropic.Txn, error) {
-	var rec tropic.Txn
-	err := c.doJSON(ctx, http.MethodGet, "/v1/wait?id="+url.QueryEscape(id), nil, &rec)
+	rec, err := c.getRecord(ctx, "/v1/wait?id="+url.QueryEscape(id))
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, trerr.TxnWaitTimeout) {
 			return nil, trerr.Wrap(trerr.TxnWaitTimeout, err,
@@ -310,7 +357,7 @@ func (c *Client) Wait(ctx context.Context, id string) (*tropic.Txn, error) {
 		}
 		return nil, err
 	}
-	return &rec, nil
+	return rec, nil
 }
 
 // SubmitAndWait submits and waits for the outcome.
@@ -343,11 +390,15 @@ func (c *Client) List(opts tropic.ListOptions) (*tropic.TxnPage, error) {
 	}
 	ctx, cancel := c.reqCtx()
 	defer cancel()
-	var page tropic.TxnPage
-	if err := c.doJSON(ctx, http.MethodGet, path, nil, &page); err != nil {
+	data, err := c.do(ctx, http.MethodGet, path, nil)
+	if err != nil {
 		return nil, err
 	}
-	return &page, nil
+	page := new(tropic.TxnPage)
+	if err := txn.UnmarshalPageJSON(data, &page.Txns, &page.NextCursor); err != nil {
+		return nil, fmt.Errorf("httpclient: %s: decode response: %w", path, err)
+	}
+	return page, nil
 }
 
 // WatchTxn streams the transaction's state transitions over
@@ -370,7 +421,7 @@ func (c *Client) WatchTxn(ctx context.Context, id string) (<-chan *tropic.Txn, e
 		return nil, fmt.Errorf("httpclient: watch: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
+		data, _ := readBody(resp)
 		resp.Body.Close()
 		return nil, decodeError("/v1/watch", resp.StatusCode, resp.Header, data)
 	}
@@ -381,32 +432,33 @@ func (c *Client) WatchTxn(ctx context.Context, id string) (<-chan *tropic.Txn, e
 		defer resp.Body.Close()
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-		event, data := "", ""
+		var event string
+		var data []byte
 		for sc.Scan() {
-			line := sc.Text()
+			line := sc.Bytes()
 			switch {
-			case strings.HasPrefix(line, "event: "):
-				event = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				data = strings.TrimPrefix(line, "data: ")
-			case line == "":
+			case bytes.HasPrefix(line, []byte("event: ")):
+				event = string(line[len("event: "):])
+			case bytes.HasPrefix(line, []byte("data: ")):
+				data = append(data[:0], line[len("data: "):]...)
+			case len(line) == 0:
 				if event == "done" || event == "error" {
 					// "error" means the gateway's watch died before a
 					// terminal state; the channel closes without a
 					// terminal record.
 					return
 				}
-				if event == "state" && data != "" {
-					var rec tropic.Txn
-					if err := json.Unmarshal([]byte(data), &rec); err == nil {
+				if event == "state" && len(data) > 0 {
+					rec := new(tropic.Txn)
+					if err := rec.UnmarshalJSON(data); err == nil {
 						select {
-						case ch <- &rec:
+						case ch <- rec:
 						case <-ctx.Done():
 							return
 						}
 					}
 				}
-				event, data = "", ""
+				event, data = "", data[:0]
 			}
 		}
 	}()
@@ -467,7 +519,7 @@ func (c *Client) Healthz(ctx context.Context) (*Health, error) {
 		return nil, fmt.Errorf("httpclient: healthz: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("httpclient: healthz: read response: %w", err)
 	}

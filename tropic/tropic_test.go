@@ -3,6 +3,7 @@ package tropic_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -208,6 +209,42 @@ func TestConstraintViolationAbortsBeforePhysical(t *testing.T) {
 	}
 	if len(cloud.ComputeHost(tcloud.ComputeHostName(0)).VMs) != 2 {
 		t.Fatal("VM count changed")
+	}
+}
+
+// TestSpawnVMBadNameAbortsBeforePhysical: a VM name with a comma or a
+// slash aborts the spawn in simulation, before any device is touched,
+// and its rollback leaves the host's import list as it was.
+func TestSpawnVMBadNameAbortsBeforePhysical(t *testing.T) {
+	p, cloud := newTCloud(t, tcloud.Topology{ComputeHosts: 2})
+	c := p.Client()
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	sp, hp := tcloud.StorageHostPath(0), tcloud.ComputeHostPath(0)
+	if rec, err := c.SubmitAndWait(ctx, tcloud.ProcSpawnVM, sp, hp, "vm-ok", "1024"); err != nil || rec.State != tropic.StateCommitted {
+		t.Fatalf("spawn vm-ok: %v %v", rec, err)
+	}
+	for _, name := range []string{"vm,x", "vm/x"} {
+		clones := cloud.Calls("cloneImage")
+		rec, err := c.SubmitAndWait(ctx, tcloud.ProcSpawnVM, sp, hp, name, "1024")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.State != tropic.StateAborted || !strings.Contains(rec.Error, "contains ',' or '/'") {
+			t.Fatalf("spawn %q: %s (%s), want aborted for its name", name, rec.State, rec.Error)
+		}
+		if got := cloud.Calls("cloneImage"); got != clones {
+			t.Fatalf("spawn %q touched devices: %d clones", name, got-clones)
+		}
+		host, err := settledTree(t, p).Get(hp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := host.GetString("imports"); got != "vm-ok-img" {
+			t.Fatalf("after spawn %q: imports = %q, want vm-ok-img", name, got)
+		}
 	}
 }
 
