@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -660,16 +661,13 @@ func (c *Controller) handleLocal(r *round) error {
 	return firstErr
 }
 
-// noticeRemoveOps returns the notice-consumption op, or nothing for a
-// locally-delivered message (which has no store item to consume). The
-// slice has room for the ops a staged notice usually commits with — the
-// record write and one more (a phyQ enqueue, a child's create) — so
-// appending them does not copy it.
-func (c *Controller) noticeRemoveOps(itemPath string) []store.Op {
-	if itemPath == "" {
-		return nil
+// stageNotice stages the consumption of the inputQ item at itemPath, or
+// nothing for a locally-delivered message ("", no store item to
+// consume).
+func (c *Controller) stageNotice(r *round, itemPath string) {
+	if itemPath != "" {
+		r.put(c.inputQ.RemoveOp(itemPath))
 	}
-	return append(make([]store.Op, 0, 3), c.inputQ.RemoveOp(itemPath))
 }
 
 // loadStaged loads the record a message names for staging into the
@@ -688,7 +686,7 @@ func (c *Controller) loadStaged(r *round, msg proto.InputMsg, itemPath string) (
 	}
 	rec, err = c.loadTxn(msg.TxnPath)
 	if errors.Is(err, store.ErrNoNode) {
-		r.stage(c.noticeRemoveOps(itemPath), nil, nil)
+		c.stageNotice(r, itemPath)
 		return nil, false, nil
 	}
 	return rec, err == nil, err
@@ -838,8 +836,15 @@ func (r *round) reset() {
 	r.cleanups = 0
 }
 
-func (r *round) stage(ops []store.Op, after, undo func()) {
-	r.ops = append(r.ops, ops...)
+// put stages ops into the round's own storage; the variadic slice a
+// caller passes stays on its stack.
+func (r *round) put(ops ...store.Op) { r.ops = append(r.ops, ops...) }
+
+// stage stages ops with the in-memory effects to run once the round is
+// durable (after) and to revert if its flush fails (undo); either may be
+// nil.
+func (r *round) stage(after, undo func(), ops ...store.Op) {
+	r.put(ops...)
 	if after != nil {
 		r.after = append(r.after, after)
 	}
@@ -859,9 +864,15 @@ func (c *Controller) handleRound(r *round, items []queue.Item) error {
 	var firstErr error
 	for _, it := range items {
 		msg, err := proto.DecodeInputMsg(it.Data)
+		if errors.Is(err, proto.ErrFormat) {
+			// An item from before the binary format (a JSON data dir):
+			// stop leading, as a JSON record stops recovery, rather than
+			// drop a message that may be a worker's result.
+			return fmt.Errorf("inputQ item %s: %w", it.Path, err)
+		}
 		if err != nil {
 			c.cfg.Logf("controller %s: dropping bad input item: %v", c.cfg.Name, err)
-			r.stage([]store.Op{c.inputQ.RemoveOp(it.Path)}, nil, nil)
+			c.stageNotice(r, it.Path)
 			continue
 		}
 		switch msg.Kind {
@@ -884,7 +895,7 @@ func (c *Controller) handleRound(r *round, items []queue.Item) error {
 			}
 			err = c.reconcile(msg, it.Path)
 		default:
-			r.stage([]store.Op{c.inputQ.RemoveOp(it.Path)}, nil, nil)
+			c.stageNotice(r, it.Path)
 			err = fmt.Errorf("unknown input message kind %q", msg.Kind)
 		}
 		if err != nil {
@@ -900,9 +911,12 @@ func (c *Controller) handleRound(r *round, items []queue.Item) error {
 	return firstErr
 }
 
-// errFatal reports errors that must tear the leader loop down.
+// errFatal reports errors that must tear the leader loop down: a lost
+// session or quorum, and a queue item in a format this build cannot
+// read.
 func errFatal(err error) bool {
-	return errors.Is(err, store.ErrSessionExpired) || errors.Is(err, store.ErrNoQuorum)
+	return errors.Is(err, store.ErrSessionExpired) || errors.Is(err, store.ErrNoQuorum) ||
+		errors.Is(err, proto.ErrFormat)
 }
 
 // flushRound group-commits everything staged. On success the written
@@ -1052,7 +1066,7 @@ func (c *Controller) scheduleInto(r *round) {
 		return
 	}
 	for _, t := range pending {
-		r.ops = append(r.ops, c.admissionOps(r, t)...)
+		c.stageAdmission(r, t)
 	}
 	var voted map[*txn.Txn]bool
 	r.after = append(r.after, func() {
@@ -1143,23 +1157,23 @@ func (c *Controller) stageAccept(r *round, msg proto.InputMsg, itemPath string) 
 	if !ok {
 		return err
 	}
-	notice := c.noticeRemoveOps(itemPath)
 	switch {
 	case rec.State != txn.StateInitialized:
 		// Duplicate submit notice (e.g. the record was already accepted
 		// by recovery); drop it.
-		r.stage(notice, nil, nil)
+		c.stageNotice(r, itemPath)
 		return nil
 	case rec.IsParent():
-		return c.stageXParent(r, rec, parentEvent{kind: evAccept}, notice)
+		return c.stageXParent(r, rec, parentEvent{kind: evAccept}, itemPath)
 	}
-	return c.stageAcceptTxn(r, rec, msg.TxnPath, notice)
+	return c.stageAcceptTxn(r, rec, msg.TxnPath, itemPath)
 }
 
 // stageAcceptTxn stages the accept of initialized record rec, held at
-// path, together with notice: the accepted write, and the count once the
-// round is durable. Submit notices and recovery's re-accepts share it.
-func (c *Controller) stageAcceptTxn(r *round, rec *txn.Txn, path string, notice []store.Op) error {
+// path, together with the consumption of its notice at itemPath ("" for
+// none): the accepted write, and the count once the round is durable.
+// Submit notices and recovery's re-accepts share it.
+func (c *Controller) stageAcceptTxn(r *round, rec *txn.Txn, path, itemPath string) error {
 	if err := rec.Transition(txn.StateAccepted); err != nil {
 		return err
 	}
@@ -1169,8 +1183,8 @@ func (c *Controller) stageAcceptTxn(r *round, rec *txn.Txn, path string, notice 
 	// fails.
 	c.todo = append(c.todo, rec)
 	r.accepted = append(r.accepted, rec)
-	r.stage(append(notice, c.recordOp(r, path, rec)),
-		func() { c.countStage(&c.stats.Accepted, "accepted") }, nil)
+	c.stageNotice(r, itemPath)
+	r.stage(func() { c.countStage(&c.stats.Accepted, "accepted") }, nil, c.recordOp(r, path, rec))
 	return nil
 }
 
@@ -1291,6 +1305,7 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 		next = txn.StatePrepared
 	}
 	if err := t.Transition(next); err != nil {
+		c.rollbackTimed(t.ID, cctx.log)
 		c.locks.ReleaseAll(t.ID)
 		c.abortQueued(t, err, r)
 		return outcomeAborted
@@ -1299,17 +1314,16 @@ func (c *Controller) trySchedule(t *txn.Txn, r *round) scheduleOutcome {
 	return outcomeRunnable
 }
 
-// admissionOps builds the persistent half of one transaction's
+// stageAdmission stages the persistent half of one transaction's
 // admission: the started-state record write and the phyQ enqueue. A
 // prepared cross-shard child persists only its record: it enters phyQ
 // at decision time, not now.
-func (c *Controller) admissionOps(r *round, t *txn.Txn) []store.Op {
+func (c *Controller) stageAdmission(r *round, t *txn.Txn) {
 	txnPath := c.txnPath(t.ID)
-	ops := []store.Op{c.recordOp(r, txnPath, t)}
+	r.put(c.recordOp(r, txnPath, t))
 	if t.State != txn.StatePrepared {
-		ops = append(ops, c.phyQ.PutOp(proto.PhyMsg{TxnPath: txnPath}.Encode()))
+		r.put(c.phyQ.PutOp(proto.PhyMsg{TxnPath: txnPath}.Encode()))
 	}
-	return ops
 }
 
 // admitApply applies the in-memory half of a persisted admission:
@@ -1364,14 +1378,14 @@ func (c *Controller) abortQueued(t *txn.Txn, reason error, r *round) {
 	// A failed flush reverts the transaction to accepted and requeues it
 	// (see flushRound) because the abort verdict may describe unwound
 	// state.
-	r.stage([]store.Op{c.recordOp(r, c.txnPath(t.ID), t)}, func() {
+	r.stage(func() {
 		c.countStage(&c.stats.Aborted, "aborted")
 		// A cross-shard child aborted before it could prepare is a NO
 		// vote; it goes out only after the terminal state is durable.
 		if t.IsChild() {
 			c.xSendReport(proto.KindXVote, t)
 		}
-	}, nil)
+	}, nil, c.recordOp(r, c.txnPath(t.ID), t))
 	r.aborted = append(r.aborted, t)
 }
 
@@ -1392,14 +1406,14 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 		// A transaction this leader does not own (already finalized —
 		// e.g. KILLed — or cleaned up before a failover): drop the
 		// notice.
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil, nil)
+		c.stageNotice(r, itemPath)
 		return nil
 	}
 	outcome := txn.State(msg.Outcome)
 	switch outcome {
 	case txn.StateCommitted, txn.StateAborted, txn.StateFailed:
 	default:
-		r.stage([]store.Op{c.inputQ.RemoveOp(itemPath)}, nil, nil)
+		c.stageNotice(r, itemPath)
 		return fmt.Errorf("result notice for %s with outcome %q", rec.ID, msg.Outcome)
 	}
 
@@ -1407,11 +1421,6 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 		return err
 	}
 	rec.Error, rec.Code, rec.UndoneThrough = msg.Error, msg.Code, msg.UndoneThrough
-	ops := append(c.noticeRemoveOps(itemPath), c.recordOp(r, msg.TxnPath, rec))
-	if outcome == txn.StateCommitted {
-		ops = append(ops, store.CreateOp(proto.CommitLogPrefix,
-			proto.CommitLogEntry{TxnPath: msg.TxnPath}.Encode(), store.FlagSequence))
-	}
 	if outcome == txn.StateCommitted {
 		// Early lock handoff (⑤A): a committed transaction's logical
 		// effects are already final in ltree and its physical execution
@@ -1424,7 +1433,8 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 		// no transaction is admitted on them before this commit is durable.
 		c.locks.ReleaseAll(rec.ID)
 		doneInline := false
-		r.stage(ops,
+		c.stageNotice(r, itemPath)
+		r.stage(
 			func() {
 				delete(c.inFlight, rec.ID)
 				c.countStage(&c.stats.Committed, "committed")
@@ -1439,6 +1449,9 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 					c.cfg.Logf("controller %s: re-lock %s: %v", c.cfg.Name, rec.ID, err)
 				}
 			},
+			c.recordOp(r, msg.TxnPath, rec),
+			store.CreateOp(proto.CommitLogPrefix,
+				proto.CommitLogEntry{TxnPath: msg.TxnPath}.Encode(), store.FlagSequence),
 		)
 		if rec.IsChild() {
 			// A coordinator-local child's done-report can ride this same
@@ -1456,21 +1469,23 @@ func (c *Controller) stageCleanup(r *round, msg proto.InputMsg, itemPath string)
 		// never leave one durable without the other.
 		marks = c.loggedPaths(t.Log)
 	}
-	return c.stageUnwind(r, t, rec, ops, marks)
+	return c.stageUnwind(r, t, rec, msg.TxnPath, itemPath, marks)
 }
 
 // stageUnwind stages the end of in-flight transaction t as aborted or
-// failed: ops (its terminal write rec, and the notice's consumption)
-// together with the inconsistency marks of the model paths in marks.
-// The logical rollback must not happen before the terminal state is
-// persisted, so it — with the marks in the logical tree, the count and
-// the lock release — runs once the round is durable (finishCleanup),
-// and the round schedules once more afterwards (r.cleanups) so freed
-// locks are claimable without waiting for another input event.
-func (c *Controller) stageUnwind(r *round, t, rec *txn.Txn, ops []store.Op, marks []string) error {
+// failed: its terminal write rec at path, the consumption of the notice
+// at itemPath ("" for none), and the inconsistency marks of the model
+// paths in marks. The logical rollback must not happen before the
+// terminal state is persisted, so it — with the marks in the logical
+// tree, the count and the lock release — runs once the round is durable
+// (finishCleanup), and the round schedules once more afterwards
+// (r.cleanups) so freed locks are claimable without waiting for another
+// input event. Nothing is staged if a mark cannot be read.
+func (c *Controller) stageUnwind(r *round, t, rec *txn.Txn, path, itemPath string, marks []string) error {
+	var create []string
 	for _, p := range marks {
 		zpath := inconsistentNode(p)
-		if r.staged[zpath] {
+		if r.staged[zpath] || slices.Contains(create, zpath) {
 			continue
 		}
 		marked, _, err := c.cli.Exists(zpath)
@@ -1479,12 +1494,17 @@ func (c *Controller) stageUnwind(r *round, t, rec *txn.Txn, ops []store.Op, mark
 		}
 		if !marked {
 			// A Create of an existing mark would fail the whole round.
-			r.staged[zpath] = true
-			ops = append(ops, store.CreateOp(zpath, nil, 0))
+			create = append(create, zpath)
 		}
 	}
+	c.stageNotice(r, itemPath)
+	r.put(c.recordOp(r, path, rec))
+	for _, zpath := range create {
+		r.staged[zpath] = true
+		r.put(store.CreateOp(zpath, nil, 0))
+	}
 	r.cleanups++
-	r.stage(ops, func() { c.finishCleanup(t, rec, marks) }, nil)
+	r.stage(func() { c.finishCleanup(t, rec, marks) }, nil)
 	return nil
 }
 
@@ -1542,7 +1562,6 @@ func (c *Controller) stageSignal(r *round, msg proto.InputMsg, itemPath string) 
 		return err
 	}
 	sig := txn.Signal(msg.Signal)
-	ops := c.noticeRemoveOps(itemPath)
 	path := msg.TxnPath
 	switch {
 	case rec.IsParent(), rec.State.Terminal():
@@ -1558,7 +1577,7 @@ func (c *Controller) stageSignal(r *round, msg proto.InputMsg, itemPath string) 
 			return err
 		}
 		rec.Signal, rec.Error, rec.Code = sig, "killed by operator", string(trerr.TxnTerminated)
-		return c.stageUnwind(r, t, rec, append(ops, c.recordOp(r, path, rec)), c.loggedPaths(t.Log))
+		return c.stageUnwind(r, t, rec, path, itemPath, c.loggedPaths(t.Log))
 	default:
 		// The queued copy is marked for this round's scheduling pass. It
 		// is rec, the held copy, unless a failed flush made the load
@@ -1572,10 +1591,11 @@ func (c *Controller) stageSignal(r *round, msg proto.InputMsg, itemPath string) 
 		}
 		prev, qprev := rec.Signal, q.Signal
 		rec.Signal, q.Signal = sig, sig
-		r.stage(append(ops, c.recordOp(r, path, rec)), nil, func() { rec.Signal, q.Signal = prev, qprev })
+		c.stageNotice(r, itemPath)
+		r.stage(nil, func() { rec.Signal, q.Signal = prev, qprev }, c.recordOp(r, path, rec))
 		return nil
 	}
-	r.stage(ops, nil, nil)
+	c.stageNotice(r, itemPath)
 	return nil
 }
 
@@ -1918,9 +1938,9 @@ func (c *Controller) recover() error {
 			switch {
 			case err != nil:
 			case rec.IsParent():
-				err = c.stageXParent(r, rec, parentEvent{kind: evResume, seen: c.xReadChildren(rec)}, nil)
+				err = c.stageXParent(r, rec, parentEvent{kind: evResume, seen: c.xReadChildren(rec)}, "")
 			case rec.State == txn.StateInitialized:
-				err = c.stageAcceptTxn(r, rec, path, nil)
+				err = c.stageAcceptTxn(r, rec, path, "")
 			}
 			if err != nil {
 				c.cfg.Logf("controller %s: recover %s: %v", c.cfg.Name, id, err)

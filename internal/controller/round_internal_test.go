@@ -387,3 +387,36 @@ func TestFailedFlushAfterRoundReuse(t *testing.T) {
 		t.Fatalf("accepted %d with %d in flight, want 2 and 2", st.Accepted, len(c.inFlight))
 	}
 }
+
+// TestJSONMessagesRejected: a data dir written before the binary message
+// format holds JSON queue items and commit-log entries. A JSON inputQ
+// item ends the leader's round with proto.ErrFormat, as fatally as a
+// lost session, and stays queued rather than dropped; a JSON commit-log
+// entry fails recovery with the same error.
+func TestJSONMessagesRejected(t *testing.T) {
+	c := newRoundController(t)
+	if _, err := c.cli.Create(proto.InputQPath+"/"+queue.ItemPrefix,
+		[]byte(`{"kind":"submit","txnPath":"/tropic/txns/t-0000000001"}`), store.FlagSequence); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	items, err := c.takeInput(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.processRound(items); !errors.Is(err, proto.ErrFormat) || !errFatal(err) {
+		t.Fatalf("round over a JSON inputQ item: err = %v, want fatal ErrFormat", err)
+	}
+	if n, _ := c.inputQ.Len(); n != 1 {
+		t.Fatalf("inputQ holds %d items after the rejected round, want 1", n)
+	}
+
+	if _, err := c.cli.Create(proto.CommitLogPrefix,
+		[]byte(`{"txnPath":"/tropic/txns/t-0000000001"}`), store.FlagSequence); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.recover(); !errors.Is(err, proto.ErrFormat) {
+		t.Fatalf("recovery over a JSON commit-log entry: err = %v, want ErrFormat", err)
+	}
+}

@@ -360,7 +360,7 @@ func TestXResumeKeepsWoundEpoch(t *testing.T) {
 
 	resume := func(rec *txn.Txn) error {
 		r := newRound()
-		if err := c.stageXParent(r, rec, parentEvent{kind: evResume, seen: c.xReadChildren(rec)}, nil); err != nil {
+		if err := c.stageXParent(r, rec, parentEvent{kind: evResume, seen: c.xReadChildren(rec)}, ""); err != nil {
 			t.Fatal(err)
 		}
 		return c.flushRound(r)

@@ -573,9 +573,8 @@ func (c *Controller) stageXParentMsg(r *round, msg proto.InputMsg, itemPath stri
 	if !ok {
 		return err
 	}
-	notice := c.noticeRemoveOps(itemPath)
 	if !rec.IsParent() {
-		r.stage(notice, nil, nil)
+		c.stageNotice(r, itemPath)
 		return nil
 	}
 	ev := parentEvent{kind: evVote, child: msg.ChildIndex, state: txn.State(msg.Outcome),
@@ -586,27 +585,27 @@ func (c *Controller) stageXParentMsg(r *round, msg proto.InputMsg, itemPath stri
 	case proto.KindXTimeout:
 		ev = parentEvent{kind: evDeadline, seen: c.xReadChildren(rec)}
 	}
-	return c.stageXParent(r, rec, ev, notice)
+	return c.stageXParent(r, rec, ev, itemPath)
 }
 
 // stageXParent is parentStep's executor. It applies ev to rec, the held
 // copy, and stages the record write — at the held version, so a write
 // that raced it (a wound's CAS) fails the round, which re-runs against
-// the fresh record — into the round together with notice, the ops
-// consuming the event's notice. A step that fails drops the copy it
-// changed from the table. An accept creates the coordinator-local child,
-// already accepted, in the same Multi, skipping its cross-store prepare
-// round and its accept's decode; a decision bound for a
-// coordinator-local prepared child rides the same round ("inline"), so
-// the durable decision and the child's promotion (or abort) commit in
-// one Multi. The rest — counters, sends, the next deadline — runs once
-// the round is durable.
-func (c *Controller) stageXParent(r *round, rec *txn.Txn, ev parentEvent, notice []store.Op) error {
+// the fresh record — into the round together with the consumption of
+// the event's notice at itemPath ("" for none). A step that fails drops
+// the copy it changed from the table. An accept creates the
+// coordinator-local child, already accepted, in the same Multi, skipping
+// its cross-store prepare round and its accept's decode; a decision
+// bound for a coordinator-local prepared child rides the same round
+// ("inline"), so the durable decision and the child's promotion (or
+// abort) commit in one Multi. The rest — counters, sends, the next
+// deadline — runs once the round is durable.
+func (c *Controller) stageXParent(r *round, rec *txn.Txn, ev parentEvent, itemPath string) error {
 	path := c.txnPath(rec.ID)
 	out, err := parentStep(rec, ev)
 	if errors.Is(err, errXMalformed) {
 		c.cfg.Logf("controller %s: %v", c.cfg.Name, err)
-		r.stage(notice, nil, nil)
+		c.stageNotice(r, itemPath)
 		return nil
 	}
 	if err != nil {
@@ -630,9 +629,9 @@ func (c *Controller) stageXParent(r *round, rec *txn.Txn, ev parentEvent, notice
 			later = append(later, k)
 		}
 	}
-	ops := notice
+	c.stageNotice(r, itemPath)
 	if out.write {
-		ops = append(ops, c.recordOp(r, path, rec))
+		r.put(c.recordOp(r, path, rec))
 	}
 	// An accept coalesces the coordinator-local child: its record rides
 	// the parent's accepted write, so a 2-shard transaction pays one
@@ -649,11 +648,11 @@ func (c *Controller) stageXParent(r *round, rec *txn.Txn, ev parentEvent, notice
 			kidPath := c.txnPath(ref.ID)
 			r.staged[kidPath] = true
 			r.writes[kidPath] = heldRec{rec: kid}
-			ops = append(ops, store.CreateOp(kidPath, kid.Encode(), 0))
+			r.put(store.CreateOp(kidPath, kid.Encode(), 0))
 			break
 		}
 	}
-	r.stage(ops, func() {
+	r.stage(func() {
 		if out.accepted {
 			c.countStage(&c.stats.Accepted, "accepted")
 		}
@@ -842,7 +841,7 @@ func (c *Controller) stageXLocalVote(r *round, t *txn.Txn) bool {
 		return false
 	}
 	ev := parentEvent{kind: evVote, child: k, state: t.State, epoch: t.Epoch}
-	return c.stageXParent(r, rec, ev, nil) == nil
+	return c.stageXParent(r, rec, ev, "") == nil
 }
 
 // stageXChildDoneLocal stages a terminal local child's child-done
@@ -880,13 +879,12 @@ func (c *Controller) stageXChild(r *round, msg proto.InputMsg, itemPath string) 
 	if !ok {
 		return err
 	}
-	notice := c.noticeRemoveOps(itemPath)
 	t, tracked := c.prepared[rec.ID]
 	if rec.State != txn.StatePrepared || !tracked {
 		if rec.State == txn.StatePrepared {
 			c.cfg.Logf("controller %s: %s for untracked prepared child %s", c.cfg.Name, msg.Kind, rec.ID)
 		}
-		r.stage(notice, nil, nil)
+		c.stageNotice(r, itemPath)
 		return nil
 	}
 	// What childStep may change, to undo it if the round fails.
@@ -905,16 +903,16 @@ func (c *Controller) stageXChild(r *round, msg proto.InputMsg, itemPath string) 
 		}
 		c.cfg.Logf("controller %s: %v", c.cfg.Name, err)
 	}
+	c.stageNotice(r, itemPath)
 	if !out.write {
-		r.stage(notice, nil, nil)
 		return nil
 	}
 	path := c.txnPath(t.ID)
-	ops := append(notice, c.recordOp(r, path, t))
+	r.put(c.recordOp(r, path, t))
 	if out.execute {
-		ops = append(ops, c.phyQ.PutOp(proto.PhyMsg{TxnPath: path}.Encode()))
+		r.put(c.phyQ.PutOp(proto.PhyMsg{TxnPath: path}.Encode()))
 	}
-	r.stage(ops, func() {
+	r.stage(func() {
 		if out.piggy {
 			c.met.xPiggy.Inc()
 		}
@@ -950,7 +948,7 @@ func (c *Controller) stageXChild(r *round, msg proto.InputMsg, itemPath string) 
 // has voided this attempt restarts it. Undecided, the child stays
 // prepared, locks held, and votes again.
 func (c *Controller) stageXResolve(r *round, t *txn.Txn) {
-	r.stage(nil, c.met.xInDoubt.Inc, nil)
+	r.stage(c.met.xInDoubt.Inc, nil)
 	coord, parentLocal, ok := c.cfg.XShard.Router.ResolveID(t.Parent)
 	if !ok {
 		c.cfg.Logf("controller %s: child %s has malformed parent id %q", c.cfg.Name, t.ID, t.Parent)
@@ -977,7 +975,7 @@ func (c *Controller) stageXResolve(r *round, t *txn.Txn) {
 		// Coordinator shard unreachable: stay prepared, re-vote so a
 		// recovered coordinator sees us, and let its deadline decide.
 		c.cfg.Logf("controller %s: resolve in-doubt %s: %v", c.cfg.Name, t.ID, err)
-		r.stage(nil, func() { c.xSendReport(proto.KindXVote, t) }, nil)
+		r.stage(func() { c.xSendReport(proto.KindXVote, t) }, nil)
 		return
 	default:
 		parent, err := txn.Decode(data)
@@ -998,7 +996,7 @@ func (c *Controller) stageXResolve(r *round, t *txn.Txn) {
 			// left this shard — and re-arm the decision watch, which died
 			// with the old leader; the coordinator skips the eager decide
 			// notice assuming a watch exists.
-			r.stage(nil, func() {
+			r.stage(func() {
 				c.xSendReport(proto.KindXVote, t)
 				c.xWatchDecision(t)
 			}, nil)

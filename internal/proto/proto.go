@@ -121,46 +121,47 @@ const (
 	KindXRestart MsgKind = "xrestart"
 )
 
-// InputMsg is one inputQ item.
+// InputMsg is one inputQ item, stored in the binary message format
+// (codec.go).
 type InputMsg struct {
-	Kind MsgKind `json:"kind"`
+	Kind MsgKind
 	// TxnPath locates the transaction record (submit/result/signal).
-	TxnPath string `json:"txnPath,omitempty"`
+	TxnPath string
 	// Target is the model subtree for reload/repair requests.
-	Target string `json:"target,omitempty"`
+	Target string
 	// Signal carries "TERM" or "KILL" for KindSignal.
-	Signal string `json:"signal,omitempty"`
+	Signal string
 	// Reply, when set, names a znode the controller writes a Reply
 	// into once the request completes (reload/repair).
-	Reply string `json:"reply,omitempty"`
+	Reply string
 	// Outcome is the physical execution result for KindResult:
 	// "committed", "aborted", or "failed". The controller, not the
 	// worker, writes the terminal state to the record during cleanup
 	// (Figure 2, step 5).
-	Outcome string `json:"outcome,omitempty"`
+	Outcome string
 	// Error is the failure description accompanying aborted/failed
 	// outcomes.
-	Error string `json:"error,omitempty"`
+	Error string
 	// Code is the trerr taxonomy code classifying Error.
-	Code string `json:"code,omitempty"`
+	Code string
 	// UndoneThrough counts the undo actions that succeeded during
 	// physical rollback.
-	UndoneThrough int `json:"undoneThrough,omitempty"`
+	UndoneThrough int
 	// ChildIndex identifies which child of a cross-shard parent a
 	// KindXVote/KindXChildDone message concerns.
-	ChildIndex int `json:"childIndex,omitempty"`
+	ChildIndex int
 	// Decision carries the coordinator's 2PC decision for KindXDecide
 	// (txn.DecisionCommit or txn.DecisionAbort).
-	Decision string `json:"decision,omitempty"`
+	Decision string
 	// Epoch is the child's prepare attempt a KindXVote speaks for, and
 	// the attempt a KindXRestart moves the child to.
-	Epoch int `json:"epoch,omitempty"`
+	Epoch int
 	// Via records how a KindXDecide reached the participant when it
 	// skipped the decide-notice round trip: "local" for a coordinator-
 	// local child whose decision rode the coordinator's own event round,
 	// "ack" for a decision read off the parent record by the vote-ack
 	// watch. Empty for a store-delivered decide notice.
-	Via string `json:"via,omitempty"`
+	Via string
 }
 
 // Reply reports the outcome of a reload/repair request.
@@ -189,68 +190,14 @@ func DecodeReply(data []byte) (Reply, error) {
 	return r, nil
 }
 
-// Encode serializes the message.
-func (m InputMsg) Encode() []byte {
-	b, err := json.Marshal(m)
-	if err != nil {
-		panic(fmt.Sprintf("proto: encode input msg: %v", err))
-	}
-	return b
-}
-
-// DecodeInputMsg parses an inputQ item.
-func DecodeInputMsg(data []byte) (InputMsg, error) {
-	var m InputMsg
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("proto: decode input msg: %w", err)
-	}
-	return m, nil
-}
-
 // PhyMsg is one phyQ item: a transaction ready for physical execution.
 type PhyMsg struct {
-	TxnPath string `json:"txnPath"`
-}
-
-// Encode serializes the message.
-func (m PhyMsg) Encode() []byte {
-	b, err := json.Marshal(m)
-	if err != nil {
-		panic(fmt.Sprintf("proto: encode phy msg: %v", err))
-	}
-	return b
-}
-
-// DecodePhyMsg parses a phyQ item.
-func DecodePhyMsg(data []byte) (PhyMsg, error) {
-	var m PhyMsg
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("proto: decode phy msg: %w", err)
-	}
-	return m, nil
+	TxnPath string
 }
 
 // CommitLogEntry records one committed transaction in commit order.
 type CommitLogEntry struct {
-	TxnPath string `json:"txnPath"`
-}
-
-// Encode serializes the entry.
-func (e CommitLogEntry) Encode() []byte {
-	b, err := json.Marshal(e)
-	if err != nil {
-		panic(fmt.Sprintf("proto: encode commit entry: %v", err))
-	}
-	return b
-}
-
-// DecodeCommitLogEntry parses a commit-log entry.
-func DecodeCommitLogEntry(data []byte) (CommitLogEntry, error) {
-	var e CommitLogEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return e, fmt.Errorf("proto: decode commit entry: %w", err)
-	}
-	return e, nil
+	TxnPath string
 }
 
 // Snapshot is the persisted logical-model checkpoint: the committed tree

@@ -28,7 +28,7 @@ func BenchmarkDecodeSnapshot(b *testing.B) {
 		ops = append(ops, Op{kind: opCreate, Path: fmt.Sprintf("/q/item-%010d", i), Data: []byte("d")})
 	}
 	for _, op := range ops {
-		resolved, err := validateOp(tr, op)
+		resolved, err := validateOp(tr, op, new([]Op))
 		if err != nil {
 			b.Fatal(err)
 		}

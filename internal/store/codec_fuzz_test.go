@@ -74,7 +74,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		{kind: opCreate, Path: "/p/seq-", Flags: FlagSequence},
 		{kind: opSet, Path: "/p/child", Data: []byte("c2"), Version: -1},
 	} {
-		resolved, err := validateOp(tr, op)
+		resolved, err := validateOp(tr, op, new([]Op))
 		if err != nil {
 			f.Fatal(err)
 		}

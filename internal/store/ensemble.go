@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,6 +138,7 @@ type Ensemble struct {
 	watches  *watchTable
 	closed   bool
 	walBuf   []byte       // WAL record encoding, reused under mu
+	multiOps []Op         // resolved sub-ops of the Multi in hand (validateOp), reused under mu
 	fired    firedWatches // watch events of the commit in hand, reused under mu
 
 	// treeMu guards tree and applied. Writers (commit, recovery) hold mu
@@ -388,7 +390,7 @@ func (e *Ensemble) commitLocked(op Op) (Op, error) {
 	if e.aliveCount()*2 <= len(e.alive) {
 		return Op{}, ErrNoQuorum
 	}
-	resolved, err := validateOp(e.tree, op)
+	resolved, err := validateOp(e.tree, op, &e.multiOps)
 	if err != nil {
 		return Op{}, err
 	}
@@ -414,6 +416,7 @@ func (e *Ensemble) commitLocked(op Op) (Op, error) {
 	}
 	e.fired.reset()
 	e.applyLocked(resolved)
+	clear(e.multiOps[:cap(e.multiOps)])
 	e.commits++
 	if e.pstore != nil {
 		e.maybeSnapshotLocked(1)
@@ -476,7 +479,7 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []error {
 			errs[gi] = walFailed
 			continue
 		}
-		resolved, err := validateOp(e.tree, Op{kind: opMulti, ops: ops})
+		resolved, err := validateOp(e.tree, Op{kind: opMulti, ops: ops}, &e.multiOps)
 		if err != nil {
 			errs[gi] = err
 			continue
@@ -493,6 +496,7 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []error {
 		e.commits++
 		applied = append(applied, gi)
 	}
+	clear(e.multiOps[:cap(e.multiOps)])
 	if e.pstore != nil && len(applied) > 0 {
 		if err := e.pstore.SyncGroup(); err != nil {
 			// Report the round failed and surface none of it: no watch
@@ -510,8 +514,13 @@ func (e *Ensemble) commitAllLocked(groups [][]Op) []error {
 }
 
 // validateOp checks an op against the tree and resolves sequence-node
-// names so the op applies deterministically, on replay too.
-func validateOp(t *tree, op Op) (Op, error) {
+// names so the op applies deterministically, on replay too. A Multi's
+// resolved sub-ops are written into *scratch, grown as needed, so the
+// returned op is valid until the next call: the ensemble passes its
+// multiOps, as no resolved op outlives its commit, which only encodes it
+// for the WAL and applies it, and clears them after the apply so they
+// keep no op's data alive.
+func validateOp(t *tree, op Op, scratch *[]Op) (Op, error) {
 	switch op.kind {
 	case opCreate:
 		if err := validPath(op.Path); err != nil {
@@ -566,7 +575,8 @@ func validateOp(t *tree, op Op) (Op, error) {
 		// which at cloud scale is the difference between microseconds
 		// and seconds per transaction.
 		mv := newMultiValidator(t)
-		resolved := make([]Op, len(op.ops))
+		resolved := slices.Grow((*scratch)[:0], len(op.ops))[:len(op.ops)]
+		*scratch = resolved
 		for i, sub := range op.ops {
 			r, err := mv.validate(sub)
 			if err != nil {

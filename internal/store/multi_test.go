@@ -155,3 +155,28 @@ func TestMultiExpireRejected(t *testing.T) {
 		t.Fatal("expire accepted in multi")
 	}
 }
+
+// TestMultiResolvesInPlace: a Multi's sub-ops are resolved into a slice
+// the ensemble reuses, so a Multi that sets existing nodes allocates
+// nothing, however often it runs.
+func TestMultiResolvesInPlace(t *testing.T) {
+	e := newTestEnsemble(t)
+	c := e.Connect()
+	defer c.Close()
+	data := []byte("v")
+	ops := make([]Op, 8)
+	for i := range ops {
+		path := "/n" + string(rune('0'+i))
+		if _, err := c.Create(path, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		ops[i] = SetOp(path, data, -1)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.Multi(ops...); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a Multi of %d sets allocates %.0f times", len(ops), n)
+	}
+}

@@ -6,11 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/store/persist"
+	"repro/internal/txn"
 )
 
 func openDurable(t testing.TB, dir string, snapEvery int) *Ensemble {
@@ -377,7 +381,7 @@ func TestOpCodecRoundTrip(t *testing.T) {
 func TestTreeSnapshotCodecSkipsEphemerals(t *testing.T) {
 	tr := newTree()
 	apply := func(op Op) {
-		resolved, err := validateOp(tr, op)
+		resolved, err := validateOp(tr, op, new([]Op))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,7 +643,7 @@ func snapshotBenchEnsemble(b *testing.B, nodes int) *Ensemble {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	create := func(path string, data []byte) {
-		op, err := validateOp(e.tree, CreateOp(path, data, 0))
+		op, err := validateOp(e.tree, CreateOp(path, data, 0), new([]Op))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -734,7 +738,7 @@ func TestRestartCorruptSegmentDropsLaterSegments(t *testing.T) {
 	if err := ps.Roll(3); err != nil {
 		t.Fatal(err)
 	}
-	op, err := validateOp(newTree(), CreateOp("/stale", []byte("s"), 0))
+	op, err := validateOp(newTree(), CreateOp("/stale", []byte("s"), 0), new([]Op))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -768,5 +772,74 @@ func TestRestartCorruptSegmentDropsLaterSegments(t *testing.T) {
 		if ok, _, _ := c3.Exists(path); ok != want {
 			t.Fatalf("%s exists = %v after the second restart, want %v", path, ok, want)
 		}
+	}
+}
+
+// TestDecodedRecordOutlivesNode: the record and queue-message decoders
+// alias the bytes a read returns, so those bytes must stay as they were
+// after the node is overwritten, deleted, snapshotted and recovered over.
+func TestDecodedRecordOutlivesNode(t *testing.T) {
+	dir := t.TempDir()
+	e := openDurable(t, dir, 1)
+	c := e.Connect()
+	writes := int64(0)
+	write := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes++
+		waitSnapshots(t, e, writes)
+	}
+	rec := &txn.Txn{ID: "t-1", Proc: "spawnVM", Args: []string{"/s", "/h", "vm1"},
+		State: txn.StateCommitted, Log: []txn.LogRecord{{Seq: 1, Path: "/h",
+			Action: "startVM", Args: []string{"vm1"}, Undo: "stopVM", UndoArgs: []string{"vm1"}}},
+		History: []txn.StateStamp{{State: txn.StateCommitted, At: time.Unix(1, 2)}}}
+	msg := proto.InputMsg{Kind: proto.KindResult, TxnPath: "/txns/t-1", Outcome: "aborted", Error: "boom"}
+	_, err := c.Create("/txns", nil, 0)
+	write(err)
+	_, err = c.Create("/txns/t-1", rec.Encode(), 0)
+	write(err)
+	_, err = c.Create("/inputQ", msg.Encode(), 0)
+	write(err)
+
+	rdata, _, err := c.Get("/txns/t-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRec, err := txn.Decode(rdata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRec, _ := txn.Decode(bytes.Clone(rdata))
+	mdata, _, err := c.Get("/inputQ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotMsg, err := proto.DecodeInputMsg(mdata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMsg, _ := proto.DecodeInputMsg(bytes.Clone(mdata))
+
+	other := &txn.Txn{ID: "t-2", Proc: "stopVM", State: txn.StateAborted, Error: "overwritten"}
+	write(c.Set("/txns/t-1", other.Encode(), -1))
+	write(c.Delete("/txns/t-1", -1))
+	write(c.Delete("/inputQ", -1))
+	c.Close()
+	e.Close()
+	e2 := openDurable(t, dir, 1)
+	defer e2.Close()
+	c2 := e2.Connect()
+	defer c2.Close()
+	if _, err := c2.Create("/txns/t-1", other.Encode(), 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if !reflect.DeepEqual(gotRec, wantRec) {
+		t.Fatalf("decoded record changed:\n %+v\nwant\n %+v", gotRec, wantRec)
+	}
+	if gotMsg != wantMsg {
+		t.Fatalf("decoded message changed: %+v, want %+v", gotMsg, wantMsg)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // Record format (version recordFormat). A stored record is one format
@@ -168,15 +169,17 @@ func checkFormat(data []byte) error {
 	return nil
 }
 
-// Decode parses a stored record.
+// Decode parses a stored record. It copies nothing: every decoded
+// string is a substring of data itself, so data must never be modified
+// after the call, and it stays alive while any field is referenced.
+// Store reads return the node's own bytes, which the store never
+// modifies (store.Op), so they qualify; a caller decoding a buffer it
+// will reuse passes a copy.
 func Decode(data []byte) (*Txn, error) {
 	if err := checkFormat(data); err != nil {
 		return nil, fmt.Errorf("txn: decode: %w", err)
 	}
-	// Every decoded string is a substring of one copy of the record:
-	// one allocation for all of them, at the price of keeping the whole
-	// copy alive while any field is referenced.
-	d := decoder{b: data, s: string(data), off: 1}
+	d := decoder{b: data, s: unsafe.String(unsafe.SliceData(data), len(data)), off: 1}
 	t := new(Txn)
 	t.Signal = Signal(d.str())
 	t.ID = d.str()
@@ -360,7 +363,7 @@ func DecodeDecision(data []byte) (string, error) {
 // zero values, so Decode checks once at the end.
 type decoder struct {
 	b   []byte
-	s   string // string(b), the backing store of decoded strings
+	s   string // b viewed as a string, the backing store of decoded strings
 	off int
 	err error
 }

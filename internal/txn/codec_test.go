@@ -256,6 +256,41 @@ func TestDecodeDecisionAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocatesOnlyWhatItReturns: Decode copies none of the
+// record. Its allocations are the Txn and each non-empty slice in it;
+// the strings are substrings of the input.
+func TestDecodeAllocatesOnlyWhatItReturns(t *testing.T) {
+	for _, c := range codecCases() {
+		want := c.want
+		if want == nil {
+			want = c.rec
+		}
+		allocs := 1 // the Txn
+		for _, n := range []int{len(want.Args), len(want.Log), len(want.History),
+			len(want.Participants), len(want.Children)} {
+			if n > 0 {
+				allocs++
+			}
+		}
+		for _, r := range want.Log {
+			if len(r.Args) > 0 {
+				allocs++
+			}
+			if len(r.UndoArgs) > 0 {
+				allocs++
+			}
+		}
+		b := c.rec.Encode()
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := Decode(b); err != nil {
+				t.Fatal(err)
+			}
+		}); n != float64(allocs) {
+			t.Errorf("%s: Decode allocates %.0f times, want %d", c.name, n, allocs)
+		}
+	}
+}
+
 // TestCodecPrefixes: every strict prefix of a valid record is an error,
 // never a panic and never a shorter record.
 func TestCodecPrefixes(t *testing.T) {
@@ -300,12 +335,12 @@ func TestCodecHostileCounts(t *testing.T) {
 }
 
 // allocBound is the most a decode of an n-byte input may allocate: the
-// string copy of the input (1 byte per byte), the Log slice allocated up
-// front (a 128-byte LogRecord per 8 bytes left, 16 per byte), the
-// string slices inside the log records (a 16-byte header per 1-byte
-// string, 16 per byte), and a fixed allowance for the Txn and an error.
-// Every other slice is charged at most 16 bytes per byte left.
-func allocBound(n int) uint64 { return uint64(33*n + 4096) }
+// Log slice allocated up front (a 128-byte LogRecord per 8 bytes left,
+// 16 per byte), the string slices inside the log records (a 16-byte
+// header per 1-byte string, 16 per byte), and a fixed allowance for the
+// Txn and an error. Every other slice is charged at most 16 bytes per
+// byte left. The strings themselves alias the input.
+func allocBound(n int) uint64 { return uint64(32*n + 4096) }
 
 // decodeAlloc returns the bytes the process allocated while data was
 // decoded. The counter is process-wide, so it also charges whatever other
